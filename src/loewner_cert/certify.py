@@ -141,8 +141,8 @@ def certify_order(A, B, f: ScalarFunction, *, tol: float = DEFAULT_TOL,
     Valid for any Hermitian A, B with spectra in f's domain; no order
     relation between A and B is assumed.
     """
-    A = require_hermitian(A)
-    B = require_hermitian(B)
+    A = require_hermitian(A, name="A")
+    B = require_hermitian(B, name="B")
     problem = build_gap_problem("gamma", f, A, B)
     res = solve_multistart(problem, restarts=restarts, max_iter=max_iter,
                            step_tol=step_tol, seed=seed)
@@ -305,8 +305,8 @@ def verify_classical(statement: str, A, B, *, p: float | None = None,
     """
     if statement not in CLASSICAL_STATEMENTS:
         raise ValueError(f"unknown classical statement {statement!r}")
-    A = require_hermitian(A)
-    B = require_hermitian(B)
+    A = require_hermitian(A, name="A")
+    B = require_hermitian(B, name="B")
     if A.shape != B.shape:
         raise HypothesisViolated(f"shapes {A.shape} and {B.shape} differ")
     n = A.shape[0]

@@ -113,7 +113,7 @@ def _load_matrices(paths):
         return None, []
     mats, digests = [], []
     for path in paths:
-        mats.append(matrix_from_obj(load_json_file(path)))
+        mats.append(matrix_from_obj(load_json_file(path), name=path))
         digests.append({"path": path, "sha256": sha256_file(path)})
     return mats, digests
 

@@ -22,6 +22,10 @@ class SpectrumOutsideDomain(DomainError):
         super().__init__(f"eigenvalues {self.offending} outside domain {domain}")
 
 
+class NonFinite(LoewnerCertError):
+    """A matrix operand has a NaN or infinite entry."""
+
+
 class NotHermitian(LoewnerCertError):
     """A matrix argument failed the Hermitian symmetry check."""
 

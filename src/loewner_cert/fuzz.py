@@ -365,9 +365,8 @@ def suite_agreement(trials: int, seed=42, rel_tol: float = 1e-5,
                     max_iter: int = 3000) -> dict:
     """Multistart ascent versus the dense sampling solver on small instances.
 
-    The iteration cap is generous because ill-conditioned instances
-    crawl along a nearly flat ridge; they terminate early once the
-    line search can no longer move, so easy instances do not pay.
+    The iteration cap is generous; restarts leave the solver's batch
+    as they converge, so easy instances do not pay for it.
     """
     failures = 0
     worst = 0.0

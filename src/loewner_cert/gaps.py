@@ -18,15 +18,23 @@ a certified inequality; delta/eta/theta/vartheta do the same for the
 mapped Jensen-type bounds, and chebyshev is the covariance-style quantity
 that is pointwise nonnegative for convex f.
 
-Two solvers are provided: a multistart projected gradient ascent on the
+Two solvers are provided: a multistart Riemannian Newton-CG ascent on the
 complex unit sphere (the primary path) and a sampling plus coordinate
 ascent brute-force oracle that shares no iteration logic with it.
+
+The primary path runs all restarts as one lockstep batch.  F is invariant
+under x -> e^{i phi} x, so each iteration works in the horizontal space
+{v : x^H v = 0}: truncated conjugate gradients on (-Hess F) eta = grad F,
+with Hessian-vector products only, give the step direction, and Armijo
+backtracking along x -> (x + t eta)/|x + t eta| makes every accepted step
+increase F.  A restart stops once its tangent gradient norm is at most
+``step_tol``; ``max_iter`` caps the outer iterations of the batch.  The
+result's ``iterations`` is the number of outer iterations the batch ran,
+and ``converged`` is the stop-test flag of the restart with the best value.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,16 +56,16 @@ __all__ = [
 
 KINDS = ("gamma", "delta", "eta", "theta", "vartheta", "chebyshev")
 
-THREADS_ENV_VAR = "LOEWNER_CERT_THREADS"
-
-# restarts are processed in fixed-size blocks so that results do not
-# depend on how many worker threads consume them
-_RESTART_BLOCK = 32
-
-# strict enough to reject steps that hop across a ridge onto the far
-# slope, which would otherwise creep instead of contract
-_ARMIJO = 0.3
+# sufficient-increase fraction of the Newton-CG line search
+_ARMIJO = 1e-4
+# longest tangent step tried first: x + eta turns x by at most atan(_MAX_STEP)
+_MAX_STEP = 1.0
 _MIN_STEP = 1e-18
+# CG treats curvature below this fraction of the curvature along the
+# gradient as non-positive: near a degenerate maximum rounding leaves
+# residuals in flat directions, and dividing by their curvature of order
+# 1e-16 yields huge steps that no longer ascend
+_CURV_FLOOR = 1e-12
 
 _GRID_RESOLUTION = 700
 _REFINE_CANDIDATES = 10
@@ -98,19 +106,21 @@ def gap_objective(problem: GapProblem, x) -> float:
     return qc - qs * qd
 
 
+def _rdot(U, V):
+    """Column-wise real inner products Re<u_j, v_j>."""
+    return (U.conj() * V).real.sum(axis=0)
+
+
 def _forms(C, S, D, X):
-    qC = np.real(np.sum(X.conj() * (C @ X), axis=0))
-    qS = np.real(np.sum(X.conj() * (S @ X), axis=0))
-    qD = np.real(np.sum(X.conj() * (D @ X), axis=0))
-    return qC, qS, qD
+    return _rdot(X, C @ X), _rdot(X, S @ X), _rdot(X, D @ X)
 
 
-def _as_ops(ops):
+def _as_ops(ops, side: str):
     if ops is None:
         return None
     if isinstance(ops, np.ndarray) and ops.ndim == 2:
-        return [require_hermitian(ops)]
-    return [require_hermitian(A) for A in ops]
+        return [require_hermitian(ops, name=side)]
+    return [require_hermitian(A, name=f"{side}[{i}]") for i, A in enumerate(ops)]
 
 
 def _check_spectra(ops, f: ScalarFunction):
@@ -130,8 +140,8 @@ def build_gap_problem(kind: str, f: ScalarFunction, a_ops, b_ops=None,
     """
     if kind not in KINDS:
         raise ValueError(f"unknown gap kind {kind!r}")
-    a_list = _as_ops(a_ops)
-    b_list = _as_ops(b_ops)
+    a_list = _as_ops(a_ops, "A")
+    b_list = _as_ops(b_ops, "B")
     if not a_list:
         raise BadDimensions("at least one A operand is required")
     dom = f.domain
@@ -190,95 +200,131 @@ def build_gap_problem(kind: str, f: ScalarFunction, a_ops, b_ops=None,
     return GapProblem(kind, C, S, D)
 
 
-# -- multistart projected gradient ascent ------------------------------
+# -- multistart Riemannian Newton-CG ascent ----------------------------
 
 
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR, "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
+def _horizontal(X, V):
+    """Project the columns of V onto the horizontal spaces {v : x^H v = 0}."""
+    return V - X * (X.conj() * V).sum(axis=0)
 
 
-def _projected_ascent(C, S, D, X0, max_iter: int, step_tol: float):
-    """Lockstep ascent over the columns of X0; returns (F, X, converged, iters).
+def _newton_ascent(C, S, D, X0, max_iter: int, step_tol: float):
+    """Lockstep Newton-CG ascent over the columns of X0; returns (X, converged, iters).
 
-    Ambient gradient 2Cx - 2<Dx,x>Sx - 2<Sx,x>Dx, projected onto the
-    tangent space of the unit sphere, with per-column backtracking line
-    search and renormalization as retraction.
+    A column leaves the batch when its tangent gradient norm is at most
+    ``step_tol`` (converged) or when the line search finds no increase
+    above _MIN_STEP (stalled).  The Riemannian Hessian applied to a
+    horizontal E is the horizontal part of
+
+        2(CE - qD SE - qS DE) - 4(Sx Re<Dx,E> + Dx Re<Sx,E>) - Re<x,grad> E.
     """
+    k = C.shape[0]
+    M = np.concatenate([C, S, D])  # one matmul yields C V, S V and D V
+
+    def images(V):
+        MV = M @ V
+        return MV[:k], MV[k:2 * k], MV[2 * k:]
+
     X = X0 / np.linalg.norm(X0, axis=0)
-    CX, SX, DX = C @ X, S @ X, D @ X
-    qC = np.real(np.sum(X.conj() * CX, axis=0))
-    qS = np.real(np.sum(X.conj() * SX, axis=0))
-    qD = np.real(np.sum(X.conj() * DX, axis=0))
-    F = qC - qS * qD
     b = X.shape[1]
-    eta = np.ones(b)
     converged = np.zeros(b, dtype=bool)
     stalled = np.zeros(b, dtype=bool)
     iters = 0
-    tol2 = step_tol * step_tol
-    for _ in range(max_iter):
-        G = 2.0 * (CX - SX * qD - DX * qS)
-        rad = np.real(np.sum(X.conj() * G, axis=0))
-        Gt = G - X * rad
-        gn2 = np.real(np.sum(Gt.conj() * Gt, axis=0))
-        converged |= (~stalled) & (gn2 <= tol2)
+    while True:
         work = np.flatnonzero(~(converged | stalled))
-        if work.size == 0:
+        Xw = X[:, work]
+        CX, SX, DX = images(Xw)
+        qC, qS, qD = _rdot(Xw, CX), _rdot(Xw, SX), _rdot(Xw, DX)
+        G = 2.0 * (CX - SX * qD - DX * qS)
+        rad = _rdot(Xw, G)
+        # projecting the small remainder again leaves an x-component at the
+        # rounding level of |g| rather than |G|; the line search needs that
+        g = _horizontal(Xw, G - Xw * rad)
+        gn = np.sqrt(_rdot(g, g))
+        done = gn <= step_tol
+        converged[work[done]] = True
+        live = ~done
+        if not live.any() or iters == max_iter:
             break
         iters += 1
-        pending = work
-        while pending.size:
-            e = eta[pending]
-            cand = X[:, pending] + Gt[:, pending] * e
-            cand = cand / np.linalg.norm(cand, axis=0)
-            cCX, cSX, cDX = C @ cand, S @ cand, D @ cand
-            cqC = np.real(np.sum(cand.conj() * cCX, axis=0))
-            cqS = np.real(np.sum(cand.conj() * cSX, axis=0))
-            cqD = np.real(np.sum(cand.conj() * cDX, axis=0))
-            cF = cqC - cqS * cqD
-            cG = 2.0 * (cCX - cSX * cqD - cDX * cqS)
-            crad = np.real(np.sum(cand.conj() * cG, axis=0))
-            cGt = cG - cand * crad
-            cgn2 = np.real(np.sum(cGt.conj() * cGt, axis=0))
-            improve = cF - F[pending]
-            # Armijo while progress is measurable; once improvements sink
-            # below float resolution, accept only steps that contract the
-            # tangent gradient, and stop growing the step there
-            strict = (improve > 0.0) & (improve >= _ARMIJO * e * gn2[pending])
-            res_f = 1e-15 * (1.0 + np.abs(F[pending]))
-            plateau = (np.abs(improve) <= res_f) & (cgn2 <= 0.98 * gn2[pending])
-            ok = strict | plateau
-            acc = pending[ok]
-            if acc.size:
-                sel = np.flatnonzero(ok)
-                X[:, acc] = cand[:, sel]
-                CX[:, acc] = cCX[:, sel]
-                SX[:, acc] = cSX[:, sel]
-                DX[:, acc] = cDX[:, sel]
-                qC[acc], qS[acc], qD[acc] = cqC[sel], cqS[sel], cqD[sel]
-                F[acc] = cF[sel]
-                grown = pending[strict]
-                eta[grown] = np.minimum(eta[grown] * 2.0, 1e8)
-            rej = pending[~ok]
-            eta[rej] *= 0.5
-            dead = eta[rej] < _MIN_STEP
-            stalled[rej[dead]] = True
-            pending = rej[~dead]
-    return F, X, converged, iters
+        work = work[live]
+        Xw, CX, SX, DX, g = (V[:, live] for V in (Xw, CX, SX, DX, g))
+        qC, qS, qD, rad, gn = (v[live] for v in (qC, qS, qD, rad, gn))
+
+        # truncated CG on (-Hess) eta = g, carrying C/S/D images of eta;
+        # it stops at non-positive curvature, and if that happens on the
+        # first step eta is the gradient scaled to _MAX_STEP
+        eta = np.zeros_like(g)
+        Ce, Se, De = eta.copy(), eta.copy(), eta.copy()
+        r, p = g.copy(), g.copy()
+        rr = gn * gn
+        tol2 = (gn * np.minimum(0.5, np.sqrt(gn))) ** 2
+        cg = np.ones(work.size, dtype=bool)
+        # exact CG ends within 2k - 2 steps, the real dimension of the
+        # horizontal space
+        for j in range(2 * k):
+            CP, SP, DP = images(p)
+            Hp = (4.0 * (SX * _rdot(DX, p) + DX * _rdot(SX, p)) + rad * p
+                  - 2.0 * (CP - SP * qD - DP * qS))
+            Hp = _horizontal(Xw, Hp)
+            kappa = _rdot(p, Hp)
+            if j == 0:
+                curv0 = kappa / rr
+                pp = rr
+            neg = cg & (kappa <= _CURV_FLOOR * curv0 * pp)
+            if j == 0 and neg.any():
+                w = _MAX_STEP / gn[neg]
+                eta[:, neg], Ce[:, neg], Se[:, neg], De[:, neg] = (
+                    V[:, neg] * w for V in (p, CP, SP, DP))
+            cg &= ~neg
+            alpha = np.where(cg, rr / np.where(cg, kappa, 1.0), 0.0)
+            eta += p * alpha
+            Ce += CP * alpha
+            Se += SP * alpha
+            De += DP * alpha
+            r -= Hp * alpha
+            rr_new = _rdot(r, r)
+            cg &= rr_new > tol2
+            if not cg.any():
+                break
+            beta = np.where(cg, rr_new / rr, 0.0)
+            p = r + p * beta
+            pp = rr_new + beta * beta * pp
+            rr = np.where(cg, rr_new, rr)
+
+        # Armijo backtracking on the increase of F, evaluated without
+        # cancellation so that tiny steps near a maximum stay measurable:
+        # for x^H eta = 0 and x_t = (x + t eta)/|x + t eta|,
+        #   <M x_t, x_t> - <M x, x>
+        #     = (2t Re<Mx, eta> + t^2 (<M eta, eta> - <Mx, x>|eta|^2)) / (1 + t^2 |eta|^2)
+        nn = _rdot(eta, eta)
+        lin = [_rdot(V, eta) for V in (CX, SX, DX)]
+        quad = [_rdot(eta, V) - q * nn for V, q in zip((Ce, Se, De), (qC, qS, qD))]
+        slope = 2.0 * (lin[0] - qD * lin[1] - qS * lin[2])
+        t = np.minimum(1.0, _MAX_STEP / np.sqrt(nn))
+        pending = np.ones(work.size, dtype=bool)
+        while pending.any():
+            den = 1.0 + t * t * nn
+            dC, dS, dD = ((2.0 * t * l + t * t * q) / den for l, q in zip(lin, quad))
+            gain = dC - qS * dD - dS * qD - dS * dD
+            pending &= ~((gain > 0.0) & (gain >= _ARMIJO * t * slope))
+            t = np.where(pending, 0.5 * t, t)
+            lost = pending & (t < _MIN_STEP)
+            stalled[work[lost]] = True
+            pending &= ~lost
+        moved = ~stalled[work]
+        Xn = Xw[:, moved] + eta[:, moved] * t[moved]
+        X[:, work[moved]] = Xn / np.linalg.norm(Xn, axis=0)
+    return X, converged, iters
 
 
 def solve_multistart(problem: GapProblem, restarts: int = 64, max_iter: int = 500,
                      step_tol: float = 1e-10, seed=0) -> GapResult:
     """Best stationary value of F over ``restarts`` seeded sphere starts.
 
-    Restart blocks have a fixed size, so the result is bit-identical for
-    a given (seed, restarts) no matter how many threads the environment
-    variable LOEWNER_CERT_THREADS grants.
+    The restarts run as one lockstep Newton-CG batch (module docstring);
+    ``iterations`` counts its outer iterations and ``converged`` is the
+    stop-test flag of the restart that attains the returned value.
     """
     if restarts < 1:
         raise BadDimensions(f"need at least one restart, got {restarts}")
@@ -286,24 +332,10 @@ def solve_multistart(problem: GapProblem, restarts: int = 64, max_iter: int = 50
     k = problem.dim
     rng = np.random.default_rng(seed)
     X0 = rng.standard_normal((k, restarts)) + 1j * rng.standard_normal((k, restarts))
-    blocks = [X0[:, i:i + _RESTART_BLOCK] for i in range(0, restarts, _RESTART_BLOCK)]
-
-    def run_block(Xb):
-        return _projected_ascent(C, S, D, Xb, max_iter, step_tol)
-
-    threads = _thread_count()
-    if threads > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, len(blocks))) as pool:
-            outs = list(pool.map(run_block, blocks))
-    else:
-        outs = [run_block(Xb) for Xb in blocks]
-
-    values = np.concatenate([o[0] for o in outs])
-    X_all = np.concatenate([o[1] for o in outs], axis=1)
-    conv_all = np.concatenate([o[2] for o in outs])
-    iters = int(sum(o[3] for o in outs))
-    best = int(np.argmax(values))
-    x = X_all[:, best]
+    X, conv, iters = _newton_ascent(C, S, D, X0, max_iter, step_tol)
+    qC, qS, qD = _forms(C, S, D, X)
+    best = int(np.argmax(qC - qS * qD))
+    x = X[:, best]
     x = x / np.linalg.norm(x)
     return GapResult(
         value=gap_objective(problem, x),
@@ -311,7 +343,7 @@ def solve_multistart(problem: GapProblem, restarts: int = 64, max_iter: int = 50
         solver="multistart",
         iterations=iters,
         restarts=restarts,
-        converged=bool(conv_all.any()),
+        converged=bool(conv[best]),
     )
 
 

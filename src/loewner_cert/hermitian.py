@@ -16,6 +16,7 @@ import numpy as np
 from .errors import (
     BadInterval,
     DimensionMismatch,
+    NonFinite,
     NotHermitian,
     ParseError,
 )
@@ -51,14 +52,17 @@ def as_matrix(A) -> np.ndarray:
     return A
 
 
-def require_hermitian(A, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
+def require_hermitian(A, rtol: float = HERMITIAN_RTOL, *, name: str = "matrix") -> np.ndarray:
     """Return A as a complex ndarray, raising NotHermitian on asymmetry.
 
     The tolerance scales with the largest entry: |A - A*| <= rtol * (1 + max|A|).
+    A NaN or infinite entry raises NonFinite, naming the operand ``name``.
     """
     A = as_matrix(A)
-    defect = float(np.abs(A - A.conj().T).max()) if A.size else 0.0
     scale = 1.0 + (float(np.abs(A).max()) if A.size else 0.0)
+    if not np.isfinite(scale):
+        raise NonFinite(f"{name} has a non-finite entry")
+    defect = float(np.abs(A - A.conj().T).max()) if A.size else 0.0
     if defect > rtol * scale:
         raise NotHermitian(f"asymmetry {defect:.3e} exceeds {rtol:.1e} * {scale:.3e}")
     return A
@@ -204,7 +208,7 @@ def matrix_to_obj(A) -> dict:
     return obj
 
 
-def matrix_from_obj(obj) -> np.ndarray:
+def matrix_from_obj(obj, name: str = "matrix") -> np.ndarray:
     if not isinstance(obj, dict) or "dim" not in obj or "re" not in obj:
         raise ParseError("matrix object needs 'dim' and 're' fields")
     n = int(obj["dim"])
@@ -217,4 +221,4 @@ def matrix_from_obj(obj) -> np.ndarray:
             raise ParseError(f"'im' must be {n}x{n}, got shape {im.shape}")
     else:
         im = np.zeros_like(re)
-    return require_hermitian(re + 1j * im)
+    return require_hermitian(re + 1j * im, name=name)

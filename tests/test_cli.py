@@ -177,3 +177,14 @@ def test_fuzz_json_structure():
     rep = json.loads(out)
     assert rep["passed"] is True
     assert rep["suites"]["gradient"]["failures"] == 0
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_certify_non_finite_operand_is_exit_two(tmp_path, diag01, bad, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"dim": 2, "re": [[1.0, 0.0], [0.0, bad]]}))
+    code, out = run_cli(["certify", "--statement", "gamma-order", "--f", "power:2",
+                         "--A", diag01, "--B", str(path)])
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert "non-finite" in err and str(path) in err

@@ -16,7 +16,6 @@ from loewner_cert import (
     solve_bruteforce,
     solve_multistart,
 )
-from loewner_cert.gaps import THREADS_ENV_VAR
 
 A2 = np.diag([0.0, 1.0]).astype(complex)
 B2 = np.diag([1.0, 2.0]).astype(complex)
@@ -152,25 +151,6 @@ def test_multistart_deterministic():
     assert r1.iterations == r2.iterations
 
 
-def test_thread_count_does_not_change_result(monkeypatch):
-    rng = np.random.default_rng(12)
-    A = random_hermitian(4, 0.2, 1.8, rng)
-    prob = build_gap_problem("chebyshev", power(3), A)
-    monkeypatch.setenv(THREADS_ENV_VAR, "1")
-    serial = solve_multistart(prob, restarts=96, seed=3)
-    monkeypatch.setenv(THREADS_ENV_VAR, "4")
-    threaded = solve_multistart(prob, restarts=96, seed=3)
-    assert serial.value == threaded.value
-    assert np.array_equal(serial.maximizer, threaded.maximizer)
-
-
-def test_garbage_thread_env_falls_back(monkeypatch):
-    prob = build_gap_problem("chebyshev", power(2), B2)
-    monkeypatch.setenv(THREADS_ENV_VAR, "many")
-    res = solve_multistart(prob, restarts=8, seed=0)
-    assert np.isfinite(res.value)
-
-
 @pytest.mark.parametrize("kind", ["gamma", "chebyshev"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_solvers_agree_on_random_instances(kind, seed):
@@ -224,3 +204,42 @@ def test_gamma_is_unitarily_invariant():
                           U @ A @ U.conj().T, U @ B @ U.conj().T),
         restarts=32, seed=5)
     assert abs(base.value - spun.value) < 1e-6
+
+
+def tangent_gradient_norm(problem, x):
+    x = x / np.linalg.norm(x)
+    Cx, Sx, Dx = problem.C @ x, problem.S @ x, problem.D @ x
+    qS, qD = np.real(np.vdot(x, Sx)), np.real(np.vdot(x, Dx))
+    G = 2.0 * (Cx - qD * Sx - qS * Dx)
+    return float(np.linalg.norm(G - x * np.real(np.vdot(x, G))))
+
+
+def test_converged_flag_belongs_to_best_restart():
+    rng = np.random.default_rng([77, 131])
+    A = random_hermitian(5, 0.2, 2.2, rng)
+    B = random_hermitian(5, 0.2, 2.2, rng)
+    prob = build_gap_problem("gamma", power(-0.5), A, B)
+    res = solve_multistart(prob, seed=0)
+    if res.converged:
+        assert tangent_gradient_norm(prob, res.maximizer) <= 10 * 1e-10
+
+
+@pytest.mark.parametrize("kind,n,f_idx", [
+    ("gamma", 2, 3), ("gamma", 4, 1), ("gamma", 8, 2), ("delta", 3, 3),
+    ("delta", 6, 4), ("gamma", 24, 0), ("delta", 24, 2),
+])
+def test_multistart_converges_in_few_iterations(kind, n, f_idx):
+    f = (power(2), power(3), power(-0.5), power(1.5), neglog())[f_idx]
+    rng = np.random.default_rng([95, n, f_idx])
+    if kind == "gamma":
+        prob = build_gap_problem(kind, f, random_hermitian(n, 0.2, 2.2, rng),
+                                 random_hermitian(n, 0.2, 2.2, rng))
+    else:
+        fam = random_unital_family(2, n, n, seed=int(rng.integers(2**31)))
+        a = [random_hermitian(n, 0.2, 2.2, rng) for _ in range(2)]
+        b = [random_hermitian(n, 0.2, 2.2, rng) for _ in range(2)]
+        prob = build_gap_problem(kind, f, a, b, family=fam)
+    res = solve_multistart(prob, seed=3)
+    assert res.converged
+    assert tangent_gradient_norm(prob, res.maximizer) <= 1e-8
+    assert res.iterations <= 60, res.iterations

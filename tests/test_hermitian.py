@@ -7,10 +7,12 @@ from hypothesis import given, strategies as st
 from loewner_cert import (
     BadInterval,
     DimensionMismatch,
+    NonFinite,
     NotHermitian,
     ParseError,
     apply_spectral,
     calc,
+    certify_order,
     loewner_leq,
     matrix_from_obj,
     matrix_power,
@@ -35,6 +37,16 @@ def test_require_hermitian_accepts_and_rejects():
         require_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(DimensionMismatch):
         require_hermitian(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+def test_require_hermitian_rejects_non_finite(bad):
+    A = np.array([[1.0, 0.0], [0.0, 2.0]], dtype=complex)
+    A[1, 1] = bad
+    with pytest.raises(NonFinite, match="operand B"):
+        require_hermitian(A, name="operand B")
+    with pytest.raises(NonFinite):
+        certify_order(np.eye(2), A, power(2))
 
 
 def test_require_hermitian_tolerates_rounding():
