@@ -15,10 +15,9 @@ import numpy as np
 
 from .constants import beta as beta_const
 from .constants import kantorovich
-from .errors import BadDimensions, HypothesisViolated, NotUnitVector
-from .gaps import build_gap_problem, solve_multistart
+from .errors import HypothesisViolated, NotUnitVector
+from .gaps import _assemble, _problem, solve_multistart
 from .hermitian import (
-    apply_spectral,
     calc,
     loewner_leq,
     matrix_power,
@@ -26,7 +25,7 @@ from .hermitian import (
     random_dominated_pair,
     require_hermitian,
 )
-from .maps import MapFamily, identity_family
+from .maps import MapFamily
 from .scalarfn import ScalarFunction
 
 __all__ = [
@@ -141,22 +140,21 @@ def certify_order(A, B, f: ScalarFunction, *, tol: float = DEFAULT_TOL,
     Valid for any Hermitian A, B with spectra in f's domain; no order
     relation between A and B is assumed.
     """
-    A = require_hermitian(A, name="A")
-    B = require_hermitian(B, name="B")
-    problem = build_gap_problem("gamma", f, A, B)
+    # as arrays, so that a nested list is one operand and not a list of them
+    problem, asm = _problem("gamma", f, np.asarray(A, dtype=complex),
+                            np.asarray(B, dtype=complex))
     res = solve_multistart(problem, restarts=restarts, max_iter=max_iter,
                            step_tol=step_tol, seed=seed)
     gamma = res.value
-    fA, fB = calc(f, A), calc(f, B)
-    bound = fA + gamma * np.eye(A.shape[0]) - fB
+    bound = asm.Sf + gamma * np.eye(problem.dim) - asm.fT
     return _finish(
         "gamma-order",
         {"gamma": gamma},
         bound,
-        _fro(fA),
+        _fro(asm.Sf),
         tol,
         _solver_meta(res, seed, step_tol, max_iter),
-        {"dim": int(A.shape[0]), "function": f.spec_string()},
+        {"dim": problem.dim, "function": f.spec_string()},
     )
 
 
@@ -182,40 +180,28 @@ def certify_jensen(kind: str, f: ScalarFunction, a_ops, b_ops=None,
     if kind not in JENSEN_KINDS:
         raise ValueError(f"unknown jensen kind {kind!r}")
     gap_kind = _JENSEN_TO_GAP[kind]
-    problem = build_gap_problem(gap_kind, f, a_ops, b_ops, family)
+    problem, asm = _problem(gap_kind, f, a_ops, b_ops, family)
     res = solve_multistart(problem, restarts=restarts, max_iter=max_iter,
                            step_tol=step_tol, seed=seed)
     value = res.value
-
-    a_list = [require_hermitian(A) for A in
-              ([a_ops] if isinstance(a_ops, np.ndarray) and a_ops.ndim == 2 else a_ops)]
-    if gap_kind in ("eta", "vartheta"):
-        b_list = a_list
-    else:
-        b_list = [require_hermitian(B) for B in
-                  ([b_ops] if isinstance(b_ops, np.ndarray) and b_ops.ndim == 2 else b_ops)]
-    fam = family if family is not None else identity_family(a_list[0].shape[0])
-    mapped_fA = fam.apply_sum([calc(f, A) for A in a_list])
-    fT = calc(f, fam.apply_sum(b_list))
-    k = mapped_fA.shape[0]
+    k = problem.dim
     eye = np.eye(k)
     if kind in ("delta_forward", "eta_choi"):
-        bound = mapped_fA + value * eye - fT
-        ref = _fro(mapped_fA)
+        bound = asm.Sf + value * eye - asm.fT
+        ref = _fro(asm.Sf)
     else:
-        bound = fT + value * eye - mapped_fA
-        ref = _fro(fT)
-    const_name = gap_kind
+        bound = asm.fT + value * eye - asm.Sf
+        ref = _fro(asm.fT)
     return _finish(
         kind,
-        {const_name: value},
+        {gap_kind: value},
         bound,
         ref,
         tol,
         _solver_meta(res, seed, step_tol, max_iter),
         {
             "output_dim": int(k),
-            "maps": len(fam),
+            "maps": len(asm.family),
             "function": f.spec_string(),
         },
     )
@@ -231,6 +217,8 @@ def verify_sandwich_pointwise(f: ScalarFunction, a_ops, b_ops=None,
     upper  = <sum Phi_i(A_i f'(A_i)) x, x> - <sum Phi_i(f'(A_i)) x, x> <T x, x>
 
     with T = sum Phi_i(B_i); ok means lower <= middle <= upper within tol.
+    The bound holds for unital families only, so the family (identity
+    when omitted) must be unital; ``b_ops`` None reuses the A side.
     """
     if x is None:
         raise NotUnitVector("a unit vector x is required")
@@ -238,36 +226,14 @@ def verify_sandwich_pointwise(f: ScalarFunction, a_ops, b_ops=None,
     nrm = float(np.linalg.norm(x))
     if abs(nrm - 1.0) > 1e-10:
         raise NotUnitVector(f"norm {nrm} is not 1 within 1e-10")
-    a_list = [require_hermitian(A) for A in
-              ([a_ops] if isinstance(a_ops, np.ndarray) and a_ops.ndim == 2 else a_ops)]
-    if b_ops is None:
-        b_list = a_list
-    else:
-        b_list = [require_hermitian(B) for B in
-                  ([b_ops] if isinstance(b_ops, np.ndarray) and b_ops.ndim == 2 else b_ops)]
-    fam = family if family is not None else identity_family(a_list[0].shape[0])
-    if len(a_list) != len(fam) or len(b_list) != len(fam):
-        raise BadDimensions("operand lists must match the family size")
-    dom = f.domain
-
-    def tfp(w):
-        return w * f.deriv_array(w)
-
-    T = fam.apply_sum(b_list)
-    SA = fam.apply_sum(a_list)
-    SfA = fam.apply_sum([calc(f, A) for A in a_list])
-    StfA = fam.apply_sum([apply_spectral(A, tfp, dom) for A in a_list])
-    SfpA = fam.apply_sum([apply_spectral(A, f.deriv_array, dom) for A in a_list])
-    fT = calc(f, T)
-    fpT = apply_spectral(T, f.deriv_array, dom)
-    tfpT = apply_spectral(T, tfp, dom)
+    asm = _assemble(f, a_ops, b_ops, family)
 
     def q(M) -> float:
         return float(np.real(x.conj() @ (M @ x)))
 
-    lower = q(SA) * q(fpT) - q(tfpT)
-    middle = q(SfA) - q(fT)
-    upper = q(StfA) - q(SfpA) * q(T)
+    lower = q(asm.SA) * q(asm.fpT) - q(asm.tfpT)
+    middle = q(asm.Sf) - q(asm.fT)
+    upper = q(asm.Stfp) - q(asm.Sfp) * q(asm.T)
     ok = (lower <= middle + tol) and (middle <= upper + tol)
     return SandwichResult(lower, middle, upper, bool(ok))
 

@@ -23,7 +23,7 @@ from .certify import (
 )
 from .constants import beta_point, kantorovich
 from .errors import LoewnerCertError
-from .fuzz import SUITE_NAMES, run_fuzz
+from .fuzz import _SUITES, SUITE_NAMES, run_fuzz
 from .gaps import KINDS, solve_bruteforce, solve_multistart, build_gap_problem
 from .hermitian import matrix_from_obj, matrix_to_obj
 from .jsonio import dumps_canonical, format_float, load_json_file, sha256_file
@@ -148,7 +148,7 @@ def _cmd_beta(args) -> int:
     return 0
 
 
-def _build_problem(args):
+def _load_inputs(args):
     a_ops, a_digests = _load_matrices(args.A)
     b_ops, b_digests = _load_matrices(args.B)
     family = None
@@ -161,7 +161,7 @@ def _build_problem(args):
 
 def _cmd_gap(args) -> int:
     f = parse_function(args.f)
-    a_ops, b_ops, family, digests = _build_problem(args)
+    a_ops, b_ops, family, digests = _load_inputs(args)
     problem = build_gap_problem(args.kind, f, a_ops, b_ops, family)
     res = solve_multistart(problem, restarts=args.restarts,
                            max_iter=args.max_iter, step_tol=args.step_tol,
@@ -203,13 +203,7 @@ def _cmd_gap(args) -> int:
 def _cmd_certify(args) -> int:
     statement = args.statement.replace("-", "_")
     f = parse_function(args.f) if args.f else None
-    a_ops, a_digests = _load_matrices(args.A)
-    b_ops, b_digests = _load_matrices(args.B)
-    digests = {"A": a_digests, "B": b_digests}
-    family = None
-    if args.maps:
-        family = family_from_obj(load_json_file(args.maps))
-        digests["maps"] = {"path": args.maps, "sha256": sha256_file(args.maps)}
+    a_ops, b_ops, family, digests = _load_inputs(args)
 
     def one(ops, side):
         if not ops or len(ops) != 1:
@@ -278,9 +272,7 @@ def _cmd_fuzz(args) -> int:
         header = f"{'suite':<12} {'trials':>8} {'failures':>9}  status"
         print(header)
         for name, res in report["suites"].items():
-            trials = res.get("trials", res.get("trials_per_function",
-                             res.get("trials_per_statement",
-                                     res.get("trials_per_kind", 0))))
+            trials = _SUITES[name][1] if args.trials is None else args.trials
             ok = "pass" if res["failures"] == 0 else "FAIL"
             print(f"{name:<12} {trials:>8} {res['failures']:>9}  {ok}")
         print("all pass" if report["passed"] else "FAILURES")

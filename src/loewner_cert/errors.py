@@ -23,7 +23,7 @@ class SpectrumOutsideDomain(DomainError):
 
 
 class NonFinite(LoewnerCertError):
-    """A matrix operand has a NaN or infinite entry."""
+    """A matrix operand, a map or a functional-calculus image is not finite."""
 
 
 class NotHermitian(LoewnerCertError):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .certify import certify_order, verify_classical, verify_sandwich_pointwise
-from .gaps import build_gap_problem, solve_bruteforce, solve_multistart
+from .gaps import KINDS, build_gap_problem, solve_bruteforce, solve_multistart
 from .hermitian import random_dominated_pair, random_hermitian
 from .maps import Diag, MapFamily, Pinch, identity_family, random_unital_family
 from .scalarfn import (
@@ -87,32 +87,9 @@ SANDWICH_FUNCTIONS: tuple[tuple[str, ScalarFunction, float, float], ...] = (
     )
 )
 
-SUITE_NAMES = (
-    "gradient",
-    "sandwich",
-    "chebyshev",
-    "eta",
-    "gamma",
-    "classical",
-    "agreement",
-)
-
-_DEFAULT_TRIALS = {
-    "gradient": 2000,
-    "sandwich": 60,
-    "chebyshev": 150,
-    "eta": 60,
-    "gamma": 40,
-    "classical": 30,
-    "agreement": 8,
-}
-
-# suite tags keep child seed streams disjoint
-_TAGS = {name: i + 1 for i, name in enumerate(SUITE_NAMES)}
-
-
 def _rng(seed, suite: str, i: int) -> np.random.Generator:
-    return np.random.default_rng([int(seed), _TAGS[suite], int(i)])
+    # the suite's registry position keeps child seed streams disjoint
+    return np.random.default_rng([int(seed), SUITE_NAMES.index(suite) + 1, int(i)])
 
 
 def _subseed(rng: np.random.Generator) -> int:
@@ -297,30 +274,25 @@ def suite_classical(trials: int, seed=42, tol: float = 1e-8) -> dict:
     lh_p = (0.3, 0.5, 0.9)
     alphas = (0.7, 1.0, 1.6)
 
-    def run(statement, build):
-        nonlocal failures, worst
+    cases = (
+        ("furuta", lambda i, rng: _furuta_case(i, rng, furuta_p, tol)),
+        ("lowner_heinz", lambda i, rng: _lh_case(i, rng, lh_p, tol)),
+        ("alpha_beta_increasing",
+         lambda i, rng: _alpha_beta_case(i, rng, INCREASING_POS, alphas,
+                                         "alpha_beta_increasing", tol)),
+        ("alpha_beta_decreasing",
+         lambda i, rng: _alpha_beta_case(i, rng, DECREASING_POS, alphas,
+                                         "alpha_beta_decreasing", tol)),
+    )
+    for j, (statement, build) in enumerate(cases):
         fails = 0
         for i in range(trials):
-            rng = _rng(seed, "classical", hash_base + i)
-            cert = build(i, rng)
+            cert = build(i, _rng(seed, "classical", j * trials + i))
             worst = min(worst, cert.slack)
             if not cert.passed:
                 fails += 1
         per_statement[statement] = int(fails)
         failures += fails
-
-    hash_base = 0
-    run("furuta", lambda i, rng: _furuta_case(i, rng, furuta_p, tol))
-    hash_base = trials
-    run("lowner_heinz", lambda i, rng: _lh_case(i, rng, lh_p, tol))
-    hash_base = 2 * trials
-    run("alpha_beta_increasing",
-        lambda i, rng: _alpha_beta_case(i, rng, INCREASING_POS, alphas,
-                                        "alpha_beta_increasing", tol))
-    hash_base = 3 * trials
-    run("alpha_beta_decreasing",
-        lambda i, rng: _alpha_beta_case(i, rng, DECREASING_POS, alphas,
-                                        "alpha_beta_decreasing", tol))
     return {
         "suite": "classical",
         "trials_per_statement": int(trials),
@@ -356,9 +328,6 @@ def _alpha_beta_case(i, rng, catalog, alphas, statement, tol):
                             m=lo, M=hi, tol=tol)
 
 
-_AGREEMENT_KINDS = ("gamma", "delta", "eta", "theta", "vartheta", "chebyshev")
-
-
 def suite_agreement(trials: int, seed=42, rel_tol: float = 1e-5,
                     one_sided_tol: float = 1e-7, restarts: int = 32,
                     samples: int = 4000, max_dim: int = 3,
@@ -371,7 +340,7 @@ def suite_agreement(trials: int, seed=42, rel_tol: float = 1e-5,
     failures = 0
     worst = 0.0
     per_kind = {}
-    for kind_idx, kind in enumerate(_AGREEMENT_KINDS):
+    for kind_idx, kind in enumerate(KINDS):
         fails = 0
         for i in range(trials):
             rng = _rng(seed, "agreement", kind_idx * trials + i)
@@ -414,28 +383,31 @@ def suite_agreement(trials: int, seed=42, rel_tol: float = 1e-5,
     }
 
 
-_SUITE_FUNCS = {
-    "gradient": suite_gradient,
-    "sandwich": suite_sandwich,
-    "chebyshev": suite_chebyshev,
-    "eta": suite_eta,
-    "gamma": suite_gamma,
-    "classical": suite_classical,
-    "agreement": suite_agreement,
+# name -> (suite, default trials); the order is the run order of "all"
+# and fixes each suite's seed tag
+_SUITES = {
+    "gradient": (suite_gradient, 2000),
+    "sandwich": (suite_sandwich, 60),
+    "chebyshev": (suite_chebyshev, 150),
+    "eta": (suite_eta, 60),
+    "gamma": (suite_gamma, 40),
+    "classical": (suite_classical, 30),
+    "agreement": (suite_agreement, 8),
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_fuzz(suite: str = "all", trials: int | None = None, seed=42) -> dict:
     """Run one named suite, or every suite, and aggregate pass status."""
     if suite == "all":
         names = SUITE_NAMES
-    elif suite in _SUITE_FUNCS:
+    elif suite in _SUITES:
         names = (suite,)
     else:
         raise ValueError(f"unknown suite {suite!r}")
     suites = {}
     for name in names:
-        n_trials = _DEFAULT_TRIALS[name] if trials is None else int(trials)
-        suites[name] = _SUITE_FUNCS[name](n_trials, seed)
+        func, default_trials = _SUITES[name]
+        suites[name] = func(default_trials if trials is None else int(trials), seed)
     passed = all(r["failures"] == 0 for r in suites.values())
     return {"seed": int(seed), "passed": bool(passed), "suites": suites}

@@ -16,7 +16,8 @@ for a kind-specific triple of Hermitian matrices (C, S, D):
 with T = sum Phi_i(B_i).  The value of gamma makes f(B) <= f(A) + gamma*I
 a certified inequality; delta/eta/theta/vartheta do the same for the
 mapped Jensen-type bounds, and chebyshev is the covariance-style quantity
-that is pointwise nonnegative for convex f.
+that is pointwise nonnegative for convex f.  Every kind reads its triple
+from one spectral assembly that decomposes each operand, and T, once.
 
 Two solvers are provided: a multistart Riemannian Newton-CG ascent on the
 complex unit sphere (the primary path) and a sampling plus coordinate
@@ -39,8 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadDimensions, DimensionMismatch, NotUnitalFamily
-from .hermitian import apply_spectral, hermitize, require_hermitian, spectral_decompose
+from .errors import BadDimensions, DimensionMismatch, NonFinite, NotUnitalFamily
+from .hermitian import _spectral_images, require_hermitian
 from .maps import MapFamily, check_unital_family, identity_family
 from .scalarfn import ScalarFunction
 
@@ -115,18 +116,107 @@ def _forms(C, S, D, X):
     return _rdot(X, C @ X), _rdot(X, S @ X), _rdot(X, D @ X)
 
 
-def _as_ops(ops, side: str):
+def _as_ops(ops, side: str) -> dict:
+    """Name -> checked operand: ``side`` for one matrix, ``side[i]`` in a list."""
     if ops is None:
-        return None
+        return {}
     if isinstance(ops, np.ndarray) and ops.ndim == 2:
-        return [require_hermitian(ops, name=side)]
-    return [require_hermitian(A, name=f"{side}[{i}]") for i, A in enumerate(ops)]
+        return {side: require_hermitian(ops, name=side)}
+    return {f"{side}[{i}]": require_hermitian(A, name=f"{side}[{i}]")
+            for i, A in enumerate(ops)}
 
 
-def _check_spectra(ops, f: ScalarFunction):
-    for A in ops:
-        dec = spectral_decompose(A)
-        f.domain.clamp_spectrum(dec.eigenvalues)
+@dataclass(frozen=True)
+class _Assembly:
+    """Mapped sums and f, f', t f' images that every statement reads.
+
+    With T = sum Phi_i(B_i): SA = sum Phi_i(A_i), and for g in (f, f', t f')
+    Sg = sum Phi_i(g(A_i)) and gT = g(T).
+    """
+
+    family: MapFamily
+    SA: np.ndarray
+    T: np.ndarray
+    Sf: np.ndarray
+    Sfp: np.ndarray
+    Stfp: np.ndarray
+    fT: np.ndarray
+    fpT: np.ndarray
+    tfpT: np.ndarray
+
+
+def _assemble(f: ScalarFunction, a_ops, b_ops=None,
+              family: MapFamily | None = None) -> _Assembly:
+    """Decompose each operand, and T, once and map their images.
+
+    ``b_ops`` None reuses the A side.  Without a family A and B are single
+    operands under the identity map, so T is B and shares its
+    decomposition; a given family must match the operands and be unital.
+    Every spectrum must lie inside f's domain and every image be finite.
+    """
+    a = _as_ops(a_ops, "A")
+    if not a:
+        raise BadDimensions("at least one A operand is required")
+    b = a if b_ops is None else _as_ops(b_ops, "B")
+    default = family is None
+    if default:
+        if len(a) != 1 or len(b) != 1:
+            raise BadDimensions("without a map family A and B must be single operands")
+        family = identity_family(next(iter(a.values())).shape[0])
+    if len(a) != len(family) or len(b) != len(family):
+        raise BadDimensions(
+            f"family of {len(family)} maps needs as many A and B operands"
+        )
+    for phi, A, B in zip(family.maps, a.values(), b.values()):
+        if A.shape[0] != phi.input_dim or B.shape[0] != phi.input_dim:
+            raise DimensionMismatch("operand sizes must match the map input dims")
+    if not default:
+        unital = check_unital_family(family)
+        if not unital.holds:
+            raise NotUnitalFamily(f"unitality defect {unital.defect:.3e}")
+
+    fns = (f.value_array, f.deriv_array, lambda w: w * f.deriv_array(w))
+
+    def images(X, name):
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            out = _spectral_images(X, fns, f.domain)
+        for img, label in zip(out, ("f", "f'", "t f'")):
+            if not np.isfinite(img).all():
+                raise NonFinite(f"{label}({name}) has a non-finite entry, "
+                                f"f = {f.spec_string()}")
+        return out
+
+    a_images = [images(A, name) for name, A in a.items()]
+    T = family.apply_sum(b.values())
+    if default:  # T is the single B operand and shares its decomposition
+        [(name, B)] = b.items()
+        t_images = a_images[0] if b is a else images(B, name)
+    else:
+        if b is not a:  # the B_i only need their spectra checked
+            for B in b.values():
+                _spectral_images(B, (), f.domain)
+        t_images = images(T, "T")
+    return _Assembly(family, family.apply_sum(a.values()), T,
+                     *(family.apply_sum(col) for col in zip(*a_images)), *t_images)
+
+
+def _problem(kind: str, f: ScalarFunction, a_ops, b_ops=None,
+             family: MapFamily | None = None):
+    """build_gap_problem's GapProblem together with the _Assembly it reads."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown gap kind {kind!r}")
+    if kind in ("gamma", "chebyshev") and family is not None:
+        raise BadDimensions(f"kind {kind} takes no map family")
+    if kind in ("eta", "vartheta", "chebyshev"):
+        b_ops = None
+    elif b_ops is None:
+        raise BadDimensions(f"kind {kind} needs B operands")
+    asm = _assemble(f, a_ops, b_ops, family)
+    if kind in ("theta", "vartheta"):
+        C, S, D = asm.Stfp, asm.Sfp, asm.T
+    else:  # gamma and chebyshev are delta and eta under the identity map
+        C, S, D = asm.tfpT, asm.SA, asm.fpT
+    return GapProblem(kind, C, S, D), asm
 
 
 def build_gap_problem(kind: str, f: ScalarFunction, a_ops, b_ops=None,
@@ -134,70 +224,11 @@ def build_gap_problem(kind: str, f: ScalarFunction, a_ops, b_ops=None,
     """Assemble (C, S, D) for one of the six kinds.
 
     ``a_ops``/``b_ops`` may be single matrices or lists matching the map
-    family; eta and vartheta ignore ``b_ops`` and reuse the A side.  All
-    operand spectra must lie inside f's domain; the family (identity when
-    omitted) must be unital.
+    family; eta, vartheta and chebyshev ignore ``b_ops`` and reuse the A
+    side.  All operand spectra must lie inside f's domain; the family
+    (identity when omitted) must be unital.
     """
-    if kind not in KINDS:
-        raise ValueError(f"unknown gap kind {kind!r}")
-    a_list = _as_ops(a_ops, "A")
-    b_list = _as_ops(b_ops, "B")
-    if not a_list:
-        raise BadDimensions("at least one A operand is required")
-    dom = f.domain
-
-    def tfp(w):
-        return w * f.deriv_array(w)
-
-    if kind in ("gamma", "chebyshev"):
-        if family is not None:
-            raise BadDimensions(f"kind {kind} takes no map family")
-        if len(a_list) != 1:
-            raise BadDimensions(f"kind {kind} takes a single A operand")
-        A = a_list[0]
-        if kind == "chebyshev":
-            B = A
-        else:
-            if not b_list or len(b_list) != 1:
-                raise BadDimensions("kind gamma takes a single B operand")
-            B = b_list[0]
-            if B.shape != A.shape:
-                raise DimensionMismatch(f"shapes {A.shape} and {B.shape} differ")
-        _check_spectra([A, B], f)
-        C = apply_spectral(B, tfp, dom)
-        D = apply_spectral(B, f.deriv_array, dom)
-        return GapProblem(kind, C, A, D)
-
-    if kind in ("eta", "vartheta"):
-        b_list = a_list
-    if b_list is None:
-        raise BadDimensions(f"kind {kind} needs B operands")
-    if family is None:
-        if len(a_list) != 1 or len(b_list) != 1:
-            raise BadDimensions("an explicit map family is required for several operands")
-        family = identity_family(a_list[0].shape[0])
-    if len(a_list) != len(family) or len(b_list) != len(family):
-        raise BadDimensions(
-            f"family of {len(family)} maps needs as many A and B operands"
-        )
-    for phi, A, B in zip(family.maps, a_list, b_list):
-        if A.shape[0] != phi.input_dim or B.shape[0] != phi.input_dim:
-            raise DimensionMismatch("operand sizes must match the map input dims")
-    unital = check_unital_family(family)
-    if not unital.holds:
-        raise NotUnitalFamily(f"unitality defect {unital.defect:.3e}")
-    _check_spectra(a_list + b_list, f)
-
-    T = family.apply_sum(b_list)
-    if kind in ("delta", "eta"):
-        C = apply_spectral(T, tfp, dom)
-        S = family.apply_sum(a_list)
-        D = apply_spectral(T, f.deriv_array, dom)
-    else:  # theta, vartheta
-        C = family.apply_sum([apply_spectral(A, tfp, dom) for A in a_list])
-        S = family.apply_sum([apply_spectral(A, f.deriv_array, dom) for A in a_list])
-        D = T
-    return GapProblem(kind, C, S, D)
+    return _problem(kind, f, a_ops, b_ops, family)[0]
 
 
 # -- multistart Riemannian Newton-CG ascent ----------------------------
@@ -309,7 +340,7 @@ def _newton_ascent(C, S, D, X0, max_iter: int, step_tol: float):
             gain = dC - qS * dD - dS * qD - dS * dD
             pending &= ~((gain > 0.0) & (gain >= _ARMIJO * t * slope))
             t = np.where(pending, 0.5 * t, t)
-            lost = pending & (t < _MIN_STEP)
+            lost = pending & ~(t >= _MIN_STEP)
             stalled[work[lost]] = True
             pending &= ~lost
         moved = ~stalled[work]

@@ -92,6 +92,17 @@ def spectral_decompose(A) -> SpectralDecomposition:
     return SpectralDecomposition(w, U)
 
 
+def _spectral_images(A, fns, domain: Interval | None = None,
+                     clamp_tol: float = SPECTRUM_CLAMP_TOL) -> list:
+    """fn(A) for each fn in ``fns`` from one decomposition and one clamp."""
+    dec = spectral_decompose(A)
+    w = dec.eigenvalues
+    if domain is not None:
+        w = domain.clamp_spectrum(w, clamp_tol)
+    U = dec.eigenvectors
+    return [hermitize((U * np.asarray(fn(w), dtype=float)) @ U.conj().T) for fn in fns]
+
+
 def apply_spectral(A, fn, domain: Interval | None = None,
                    clamp_tol: float = SPECTRUM_CLAMP_TOL) -> np.ndarray:
     """Apply a scalar callable to A through its eigenvalues.
@@ -100,13 +111,7 @@ def apply_spectral(A, fn, domain: Interval | None = None,
     eigenvalues within ``clamp_tol`` of a closed endpoint are snapped onto
     it so that rounding does not cause spurious rejections.
     """
-    dec = spectral_decompose(A)
-    w = dec.eigenvalues
-    if domain is not None:
-        w = domain.clamp_spectrum(w, clamp_tol)
-    fw = np.asarray(fn(w), dtype=float)
-    U = dec.eigenvectors
-    return hermitize((U * fw) @ U.conj().T)
+    return _spectral_images(A, (fn,), domain, clamp_tol)[0]
 
 
 def calc(f: ScalarFunction, A) -> np.ndarray:

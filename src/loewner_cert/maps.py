@@ -13,7 +13,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .errors import BadDimensions, DimensionMismatch, ParseError
+from .errors import BadDimensions, DimensionMismatch, NonFinite, ParseError
 from .hermitian import hermitize, random_unitary, require_hermitian
 
 __all__ = [
@@ -48,6 +48,8 @@ class Conjugation:
         V = np.asarray(self.V, dtype=complex)
         if V.ndim != 2:
             raise BadDimensions(f"V must be a matrix, got shape {V.shape}")
+        if not np.isfinite(V).all():
+            raise NonFinite("conjugation map V has a non-finite entry")
         object.__setattr__(self, "V", V)
 
     @property

@@ -3,7 +3,11 @@ import pytest
 
 from loewner_cert import (
     BadDimensions,
+    Conjugation,
     HypothesisViolated,
+    MapFamily,
+    NonFinite,
+    NotUnitalFamily,
     NotUnitVector,
     affine,
     calc,
@@ -303,3 +307,66 @@ def test_alpha_beta_explicit_window_unit_alpha():
                             alpha=1.0, m=1.0, M=3.0)
     assert cert.passed
     assert abs(cert.constants["beta"] - 1.0) < 1e-9
+
+
+@pytest.fixture
+def eigh_inputs(monkeypatch):
+    """Record the matrices handed to numpy's eigh and the eigvalsh call count."""
+    seen = {"eigh": [], "eigvalsh": 0}
+    eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+
+    def counted_eigh(A, *args, **kwargs):
+        seen["eigh"].append(np.array(A).tobytes())
+        return eigh(A, *args, **kwargs)
+
+    def counted_eigvalsh(A, *args, **kwargs):
+        seen["eigvalsh"] += 1
+        return eigvalsh(A, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    return seen
+
+
+def test_certify_order_decomposes_each_operand_once(eigh_inputs):
+    rng = np.random.default_rng(61)
+    A, B = (random_hermitian(4, 0.3, 2.0, rng) for _ in range(2))
+    certify_order(A, B, power(2), restarts=4)
+    assert len(eigh_inputs["eigh"]) == 2
+    assert eigh_inputs["eigvalsh"] == 1
+
+
+@pytest.mark.parametrize("kind", ["delta_forward", "eta_choi",
+                                  "theta_reverse", "vartheta_reverse"])
+def test_certify_jensen_decomposes_each_operand_once(kind, eigh_inputs):
+    m = 3
+    rng = np.random.default_rng(62)
+    fam = random_unital_family(m, 3, 3, seed=63)
+    a_ops = [random_hermitian(3, 0.3, 2.0, rng) for _ in range(m)]
+    b_ops = [random_hermitian(3, 0.3, 2.0, rng) for _ in range(m)]
+    certify_jensen(kind, power(2), a_ops, b_ops, fam, restarts=4)
+    decomposed = eigh_inputs["eigh"]
+    assert len(decomposed) == len(set(decomposed))
+    # each A_i, each B_i (eta and vartheta have none) and T once
+    two_sided = kind in ("delta_forward", "theta_reverse")
+    assert len(decomposed) == (2 * m + 1 if two_sided else m + 1)
+    assert eigh_inputs["eigvalsh"] == 1
+
+
+def test_sandwich_names_non_finite_operand():
+    bad = D12.copy()
+    bad[1, 1] = np.nan
+    x = np.array([1.0, 0.0])
+    with pytest.raises(NonFinite, match="^A has"):
+        verify_sandwich_pointwise(power(2), bad, x=x)
+    fam = random_unital_family(2, 2, 2, seed=1)
+    with pytest.raises(NonFinite, match=r"^A\[1\] has"):
+        verify_sandwich_pointwise(power(2), [D12, bad], family=fam, x=x)
+
+
+def test_sandwich_rejects_non_unital_family():
+    # Phi(X) = 2X doubles the identity; the two-sided bound needs Phi(I) = I
+    doubled = MapFamily((Conjugation(np.sqrt(2.0) * np.eye(2)),))
+    with pytest.raises(NotUnitalFamily):
+        verify_sandwich_pointwise(power(2), np.diag([0.5, 1.0]), family=doubled,
+                                  x=np.array([1.0, 0.0]))

@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -188,3 +191,25 @@ def test_certify_non_finite_operand_is_exit_two(tmp_path, diag01, bad, capsys):
     assert code == 2 and out == ""
     err = capsys.readouterr().err
     assert "non-finite" in err and str(path) in err
+
+
+def test_certify_overflowing_image_is_exit_two(tmp_path, diag01):
+    # exp(800) overflows f(B); before the image check the solver never returned
+    b = write_matrix(tmp_path / "big.json", np.diag([800.0, 1.0]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "loewner_cert", "certify", "--statement", "gamma-order",
+         "--f", "exp", "--A", diag01, "--B", b],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "f(B) has a non-finite entry" in proc.stderr and "exp" in proc.stderr
+
+
+def test_maps_file_with_nan_is_exit_two(tmp_path, diag01, capsys):
+    maps = tmp_path / "maps.json"
+    maps.write_text(json.dumps([{"variant": "conjugation",
+                                 "V_re": [[float("nan"), 0.0], [0.0, 1.0]]}]))
+    code, out = run_cli(["certify", "--statement", "eta-choi", "--f", "power:2",
+                         "--A", diag01, "--maps", str(maps)])
+    assert code == 2 and out == ""
+    assert "conjugation map V has a non-finite entry" in capsys.readouterr().err

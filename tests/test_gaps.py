@@ -1,12 +1,18 @@
+import threading
+
 import numpy as np
 import pytest
 
 from loewner_cert import (
     BadDimensions,
+    Conjugation,
     GapProblem,
+    MapFamily,
+    NonFinite,
     NotUnitalFamily,
     SpectrumOutsideDomain,
     build_gap_problem,
+    exponential,
     gap_objective,
     identity_family,
     neglog,
@@ -243,3 +249,27 @@ def test_multistart_converges_in_few_iterations(kind, n, f_idx):
     assert res.converged
     assert tangent_gradient_norm(prob, res.maximizer) <= 1e-8
     assert res.iterations <= 60, res.iterations
+
+
+def test_multistart_returns_on_non_finite_problem():
+    # a NaN entry makes every trial step NaN; the line search must still stop
+    C = np.diag([1.0, 2.0, 3.0]).astype(complex)
+    C[0, 0] = np.nan
+    prob = GapProblem("gamma", C, np.eye(3, dtype=complex), np.eye(3, dtype=complex))
+    out = []
+    worker = threading.Thread(
+        target=lambda: out.append(solve_multistart(prob, restarts=4, max_iter=20)),
+        daemon=True)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert out and not out[0].converged
+
+
+def test_overflowing_image_names_operand_and_function():
+    B = np.diag([800.0, 1.0]).astype(complex)
+    with pytest.raises(NonFinite, match=r"f\(B\).*exp"):
+        build_gap_problem("gamma", exponential(), A2, B)
+    with pytest.raises(NonFinite, match=r"\(A\[1\]\).*exp"):
+        build_gap_problem("eta", exponential(), [A2, B], family=MapFamily(
+            (Conjugation(np.eye(2) / np.sqrt(2)),) * 2))
