@@ -140,9 +140,7 @@ def certify_order(A, B, f: ScalarFunction, *, tol: float = DEFAULT_TOL,
     Valid for any Hermitian A, B with spectra in f's domain; no order
     relation between A and B is assumed.
     """
-    # as arrays, so that a nested list is one operand and not a list of them
-    problem, asm = _problem("gamma", f, np.asarray(A, dtype=complex),
-                            np.asarray(B, dtype=complex))
+    problem, asm = _problem("gamma", f, A, B)
     res = solve_multistart(problem, restarts=restarts, max_iter=max_iter,
                            step_tol=step_tol, seed=seed)
     gamma = res.value
@@ -201,7 +199,7 @@ def certify_jensen(kind: str, f: ScalarFunction, a_ops, b_ops=None,
         _solver_meta(res, seed, step_tol, max_iter),
         {
             "output_dim": int(k),
-            "maps": len(asm.family),
+            "maps": asm.maps,
             "function": f.spec_string(),
         },
     )

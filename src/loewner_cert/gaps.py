@@ -41,8 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDimensions, DimensionMismatch, NonFinite, NotUnitalFamily
-from .hermitian import _spectral_images, require_hermitian
-from .maps import MapFamily, check_unital_family, identity_family
+from .hermitian import _spectral_images, hermitize, require_hermitian
+from .maps import MapFamily, check_unital_family
 from .scalarfn import ScalarFunction
 
 __all__ = [
@@ -117,10 +117,14 @@ def _forms(C, S, D, X):
 
 
 def _as_ops(ops, side: str) -> dict:
-    """Name -> checked operand: ``side`` for one matrix, ``side[i]`` in a list."""
+    """Name -> checked operand: ``side`` for one matrix, ``side[i]`` in a list.
+
+    A matrix given as an array or a nested list is one operand: its first
+    element is a row.
+    """
     if ops is None:
         return {}
-    if isinstance(ops, np.ndarray) and ops.ndim == 2:
+    if len(ops) and np.ndim(ops[0]) == 1:
         return {side: require_hermitian(ops, name=side)}
     return {f"{side}[{i}]": require_hermitian(A, name=f"{side}[{i}]")
             for i, A in enumerate(ops)}
@@ -131,10 +135,10 @@ class _Assembly:
     """Mapped sums and f, f', t f' images that every statement reads.
 
     With T = sum Phi_i(B_i): SA = sum Phi_i(A_i), and for g in (f, f', t f')
-    Sg = sum Phi_i(g(A_i)) and gT = g(T).
+    Sg = sum Phi_i(g(A_i)) and gT = g(T).  ``maps`` counts the family.
     """
 
-    family: MapFamily
+    maps: int
     SA: np.ndarray
     T: np.ndarray
     Sf: np.ndarray
@@ -150,31 +154,15 @@ def _assemble(f: ScalarFunction, a_ops, b_ops=None,
     """Decompose each operand, and T, once and map their images.
 
     ``b_ops`` None reuses the A side.  Without a family A and B are single
-    operands under the identity map, so T is B and shares its
-    decomposition; a given family must match the operands and be unital.
-    Every spectrum must lie inside f's domain and every image be finite.
+    operands under the identity map, so the sums are the hermitized
+    operands and their images, and T is B and shares its decomposition; a
+    given family must match the operands and be unital.  Every spectrum
+    must lie inside f's domain and every image and mapped sum be finite.
     """
     a = _as_ops(a_ops, "A")
     if not a:
         raise BadDimensions("at least one A operand is required")
     b = a if b_ops is None else _as_ops(b_ops, "B")
-    default = family is None
-    if default:
-        if len(a) != 1 or len(b) != 1:
-            raise BadDimensions("without a map family A and B must be single operands")
-        family = identity_family(next(iter(a.values())).shape[0])
-    if len(a) != len(family) or len(b) != len(family):
-        raise BadDimensions(
-            f"family of {len(family)} maps needs as many A and B operands"
-        )
-    for phi, A, B in zip(family.maps, a.values(), b.values()):
-        if A.shape[0] != phi.input_dim or B.shape[0] != phi.input_dim:
-            raise DimensionMismatch("operand sizes must match the map input dims")
-    if not default:
-        unital = check_unital_family(family)
-        if not unital.holds:
-            raise NotUnitalFamily(f"unitality defect {unital.defect:.3e}")
-
     fns = (f.value_array, f.deriv_array, lambda w: w * f.deriv_array(w))
 
     def images(X, name):
@@ -186,18 +174,37 @@ def _assemble(f: ScalarFunction, a_ops, b_ops=None,
                                 f"f = {f.spec_string()}")
         return out
 
+    if family is None:
+        if len(a) != 1 or len(b) != 1:
+            raise BadDimensions("without a map family A and B must be single operands")
+        [(name, A)], [(b_name, B)] = a.items(), b.items()
+        if B.shape != A.shape:
+            raise DimensionMismatch("A and B must have the same size")
+        a_images = images(A, name)
+        t_images = a_images if b is a else images(B, b_name)
+        return _Assembly(1, hermitize(A), hermitize(B), *a_images, *t_images)
+
+    if len(a) != len(family) or len(b) != len(family):
+        raise BadDimensions(
+            f"family of {len(family)} maps needs as many A and B operands"
+        )
+    for phi, A, B in zip(family.maps, a.values(), b.values()):
+        if A.shape[0] != phi.input_dim or B.shape[0] != phi.input_dim:
+            raise DimensionMismatch("operand sizes must match the map input dims")
+    unital = check_unital_family(family)
+    if not unital.holds:
+        raise NotUnitalFamily(f"unitality defect {unital.defect:.3e}")
+
     a_images = [images(A, name) for name, A in a.items()]
+    if b is not a:  # the B_i only need their spectra checked
+        for B in b.values():
+            _spectral_images(B, (), f.domain)
     T = family.apply_sum(b.values())
-    if default:  # T is the single B operand and shares its decomposition
-        [(name, B)] = b.items()
-        t_images = a_images[0] if b is a else images(B, name)
-    else:
-        if b is not a:  # the B_i only need their spectra checked
-            for B in b.values():
-                _spectral_images(B, (), f.domain)
-        t_images = images(T, "T")
-    return _Assembly(family, family.apply_sum(a.values()), T,
-                     *(family.apply_sum(col) for col in zip(*a_images)), *t_images)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        sums = [family.apply_sum(ops) for ops in (a.values(), *zip(*a_images))]
+    if not all(np.isfinite(M).all() for M in sums):
+        raise NonFinite("a mapped sum over the A_i has a non-finite entry")
+    return _Assembly(len(family), sums[0], T, *sums[1:], *images(T, "T"))
 
 
 def _problem(kind: str, f: ScalarFunction, a_ops, b_ops=None,
@@ -379,33 +386,35 @@ def solve_multistart(problem: GapProblem, restarts: int = 64, max_iter: int = 50
 
 
 # -- brute-force oracle -------------------------------------------------
+#
+# The oracle holds (C, S, D) as one stack M of shape (3, k, k), and the
+# images and coefficients of the three forms as stacks too, so that each
+# numpy call does the work of all three forms; every element still gets
+# the floating-point operations it would get form by form.
 
 
-def _sweep_dim2(C, S, D, resolution: int = _GRID_RESOLUTION) -> np.ndarray:
+def _sweep_dim2(M, resolution: int = _GRID_RESOLUTION) -> np.ndarray:
     """Best x = (cos t, e^{i phi} sin t) on a resolution^2 grid (dim 2 only)."""
     t = np.linspace(0.0, 0.5 * np.pi, resolution)
     ct, st = np.cos(t), np.sin(t)
     cs2 = 2.0 * ct * st
     phis = np.linspace(0.0, 2.0 * np.pi, resolution, endpoint=False)
     eph = np.exp(1j * phis)
-
-    def parts(M):
-        base = ct * ct * M[0, 0].real + st * st * M[1, 1].real
-        cross = np.real(eph * M[0, 1])
-        return base, cross
-
-    baseC, crossC = parts(C)
-    baseS, crossS = parts(S)
-    baseD, crossD = parts(D)
+    # each form is base(t) + cs2(t) cross(phi)
+    base = ct * ct * M[:, 0, 0].real[:, None] + st * st * M[:, 1, 1].real[:, None]
+    cross = (eph * M[:, 0, 1][:, None]).real
     best_val = -np.inf
     best_ti = best_pj = 0
     chunk = 256
+    Q = np.empty((3, resolution, chunk))  # (form, t, phi), one chunk of phi
     for start in range(0, resolution, chunk):
-        sl = slice(start, min(start + chunk, resolution))
-        qC = baseC[:, None] + np.outer(cs2, crossC[sl])
-        qS = baseS[:, None] + np.outer(cs2, crossS[sl])
-        qD = baseD[:, None] + np.outer(cs2, crossD[sl])
-        Fg = qC - qS * qD
+        part = cross[:, None, start:start + chunk]
+        G = Q[:, :, :part.shape[2]]
+        np.multiply(cs2[:, None], part, out=G)
+        G += base[:, :, None]
+        G[1] *= G[2]
+        G[0] -= G[1]
+        Fg = G[0]
         flat = int(np.argmax(Fg))
         val = float(Fg.flat[flat])
         if val > best_val:
@@ -415,108 +424,89 @@ def _sweep_dim2(C, S, D, resolution: int = _GRID_RESOLUTION) -> np.ndarray:
     return np.array([ct[best_ti], eph[best_pj] * st[best_ti]], dtype=complex)
 
 
-def _geodesic_poly(z, a, b, c):
-    """Value, first and second derivative of a + b cos z + c sin z."""
-    cz, sz = np.cos(z), np.sin(z)
-    val = a + b * cz + c * sz
-    d1 = -b * sz + c * cz
-    d2 = -b * cz - c * sz
-    return val, d1, d2
-
-
-def _coordinate_ascent(C, S, D, X0, max_sweeps: int = _MAX_SWEEPS):
+def _coordinate_ascent(M, X0, max_sweeps: int = _MAX_SWEEPS):
     """Exact line maximization along spherical coordinate geodesics.
 
     Along the geodesic through x and (a phase of) a coordinate axis the
     three quadratic forms are degree-one trig polynomials in z = 2 psi,
     so F restricted to it is maximized by a coarse grid plus safeguarded
     Newton steps.  Monotone by construction; independent of the gradient
-    solver it cross-checks.
+    solver it cross-checks.  ``M`` stacks (C, S, D); returns the
+    normalized columns, their values of F and the number of sweeps.
     """
-    X = np.array(X0, dtype=complex)
-    X = X / np.linalg.norm(X, axis=0)
-    k, b = X.shape
-    CX, SX, DX = C @ X, S @ X, D @ X
-    qC, qS, qD = _forms(C, S, D, X)
-    F = qC - qS * qD
+    k, b = X0.shape
+    # XW[0] holds X and its C, S, D images, XW[1] the direction W and its images
+    XW = np.empty((2, 4, k, b), dtype=complex)
+    XM, WM = XW
+    XM[0] = X0
+    E = np.concatenate([np.eye(k, dtype=complex)[None], M])
+    axes = [(j, unit == 1j, unit * E[:, :, j, None]) for j in range(k) for unit in (1.0, 1j)]
     zg = np.linspace(0.0, 2.0 * np.pi, _GEODESIC_GRID, endpoint=False)
     cg, sg = np.cos(zg), np.sin(zg)
-    cols = np.arange(b)
+    # along a geodesic each form is a + bc cos z + cr sin z; K holds
+    # (bc, cr, -bc, -cr), so that K[:3] cos z + K[1:] sin z plus a in the
+    # first row gives the value, first and second derivative rows of V
+    K = np.empty((4, 3, b))
+    bc, cr = K[:2]
+    V = np.empty((3, 3, b))
+    (_, vS, vD), (_, dS, dD) = V[:2]
+    dC12, dS12, dD12 = V[1:].swapaxes(0, 1)
+    g = np.empty((2, b))  # first and second derivative of F
     sweeps = 0
-    for _ in range(max_sweeps):
+    while True:
+        # (re)normalize X, which also kills the drift of the previous sweep;
+        # the norms sum each column as one contiguous run, as the column-major
+        # candidate block does (numpy sums those pairwise once k >= 8)
+        XM[0] /= np.linalg.norm(np.asfortranarray(XM[0]), axis=0)
+        np.matmul(M, XM[0], out=XM[1:])
+        q = (XM[0].conj() * XM[1:]).real.sum(axis=1)
+        F = q[0] - q[1] * q[2]
+        if sweeps == max_sweeps or (sweeps and float(np.max(F - F_before))
+                                    < 1e-13 * (1.0 + float(np.abs(F).max()))):
+            break
         sweeps += 1
         F_before = F.copy()
-        for j in range(k):
-            for unit in (1.0, 1j):
-                cmix = X[j].imag if unit == 1j else X[j].real
-                nu2 = 1.0 - cmix * cmix
-                live = nu2 > 1e-20
-                if not live.any():
-                    continue
-                nu = np.sqrt(np.where(live, nu2, 1.0))
-                dvec = np.zeros((k, 1), dtype=complex)
-                dvec[j, 0] = unit
-                W = (dvec - X * cmix) / nu
-                CW = (unit * C[:, j][:, None] - CX * cmix) / nu
-                SW = (unit * S[:, j][:, None] - SX * cmix) / nu
-                DW = (unit * D[:, j][:, None] - DX * cmix) / nu
-                qCw = np.real(np.sum(W.conj() * CW, axis=0))
-                qSw = np.real(np.sum(W.conj() * SW, axis=0))
-                qDw = np.real(np.sum(W.conj() * DW, axis=0))
-                crC = np.real(np.sum(W.conj() * CX, axis=0))
-                crS = np.real(np.sum(W.conj() * SX, axis=0))
-                crD = np.real(np.sum(W.conj() * DX, axis=0))
-                aC, bC = 0.5 * (qC + qCw), 0.5 * (qC - qCw)
-                aS, bS = 0.5 * (qS + qSw), 0.5 * (qS - qSw)
-                aD, bD = 0.5 * (qD + qDw), 0.5 * (qD - qDw)
-                # F on the geodesic grid, one row per column of X
-                QC = aC[:, None] + np.outer(bC, cg) + np.outer(crC, sg)
-                QS = aS[:, None] + np.outer(bS, cg) + np.outer(crS, sg)
-                QD = aD[:, None] + np.outer(bD, cg) + np.outer(crD, sg)
-                FG = QC - QS * QD
-                jbest = np.argmax(FG, axis=1)
-                z0 = zg[jbest]
-                F0 = FG[cols, jbest]
-                z = z0.copy()
-                for _ in range(6):
-                    vC, dC, d2C = _geodesic_poly(z, aC, bC, crC)
-                    vS, dS, d2S = _geodesic_poly(z, aS, bS, crS)
-                    vD, dD, d2D = _geodesic_poly(z, aD, bD, crD)
-                    g1 = dC - dS * vD - vS * dD
-                    g2 = d2C - d2S * vD - 2.0 * dS * dD - vS * d2D
-                    den = np.where(g2 < -1e-300, g2, -1.0)
-                    step = np.where(g2 < -1e-300, g1 / den, 0.0)
-                    z = z - np.clip(step, -0.2, 0.2)
-                vC, _, _ = _geodesic_poly(z, aC, bC, crC)
-                vS, _, _ = _geodesic_poly(z, aS, bS, crS)
-                vD, _, _ = _geodesic_poly(z, aD, bD, crD)
-                Fz = vC - vS * vD
-                take_newton = Fz > F0
-                zfin = np.where(take_newton, z, z0)
-                Ffin = np.maximum(Fz, F0)
-                move = live & (Ffin > F)
-                if not move.any():
-                    continue
-                mc = np.flatnonzero(move)
-                psi = 0.5 * zfin[mc]
-                cp, sp = np.cos(psi), np.sin(psi)
-                X[:, mc] = X[:, mc] * cp + W[:, mc] * sp
-                CX[:, mc] = CX[:, mc] * cp + CW[:, mc] * sp
-                SX[:, mc] = SX[:, mc] * cp + SW[:, mc] * sp
-                DX[:, mc] = DX[:, mc] * cp + DW[:, mc] * sp
-                czf, szf = np.cos(zfin[mc]), np.sin(zfin[mc])
-                qC[mc] = aC[mc] + bC[mc] * czf + crC[mc] * szf
-                qS[mc] = aS[mc] + bS[mc] * czf + crS[mc] * szf
-                qD[mc] = aD[mc] + bD[mc] * czf + crD[mc] * szf
-                F[mc] = qC[mc] - qS[mc] * qD[mc]
-        # kill accumulated drift once per sweep
-        X = X / np.linalg.norm(X, axis=0)
-        CX, SX, DX = C @ X, S @ X, D @ X
-        qC, qS, qD = _forms(C, S, D, X)
-        F = qC - qS * qD
-        if float(np.max(F - F_before)) < 1e-13 * (1.0 + float(np.abs(F).max())):
-            break
-    return X, F, sweeps
+        for j, imag, Ej in axes:
+            cmix = XM[0, j].imag if imag else XM[0, j].real
+            nu2 = 1.0 - cmix * cmix
+            live = nu2 > 1e-20
+            if not live.any():
+                continue
+            nu = np.sqrt(np.where(live, nu2, 1.0))
+            np.divide(Ej - XM * cmix, nu, out=WM)
+            R = (WM[0].conj() * XW[:, 1:]).sum(axis=2).real  # <W, M X>, <W, M W>
+            a = 0.5 * (q + R[1])
+            np.multiply(0.5, q - R[1], out=bc)
+            cr[...] = R[0]
+            np.negative(K[:2], out=K[2:])
+            # F on the geodesic grid, one row per column of X
+            Q = a[:, :, None] + bc[:, :, None] * cg + cr[:, :, None] * sg
+            FG = Q[0] - Q[1] * Q[2]
+            z0 = zg[FG.argmax(axis=1)]
+            F0 = FG.max(axis=1)
+            z = z0
+            for _ in range(6):
+                np.multiply(K[:3], np.cos(z), out=V)
+                V[0] += a
+                V += K[1:] * np.sin(z)
+                np.subtract(dC12, np.multiply(dS12, vD, out=g), out=g)
+                g[1] -= 2.0 * dS * dD
+                g -= vS * dD12
+                step = np.divide(g[0], g[1], out=np.zeros(b), where=g[1] < -1e-300)
+                z = z - np.minimum(np.maximum(step, -0.2), 0.2)
+            v = a + bc * np.cos(z) + cr * np.sin(z)
+            Fz = v[0] - v[1] * v[2]
+            zfin = np.where(Fz > F0, z, z0)
+            move = live & (np.maximum(Fz, F0) > F)
+            if not move.any():
+                continue
+            mc = move.nonzero()[0]
+            psi = 0.5 * zfin[mc]
+            XM[:, :, mc] = XM[:, :, mc] * np.cos(psi) + WM[:, :, mc] * np.sin(psi)
+            zm = zfin[mc]
+            q[:, mc] = a[:, mc] + bc[:, mc] * np.cos(zm) + cr[:, mc] * np.sin(zm)
+            F[mc] = q[0, mc] - q[1, mc] * q[2, mc]
+    return XM[0], F, sweeps
 
 
 def solve_bruteforce(problem: GapProblem, samples: int = 20000, seed=0) -> GapResult:
@@ -525,26 +515,30 @@ def solve_bruteforce(problem: GapProblem, samples: int = 20000, seed=0) -> GapRe
     Dimension 1 is closed form.  Dimension 2 additionally sweeps the
     parametrization x = (cos t, e^{i phi} sin t) on a dense grid (the
     global phase is irrelevant).  The best ten candidates are then
-    polished by geodesic coordinate ascent.
+    polished by geodesic coordinate ascent; ``iterations`` counts its
+    sweeps.
     """
     if samples < 1:
         raise BadDimensions(f"need at least one sample, got {samples}")
-    C, S, D = problem.C, problem.S, problem.D
     k = problem.dim
     if k == 1:
         x = np.array([1.0 + 0.0j])
         return GapResult(gap_objective(problem, x), x, "bruteforce", 0, samples)
+    M = np.stack([problem.C, problem.S, problem.D])
     rng = np.random.default_rng(seed)
-    Z = rng.standard_normal((k, samples)) + 1j * rng.standard_normal((k, samples))
-    Z = Z / np.linalg.norm(Z, axis=0)
-    qC, qS, qD = _forms(C, S, D, Z)
+    Z = np.empty((k, samples), dtype=complex)
+    Z.real = rng.standard_normal((k, samples))
+    Z.imag = rng.standard_normal((k, samples))
+    Z /= np.linalg.norm(Z, axis=0)
+    Zc = Z.conj()
+    # one form at a time, so that at most one k x samples image is alive
+    qC, qS, qD = ((Zc * (A @ Z)).real.sum(axis=0) for A in M)
     Fs = qC - qS * qD
     top = np.argsort(Fs)[::-1][:_REFINE_CANDIDATES]
     candidates = [Z[:, top]]
     if k == 2:
-        candidates.append(_sweep_dim2(C, S, D)[:, None])
-    X0 = np.concatenate(candidates, axis=1)
-    X, F, sweeps = _coordinate_ascent(C, S, D, X0)
+        candidates.append(_sweep_dim2(M)[:, None])
+    X, F, sweeps = _coordinate_ascent(M, np.concatenate(candidates, axis=1))
     best = int(np.argmax(F))
     x = X[:, best] / np.linalg.norm(X[:, best])
     return GapResult(gap_objective(problem, x), x, "bruteforce", sweeps, samples)

@@ -69,9 +69,12 @@ def require_hermitian(A, rtol: float = HERMITIAN_RTOL, *, name: str = "matrix") 
 
 
 def hermitize(A) -> np.ndarray:
-    """Project onto the Hermitian part; cheap insurance against rounding."""
-    A = np.asarray(A, dtype=complex)
-    return 0.5 * (A + A.conj().T)
+    """Project onto the Hermitian part; cheap insurance against rounding.
+
+    Halving before adding keeps entries near the float maximum finite.
+    """
+    H = 0.5 * np.asarray(A, dtype=complex)
+    return H + H.conj().T
 
 
 @dataclass(frozen=True)

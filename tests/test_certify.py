@@ -119,6 +119,17 @@ def test_sandwich_hand_values():
     assert (lower, middle, upper, ok) == (res.lower, res.middle, res.upper, res.ok)
 
 
+def test_nested_list_is_one_operand():
+    A, B = [[0.5, 0.2], [0.2, 1.5]], [[1.0, 0.0], [0.0, 2.0]]
+    x = np.array([0.6, 0.8])
+    assert (verify_sandwich_pointwise(power(2), A, B, x=x)
+            == verify_sandwich_pointwise(power(2), np.array(A), np.array(B), x=x))
+    for kind in ("delta_forward", "theta_reverse"):
+        listed = certify_jensen(kind, power(2), A, B, restarts=8, seed=1)
+        arrays = certify_jensen(kind, power(2), np.array(A), np.array(B), restarts=8, seed=1)
+        assert listed.constants == arrays.constants and listed.slack == arrays.slack
+
+
 def test_sandwich_requires_unit_vector():
     with pytest.raises(NotUnitVector):
         verify_sandwich_pointwise(power(2), D01, x=np.array([1.0, 1.0]))

@@ -205,6 +205,15 @@ def test_certify_overflowing_image_is_exit_two(tmp_path, diag01):
     assert "f(B) has a non-finite entry" in proc.stderr and "exp" in proc.stderr
 
 
+def test_huge_operand_is_exit_two(tmp_path, capsys):
+    # entries near the float maximum pass the input check; f(A) overflows
+    a = write_matrix(tmp_path / "huge.json", np.diag([1e308, 1.0]))
+    code, out = run_cli(["gap", "--kind", "chebyshev", "--f", "power:2", "--A", a])
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert "f(A[0]) has a non-finite entry" in err and "power:2" in err and "nan" not in err
+
+
 def test_maps_file_with_nan_is_exit_two(tmp_path, diag01, capsys):
     maps = tmp_path / "maps.json"
     maps.write_text(json.dumps([{"variant": "conjugation",

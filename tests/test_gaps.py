@@ -2,11 +2,14 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loewner_cert import (
+    KINDS,
     BadDimensions,
     Conjugation,
     GapProblem,
+    LoewnerCertError,
     MapFamily,
     NonFinite,
     NotUnitalFamily,
@@ -16,12 +19,15 @@ from loewner_cert import (
     gap_objective,
     identity_family,
     neglog,
+    parse_function,
     power,
     random_hermitian,
     random_unital_family,
     solve_bruteforce,
     solve_multistart,
 )
+from loewner_cert import gaps
+from loewner_cert.hermitian import hermitize
 
 A2 = np.diag([0.0, 1.0]).astype(complex)
 B2 = np.diag([1.0, 2.0]).astype(complex)
@@ -273,3 +279,144 @@ def test_overflowing_image_names_operand_and_function():
     with pytest.raises(NonFinite, match=r"\(A\[1\]\).*exp"):
         build_gap_problem("eta", exponential(), [A2, B], family=MapFamily(
             (Conjugation(np.eye(2) / np.sqrt(2)),) * 2))
+
+
+def test_huge_operand_names_the_overflowing_image():
+    # A + A^H used to overflow in hermitize and surface as NaN eigenvalues
+    with pytest.raises(NonFinite, match=r"f\(A\) has a non-finite entry, f = power:2"):
+        build_gap_problem("chebyshev", power(2), np.diag([1e308, 1.0]))
+
+
+@settings(max_examples=50, deadline=None)
+@given(e=st.integers(-300, 308), kind=st.sampled_from(KINDS),
+       spec=st.sampled_from(["power:2", "exp", "neglog", "power:-1"]),
+       seed=st.integers(0, 2**16))
+def test_scaled_operands_build_finite_or_raise(e, kind, spec, seed):
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** e
+    with np.errstate(over="ignore"):
+        ops = [random_hermitian(3, 0.3, 2.0, rng) * scale for _ in range(4)]
+    if kind in ("gamma", "chebyshev"):
+        a, b, fam = ops[0], ops[1], None
+    else:
+        a, b, fam = ops[:2], ops[2:], random_unital_family(2, 3, 3, seed=seed)
+    try:
+        prob = build_gap_problem(kind, parse_function(spec), a, b, family=fam)
+    except LoewnerCertError as err:
+        assert "nan" not in str(err)  # names the overflow, not its NaN aftermath
+        return
+    assert all(np.isfinite(M).all() for M in (prob.C, prob.S, prob.D))
+
+
+def test_nested_list_is_one_operand():
+    A, B = [[1.0, 0.0], [0.0, 2.0]], [[2.0, 0.5], [0.5, 3.0]]
+    for kind in KINDS:
+        fam = identity_family(2) if kind not in ("gamma", "chebyshev") else None
+        listed = build_gap_problem(kind, power(2), A, B, family=fam)
+        arrays = build_gap_problem(kind, power(2), np.array(A), np.array(B), family=fam)
+        for M, N in zip((listed.C, listed.S, listed.D), (arrays.C, arrays.S, arrays.D)):
+            assert np.array_equal(M, N)
+    # lists of matrices, also of different sizes, stay lists
+    fam = MapFamily((Conjugation(np.eye(2) / np.sqrt(2)),
+                     Conjugation(np.vstack([np.eye(2), np.zeros((1, 2))]) / np.sqrt(2))))
+    prob = build_gap_problem("eta", power(2), [A, np.diag([1.0, 2.0, 3.0])], family=fam)
+    assert prob.dim == 2
+
+
+def test_no_family_applies_no_map(monkeypatch):
+    monkeypatch.setattr(MapFamily, "apply_sum", lambda self, ops: pytest.fail("map applied"))
+    # Hermitian only within the tolerance: S is its Hermitian part
+    A = np.array([[1.0, 0.5 + 1e-13j], [0.5, 2.0]])
+    for kind in ("gamma", "delta", "chebyshev"):
+        prob = build_gap_problem(kind, power(2), A, B2)
+        assert np.array_equal(prob.S, hermitize(A))
+
+
+# -- oracle invariants ---------------------------------------------------
+
+
+def _oracle_case(i):
+    """Six seeded problems, k = 2..5, for the oracle invariants."""
+    kind, n, f = [("gamma", 2, power(2)), ("chebyshev", 3, neglog()),
+                  ("delta", 3, exponential()), ("eta", 4, power(-1)),
+                  ("theta", 4, power(3)), ("vartheta", 5, neglog())][i]
+    rng = np.random.default_rng(100 + i)
+    ops = [random_hermitian(n, 0.3, 2.0, rng) for _ in range(4)]
+    if kind in ("gamma", "chebyshev"):
+        return build_gap_problem(kind, f, ops[0], ops[1])
+    fam = random_unital_family(2, n, n, seed=200 + i)
+    return build_gap_problem(kind, f, ops[:2], ops[2:], family=fam)
+
+
+def _stack(prob):
+    return np.stack([prob.C, prob.S, prob.D])
+
+
+def _sampled_values(prob, samples, seed):
+    rng = np.random.default_rng(seed)
+    k = prob.dim
+    Z = rng.standard_normal((k, samples)) + 1j * rng.standard_normal((k, samples))
+    Z = Z / np.linalg.norm(Z, axis=0)
+    q = np.einsum("ij,fik,kj->fj", Z.conj(), _stack(prob), Z).real
+    return Z, q[0] - q[1] * q[2]
+
+
+# solve_bruteforce(_oracle_case(i), samples=2000, seed=i).value, as first recorded
+_ORACLE_VALUES = (2.3250450958998394, 0.1421134855901076, 0.5636498993817605,
+                  0.41762381183423103, 7.496696242054259, 0.4319705396762512)
+
+
+@pytest.mark.parametrize("i", range(6))
+def test_oracle_values_are_stable(i):
+    res = solve_bruteforce(_oracle_case(i), samples=2000, seed=i)
+    assert abs(res.value - _ORACLE_VALUES[i]) <= 1e-12 * abs(_ORACLE_VALUES[i])
+    assert 1 <= res.iterations <= gaps._MAX_SWEEPS
+
+
+@pytest.mark.parametrize("i", range(6))
+def test_coordinate_ascent_never_lowers_a_column(i):
+    prob = _oracle_case(i)
+    Z, F0 = _sampled_values(prob, 12, seed=i)
+    X, F, sweeps = gaps._coordinate_ascent(_stack(prob), Z)
+    assert 1 <= sweeps <= gaps._MAX_SWEEPS
+    assert np.all(F >= F0 - 1e-12 * (1.0 + np.abs(F0)))
+    assert np.allclose(np.linalg.norm(X, axis=0), 1.0, atol=1e-14)
+    assert np.allclose([gap_objective(prob, x) for x in X.T], F, rtol=0, atol=1e-12)
+
+
+def test_coordinate_ascent_stops_at_sweep_cap():
+    prob = _oracle_case(5)
+    Z, _ = _sampled_values(prob, 4, seed=1)
+    for cap in (1, 2):
+        assert gaps._coordinate_ascent(_stack(prob), Z, max_sweeps=cap)[2] == cap
+
+
+@pytest.mark.parametrize("i", range(6))
+def test_oracle_beats_its_best_sample_and_repeats(i):
+    prob = _oracle_case(i)
+    res = solve_bruteforce(prob, samples=500, seed=7)
+    _, F = _sampled_values(prob, 500, seed=7)
+    assert res.value >= F.max() - 1e-12 * (1.0 + abs(F.max()))
+    again = solve_bruteforce(prob, samples=500, seed=7)
+    assert again.value == res.value and again.iterations == res.iterations
+    assert np.array_equal(again.maximizer, res.maximizer)
+
+
+@pytest.mark.parametrize("i", [0, 1])
+def test_dim2_grid_candidate_joins_the_ascent(i, monkeypatch):
+    prob = _oracle_case(i)
+    seen = []
+    ascent = gaps._coordinate_ascent
+
+    def spy(M, X0, *args):
+        seen.append(X0.copy())
+        return ascent(M, X0, *args)
+
+    monkeypatch.setattr(gaps, "_coordinate_ascent", spy)
+    solve_bruteforce(prob, samples=30, seed=0)
+    [X0] = seen
+    if prob.dim == 2:
+        assert X0.shape == (2, gaps._REFINE_CANDIDATES + 1)
+        assert np.array_equal(X0[:, -1], gaps._sweep_dim2(_stack(prob)))
+    else:
+        assert X0.shape == (prob.dim, gaps._REFINE_CANDIDATES)

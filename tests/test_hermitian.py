@@ -204,6 +204,9 @@ def test_hermitize_projects():
     A = np.array([[1.0, 2.0], [0.0, 1.0]], dtype=complex)
     H = hermitize(A)
     assert np.array_equal(H, H.conj().T)
+    # halving before adding: entries near the float maximum stay finite
+    huge = np.diag([1e308, 1.0]).astype(complex)
+    assert np.array_equal(hermitize(huge), huge)
 
 
 # -- functional-calculus consistency ------------------------------------
