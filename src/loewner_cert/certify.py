@@ -16,7 +16,7 @@ import numpy as np
 from .constants import beta as beta_const
 from .constants import kantorovich
 from .errors import HypothesisViolated, NotUnitVector
-from .gaps import _assemble, _problem, solve_multistart
+from .gaps import _assemble, _problem, solve
 from .hermitian import (
     calc,
     loewner_leq,
@@ -141,8 +141,8 @@ def certify_order(A, B, f: ScalarFunction, *, tol: float = DEFAULT_TOL,
     relation between A and B is assumed.
     """
     problem, asm = _problem("gamma", f, A, B)
-    res = solve_multistart(problem, restarts=restarts, max_iter=max_iter,
-                           step_tol=step_tol, seed=seed)
+    res = solve(problem, restarts=restarts, max_iter=max_iter,
+                step_tol=step_tol, seed=seed)
     gamma = res.value
     bound = asm.Sf + gamma * np.eye(problem.dim) - asm.fT
     return _finish(
@@ -179,8 +179,8 @@ def certify_jensen(kind: str, f: ScalarFunction, a_ops, b_ops=None,
         raise ValueError(f"unknown jensen kind {kind!r}")
     gap_kind = _JENSEN_TO_GAP[kind]
     problem, asm = _problem(gap_kind, f, a_ops, b_ops, family)
-    res = solve_multistart(problem, restarts=restarts, max_iter=max_iter,
-                           step_tol=step_tol, seed=seed)
+    res = solve(problem, restarts=restarts, max_iter=max_iter,
+                step_tol=step_tol, seed=seed)
     value = res.value
     k = problem.dim
     eye = np.eye(k)

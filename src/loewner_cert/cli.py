@@ -24,7 +24,7 @@ from .certify import (
 from .constants import beta_point, kantorovich
 from .errors import LoewnerCertError
 from .fuzz import _SUITES, SUITE_NAMES, run_fuzz
-from .gaps import KINDS, solve_bruteforce, solve_multistart, build_gap_problem
+from .gaps import KINDS, build_gap_problem, solve, solve_bruteforce
 from .hermitian import matrix_from_obj, matrix_to_obj
 from .jsonio import dumps_canonical, format_float, load_json_file, sha256_file
 from .maps import family_from_obj
@@ -163,9 +163,8 @@ def _cmd_gap(args) -> int:
     f = parse_function(args.f)
     a_ops, b_ops, family, digests = _load_inputs(args)
     problem = build_gap_problem(args.kind, f, a_ops, b_ops, family)
-    res = solve_multistart(problem, restarts=args.restarts,
-                           max_iter=args.max_iter, step_tol=args.step_tol,
-                           seed=args.seed)
+    res = solve(problem, restarts=args.restarts, max_iter=args.max_iter,
+                step_tol=args.step_tol, seed=args.seed)
     report = {
         "kind": args.kind,
         "f": f.spec_string(),

@@ -22,6 +22,11 @@ from one spectral assembly that decomposes each operand, and T, once.
 Two solvers are provided: a multistart Riemannian Newton-CG ascent on the
 complex unit sphere (the primary path) and a sampling plus coordinate
 ascent brute-force oracle that shares no iteration logic with it.
+``solve``, which the certificates and the CLI call, first tries a closed
+form: when C, S and D commute (chebyshev, eta, vartheta without a family
+and many diagonal or pinching families) the maximum lies on an edge of the
+simplex of weights on their common eigenbasis, and one pass over the pairs
+of eigenvectors finds it.  Otherwise it runs the multistart ascent.
 
 The primary path runs all restarts as one lockstep batch.  F is invariant
 under x -> e^{i phi} x, so each iteration works in the horizontal space
@@ -37,6 +42,7 @@ and ``converged`` is the stop-test flag of the restart with the best value.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -51,6 +57,7 @@ __all__ = [
     "GapResult",
     "build_gap_problem",
     "gap_objective",
+    "solve",
     "solve_multistart",
     "solve_bruteforce",
 ]
@@ -67,6 +74,15 @@ _MIN_STEP = 1e-18
 # residuals in flat directions, and dividing by their curvature of order
 # 1e-16 yields huge steps that no longer ascend
 _CURV_FLOOR = 1e-12
+
+# commutators and off-diagonal parts count as zero below this many units
+# of k * eps * (norm product); measured rounding stays under 1.3 units and
+# non-commuting bench instances sit above 6e10
+_COMMUTE_TOL = 16.0
+# weights of the norm-scaled C, S, D whose eigenbasis diagonalizes a
+# commuting triple (1 and powers of the inverse plastic number, so that no
+# two distinct joint eigenvalues collide in the combination by accident)
+_MIX = (1.0, 0.7548776662466927, 0.5698402909980532)
 
 _GRID_RESOLUTION = 700
 _REFINE_CANDIDATES = 10
@@ -167,7 +183,7 @@ def _assemble(f: ScalarFunction, a_ops, b_ops=None,
 
     def images(X, name):
         with np.errstate(over="ignore", invalid="ignore"):  # reported below
-            out = _spectral_images(X, fns, f.domain)
+            out = _spectral_images(X, fns, f.domain, name=name)
         for img, label in zip(out, ("f", "f'", "t f'")):
             if not np.isfinite(img).all():
                 raise NonFinite(f"{label}({name}) has a non-finite entry, "
@@ -197,8 +213,8 @@ def _assemble(f: ScalarFunction, a_ops, b_ops=None,
 
     a_images = [images(A, name) for name, A in a.items()]
     if b is not a:  # the B_i only need their spectra checked
-        for B in b.values():
-            _spectral_images(B, (), f.domain)
+        for name, B in b.items():
+            _spectral_images(B, (), f.domain, name=name)
     T = family.apply_sum(b.values())
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         sums = [family.apply_sum(ops) for ops in (a.values(), *zip(*a_images))]
@@ -383,6 +399,116 @@ def solve_multistart(problem: GapProblem, restarts: int = 64, max_iter: int = 50
         restarts=restarts,
         converged=bool(conv[best]),
     )
+
+
+# -- exact maxima of commuting triples ----------------------------------
+
+
+def _combine(weights, mats, k: int) -> np.ndarray:
+    return sum((w * M for w, M in zip(weights, mats)), np.zeros((k, k), dtype=complex))
+
+
+def _off_diagonal_within(mats, tol: float) -> bool:
+    """Whether each matrix's off-diagonal part has norm <= tol (False on NaN)."""
+    return all(np.linalg.norm(M - np.diag(np.diagonal(M))) <= tol for M in mats)
+
+
+def _common_basis(units, k: int, tol: float):
+    """Columns that diagonalize each unit-norm form in ``units`` to ``tol``, or None.
+
+    The eigenbasis of the combination _MIX does, unless two distinct joint
+    eigenvalues nearly collide in it.  The columns left coupled then lie in
+    runs of nearly equal eigenvalues of the combination, contiguous in its
+    ascending order.  Each such run is rotated by the eigenbasis of a
+    combination of its blocks less their means, each weighted by its inner
+    product with the largest of them: for two columns every such block is
+    a multiple of one matrix, so the combination separates them by the
+    squared norm of the forms' eigenvalue differences.
+    """
+    U = np.linalg.eigh(_combine(_MIX, units, k))[1]
+    Y = [U.conj().T @ X @ U for X in units]
+    if _off_diagonal_within(Y, tol):
+        return U
+    # entries below tol / k alone keep an off-diagonal part below tol
+    coupled = np.zeros((k, k), dtype=bool)
+    for M in Y:
+        coupled |= np.abs(M) > tol / k
+    coupled |= coupled.T  # rounding may leave |M_ij| and |M_ji| on either side
+    np.fill_diagonal(coupled, False)
+    # a run ends at i once no column up to i is coupled to one beyond it
+    last = np.where(coupled.any(axis=1), k - 1 - np.argmax(coupled[:, ::-1], axis=1),
+                    np.arange(k))
+    start = 0
+    for i in np.flatnonzero(np.maximum.accumulate(last) == np.arange(k)):
+        if i > start:
+            run, size = slice(start, i + 1), i + 1 - start
+            blocks = [M[run, run] - np.trace(M[run, run]).real / size * np.eye(size)
+                      for M in Y]
+            top = max(blocks, key=np.linalg.norm)
+            weights = [np.vdot(top, B).real for B in blocks]
+            U[:, run] = U[:, run] @ np.linalg.eigh(_combine(weights, blocks, size))[1]
+        start = i + 1
+    return U if _off_diagonal_within([U.conj().T @ X @ U for X in units], tol) else None
+
+
+def _exact(problem: GapProblem):
+    """A unit maximizer of F when C, S and D commute, else None.
+
+    On a common eigenbasis u_i, with p_i = |<x, u_i>|^2, F is
+    c.p - (s.p)(d.p) on the simplex.  Its Hessian -(s d^T + d s^T) has
+    rank <= 2, so on every face of dimension >= 2 it is indefinite or flat
+    along some direction and a maximizer lies on an edge or a vertex.
+    Along the edge p = t e_i + (1 - t) e_j, F = F_j + t a1 + t^2 a2 is a
+    quadratic in t on [0, 1]; the pair (i, i) is the vertex u_i.
+    """
+    forms = (problem.C, problem.S, problem.D)
+    k = problem.dim
+    tol = _COMMUTE_TOL * k * np.finfo(float).eps
+    units = []  # the nonzero forms scaled to unit norm; a zero form drops out
+    for X in forms:
+        top = float(np.abs(X).max())
+        if not top < np.inf:  # a non-finite problem is not taken as commuting
+            return None
+        if top > 0.0:
+            X = X / top  # first to the largest entry, so that no square underflows
+            units.append(X / np.linalg.norm(X))
+    for X, Y in combinations(units, 2):
+        if not np.linalg.norm(X @ Y - Y @ X) <= tol:
+            return None
+    U = _common_basis(units, k, tol)
+    if U is None:
+        return None
+    diag = [_rdot(U, X @ U) for X in forms]
+    c, s, d = diag
+    # (i, j) entries: differences of row i minus column j, F_j by column
+    dc, ds, dd = (v[:, None] - v for v in diag)
+    a1 = dc - s * dd - d * ds
+    a2 = -ds * dd
+    # concave edges peak at the clipped stationary point, the rest at an end
+    peak = np.divide(-a1, 2.0 * a2, out=np.zeros_like(a1), where=a2 < 0.0)
+    t = np.where(a2 < 0.0, np.clip(peak, 0.0, 1.0), (a1 + a2 > 0.0).astype(float))
+    i, j = np.unravel_index(np.argmax(t * (a1 + t * a2) + (c - s * d)), t.shape)
+    x = np.sqrt(t[i, j]) * U[:, i] + np.sqrt(1.0 - t[i, j]) * U[:, j]
+    return x / np.linalg.norm(x)
+
+
+def solve(problem: GapProblem, restarts: int = 64, max_iter: int = 500,
+          step_tol: float = 1e-10, seed=0) -> GapResult:
+    """Maximum of F: in closed form for a commuting triple, else multistart.
+
+    A commuting (C, S, D) gives solver "exact-commuting" with no restarts
+    or iterations, and the value is F at the closed-form maximizer; the
+    solver arguments then only need to be valid.  Any other problem gets
+    exactly what ``solve_multistart`` returns for the same arguments.
+    """
+    if restarts < 1:
+        raise BadDimensions(f"need at least one restart, got {restarts}")
+    x = _exact(problem)
+    if x is None:
+        return solve_multistart(problem, restarts=restarts, max_iter=max_iter,
+                                step_tol=step_tol, seed=seed)
+    return GapResult(gap_objective(problem, x), x, "exact-commuting",
+                     iterations=0, restarts=0, converged=True)
 
 
 # -- brute-force oracle -------------------------------------------------

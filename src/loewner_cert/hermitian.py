@@ -96,10 +96,16 @@ def spectral_decompose(A) -> SpectralDecomposition:
 
 
 def _spectral_images(A, fns, domain: Interval | None = None,
-                     clamp_tol: float = SPECTRUM_CLAMP_TOL) -> list:
-    """fn(A) for each fn in ``fns`` from one decomposition and one clamp."""
+                     clamp_tol: float = SPECTRUM_CLAMP_TOL, name: str = "matrix") -> list:
+    """fn(A) for each fn in ``fns`` from one decomposition and one clamp.
+
+    An eigenvalue beyond the float range raises NonFinite naming ``name``
+    before the spectrum is checked against ``domain``.
+    """
     dec = spectral_decompose(A)
     w = dec.eigenvalues
+    if not np.isfinite(w).all():
+        raise NonFinite(f"{name} has an eigenvalue that overflows")
     if domain is not None:
         w = domain.clamp_spectrum(w, clamp_tol)
     U = dec.eigenvectors
@@ -216,17 +222,29 @@ def matrix_to_obj(A) -> dict:
     return obj
 
 
+def _square_field(obj: dict, key: str, n: int, name: str) -> np.ndarray:
+    """obj[key] as an n x n float array, else ParseError naming ``name``."""
+    try:
+        M = np.asarray(obj[key], dtype=float)
+    except (TypeError, ValueError):  # ragged rows or non-numbers
+        M = None
+    if M is None or M.shape != (n, n):
+        got = "ragged or non-numeric rows" if M is None else f"shape {M.shape}"
+        raise ParseError(f"{name}: '{key}' must be {n}x{n} numbers, got {got}")
+    return M
+
+
 def matrix_from_obj(obj, name: str = "matrix") -> np.ndarray:
+    """Parse the JSON form; ``name`` (e.g. the file path) labels every error."""
     if not isinstance(obj, dict) or "dim" not in obj or "re" not in obj:
-        raise ParseError("matrix object needs 'dim' and 're' fields")
-    n = int(obj["dim"])
-    re = np.asarray(obj["re"], dtype=float)
-    if re.shape != (n, n):
-        raise ParseError(f"'re' must be {n}x{n}, got shape {re.shape}")
-    if "im" in obj and obj["im"] is not None:
-        im = np.asarray(obj["im"], dtype=float)
-        if im.shape != (n, n):
-            raise ParseError(f"'im' must be {n}x{n}, got shape {im.shape}")
+        raise ParseError(f"{name}: matrix object needs 'dim' and 're' fields")
+    try:
+        n = int(obj["dim"])
+    except (TypeError, ValueError):
+        raise ParseError(f"{name}: 'dim' must be an integer") from None
+    re = _square_field(obj, "re", n, name)
+    if obj.get("im") is not None:
+        im = _square_field(obj, "im", n, name)
     else:
         im = np.zeros_like(re)
     return require_hermitian(re + 1j * im, name=name)

@@ -29,6 +29,8 @@ from loewner_cert import (
 
 D01 = np.diag([0.0, 1.0]).astype(complex)
 D12 = np.diag([1.0, 2.0]).astype(complex)
+# does not commute with D12, so gamma problems pairing them take Newton-CG
+N12 = np.array([[1.0, 0.5], [0.5, 2.0]], dtype=complex)
 
 
 def test_certify_order_toy_half():
@@ -52,6 +54,15 @@ def test_certify_order_affine_identity():
     assert abs(cert.constants["gamma"]) < 1e-12
     assert abs(cert.slack) < 1e-12
     assert cert.passed
+    assert cert.solver["solver"] == "exact-commuting"
+
+
+def test_certify_order_affine_non_commuting():
+    # gamma = lambda_max(B - A) = 1/2, and then A + gamma I - B has slack 0
+    cert = certify_order(N12, D12, affine(1.0, 0.0))
+    assert abs(cert.constants["gamma"] - 0.5) < 1e-12
+    assert abs(cert.slack) < 1e-12
+    assert cert.passed
     assert cert.solver["solver"] == "multistart"
 
 
@@ -73,6 +84,12 @@ def test_certificate_serializes_canonically():
     assert text == dumps_canonical(cert.to_dict())
     assert '"statement":"gamma-order"' in text
     assert cert.inputs["function"] == "power:2;dom=(-inf,inf)"
+    assert cert.solver["seed"] == 0 and cert.solver["restarts"] == 0
+
+
+def test_non_commuting_certificate_records_restarts():
+    cert = certify_order(N12, D12, power(2))
+    assert cert.solver["solver"] == "multistart"
     assert cert.solver["seed"] == 0 and cert.solver["restarts"] == 64
 
 
@@ -358,9 +375,11 @@ def test_certify_jensen_decomposes_each_operand_once(kind, eigh_inputs):
     certify_jensen(kind, power(2), a_ops, b_ops, fam, restarts=4)
     decomposed = eigh_inputs["eigh"]
     assert len(decomposed) == len(set(decomposed))
-    # each A_i, each B_i (eta and vartheta have none) and T once
+    # each A_i, each B_i (eta and vartheta have none) and T once; eta's
+    # forms are functions of T, so its exact path adds one decomposition
     two_sided = kind in ("delta_forward", "theta_reverse")
-    assert len(decomposed) == (2 * m + 1 if two_sided else m + 1)
+    exact = kind == "eta_choi"
+    assert len(decomposed) == (2 * m + 1 if two_sided else m + 1 + exact)
     assert eigh_inputs["eigvalsh"] == 1
 
 

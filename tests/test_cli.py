@@ -64,8 +64,20 @@ def test_gap_json_with_oracle(diag01, diag12):
     assert rep["agreement"] is True
     x = np.array(rep["maximizer_re"]) + 1j * np.array(rep["maximizer_im"])
     assert abs(np.linalg.norm(x) - 1.0) < 1e-10
-    assert rep["solver"]["name"] == "multistart"
+    assert rep["solver"]["name"] == "exact-commuting"
     assert rep["inputs"]["A"][0]["sha256"]
+
+
+def test_gap_json_with_oracle_non_commuting(tmp_path, diag12):
+    a = write_matrix(tmp_path / "n.json", [[0.5, 0.2], [0.2, 1.5]])
+    code, out = run_cli(["gap", "--kind", "gamma", "--f", "power:2",
+                         "--A", a, "--B", diag12,
+                         "--samples", "3000", "--oracle", "--json"])
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["agreement"] is True
+    assert rep["solver"]["name"] == "multistart"
+    assert rep["solver"]["restarts"] == 64
 
 
 def test_gap_runs_are_byte_identical(diag01, diag12):
@@ -222,3 +234,25 @@ def test_maps_file_with_nan_is_exit_two(tmp_path, diag01, capsys):
                          "--A", diag01, "--maps", str(maps)])
     assert code == 2 and out == ""
     assert "conjugation map V has a non-finite entry" in capsys.readouterr().err
+
+
+def test_ragged_matrix_file_is_exit_two(tmp_path, capsys):
+    path = tmp_path / "ragged.json"
+    path.write_text(json.dumps({"dim": 2, "re": [[1.0, 0.0], [0.0]]}))
+    code, out = run_cli(["gap", "--kind", "chebyshev", "--f", "power:2",
+                         "--A", str(path)])
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert f"{path}: 're' must be 2x2 numbers" in err
+
+
+def test_overflowing_eigenvalue_is_exit_two(tmp_path, capsys):
+    # finite entries whose largest eigenvalue, 2e308, is beyond the float range
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({"dim": 2, "re": [[1e308, 1e308], [1e308, 1e308]]}))
+    code, out = run_cli(["gap", "--kind", "chebyshev", "--f", "power:2",
+                         "--A", str(path)])
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    # the CLI hands its operands over as a list, so the first one is A[0]
+    assert "A[0] has an eigenvalue that overflows" in err and "outside domain" not in err

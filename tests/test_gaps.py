@@ -23,6 +23,8 @@ from loewner_cert import (
     power,
     random_hermitian,
     random_unital_family,
+    random_unitary,
+    solve,
     solve_bruteforce,
     solve_multistart,
 )
@@ -287,6 +289,19 @@ def test_huge_operand_names_the_overflowing_image():
         build_gap_problem("chebyshev", power(2), np.diag([1e308, 1.0]))
 
 
+def test_overflowing_eigenvalue_names_operand():
+    # the entries are finite, the eigenvalue 2e308 is not: NonFinite, checked
+    # before the domain check that used to report "eigenvalues [inf]"
+    huge = np.full((2, 2), 1e308)
+    with pytest.raises(NonFinite, match="^A has an eigenvalue that overflows"):
+        build_gap_problem("chebyshev", power(2), huge)
+    with pytest.raises(NonFinite, match="^B has an eigenvalue that overflows"):
+        build_gap_problem("gamma", neglog(), B2, huge)
+    fam = MapFamily((Conjugation(np.eye(2) / np.sqrt(2)),) * 2)
+    with pytest.raises(NonFinite, match=r"^B\[1\] has an eigenvalue that overflows"):
+        build_gap_problem("theta", power(2), [B2, B2], [B2, huge], family=fam)
+
+
 @settings(max_examples=50, deadline=None)
 @given(e=st.integers(-300, 308), kind=st.sampled_from(KINDS),
        spec=st.sampled_from(["power:2", "exp", "neglog", "power:-1"]),
@@ -420,3 +435,86 @@ def test_dim2_grid_candidate_joins_the_ascent(i, monkeypatch):
         assert np.array_equal(X0[:, -1], gaps._sweep_dim2(_stack(prob)))
     else:
         assert X0.shape == (prob.dim, gaps._REFINE_CANDIDATES)
+
+
+# -- exact maxima of commuting triples ---------------------------------
+
+_ENTRIES = st.one_of(st.sampled_from([-2.0, -0.5, 0.0, 0.25, 1.0, 3.0]),
+                     st.floats(-3.0, 3.0))
+
+
+@settings(max_examples=50, deadline=None)
+@given(k=st.integers(1, 8), shape=st.sampled_from(["plain", "zero", "affine"]),
+       seed=st.integers(0, 2**16), data=st.data())
+def test_exact_path_maximizes_commuting_triples(k, shape, seed, data):
+    # U diag(c) U^H, U diag(s) U^H, U diag(d) U^H; the sampled entries repeat
+    c, s, d = (np.array(data.draw(st.lists(_ENTRIES, min_size=k, max_size=k)))
+               for _ in range(3))
+    if shape == "zero":
+        [c, s, d][data.draw(st.integers(0, 2))][:] = 0.0
+    elif shape == "affine":  # an affine f makes D = f'(T) a multiple of I
+        d[:] = d[0]
+    rng = np.random.default_rng(seed)
+    U = random_unitary(k, rng)
+    prob = GapProblem("gamma", *(hermitize((U * v) @ U.conj().T) for v in (c, s, d)))
+    res = solve(prob)
+    assert res.solver == "exact-commuting"
+    assert (res.restarts, res.iterations, res.converged) == (0, 0, True)
+    v = res.value
+    assert abs(np.linalg.norm(res.maximizer) - 1.0) <= 1e-14
+    assert v == gap_objective(prob, res.maximizer)
+    assert v >= solve_multistart(prob, restarts=64).value - 1e-12 * (1.0 + abs(v))
+    assert v >= _sampled_values(prob, 2000, seed)[1].max() - 1e-12 * (1.0 + abs(v))
+
+
+def test_exact_path_splits_a_collision_of_the_first_combination(monkeypatch):
+    # unit-scaled C = diag(p, 1) and S = diag(0, 1) have diagonal differences
+    # r and -1 with r = _MIX[1] / _MIX[0], so with D = I the combination _MIX
+    # of the three is a multiple of I and its eigenbasis is arbitrary;
+    # F = <Cx,x> - <Sx,x> peaks at p
+    r = gaps._MIX[1] / gaps._MIX[0]
+    p = (1.0 + np.sqrt(1.0 - (1.0 - r * r) ** 2)) / (1.0 - r * r)
+    U = random_unitary(2, np.random.default_rng(8))
+    prob = GapProblem("gamma", *(hermitize((U * v) @ U.conj().T)
+                                 for v in ([p, 1.0], [0.0, 1.0], [1.0, 1.0])))
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda A: calls.append(A) or eigh(A))
+    res = solve(prob)
+    assert res.solver == "exact-commuting"
+    assert len(calls) == 2  # the combination, then the run of both columns
+    assert abs(res.value - p) <= 1e-14 * p
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_chebyshev_is_the_operator_gruss_constant(n):
+    # for f = t^2 the maximal covariance of t and f'(t) = 2t is (M - m)^2 / 2
+    A = random_hermitian(n, -1.0, 2.5, np.random.default_rng([7, n]))
+    m, M = np.linalg.eigvalsh(A)[[0, -1]]
+    res = solve(build_gap_problem("chebyshev", power(2), A))
+    assert res.solver == "exact-commuting"
+    assert abs(res.value - (M - m) ** 2 / 2) <= 1e-12 * max(1.0, (M - m) ** 2 / 2)
+
+
+@pytest.mark.parametrize("kind", ["gamma", "delta", "theta"])
+def test_non_commuting_solve_is_multistart(kind):
+    rng = np.random.default_rng([11, len(kind)])
+    a, b = ([random_hermitian(3, 0.3, 2.0, rng) for _ in range(2)] for _ in range(2))
+    if kind == "gamma":
+        prob = build_gap_problem(kind, power(2), a[0], b[0])
+    else:
+        prob = build_gap_problem(kind, power(2), a, b,
+                                 family=random_unital_family(2, 3, 3, seed=12))
+    assert gaps._exact(prob) is None
+    res, ref = solve(prob, restarts=16, seed=4), solve_multistart(prob, restarts=16, seed=4)
+    assert res.solver == "multistart" and res.value == ref.value
+    assert res.maximizer.tobytes() == ref.maximizer.tobytes()
+    assert (res.iterations, res.restarts, res.converged) == (
+        ref.iterations, ref.restarts, ref.converged)
+
+
+def test_solve_checks_restarts_on_the_exact_path():
+    prob = build_gap_problem("chebyshev", power(2), B2)
+    assert gaps._exact(prob) is not None
+    with pytest.raises(BadDimensions):
+        solve(prob, restarts=0)

@@ -195,6 +195,21 @@ def test_matrix_from_obj_rejects(obj):
         matrix_from_obj(obj)
 
 
+@pytest.mark.parametrize("obj,message", [
+    ({}, "matrix object needs 'dim' and 're'"),
+    ({"dim": [2], "re": [[1.0, 0.0], [0.0, 1.0]]}, "'dim' must be an integer"),
+    ({"dim": 2, "re": [[1.0]]}, "'re' must be 2x2 numbers, got shape"),
+    ({"dim": 2, "re": [[1.0, 0.0], [0.0]]}, "'re' must be 2x2 numbers, got ragged"),
+    ({"dim": 2, "re": [[1.0, "x"], [0.0, 1.0]]}, "'re' must be 2x2 numbers"),
+    ({"dim": 2, "re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0], [0.0, 0.0]]},
+     "'im' must be 2x2 numbers, got ragged"),
+])
+def test_matrix_from_obj_names_source_and_precondition(obj, message):
+    # the message names the file and the precondition, not numpy's words
+    with pytest.raises(ParseError, match="^f.json: " + message):
+        matrix_from_obj(obj, name="f.json")
+
+
 def test_matrix_from_obj_requires_hermitian():
     with pytest.raises(NotHermitian):
         matrix_from_obj({"dim": 2, "re": [[0.0, 1.0], [0.0, 0.0]]})
