@@ -10,12 +10,13 @@ penalized for honest rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .constants import beta as beta_const
 from .constants import kantorovich
-from .errors import HypothesisViolated, NotUnitVector
+from .errors import BadDimensions, HypothesisViolated, NotUnitVector
 from .gaps import _assemble, _problem, solve
 from .hermitian import (
     calc,
@@ -44,7 +45,13 @@ __all__ = [
 DEFAULT_TOL = 1e-8
 _HYP_TOL = 1e-10
 
-JENSEN_KINDS = ("delta_forward", "eta_choi", "theta_reverse", "vartheta_reverse")
+# Jensen-type statement -> the gap kind whose maximum is its constant
+JENSEN_KINDS = {
+    "delta_forward": "delta",
+    "eta_choi": "eta",
+    "theta_reverse": "theta",
+    "vartheta_reverse": "vartheta",
+}
 CLASSICAL_STATEMENTS = (
     "furuta",
     "lowner_heinz",
@@ -77,18 +84,13 @@ class Certificate:
         }
 
 
-class SandwichResult(tuple):
-    """(lower, middle, upper, ok) with named access."""
+class SandwichResult(NamedTuple):
+    """The three sides of the pointwise bound and whether they are ordered."""
 
-    __slots__ = ()
-
-    def __new__(cls, lower, middle, upper, ok):
-        return super().__new__(cls, (lower, middle, upper, ok))
-
-    lower = property(lambda self: self[0])
-    middle = property(lambda self: self[1])
-    upper = property(lambda self: self[2])
-    ok = property(lambda self: self[3])
+    lower: float
+    middle: float
+    upper: float
+    ok: bool
 
 
 @dataclass
@@ -156,14 +158,6 @@ def certify_order(A, B, f: ScalarFunction, *, tol: float = DEFAULT_TOL,
     )
 
 
-_JENSEN_TO_GAP = {
-    "delta_forward": "delta",
-    "eta_choi": "eta",
-    "theta_reverse": "theta",
-    "vartheta_reverse": "vartheta",
-}
-
-
 def certify_jensen(kind: str, f: ScalarFunction, a_ops, b_ops=None,
                    family: MapFamily | None = None, *, tol: float = DEFAULT_TOL,
                    restarts: int = 64, max_iter: int = 500,
@@ -177,7 +171,7 @@ def certify_jensen(kind: str, f: ScalarFunction, a_ops, b_ops=None,
     """
     if kind not in JENSEN_KINDS:
         raise ValueError(f"unknown jensen kind {kind!r}")
-    gap_kind = _JENSEN_TO_GAP[kind]
+    gap_kind = JENSEN_KINDS[kind]
     problem, asm = _problem(gap_kind, f, a_ops, b_ops, family)
     res = solve(problem, restarts=restarts, max_iter=max_iter,
                 step_tol=step_tol, seed=seed)
@@ -206,15 +200,14 @@ def certify_jensen(kind: str, f: ScalarFunction, a_ops, b_ops=None,
 
 
 def verify_sandwich_pointwise(f: ScalarFunction, a_ops, b_ops=None,
-                              family: MapFamily | None = None, x=None,
-                              tol: float = DEFAULT_TOL) -> SandwichResult:
+                              family: MapFamily | None = None, x=None) -> SandwichResult:
     """Evaluate the pointwise two-sided bound at one unit vector x.
 
     lower  = <sum Phi_i(A_i) x, x> <f'(T) x, x> - <T f'(T) x, x>
     middle = <sum Phi_i(f(A_i)) x, x> - <f(T) x, x>
     upper  = <sum Phi_i(A_i f'(A_i)) x, x> - <sum Phi_i(f'(A_i)) x, x> <T x, x>
 
-    with T = sum Phi_i(B_i); ok means lower <= middle <= upper within tol.
+    with T = sum Phi_i(B_i); ok means lower <= middle <= upper within DEFAULT_TOL.
     The bound holds for unital families only, so the family (identity
     when omitted) must be unital; ``b_ops`` None reuses the A side.
     """
@@ -232,7 +225,7 @@ def verify_sandwich_pointwise(f: ScalarFunction, a_ops, b_ops=None,
     lower = q(asm.SA) * q(asm.fpT) - q(asm.tfpT)
     middle = q(asm.Sf) - q(asm.fT)
     upper = q(asm.Stfp) - q(asm.Sfp) * q(asm.T)
-    ok = (lower <= middle + tol) and (middle <= upper + tol)
+    ok = (lower <= middle + DEFAULT_TOL) and (middle <= upper + DEFAULT_TOL)
     return SandwichResult(lower, middle, upper, bool(ok))
 
 
@@ -368,6 +361,8 @@ def find_order_violation(f: ScalarFunction, n: int, trials: int, seed,
     order at dimension n) or None when no violation shows up.  The
     spectra window defaults to a band just inside f's domain.
     """
+    if trials < 1:
+        raise BadDimensions(f"need at least one trial, got {trials}")
     if lo is None or hi is None:
         w_lo, w_hi = _violation_window(f)
         lo = w_lo if lo is None else lo

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from .certify import (
     CLASSICAL_STATEMENTS,
@@ -22,17 +21,15 @@ from .certify import (
     verify_classical,
 )
 from .constants import beta_point, kantorovich
-from .errors import LoewnerCertError
-from .fuzz import _SUITES, SUITE_NAMES, run_fuzz
+from .errors import LoewnerCertError, ParseError
+from .fuzz import _SUITES, AGREE_RTOL, SUITE_NAMES, run_fuzz
 from .gaps import KINDS, build_gap_problem, solve, solve_bruteforce
 from .hermitian import matrix_from_obj, matrix_to_obj
 from .jsonio import dumps_canonical, format_float, load_json_file, sha256_file
 from .maps import family_from_obj
 from .scalarfn import parse_function
 
-__all__ = ["main", "run", "RunConfig", "build_parser"]
-
-_AGREE_RTOL = 1e-5
+__all__ = ["main", "build_parser"]
 
 _STATEMENTS = ("gamma-order",) + tuple(
     k.replace("_", "-") for k in JENSEN_KINDS
@@ -154,7 +151,11 @@ def _load_inputs(args):
     family = None
     digests = {"A": a_digests, "B": b_digests}
     if args.maps:
-        family = family_from_obj(load_json_file(args.maps))
+        obj = load_json_file(args.maps)
+        try:
+            family = family_from_obj(obj)
+        except LoewnerCertError as exc:
+            raise ParseError(f"{args.maps}: {exc}") from exc
         digests["maps"] = {"path": args.maps, "sha256": sha256_file(args.maps)}
     return a_ops, b_ops, family, digests
 
@@ -190,7 +191,7 @@ def _cmd_gap(args) -> int:
     ]
     if args.oracle:
         oracle = solve_bruteforce(problem, samples=args.samples, seed=args.seed)
-        agree = abs(res.value - oracle.value) <= _AGREE_RTOL * (1.0 + abs(oracle.value))
+        agree = abs(res.value - oracle.value) <= AGREE_RTOL * (1.0 + abs(oracle.value))
         report["oracle_value"] = oracle.value
         report["agreement"] = bool(agree)
         lines.append(f"oracle    {format_float(oracle.value)}")
@@ -288,38 +289,11 @@ _HANDLERS = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Complete, immutable description of one run.
-
-    Two equal configs produce byte-identical reports; there is no
-    randomness outside the recorded seed.
-    """
-
-    subcommand: str
-    options: tuple  # sorted (flag, value) pairs from the parsed args
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        opts = {k: v for k, v in vars(args).items() if k != "command"}
-        return cls(args.command, tuple(sorted(opts.items())))
-
-    def namespace(self) -> argparse.Namespace:
-        return argparse.Namespace(**dict(self.options))
-
-
-def run(config: RunConfig) -> int:
-    return _HANDLERS[config.subcommand](config.namespace())
-
-
 def main(argv=None) -> int:
-    config = RunConfig.from_args(build_parser().parse_args(argv))
+    args = build_parser().parse_args(argv)
     try:
-        return run(config)
-    except (LoewnerCertError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        return _HANDLERS[args.command](args)
+    except (LoewnerCertError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

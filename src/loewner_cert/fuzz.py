@@ -10,7 +10,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .certify import certify_order, verify_classical, verify_sandwich_pointwise
+from .certify import (
+    CLASSICAL_STATEMENTS,
+    certify_order,
+    verify_classical,
+    verify_sandwich_pointwise,
+)
+from .errors import BadDimensions
 from .gaps import KINDS, build_gap_problem, solve_bruteforce, solve_multistart
 from .hermitian import random_dominated_pair, random_hermitian
 from .maps import Diag, MapFamily, Pinch, identity_family, random_unital_family
@@ -37,7 +43,8 @@ __all__ = [
     "run_fuzz",
 ]
 
-# (tag, function, sample window) with the window strictly inside the domain
+# (tag, function, sample window) with the window strictly inside the domain;
+# every other catalog is drawn from this list, in its order
 GRADIENT_FUNCTIONS: tuple[tuple[str, ScalarFunction, float, float], ...] = (
     ("square", power(2), -1.2, 1.2),
     ("square_pos", power(2, _POS_HALF), 0.05, 2.2),
@@ -51,41 +58,33 @@ GRADIENT_FUNCTIONS: tuple[tuple[str, ScalarFunction, float, float], ...] = (
     ("affine_down", affine(-0.8, 0.6), -2.0, 2.0),
 )
 
+# positive windows for the entries whose gradient window reaches below zero
+_POS_WINDOWS = {"exp": (0.3, 1.7), "affine_up": (0.3, 2.1), "affine_down": (0.3, 2.1)}
+_POSITIVE = tuple((tag, f, *_POS_WINDOWS.get(tag, (lo, hi)))
+                  for tag, f, lo, hi in GRADIENT_FUNCTIONS
+                  if lo > 0 or tag in _POS_WINDOWS)
+
 # convex functions on positive windows, safe for dominated-pair draws
-CONVEX_POS: tuple[tuple[str, ScalarFunction, float, float], ...] = (
-    ("square_pos", power(2, _POS_HALF), 0.05, 2.2),
-    ("cube", power(3), 0.05, 2.0),
-    ("pow_3_2", power(1.5), 0.1, 2.2),
-    ("inverse", power(-1), 0.25, 2.5),
-    ("inv_sqrt", power(-0.5), 0.25, 2.5),
-    ("exp", exponential(), 0.3, 1.7),
-    ("neglog", neglog(), 0.2, 2.8),
-)
-
-INCREASING_POS: tuple[tuple[str, ScalarFunction, float, float], ...] = (
-    ("square_pos", power(2, _POS_HALF), 0.05, 2.2),
-    ("cube", power(3), 0.05, 2.0),
-    ("pow_3_2", power(1.5), 0.1, 2.2),
-    ("exp", exponential(), 0.3, 1.7),
-    ("affine_up", affine(1.3, -0.4), 0.3, 2.1),
-)
-
-DECREASING_POS: tuple[tuple[str, ScalarFunction, float, float], ...] = (
-    ("inverse", power(-1), 0.25, 2.5),
-    ("inv_sqrt", power(-0.5), 0.25, 2.5),
-    ("neglog", neglog(), 0.2, 2.8),
-    ("affine_down", affine(-0.8, 0.6), 0.3, 2.1),
-)
+CONVEX_POS = tuple(e for e in _POSITIVE if e[1].family != "affine")
+INCREASING_POS = tuple(e for e in _POSITIVE if e[1].monotonicity == "increasing")
+DECREASING_POS = tuple(e for e in _POSITIVE if e[1].monotonicity == "decreasing")
 
 # sandwich instances may use any admitted family, including non-monotone
-SANDWICH_FUNCTIONS: tuple[tuple[str, ScalarFunction, float, float], ...] = (
-    CONVEX_POS
-    + (
-        ("square", power(2), -1.2, 1.2),
-        ("affine_up", affine(1.3, -0.4), -2.0, 2.0),
-        ("affine_down", affine(-0.8, 0.6), -2.0, 2.0),
-    )
-)
+SANDWICH_FUNCTIONS = CONVEX_POS + tuple(
+    e for e in GRADIENT_FUNCTIONS if e[0] in ("square", "affine_up", "affine_down"))
+
+# Fixed tolerances and effort of the suites; certificates use
+# certify.DEFAULT_TOL (1e-8) and solver efforts sit at their calls.
+GRADIENT_TOL = 1e-12  # relative to 1 + |f(s)| + |f(t)| + |f'(s) (t - s)|
+SANDWICH_VECTORS = 8  # unit vectors per sandwich instance
+POSITIVITY_FLOOR = -1e-10  # least chebyshev, eta and ordered gamma value admitted
+AGREE_RTOL = 1e-5  # |multistart - oracle| <= AGREE_RTOL * (1 + |oracle|)
+AGREE_ONE_SIDED_TOL = 1e-7  # multistart may fall below the oracle by this much
+AGREE_RESTARTS = 32
+AGREE_MAX_ITER = 3000
+AGREE_SAMPLES = 4000
+AGREE_MAX_DIM = 3
+
 
 def _rng(seed, suite: str, i: int) -> np.random.Generator:
     # the suite's registry position keeps child seed streams disjoint
@@ -122,7 +121,7 @@ def _draw_family(rng: np.random.Generator, variant: int, n: int) -> MapFamily:
     return MapFamily((Diag(n),))
 
 
-def suite_gradient(trials: int, seed=42, tol_scale: float = 1e-12) -> dict:
+def suite_gradient(trials: int, seed=42) -> dict:
     """Scalar chord check: f(s) + f'(s)(t - s) <= f(t) on random draws."""
     failures = 0
     worst = np.inf
@@ -133,7 +132,7 @@ def suite_gradient(trials: int, seed=42, tol_scale: float = 1e-12) -> dict:
         fs, ft = f.value_array(s), f.value_array(t)
         lin = f.deriv_array(s) * (t - s)
         margin = ft - fs - lin
-        tol = tol_scale * (1.0 + np.abs(fs) + np.abs(ft) + np.abs(lin))
+        tol = GRADIENT_TOL * (1.0 + np.abs(fs) + np.abs(ft) + np.abs(lin))
         failures += int(np.count_nonzero(margin < -tol))
         worst = min(worst, float(margin.min()))
     return {
@@ -145,8 +144,7 @@ def suite_gradient(trials: int, seed=42, tol_scale: float = 1e-12) -> dict:
     }
 
 
-def suite_sandwich(trials: int, seed=42, tol: float = 1e-8,
-                   vectors: int = 8) -> dict:
+def suite_sandwich(trials: int, seed=42) -> dict:
     """Pointwise two-sided bound on random mapped families."""
     failures = 0
     worst = np.inf
@@ -158,9 +156,9 @@ def suite_sandwich(trials: int, seed=42, tol: float = 1e-8,
         a_list = [random_hermitian(d, lo, hi, rng) for d in fam.input_dims]
         b_list = [random_hermitian(d, lo, hi, rng) for d in fam.input_dims]
         k = fam.output_dim
-        for _ in range(vectors):
+        for _ in range(SANDWICH_VECTORS):
             x = _unit_vector(rng, k)
-            res = verify_sandwich_pointwise(f, a_list, b_list, fam, x, tol=tol)
+            res = verify_sandwich_pointwise(f, a_list, b_list, fam, x)
             gap = min(res.middle - res.lower, res.upper - res.middle)
             worst = min(worst, float(gap))
             if not res.ok:
@@ -168,14 +166,13 @@ def suite_sandwich(trials: int, seed=42, tol: float = 1e-8,
     return {
         "suite": "sandwich",
         "trials": int(trials),
-        "vectors": int(vectors),
+        "vectors": SANDWICH_VECTORS,
         "failures": int(failures),
         "worst": worst,
     }
 
 
-def _positivity_suite(name: str, kind: str, trials: int, seed,
-                      floor: float, with_family: bool) -> dict:
+def _positivity_suite(name: str, kind: str, trials: int, seed, with_family: bool) -> dict:
     failures = 0
     worst = np.inf
     for i in range(trials):
@@ -188,10 +185,9 @@ def _positivity_suite(name: str, kind: str, trials: int, seed,
             problem = build_gap_problem(kind, f, ops, family=fam)
         else:
             problem = build_gap_problem(kind, f, random_hermitian(n, lo, hi, rng))
-        res = solve_multistart(problem, restarts=8, max_iter=300,
-                               seed=_subseed(rng))
+        res = solve_multistart(problem, restarts=8, max_iter=300, seed=_subseed(rng))
         worst = min(worst, float(res.value))
-        if res.value < floor:
+        if res.value < POSITIVITY_FLOOR:
             failures += 1
     return {
         "suite": name,
@@ -201,26 +197,24 @@ def _positivity_suite(name: str, kind: str, trials: int, seed,
     }
 
 
-def suite_chebyshev(trials: int, seed=42, floor: float = -1e-10) -> dict:
+def suite_chebyshev(trials: int, seed=42) -> dict:
     """The single-operator correlation gap is nonnegative for convex f."""
-    return _positivity_suite("chebyshev", "chebyshev", trials, seed, floor, False)
+    return _positivity_suite("chebyshev", "chebyshev", trials, seed, False)
 
 
-def suite_eta(trials: int, seed=42, floor: float = -1e-10) -> dict:
+def suite_eta(trials: int, seed=42) -> dict:
     """The mapped one-operand gap is nonnegative for convex f."""
-    return _positivity_suite("eta", "eta", trials, seed, floor, True)
+    return _positivity_suite("eta", "eta", trials, seed, True)
 
 
-def suite_gamma(trials: int, seed=42, ordered: int | None = None,
-                tol: float = 1e-8, floor: float = -1e-10) -> dict:
+def suite_gamma(trials: int, seed=42) -> dict:
     """Certify the two-operator bound on random pairs.
 
-    Also solves ordered instances (one operand dominating the other,
-    with matching monotonicity) where the computed constant can never
-    be negative.
+    Also solves max(10, trials // 2) ordered instances (one operand
+    dominating the other, with matching monotonicity) where the computed
+    constant can never be negative.
     """
-    if ordered is None:
-        ordered = max(10, trials // 2)
+    ordered = max(10, trials // 2)
     failures = 0
     worst_slack = np.inf
     for i in range(trials):
@@ -229,8 +223,7 @@ def suite_gamma(trials: int, seed=42, ordered: int | None = None,
         n = int(rng.integers(2, 5))
         A = random_hermitian(n, lo, hi, rng)
         B = random_hermitian(n, lo, hi, rng)
-        cert = certify_order(A, B, f, tol=tol, restarts=32, max_iter=400,
-                             seed=_subseed(rng))
+        cert = certify_order(A, B, f, restarts=32, max_iter=400, seed=_subseed(rng))
         worst_slack = min(worst_slack, cert.slack)
         if not cert.passed:
             failures += 1
@@ -247,11 +240,10 @@ def suite_gamma(trials: int, seed=42, ordered: int | None = None,
             A, B = small, big  # A <= B, f increasing: constant stays >= 0
         else:
             A, B = big, small  # B <= A, f decreasing: same sign structure
-        cert = certify_order(A, B, f, tol=tol, restarts=32, max_iter=400,
-                             seed=_subseed(rng))
+        cert = certify_order(A, B, f, restarts=32, max_iter=400, seed=_subseed(rng))
         gamma = cert.constants["gamma"]
         worst_ordered = min(worst_ordered, float(gamma))
-        if gamma < floor or not cert.passed:
+        if gamma < POSITIVITY_FLOOR or not cert.passed:
             ordered_failures += 1
     return {
         "suite": "gamma",
@@ -265,29 +257,16 @@ def suite_gamma(trials: int, seed=42, ordered: int | None = None,
     }
 
 
-def suite_classical(trials: int, seed=42, tol: float = 1e-8) -> dict:
+def suite_classical(trials: int, seed=42) -> dict:
     """Certified classical statements on random admissible pairs."""
     failures = 0
     worst = np.inf
     per_statement = {}
-    furuta_p = (1.5, 2.0, 3.0)
-    lh_p = (0.3, 0.5, 0.9)
-    alphas = (0.7, 1.0, 1.6)
-
-    cases = (
-        ("furuta", lambda i, rng: _furuta_case(i, rng, furuta_p, tol)),
-        ("lowner_heinz", lambda i, rng: _lh_case(i, rng, lh_p, tol)),
-        ("alpha_beta_increasing",
-         lambda i, rng: _alpha_beta_case(i, rng, INCREASING_POS, alphas,
-                                         "alpha_beta_increasing", tol)),
-        ("alpha_beta_decreasing",
-         lambda i, rng: _alpha_beta_case(i, rng, DECREASING_POS, alphas,
-                                         "alpha_beta_decreasing", tol)),
-    )
-    for j, (statement, build) in enumerate(cases):
+    # a statement's position in CLASSICAL_STATEMENTS fixes its seed stream
+    for j, statement in enumerate(CLASSICAL_STATEMENTS):
         fails = 0
         for i in range(trials):
-            cert = build(i, _rng(seed, "classical", j * trials + i))
+            cert = _classical_case(statement, i, _rng(seed, "classical", j * trials + i))
             worst = min(worst, cert.slack)
             if not cert.passed:
                 fails += 1
@@ -302,36 +281,22 @@ def suite_classical(trials: int, seed=42, tol: float = 1e-8) -> dict:
     }
 
 
-def _furuta_case(i, rng, ps, tol):
+def _classical_case(statement: str, i: int, rng: np.random.Generator):
     n = 2 + i % 3
-    m = 0.2 + 0.6 * float(rng.uniform())
-    M = m + 0.6 + 1.5 * float(rng.uniform())
-    A, B = random_dominated_pair(n, m, M, _subseed(rng))
-    return verify_classical("furuta", A, B, p=ps[i % len(ps)],
-                            m=m, M=M, tol=tol)
-
-
-def _lh_case(i, rng, ps, tol):
-    n = 2 + i % 3
-    m = 0.2 + 0.6 * float(rng.uniform())
-    M = m + 0.6 + 1.5 * float(rng.uniform())
-    big, small = random_dominated_pair(n, m, M, _subseed(rng))
-    return verify_classical("lowner_heinz", small, big, p=ps[i % len(ps)],
-                            tol=tol)
-
-
-def _alpha_beta_case(i, rng, catalog, alphas, statement, tol):
+    if statement in ("furuta", "lowner_heinz"):
+        m = 0.2 + 0.6 * float(rng.uniform())
+        M = m + 0.6 + 1.5 * float(rng.uniform())
+        big, small = random_dominated_pair(n, m, M, _subseed(rng))
+        if statement == "furuta":
+            return verify_classical(statement, big, small, p=(1.5, 2.0, 3.0)[i % 3], m=m, M=M)
+        return verify_classical(statement, small, big, p=(0.3, 0.5, 0.9)[i % 3])
+    catalog = INCREASING_POS if statement == "alpha_beta_increasing" else DECREASING_POS
     tag, f, lo, hi = catalog[i % len(catalog)]
-    n = 2 + i % 3
     A, B = random_dominated_pair(n, lo, hi, _subseed(rng))
-    return verify_classical(statement, A, B, f=f, alpha=alphas[i % len(alphas)],
-                            m=lo, M=hi, tol=tol)
+    return verify_classical(statement, A, B, f=f, alpha=(0.7, 1.0, 1.6)[i % 3], m=lo, M=hi)
 
 
-def suite_agreement(trials: int, seed=42, rel_tol: float = 1e-5,
-                    one_sided_tol: float = 1e-7, restarts: int = 32,
-                    samples: int = 4000, max_dim: int = 3,
-                    max_iter: int = 3000) -> dict:
+def suite_agreement(trials: int, seed=42) -> dict:
     """Multistart ascent versus the dense sampling solver on small instances.
 
     The iteration cap is generous; restarts leave the solver's batch
@@ -345,7 +310,7 @@ def suite_agreement(trials: int, seed=42, rel_tol: float = 1e-5,
         for i in range(trials):
             rng = _rng(seed, "agreement", kind_idx * trials + i)
             tag, f, lo, hi = CONVEX_POS[i % len(CONVEX_POS)]
-            n = int(rng.integers(2, max_dim + 1))
+            n = int(rng.integers(2, AGREE_MAX_DIM + 1))
             if kind in ("gamma", "chebyshev"):
                 A = random_hermitian(n, lo, hi, rng)
                 if kind == "gamma":
@@ -362,14 +327,13 @@ def suite_agreement(trials: int, seed=42, rel_tol: float = 1e-5,
                     problem = build_gap_problem(kind, f, a_list, b_list, fam)
                 else:
                     problem = build_gap_problem(kind, f, a_list, family=fam)
-            res_m = solve_multistart(problem, restarts=restarts,
-                                     max_iter=max_iter, seed=_subseed(rng))
-            res_b = solve_bruteforce(problem, samples=samples,
-                                     seed=_subseed(rng))
+            res_m = solve_multistart(problem, restarts=AGREE_RESTARTS,
+                                     max_iter=AGREE_MAX_ITER, seed=_subseed(rng))
+            res_b = solve_bruteforce(problem, samples=AGREE_SAMPLES, seed=_subseed(rng))
             diff = abs(res_m.value - res_b.value)
             worst = max(worst, float(diff))
-            close = diff <= rel_tol * (1.0 + abs(res_b.value))
-            not_below = res_m.value >= res_b.value - one_sided_tol
+            close = diff <= AGREE_RTOL * (1.0 + abs(res_b.value))
+            not_below = res_m.value >= res_b.value - AGREE_ONE_SIDED_TOL
             if not (close and not_below):
                 fails += 1
         per_kind[kind] = int(fails)
@@ -405,6 +369,8 @@ def run_fuzz(suite: str = "all", trials: int | None = None, seed=42) -> dict:
         names = (suite,)
     else:
         raise ValueError(f"unknown suite {suite!r}")
+    if trials is not None and trials < 1:
+        raise BadDimensions(f"need at least one trial, got {trials}")
     suites = {}
     for name in names:
         func, default_trials = _SUITES[name]

@@ -519,12 +519,12 @@ def solve(problem: GapProblem, restarts: int = 64, max_iter: int = 500,
 # the floating-point operations it would get form by form.
 
 
-def _sweep_dim2(M, resolution: int = _GRID_RESOLUTION) -> np.ndarray:
-    """Best x = (cos t, e^{i phi} sin t) on a resolution^2 grid (dim 2 only)."""
-    t = np.linspace(0.0, 0.5 * np.pi, resolution)
+def _sweep_dim2(M) -> np.ndarray:
+    """Best x = (cos t, e^{i phi} sin t) on a _GRID_RESOLUTION^2 grid (dim 2 only)."""
+    t = np.linspace(0.0, 0.5 * np.pi, _GRID_RESOLUTION)
     ct, st = np.cos(t), np.sin(t)
     cs2 = 2.0 * ct * st
-    phis = np.linspace(0.0, 2.0 * np.pi, resolution, endpoint=False)
+    phis = np.linspace(0.0, 2.0 * np.pi, _GRID_RESOLUTION, endpoint=False)
     eph = np.exp(1j * phis)
     # each form is base(t) + cs2(t) cross(phi)
     base = ct * ct * M[:, 0, 0].real[:, None] + st * st * M[:, 1, 1].real[:, None]
@@ -532,8 +532,8 @@ def _sweep_dim2(M, resolution: int = _GRID_RESOLUTION) -> np.ndarray:
     best_val = -np.inf
     best_ti = best_pj = 0
     chunk = 256
-    Q = np.empty((3, resolution, chunk))  # (form, t, phi), one chunk of phi
-    for start in range(0, resolution, chunk):
+    Q = np.empty((3, _GRID_RESOLUTION, chunk))  # (form, t, phi), one chunk of phi
+    for start in range(0, _GRID_RESOLUTION, chunk):
         part = cross[:, None, start:start + chunk]
         G = Q[:, :, :part.shape[2]]
         np.multiply(cs2[:, None], part, out=G)

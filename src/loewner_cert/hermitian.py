@@ -41,8 +41,6 @@ __all__ = [
 ]
 
 HERMITIAN_RTOL = 1e-12
-RECONSTRUCTION_RTOL = 1e-10
-SPECTRUM_CLAMP_TOL = 1e-10
 
 
 def as_matrix(A) -> np.ndarray:
@@ -52,10 +50,10 @@ def as_matrix(A) -> np.ndarray:
     return A
 
 
-def require_hermitian(A, rtol: float = HERMITIAN_RTOL, *, name: str = "matrix") -> np.ndarray:
+def require_hermitian(A, *, name: str = "matrix") -> np.ndarray:
     """Return A as a complex ndarray, raising NotHermitian on asymmetry.
 
-    The tolerance scales with the largest entry: |A - A*| <= rtol * (1 + max|A|).
+    The tolerance scales with the largest entry: |A - A*| <= HERMITIAN_RTOL (1 + max|A|).
     A NaN or infinite entry raises NonFinite, naming the operand ``name``.
     """
     A = as_matrix(A)
@@ -63,8 +61,8 @@ def require_hermitian(A, rtol: float = HERMITIAN_RTOL, *, name: str = "matrix") 
     if not np.isfinite(scale):
         raise NonFinite(f"{name} has a non-finite entry")
     defect = float(np.abs(A - A.conj().T).max()) if A.size else 0.0
-    if defect > rtol * scale:
-        raise NotHermitian(f"asymmetry {defect:.3e} exceeds {rtol:.1e} * {scale:.3e}")
+    if defect > HERMITIAN_RTOL * scale:
+        raise NotHermitian(f"asymmetry {defect:.3e} exceeds {HERMITIAN_RTOL:.1e} * {scale:.3e}")
     return A
 
 
@@ -95,8 +93,7 @@ def spectral_decompose(A) -> SpectralDecomposition:
     return SpectralDecomposition(w, U)
 
 
-def _spectral_images(A, fns, domain: Interval | None = None,
-                     clamp_tol: float = SPECTRUM_CLAMP_TOL, name: str = "matrix") -> list:
+def _spectral_images(A, fns, domain: Interval | None = None, name: str = "matrix") -> list:
     """fn(A) for each fn in ``fns`` from one decomposition and one clamp.
 
     An eigenvalue beyond the float range raises NonFinite naming ``name``
@@ -107,20 +104,19 @@ def _spectral_images(A, fns, domain: Interval | None = None,
     if not np.isfinite(w).all():
         raise NonFinite(f"{name} has an eigenvalue that overflows")
     if domain is not None:
-        w = domain.clamp_spectrum(w, clamp_tol)
+        w = domain.clamp_spectrum(w)
     U = dec.eigenvectors
     return [hermitize((U * np.asarray(fn(w), dtype=float)) @ U.conj().T) for fn in fns]
 
 
-def apply_spectral(A, fn, domain: Interval | None = None,
-                   clamp_tol: float = SPECTRUM_CLAMP_TOL) -> np.ndarray:
+def apply_spectral(A, fn, domain: Interval | None = None) -> np.ndarray:
     """Apply a scalar callable to A through its eigenvalues.
 
     When a domain is given the spectrum is validated against it first;
-    eigenvalues within ``clamp_tol`` of a closed endpoint are snapped onto
-    it so that rounding does not cause spurious rejections.
+    eigenvalues within SPECTRUM_CLAMP_TOL of a closed endpoint are snapped
+    onto it so that rounding does not cause spurious rejections.
     """
-    return _spectral_images(A, (fn,), domain, clamp_tol)[0]
+    return _spectral_images(A, (fn,), domain)[0]
 
 
 def calc(f: ScalarFunction, A) -> np.ndarray:

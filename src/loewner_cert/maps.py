@@ -9,6 +9,7 @@ from slicing orthonormal columns of a Haar unitary into vertical blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -23,7 +24,6 @@ __all__ = [
     "PositiveLinearMap",
     "MapFamily",
     "UnitalCheck",
-    "apply_map",
     "check_unital_family",
     "identity_family",
     "random_unital_family",
@@ -130,10 +130,6 @@ class Diag:
 PositiveLinearMap = Union[Conjugation, Pinch, Diag]
 
 
-def apply_map(phi: PositiveLinearMap, X) -> np.ndarray:
-    return phi.apply(X)
-
-
 class UnitalCheck(NamedTuple):
     holds: bool
     defect: float
@@ -182,9 +178,9 @@ class MapFamily:
         return float(np.linalg.norm(total - np.eye(self.output_dim)))
 
 
-def check_unital_family(family: MapFamily, tol: float = UNITAL_DEFECT_TOL) -> UnitalCheck:
+def check_unital_family(family: MapFamily) -> UnitalCheck:
     defect = family.unital_defect()
-    return UnitalCheck(defect <= tol, defect)
+    return UnitalCheck(defect <= UNITAL_DEFECT_TOL, defect)
 
 
 def identity_family(n: int) -> MapFamily:
@@ -225,27 +221,41 @@ def map_to_obj(phi: PositiveLinearMap) -> dict:
     raise ParseError(f"unknown map type {type(phi).__name__}")
 
 
+def _field(obj: dict, key: str, convert, what: str):
+    """convert(obj[key]), else ParseError naming ``key``."""
+    try:
+        return convert(obj[key])
+    except (TypeError, ValueError):  # ragged rows, non-numbers, non-lists
+        raise ParseError(f"'{key}' must be {what}") from None
+
+
+_floats = partial(np.asarray, dtype=float)
+
+
 def map_from_obj(obj) -> PositiveLinearMap:
+    """Parse the JSON form; a malformed field raises ParseError naming it."""
     if not isinstance(obj, dict) or "variant" not in obj:
         raise ParseError("map object needs a 'variant' field")
     variant = obj["variant"]
     if variant == "conjugation":
         if "V_re" not in obj:
             raise ParseError("conjugation map needs 'V_re'")
-        re = np.asarray(obj["V_re"], dtype=float)
-        im = np.asarray(obj["V_im"], dtype=float) if obj.get("V_im") is not None \
-            else np.zeros_like(re)
+        re = _field(obj, "V_re", _floats, "a matrix of numbers")
+        im = _field(obj, "V_im", _floats, "a matrix of numbers") \
+            if obj.get("V_im") is not None else np.zeros_like(re)
         if re.shape != im.shape or re.ndim != 2:
             raise ParseError("'V_re' and 'V_im' must be matrices of equal shape")
         return Conjugation(re + 1j * im)
     if variant == "pinch":
         if "dim" not in obj or "blocks" not in obj:
             raise ParseError("pinch map needs 'dim' and 'blocks'")
-        return Pinch(int(obj["dim"]), tuple(tuple(blk) for blk in obj["blocks"]))
+        blocks = _field(obj, "blocks", lambda b: tuple(tuple(int(i) for i in blk) for blk in b),
+                        "a list of lists of integers")
+        return Pinch(_field(obj, "dim", int, "an integer"), blocks)
     if variant == "diag":
         if "dim" not in obj:
             raise ParseError("diag map needs 'dim'")
-        return Diag(int(obj["dim"]))
+        return Diag(_field(obj, "dim", int, "an integer"))
     raise ParseError(f"unknown map variant {variant!r}")
 
 

@@ -36,11 +36,11 @@ __all__ = [
     "check_gradient_inequality",
     "parse_function",
     "parse_interval",
-    "format_function",
-    "format_interval",
 ]
 
 _INF = float("inf")
+# eigenvalues this close to a closed domain endpoint are snapped onto it
+SPECTRUM_CLAMP_TOL = 1e-10
 
 
 def _fmt_endpoint(x: float) -> str:
@@ -82,18 +82,18 @@ class Interval:
     def contains_interval(self, lo: float, hi: float) -> bool:
         return self.contains(lo) and self.contains(hi)
 
-    def clamp_spectrum(self, w, tol: float = 1e-10) -> np.ndarray:
-        """Snap eigenvalues within ``tol`` of a closed endpoint onto it.
+    def clamp_spectrum(self, w) -> np.ndarray:
+        """Snap eigenvalues within SPECTRUM_CLAMP_TOL of a closed endpoint onto it.
 
         Open endpoints get no grace: values outside raise
         SpectrumOutsideDomain.  Returns the (possibly clamped) array.
         """
         w = np.array(w, dtype=float, copy=True)
         if self.lo_closed:
-            near = np.abs(w - self.lo) <= tol
+            near = np.abs(w - self.lo) <= SPECTRUM_CLAMP_TOL
             w[near] = self.lo
         if self.hi_closed:
-            near = np.abs(w - self.hi) <= tol
+            near = np.abs(w - self.hi) <= SPECTRUM_CLAMP_TOL
             w[near] = self.hi
         bad = [float(v) for v in w if not self.contains(float(v))]
         if bad:
@@ -125,10 +125,6 @@ def parse_interval(text: str) -> Interval:
         return Interval(lo, hi, lo_closed=(lb == "["), hi_closed=(rb == "]"))
     except BadInterval as exc:
         raise ParseError(str(exc)) from exc
-
-
-def format_interval(iv: Interval) -> str:
-    return str(iv)
 
 
 _REALS = Interval()
@@ -332,7 +328,3 @@ def parse_function(spec: str) -> ScalarFunction:
     except InvalidFunction as exc:
         raise ParseError(str(exc)) from exc
     raise ParseError(f"unknown function family {name!r}")
-
-
-def format_function(f: ScalarFunction) -> str:
-    return f.spec_string()

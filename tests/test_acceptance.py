@@ -27,8 +27,15 @@ from loewner_cert import (
     solve_multistart,
     verify_sandwich_pointwise,
 )
+from loewner_cert.certify import DEFAULT_TOL
 from loewner_cert.cli import main
 from loewner_cert.fuzz import (
+    AGREE_MAX_DIM,
+    AGREE_ONE_SIDED_TOL,
+    AGREE_RTOL,
+    GRADIENT_TOL,
+    POSITIVITY_FLOOR,
+    SANDWICH_VECTORS,
     suite_agreement,
     suite_chebyshev,
     suite_classical,
@@ -40,30 +47,34 @@ from loewner_cert.fuzz import (
 
 
 def test_criterion_01_gradient_inequality():
-    rep = suite_gradient(10_000, seed=42, tol_scale=1e-12)
+    assert GRADIENT_TOL == 1e-12
+    rep = suite_gradient(10_000, seed=42)
     assert rep["failures"] == 0, rep
     print("criterion 1: PASS")
 
 
 def test_criterion_02_sandwich_500():
-    rep = suite_sandwich(500, seed=42, tol=1e-8, vectors=8)
+    assert (DEFAULT_TOL, SANDWICH_VECTORS) == (1e-8, 8)
+    rep = suite_sandwich(500, seed=42)
     assert rep["failures"] == 0, rep
     assert rep["worst"] >= -1e-8, rep
     print("criterion 2: PASS")
 
 
 def test_criterion_03_positivity():
-    cheb = suite_chebyshev(1000, seed=42, floor=-1e-10)
+    assert POSITIVITY_FLOOR == -1e-10
+    cheb = suite_chebyshev(1000, seed=42)
     assert cheb["failures"] == 0, cheb
     assert cheb["worst"] >= -1e-10, cheb
-    eta = suite_eta(200, seed=42, floor=-1e-10)
+    eta = suite_eta(200, seed=42)
     assert eta["failures"] == 0, eta
     assert eta["worst"] >= -1e-10, eta
     print("criterion 3: PASS")
 
 
 def test_criterion_04_gamma_certificates():
-    rep = suite_gamma(200, seed=42, tol=1e-8, floor=-1e-10)
+    assert (DEFAULT_TOL, POSITIVITY_FLOOR) == (1e-8, -1e-10)
+    rep = suite_gamma(200, seed=42)
     assert rep["certificate_failures"] == 0, rep
     assert rep["ordered_failures"] == 0, rep
     assert rep["worst_ordered"] >= -1e-10, rep
@@ -103,7 +114,8 @@ def test_criterion_06_constants():
 
 
 def test_criterion_07_classical_statements():
-    rep = suite_classical(200, seed=42, tol=1e-8)
+    assert DEFAULT_TOL == 1e-8
+    rep = suite_classical(200, seed=42)
     assert rep["failures"] == 0, rep
 
     from loewner_cert import verify_classical
@@ -135,8 +147,8 @@ def test_criterion_08_cube_order_violation():
 
 
 def test_criterion_09_solver_agreement():
-    rep = suite_agreement(100, seed=42, rel_tol=1e-5, one_sided_tol=1e-7,
-                          max_dim=3)
+    assert (AGREE_RTOL, AGREE_ONE_SIDED_TOL, AGREE_MAX_DIM) == (1e-5, 1e-7, 3)
+    rep = suite_agreement(100, seed=42)
     assert rep["failures"] == 0, rep
 
     # larger instances: only the one-sided bound is required

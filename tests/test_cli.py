@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from loewner_cert import loewner_leq, matrix_to_obj
-from loewner_cert.cli import RunConfig, build_parser, main, run
+from loewner_cert.cli import main
 
 
 def run_cli(argv):
@@ -170,19 +170,16 @@ def test_fuzz_sandwich_small():
     assert "pass" in out
 
 
-def test_run_config_determines_report(diag01, diag12):
-    argv = ["gap", "--kind", "gamma", "--f", "power:2",
-            "--A", diag01, "--B", diag12, "--json"]
-    c1 = RunConfig.from_args(build_parser().parse_args(argv))
-    c2 = RunConfig.from_args(build_parser().parse_args(list(argv)))
-    assert c1 == c2
-    outs = []
-    for cfg in (c1, c2):
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            assert run(cfg) == 0
-        outs.append(buf.getvalue())
-    assert outs[0] == outs[1]
+def test_run_config_determines_report(tmp_path, diag12):
+    # a non-commuting pair, so that the seeded multistart solver runs
+    a = write_matrix(tmp_path / "n.json", [[0.5, 0.2], [0.2, 1.5]])
+    argv = ["certify", "--statement", "gamma-order", "--f", "power:2",
+            "--A", a, "--B", diag12, "--seed", "5", "--json"]
+    code1, out1 = run_cli(argv)
+    code2, out2 = run_cli(list(argv))
+    assert code1 == code2 == 0
+    assert json.loads(out1)["solver"]["solver"] == "multistart"
+    assert out1.encode() == out2.encode()
 
 
 def test_fuzz_json_structure():
@@ -234,6 +231,34 @@ def test_maps_file_with_nan_is_exit_two(tmp_path, diag01, capsys):
                          "--A", diag01, "--maps", str(maps)])
     assert code == 2 and out == ""
     assert "conjugation map V has a non-finite entry" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("obj,field", [
+    ([{"variant": "pinch", "dim": 2, "blocks": 5}], "'blocks'"),
+    ([{"variant": "diag", "dim": None}], "'dim'"),
+    ([{"variant": "diag", "dim": "two"}], "'dim'"),
+    ([{"variant": "conjugation", "V_re": [[1.0, 0.0], [0.0]]}], "'V_re'"),
+])
+def test_malformed_maps_file_is_exit_two(tmp_path, diag01, obj, field, capsys):
+    maps = tmp_path / "maps.json"
+    maps.write_text(json.dumps(obj))
+    code, out = run_cli(["certify", "--statement", "eta-choi", "--f", "power:2",
+                         "--A", diag01, "--maps", str(maps)])
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {maps}: ") and field in err
+
+
+@pytest.mark.parametrize("argv,trials", [
+    (["fuzz", "--trials", "0"], 0),
+    (["fuzz", "--trials", "-1"], -1),
+    (["fuzz", "--suite", "sandwich", "--trials", "0", "--json"], 0),
+    (["violation", "--f", "power:3", "--trials", "-3"], -3),
+])
+def test_non_positive_trials_is_exit_two(argv, trials, capsys):
+    code, out = run_cli(argv)
+    assert code == 2 and out == ""
+    assert f"need at least one trial, got {trials}" in capsys.readouterr().err
 
 
 def test_ragged_matrix_file_is_exit_two(tmp_path, capsys):

@@ -10,7 +10,6 @@ from loewner_cert import (
     MapFamily,
     ParseError,
     Pinch,
-    apply_map,
     check_unital_family,
     family_from_obj,
     family_to_obj,
@@ -29,7 +28,7 @@ def test_conjugation_apply():
     phi = Conjugation(V)
     assert phi.input_dim == 2 and phi.output_dim == 1
     X = np.array([[3.0, 1.0], [1.0, 2.0]], dtype=complex)
-    assert apply_map(phi, X)[0, 0] == 3.0
+    assert phi.apply(X)[0, 0] == 3.0
 
 
 def test_conjugation_dim_check():
@@ -155,6 +154,19 @@ def test_family_from_obj_accepts_wrapper():
 ])
 def test_map_from_obj_rejects(obj):
     with pytest.raises(ParseError):
+        map_from_obj(obj)
+
+
+@pytest.mark.parametrize("obj,field", [
+    ({"variant": "pinch", "dim": 2, "blocks": 5}, "'blocks'"),
+    ({"variant": "pinch", "dim": 2, "blocks": [[0, "one"]]}, "'blocks'"),
+    ({"variant": "pinch", "dim": "two", "blocks": [[0, 1]]}, "'dim'"),
+    ({"variant": "diag", "dim": None}, "'dim'"),
+    ({"variant": "conjugation", "V_re": [[1.0, 0.0], [0.0]]}, "'V_re'"),
+    ({"variant": "conjugation", "V_re": [[1.0]], "V_im": [["i"]]}, "'V_im'"),
+])
+def test_map_from_obj_names_malformed_field(obj, field):
+    with pytest.raises(ParseError, match=field):
         map_from_obj(obj)
 
 
