@@ -105,12 +105,18 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _load_matrices(paths):
+def _load_matrices(paths, side):
+    """Operands named by their files, in order, and the files' digests.
+
+    The names label every error about an operand; a file given again is
+    another operand, named by its position too.
+    """
     if not paths:
         return None, []
-    mats, digests = [], []
-    for path in paths:
-        mats.append(matrix_from_obj(load_json_file(path), name=path))
+    mats, digests = {}, []
+    for i, path in enumerate(paths):
+        name = path if path not in mats else f"{path} ({side}[{i}])"
+        mats[name] = matrix_from_obj(load_json_file(path), name=path)
         digests.append({"path": path, "sha256": sha256_file(path)})
     return mats, digests
 
@@ -146,8 +152,8 @@ def _cmd_beta(args) -> int:
 
 
 def _load_inputs(args):
-    a_ops, a_digests = _load_matrices(args.A)
-    b_ops, b_digests = _load_matrices(args.B)
+    a_ops, a_digests = _load_matrices(args.A, "A")
+    b_ops, b_digests = _load_matrices(args.B, "B")
     family = None
     digests = {"A": a_digests, "B": b_digests}
     if args.maps:
@@ -208,7 +214,7 @@ def _cmd_certify(args) -> int:
     def one(ops, side):
         if not ops or len(ops) != 1:
             raise LoewnerCertError(f"statement {args.statement} needs exactly one --{side} file")
-        return ops[0]
+        return ops
 
     if statement == "gamma_order":
         if f is None:
@@ -225,7 +231,8 @@ def _cmd_certify(args) -> int:
                               restarts=args.restarts, max_iter=args.max_iter,
                               step_tol=args.step_tol, seed=args.seed)
     else:
-        cert = verify_classical(statement, one(a_ops, "A"), one(b_ops, "B"),
+        [A], [B] = one(a_ops, "A").values(), one(b_ops, "B").values()
+        cert = verify_classical(statement, A, B,
                                 p=args.p, f=f, alpha=args.alpha,
                                 m=args.m, M=args.M, tol=args.tol)
     report = cert.to_dict()

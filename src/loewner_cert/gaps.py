@@ -37,6 +37,19 @@ increase F.  A restart stops once its tangent gradient norm is at most
 ``step_tol``; ``max_iter`` caps the outer iterations of the batch.  The
 result's ``iterations`` is the number of outer iterations the batch ran,
 and ``converged`` is the stop-test flag of the restart with the best value.
+
+The ascent holds the n restarts still running in stacked blocks: x and
+its images Cx, Sx, Dx, then the CG direction p, its images and Hess p in
+one (9, k, n) block, and the step eta, its images and the CG residual in a
+(5, k, n) block.  One matmul fills the three images of a vector, each
+combination of the forms is one product with a stack of coefficient rows
+summed over the first axis, and one update moves eta, its images and the
+residual.  Summation order is part of the arithmetic: numpy sums a
+reduction axis that is contiguous in memory pairwise, which differs from a
+running sum from 8 reals or 4 complex numbers on, and any other axis one
+row at a time.  The ascent sums |eta|^2, Re<Mx, eta> and the norms of the
+new iterates along contiguous columns and every other inner product row by
+row; tests pin the resulting bits.
 """
 
 from __future__ import annotations
@@ -136,10 +149,13 @@ def _as_ops(ops, side: str) -> dict:
     """Name -> checked operand: ``side`` for one matrix, ``side[i]`` in a list.
 
     A matrix given as an array or a nested list is one operand: its first
-    element is a row.
+    element is a row.  A dict names its operands by its keys (the CLI uses
+    the file paths), and errors about an operand give its name.
     """
     if ops is None:
         return {}
+    if isinstance(ops, dict):
+        return {name: require_hermitian(A, name=name) for name, A in ops.items()}
     if len(ops) and np.ndim(ops[0]) == 1:
         return {side: require_hermitian(ops, name=side)}
     return {f"{side}[{i}]": require_hermitian(A, name=f"{side}[{i}]")
@@ -257,28 +273,19 @@ def build_gap_problem(kind: str, f: ScalarFunction, a_ops, b_ops=None,
 # -- multistart Riemannian Newton-CG ascent ----------------------------
 
 
-def _horizontal(X, V):
-    """Project the columns of V onto the horizontal spaces {v : x^H v = 0}."""
-    return V - X * (X.conj() * V).sum(axis=0)
-
-
 def _newton_ascent(C, S, D, X0, max_iter: int, step_tol: float):
     """Lockstep Newton-CG ascent over the columns of X0; returns (X, converged, iters).
 
     A column leaves the batch when its tangent gradient norm is at most
     ``step_tol`` (converged) or when the line search finds no increase
-    above _MIN_STEP (stalled).  The Riemannian Hessian applied to a
-    horizontal E is the horizontal part of
+    above _MIN_STEP (stalled).  With qM = <Mx,x>, the gradient is the
+    horizontal part of G = 2(Cx - qD Sx - qS Dx), and the Riemannian
+    Hessian applied to a horizontal E is the horizontal part of
 
-        2(CE - qD SE - qS DE) - 4(Sx Re<Dx,E> + Dx Re<Sx,E>) - Re<x,grad> E.
+        2(CE - qD SE - qS DE) - 4(Sx Re<Dx,E> + Dx Re<Sx,E>) - Re<x,G> E.
     """
     k = C.shape[0]
     M = np.concatenate([C, S, D])  # one matmul yields C V, S V and D V
-
-    def images(V):
-        MV = M @ V
-        return MV[:k], MV[k:2 * k], MV[2 * k:]
-
     X = X0 / np.linalg.norm(X0, axis=0)
     b = X.shape[1]
     converged = np.zeros(b, dtype=bool)
@@ -286,15 +293,24 @@ def _newton_ascent(C, S, D, X0, max_iter: int, step_tol: float):
     iters = 0
     while True:
         work = np.flatnonzero(~(converged | stalled))
-        Xw = X[:, work]
-        CX, SX, DX = images(Xw)
-        qC, qS, qD = _rdot(Xw, CX), _rdot(Xw, SX), _rdot(Xw, DX)
-        G = 2.0 * (CX - SX * qD - DX * qS)
-        rad = _rdot(Xw, G)
+        # x, Cx, Sx, Dx, then CG's p, Cp, Sp, Dp and Hess p
+        XP = np.empty((9, k, work.size), dtype=complex)
+        x = np.take(X, work, axis=1, out=XP[0])
+        np.matmul(M, x, out=XP[1:4].reshape(3 * k, -1))
+        xc = x.conj()
+        Q = (xc * XP[1:4]).real.sum(axis=1)  # qC, qS, qD
+        # coefficient rows of (Sx, Dx, p) in the Hessian, set for CG, and
+        # of (Cv, Sv, Dv) in 2(Cv - qD Sv - qS Dv)
+        coef = np.empty((6, 1, work.size))
+        coef[3] = 2.0
+        np.multiply(Q[:0:-1, None], -2.0, out=coef[4:])
+        G = (XP[1:4] * coef[3:]).sum(axis=0)
+        rad = (xc * G).real.sum(axis=0)
         # projecting the small remainder again leaves an x-component at the
         # rounding level of |g| rather than |G|; the line search needs that
-        g = _horizontal(Xw, G - Xw * rad)
-        gn = np.sqrt(_rdot(g, g))
+        G -= x * rad
+        G -= x * (xc * G).sum(axis=0)
+        gn = np.sqrt(_rdot(G, G))
         done = gn <= step_tol
         converged[work[done]] = True
         live = ~done
@@ -302,47 +318,52 @@ def _newton_ascent(C, S, D, X0, max_iter: int, step_tol: float):
             break
         iters += 1
         work = work[live]
-        Xw, CX, SX, DX, g = (V[:, live] for V in (Xw, CX, SX, DX, g))
-        qC, qS, qD, rad, gn = (v[live] for v in (qC, qS, qD, rad, gn))
+        XP, coef, Q, gn = XP.compress(live, axis=2), coef[..., live], Q[:, live], gn[live]
+        coef[2] = rad[live]
+        x, p, PH = XP[0], XP[4], XP[4:]
+        PM = XP[5:8].reshape(3 * k, -1)
+        Xc = XP[:4].conj()
+        # 4 conj(Dx) and 4 conj(Sx): with p they give the coefficients
+        # 4 Re<Dx,p> of Sx and 4 Re<Sx,p> of Dx
+        Xc4 = 4.0 * Xc[3:1:-1]
 
-        # truncated CG on (-Hess) eta = g, carrying C/S/D images of eta;
-        # it stops at non-positive curvature, and if that happens on the
-        # first step eta is the gradient scaled to _MAX_STEP
-        eta = np.zeros_like(g)
-        Ce, Se, De = eta.copy(), eta.copy(), eta.copy()
-        r, p = g.copy(), g.copy()
+        # truncated CG on (-Hess) eta = g; ER holds eta, its C, S, D images
+        # and the residual r, which starts at g.  CG stops at non-positive
+        # curvature of -Hess, and if that happens on the first step eta is
+        # the gradient scaled to _MAX_STEP
+        ER = np.zeros((5, k, work.size), dtype=complex)
+        r = np.compress(live, G, axis=1, out=ER[4])
+        p[...] = r
         rr = gn * gn
         tol2 = (gn * np.minimum(0.5, np.sqrt(gn))) ** 2
         cg = np.ones(work.size, dtype=bool)
         # exact CG ends within 2k - 2 steps, the real dimension of the
         # horizontal space
         for j in range(2 * k):
-            CP, SP, DP = images(p)
-            Hp = (4.0 * (SX * _rdot(DX, p) + DX * _rdot(SX, p)) + rad * p
-                  - 2.0 * (CP - SP * qD - DP * qS))
-            Hp = _horizontal(Xw, Hp)
-            kappa = _rdot(p, Hp)
+            np.matmul(M, p, out=PM)
+            (Xc4 * p).real.sum(axis=1, out=coef[:2, 0])
+            # the sums over (Sx, Dx, p) and over (Cp, Sp, Dp); Hess p is the
+            # second less the first
+            T = (XP[2:8] * coef).reshape(2, 3, k, -1).sum(axis=1)
+            Hp = np.subtract(T[1], T[0], out=XP[8])
+            Hp -= x * (Xc[0] * Hp).sum(axis=0)
+            curv = (p.conj() * Hp).real.sum(axis=0)  # Re<p, Hess p>
             if j == 0:
-                curv0 = kappa / rr
+                floor = _CURV_FLOOR * (curv / rr)
                 pp = rr
-            neg = cg & (kappa <= _CURV_FLOOR * curv0 * pp)
-            if j == 0 and neg.any():
-                w = _MAX_STEP / gn[neg]
-                eta[:, neg], Ce[:, neg], Se[:, neg], De[:, neg] = (
-                    V[:, neg] * w for V in (p, CP, SP, DP))
-            cg &= ~neg
-            alpha = np.where(cg, rr / np.where(cg, kappa, 1.0), 0.0)
-            eta += p * alpha
-            Ce += CP * alpha
-            Se += SP * alpha
-            De += DP * alpha
-            r -= Hp * alpha
-            rr_new = _rdot(r, r)
+            flat = curv >= floor * pp
+            if j == 0 and flat.any():  # every column is still in CG
+                ER[:4, :, flat] = PH[:4, :, flat] * (_MAX_STEP / gn[flat])
+            cg &= ~flat
+            # eta += alpha p and r -= alpha (-Hess p) for alpha = -rr / curv
+            ER -= PH * np.divide(rr, curv, out=np.zeros(work.size), where=cg)
+            rr_new = (r.conj() * r).real.sum(axis=0)
             cg &= rr_new > tol2
             if not cg.any():
                 break
             beta = np.where(cg, rr_new / rr, 0.0)
-            p = r + p * beta
+            p *= beta
+            p += r
             pp = rr_new + beta * beta * pp
             rr = np.where(cg, rr_new, rr)
 
@@ -351,15 +372,21 @@ def _newton_ascent(C, S, D, X0, max_iter: int, step_tol: float):
         # for x^H eta = 0 and x_t = (x + t eta)/|x + t eta|,
         #   <M x_t, x_t> - <M x, x>
         #     = (2t Re<Mx, eta> + t^2 (<M eta, eta> - <Mx, x>|eta|^2)) / (1 + t^2 |eta|^2)
-        nn = _rdot(eta, eta)
-        lin = [_rdot(V, eta) for V in (CX, SX, DX)]
-        quad = [_rdot(eta, V) - q * nn for V, q in zip((Ce, Se, De), (qC, qS, qD))]
+        # x's slot of Xc now holds conj(eta), so that one product, summed
+        # column by column (module docstring), gives |eta|^2 and Re<Mx, eta>
+        eta = ER[0]
+        np.conjugate(eta, out=Xc[0])
+        L = np.empty((4, work.size, k), dtype=complex).transpose(0, 2, 1)
+        NL = np.multiply(Xc, eta, out=L).real.sum(axis=1)
+        nn, lin = NL[0], NL[1:]
+        quad = (Xc[0] * ER[1:4]).real.sum(axis=1) - Q * nn
+        qS, qD = Q[1], Q[2]
         slope = 2.0 * (lin[0] - qD * lin[1] - qS * lin[2])
         t = np.minimum(1.0, _MAX_STEP / np.sqrt(nn))
         pending = np.ones(work.size, dtype=bool)
         while pending.any():
-            den = 1.0 + t * t * nn
-            dC, dS, dD = ((2.0 * t * l + t * t * q) / den for l, q in zip(lin, quad))
+            tt = t * t
+            dC, dS, dD = (2.0 * t * lin + tt * quad) / (1.0 + tt * nn)
             gain = dC - qS * dD - dS * qD - dS * dD
             pending &= ~((gain > 0.0) & (gain >= _ARMIJO * t * slope))
             t = np.where(pending, 0.5 * t, t)
@@ -367,7 +394,7 @@ def _newton_ascent(C, S, D, X0, max_iter: int, step_tol: float):
             stalled[work[lost]] = True
             pending &= ~lost
         moved = ~stalled[work]
-        Xn = Xw[:, moved] + eta[:, moved] * t[moved]
+        Xn = x[:, moved] + eta[:, moved] * t[moved]
         X[:, work[moved]] = Xn / np.linalg.norm(Xn, axis=0)
     return X, converged, iters
 

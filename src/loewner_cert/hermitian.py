@@ -8,6 +8,7 @@ JSON form is {"dim": n, "re": [[...]], "im": [[...]]} with "im" optional.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -218,6 +219,19 @@ def matrix_to_obj(A) -> dict:
     return obj
 
 
+def _json_int(value) -> int:
+    """``value`` as an int if it is integral, else ValueError.
+
+    A bool, a non-integral number or a non-number is refused rather than
+    truncated, so that a size or an index in a file is taken as written.
+    """
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{value!r} is not an integer")
+
+
 def _square_field(obj: dict, key: str, n: int, name: str) -> np.ndarray:
     """obj[key] as an n x n float array, else ParseError naming ``name``."""
     try:
@@ -235,7 +249,7 @@ def matrix_from_obj(obj, name: str = "matrix") -> np.ndarray:
     if not isinstance(obj, dict) or "dim" not in obj or "re" not in obj:
         raise ParseError(f"{name}: matrix object needs 'dim' and 're' fields")
     try:
-        n = int(obj["dim"])
+        n = _json_int(obj["dim"])
     except (TypeError, ValueError):
         raise ParseError(f"{name}: 'dim' must be an integer") from None
     re = _square_field(obj, "re", n, name)

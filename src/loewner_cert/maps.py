@@ -15,7 +15,7 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .errors import BadDimensions, DimensionMismatch, NonFinite, ParseError
-from .hermitian import hermitize, random_unitary, require_hermitian
+from .hermitian import _json_int, hermitize, random_unitary, require_hermitian
 
 __all__ = [
     "Conjugation",
@@ -249,13 +249,14 @@ def map_from_obj(obj) -> PositiveLinearMap:
     if variant == "pinch":
         if "dim" not in obj or "blocks" not in obj:
             raise ParseError("pinch map needs 'dim' and 'blocks'")
-        blocks = _field(obj, "blocks", lambda b: tuple(tuple(int(i) for i in blk) for blk in b),
+        blocks = _field(obj, "blocks",
+                        lambda b: tuple(tuple(_json_int(i) for i in blk) for blk in b),
                         "a list of lists of integers")
-        return Pinch(_field(obj, "dim", int, "an integer"), blocks)
+        return Pinch(_field(obj, "dim", _json_int, "an integer"), blocks)
     if variant == "diag":
         if "dim" not in obj:
             raise ParseError("diag map needs 'dim'")
-        return Diag(_field(obj, "dim", int, "an integer"))
+        return Diag(_field(obj, "dim", _json_int, "an integer"))
     raise ParseError(f"unknown map variant {variant!r}")
 
 

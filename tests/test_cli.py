@@ -211,7 +211,7 @@ def test_certify_overflowing_image_is_exit_two(tmp_path, diag01):
         capture_output=True, text=True, timeout=60,
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
     assert proc.returncode == 2 and proc.stdout == ""
-    assert "f(B) has a non-finite entry" in proc.stderr and "exp" in proc.stderr
+    assert f"f({b}) has a non-finite entry" in proc.stderr and "exp" in proc.stderr
 
 
 def test_huge_operand_is_exit_two(tmp_path, capsys):
@@ -220,7 +220,7 @@ def test_huge_operand_is_exit_two(tmp_path, capsys):
     code, out = run_cli(["gap", "--kind", "chebyshev", "--f", "power:2", "--A", a])
     assert code == 2 and out == ""
     err = capsys.readouterr().err
-    assert "f(A[0]) has a non-finite entry" in err and "power:2" in err and "nan" not in err
+    assert f"f({a}) has a non-finite entry" in err and "power:2" in err and "nan" not in err
 
 
 def test_maps_file_with_nan_is_exit_two(tmp_path, diag01, capsys):
@@ -238,6 +238,8 @@ def test_maps_file_with_nan_is_exit_two(tmp_path, diag01, capsys):
     ([{"variant": "diag", "dim": None}], "'dim'"),
     ([{"variant": "diag", "dim": "two"}], "'dim'"),
     ([{"variant": "conjugation", "V_re": [[1.0, 0.0], [0.0]]}], "'V_re'"),
+    ([{"variant": "diag", "dim": True}], "'dim'"),
+    ([{"variant": "pinch", "dim": 2.5, "blocks": [[0], [1.7]]}], "'blocks'"),
 ])
 def test_malformed_maps_file_is_exit_two(tmp_path, diag01, obj, field, capsys):
     maps = tmp_path / "maps.json"
@@ -279,5 +281,33 @@ def test_overflowing_eigenvalue_is_exit_two(tmp_path, capsys):
                          "--A", str(path)])
     assert code == 2 and out == ""
     err = capsys.readouterr().err
-    # the CLI hands its operands over as a list, so the first one is A[0]
-    assert "A[0] has an eigenvalue that overflows" in err and "outside domain" not in err
+    # the error names the file, as parse errors do
+    assert f"error: {path} has an eigenvalue that overflows" in err
+    assert "outside domain" not in err
+
+
+def test_assembly_errors_name_the_file(tmp_path, capsys):
+    ok = write_matrix(tmp_path / "ok.json", np.diag([0.5, 1.0]))
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"dim": 2, "re": [[1e308, 1e308], [1e308, 1e308]]}))
+    third = 3.0 ** -0.5
+    maps = tmp_path / "maps.json"
+    maps.write_text(json.dumps([{"variant": "conjugation",
+                                 "V_re": [[third, 0.0], [0.0, third]]}] * 3))
+    argv = ["certify", "--statement", "eta-choi", "--f", "power:2", "--maps", str(maps),
+            "--A", ok, ok]
+    code, out = run_cli(argv + [str(big)])
+    assert code == 2 and out == ""
+    assert f"error: {big} has an eigenvalue that overflows" in capsys.readouterr().err
+    # a file given twice is still two operands
+    code, out = run_cli(argv + [ok])
+    assert code == 0 and out.strip().endswith("PASS")
+
+
+def test_non_integral_dim_file_is_exit_two(tmp_path, capsys):
+    path = tmp_path / "dim.json"
+    path.write_text(json.dumps({"dim": 2.9, "re": [[1.0, 0.0], [0.0, 1.0]]}))
+    code, out = run_cli(["gap", "--kind", "chebyshev", "--f", "power:2",
+                         "--A", str(path)])
+    assert code == 2 and out == ""
+    assert f"{path}: 'dim' must be an integer" in capsys.readouterr().err

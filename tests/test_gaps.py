@@ -381,6 +381,20 @@ _ORACLE_VALUES = (2.3250450958998394, 0.1421134855901076, 0.5636498993817605,
                   0.41762381183423103, 7.496696242054259, 0.4319705396762512)
 
 
+# (value.hex(), iterations, converged) of
+# solve_multistart(_oracle_case(i), restarts=16, seed=i), as first recorded:
+# the Newton-CG ascent is pinned to the bit
+_NEWTON_RESULTS = (("0x1.299b13e44eb82p+1", 6, True), ("0x1.230c652770cc8p-3", 8, True),
+                   ("0x1.2096b8387a09ap-1", 10, True), ("0x1.aba593976f7e4p-2", 9, True),
+                   ("0x1.dfc9df08ead32p+2", 10, True), ("0x1.ba567c32fada8p-2", 14, True))
+
+
+@pytest.mark.parametrize("i", range(6))
+def test_newton_results_are_bit_stable(i):
+    res = solve_multistart(_oracle_case(i), restarts=16, seed=i)
+    assert (res.value.hex(), res.iterations, res.converged) == _NEWTON_RESULTS[i]
+
+
 @pytest.mark.parametrize("i", range(6))
 def test_oracle_values_are_stable(i):
     res = solve_bruteforce(_oracle_case(i), samples=2000, seed=i)

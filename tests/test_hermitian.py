@@ -203,6 +203,8 @@ def test_matrix_from_obj_rejects(obj):
     ({"dim": 2, "re": [[1.0, "x"], [0.0, 1.0]]}, "'re' must be 2x2 numbers"),
     ({"dim": 2, "re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0], [0.0, 0.0]]},
      "'im' must be 2x2 numbers, got ragged"),
+    ({"dim": 2.9, "re": [[1.0, 0.0], [0.0, 1.0]]}, "'dim' must be an integer"),
+    ({"dim": True, "re": [[1.0]]}, "'dim' must be an integer"),
 ])
 def test_matrix_from_obj_names_source_and_precondition(obj, message):
     # the message names the file and the precondition, not numpy's words

@@ -164,10 +164,19 @@ def test_map_from_obj_rejects(obj):
     ({"variant": "diag", "dim": None}, "'dim'"),
     ({"variant": "conjugation", "V_re": [[1.0, 0.0], [0.0]]}, "'V_re'"),
     ({"variant": "conjugation", "V_re": [[1.0]], "V_im": [["i"]]}, "'V_im'"),
+    # numbers that are not integers are refused, not truncated
+    ({"variant": "pinch", "dim": 2.5, "blocks": [[0], [1.7]]}, "'blocks'"),
+    ({"variant": "pinch", "dim": 2.5, "blocks": [[0], [1]]}, "'dim'"),
+    ({"variant": "diag", "dim": True}, "'dim'"),
 ])
 def test_map_from_obj_names_malformed_field(obj, field):
     with pytest.raises(ParseError, match=field):
         map_from_obj(obj)
+
+
+def test_map_from_obj_takes_integral_floats():
+    assert map_from_obj({"variant": "pinch", "dim": 2.0, "blocks": [[0.0], [1]]}) == \
+        Pinch(2, ((0,), (1,)))
 
 
 def test_family_from_obj_rejects_nonlist():
