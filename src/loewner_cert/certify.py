@@ -17,14 +17,13 @@ import numpy as np
 from .constants import beta as beta_const
 from .constants import kantorovich
 from .errors import BadDimensions, HypothesisViolated, NotUnitVector
-from .gaps import _assemble, _problem, solve
+from .gaps import _as_ops, _assemble, _problem, solve
 from .hermitian import (
     calc,
     loewner_leq,
     matrix_power,
     min_eigenvalue,
     random_dominated_pair,
-    require_hermitian,
 )
 from .maps import MapFamily
 from .scalarfn import ScalarFunction
@@ -246,6 +245,15 @@ def _hull(*mats) -> tuple[float, float]:
     return min(los), max(his)
 
 
+def _one_operand(op, side: str):
+    """(name, checked matrix) of one operand: a one-entry dict names it by its key."""
+    ops = _as_ops(op, side)
+    if len(ops) != 1:
+        raise BadDimensions(f"{side} must be a single operand, got {len(ops)}")
+    [(name, A)] = ops.items()
+    return name, A
+
+
 def verify_classical(statement: str, A, B, *, p: float | None = None,
                      f: ScalarFunction | None = None, alpha: float = 1.0,
                      m: float | None = None, M: float | None = None,
@@ -258,12 +266,14 @@ def verify_classical(statement: str, A, B, *, p: float | None = None,
     alpha_beta_decreasing:  B <= A, f decreasing convex  =>  f(A) <= alpha f(B) + beta
 
     [m, M] defaults to the spectral hull of the constrained operator(s).
-    Inputs that fail a hypothesis raise HypothesisViolated.
+    Inputs that fail a hypothesis raise HypothesisViolated.  A or B given
+    as a one-entry dict is named by its key in errors (the CLI uses the
+    file path), else by "A" or "B".
     """
     if statement not in CLASSICAL_STATEMENTS:
         raise ValueError(f"unknown classical statement {statement!r}")
-    A = require_hermitian(A, name="A")
-    B = require_hermitian(B, name="B")
+    a_name, A = _one_operand(A, "A")
+    b_name, B = _one_operand(B, "B")
     if A.shape != B.shape:
         raise HypothesisViolated(f"shapes {A.shape} and {B.shape} differ")
     n = A.shape[0]
@@ -281,8 +291,8 @@ def verify_classical(statement: str, A, B, *, p: float | None = None,
         _require(lo >= m_eff - _HYP_TOL and hi <= M_eff + _HYP_TOL,
                  "spectrum of A must lie in [m, M]")
         K = kantorovich(m_eff, M_eff, p)
-        Ap = matrix_power(A, p)
-        Bp = matrix_power(B, p)
+        Ap = matrix_power(A, p, name=a_name)
+        Bp = matrix_power(B, p, name=b_name)
         return _finish(
             statement,
             {"K": K, "p": float(p), "m": m_eff, "M": M_eff},
@@ -297,8 +307,8 @@ def verify_classical(statement: str, A, B, *, p: float | None = None,
         _require(p is not None and 0.0 <= p <= 1.0, "lowner_heinz needs p in [0, 1]")
         _require(min_eigenvalue(A) >= -_HYP_TOL, "lowner_heinz needs A >= 0")
         _require(loewner_leq(A, B, _HYP_TOL).holds, "lowner_heinz needs A <= B")
-        Ap = matrix_power(A, p)
-        Bp = matrix_power(B, p)
+        Ap = matrix_power(A, p, name=a_name)
+        Bp = matrix_power(B, p, name=b_name)
         return _finish(
             statement,
             {"p": float(p)},
@@ -327,7 +337,7 @@ def verify_classical(statement: str, A, B, *, p: float | None = None,
     else:
         _require(f.deriv(M_eff) <= 1e-12, "f must be decreasing on [m, M]")
     b_val = beta_const(f, m_eff, M_eff, alpha)
-    fA, fB = calc(f, A), calc(f, B)
+    fA, fB = calc(f, A, name=a_name), calc(f, B, name=b_name)
     if statement == "alpha_beta_increasing":
         bound = alpha * fA + b_val * eye - fB
         ref = _fro(alpha * fA)

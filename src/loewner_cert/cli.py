@@ -231,8 +231,7 @@ def _cmd_certify(args) -> int:
                               restarts=args.restarts, max_iter=args.max_iter,
                               step_tol=args.step_tol, seed=args.seed)
     else:
-        [A], [B] = one(a_ops, "A").values(), one(b_ops, "B").values()
-        cert = verify_classical(statement, A, B,
+        cert = verify_classical(statement, one(a_ops, "A"), one(b_ops, "B"),
                                 p=args.p, f=f, alpha=args.alpha,
                                 m=args.m, M=args.M, tol=args.tol)
     report = cert.to_dict()

@@ -21,7 +21,9 @@ from one spectral assembly that decomposes each operand, and T, once.
 
 Two solvers are provided: a multistart Riemannian Newton-CG ascent on the
 complex unit sphere (the primary path) and a sampling plus coordinate
-ascent brute-force oracle that shares no iteration logic with it.
+ascent brute-force oracle that shares no iteration logic with it: it uses
+no gradient, no Hessian and no CG, only exact maxima of F along great
+circles, each found from F's five Fourier coefficients on that circle.
 ``solve``, which the certificates and the CLI call, first tries a closed
 form: when C, S and D commute (chebyshev, eta, vartheta without a family
 and many diagonal or pinching families) the maximum lies on an edge of the
@@ -99,8 +101,9 @@ _MIX = (1.0, 0.7548776662466927, 0.5698402909980532)
 
 _GRID_RESOLUTION = 700
 _REFINE_CANDIDATES = 10
-_GEODESIC_GRID = 64
 _MAX_SWEEPS = 60
+_LINE_GRID = 1024
+_LINE_NEWTON = 2
 
 
 @dataclass(frozen=True)
@@ -540,10 +543,46 @@ def solve(problem: GapProblem, restarts: int = 64, max_iter: int = 500,
 
 # -- brute-force oracle -------------------------------------------------
 #
-# The oracle holds (C, S, D) as one stack M of shape (3, k, k), and the
-# images and coefficients of the three forms as stacks too, so that each
-# numpy call does the work of all three forms; every element still gets
-# the floating-point operations it would get form by form.
+# The oracle holds (C, S, D) as one stack M of shape (3, k, k), and X with
+# its three images as one (4, k, b) block, so that each numpy call does the
+# work of all three forms.  Along a geodesic x cos psi + W sin psi each form
+# is q cos^2 psi + 2 Re<W, Mx> sin psi cos psi + <W, MW> sin^2 psi, so F is
+# a trig polynomial of degree two in z = 2 psi.  One constant 5 x 12 matrix
+# maps C's three numbers and the nine products of S's with D's to F's five
+# Fourier coefficients, and ``_line_max`` maximizes F on all columns at
+# once.  For a coordinate axis the three numbers come in closed form from
+# x_j, (Mx)_j and M_jj, so an axis step forms no direction vector, and a
+# move is one scaling of the block plus a multiple of column j of I, C, S, D.
+
+
+def _fourier_map() -> np.ndarray:
+    """The 5 x 12 matrix from (q, Re<W, Mx>, <W, MW>) rows to F's coefficients.
+
+    Its columns act on C's row, then on the products S_i D_j of S's and D's
+    rows, and its rows give the coefficients of 1, cos z, sin z, cos 2z and
+    sin 2z.  Each form is a + b cos z + c sin z with (a, b, c) = L (q,
+    Re<W, Mx>, <W, MW>), and vS vD has the coefficients u_S^T B_p u_D in
+    terms of u = (a, b, c).
+    """
+    L = np.array([[0.5, 0.0, 0.5], [0.5, 0.0, -0.5], [0.0, 1.0, 0.0]])
+    B = np.array([np.diag([1.0, 0.5, 0.5]),
+                  [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+                  [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
+                  np.diag([0.0, 0.5, -0.5]),
+                  [[0.0, 0.0, 0.0], [0.0, 0.0, 0.5], [0.0, 0.5, 0.0]]])
+    lin = np.concatenate([L, np.zeros((2, 3))])
+    return np.concatenate([lin, -(L.T @ B @ L).reshape(5, 9)], axis=1)
+
+
+_FOURIER = _fourier_map()
+_LINE_Z = np.linspace(0.0, 2.0 * np.pi, _LINE_GRID, endpoint=False)
+_LINE_HARMONICS = np.array([[1.0], [2.0]])
+_LINE_BASIS = np.stack([np.ones(_LINE_GRID), np.cos(_LINE_Z), np.sin(_LINE_Z),
+                        np.cos(2.0 * _LINE_Z), np.sin(2.0 * _LINE_Z)])
+# F' and F'' (rows) as coefficients of cos z, sin z, cos 2z, sin 2z in P
+_LINE_SLOPES = np.array([[[0, 0, 1, 0, 0], [0, -1, 0, 0, 0], [0, 0, 0, 0, 2], [0, 0, 0, -2, 0]],
+                         [[0, -1, 0, 0, 0], [0, 0, -1, 0, 0], [0, 0, 0, -4, 0],
+                          [0, 0, 0, 0, -4]]], dtype=float)
 
 
 def _sweep_dim2(M) -> np.ndarray:
@@ -577,34 +616,77 @@ def _sweep_dim2(M) -> np.ndarray:
     return np.array([ct[best_ti], eph[best_pj] * st[best_ti]], dtype=complex)
 
 
+def _line_max(P):
+    """Maximum over z of F(z) = P0 + P1 cos z + P2 sin z + P3 cos 2z + P4 sin 2z.
+
+    ``P`` holds one column of coefficients per problem; returns the
+    maximizing z in [0, 2 pi) up to the last Newton step and F there.  The
+    best of _LINE_GRID equispaced points seeds _LINE_NEWTON safeguarded
+    Newton steps (taken only where F'' < 0, each clipped to 0.2), and the
+    grid point is kept where they do not end higher.
+    """
+    b = P.shape[1]
+    FG = P.T @ _LINE_BASIS
+    i = FG.argmax(axis=1)
+    z0, F0 = _LINE_Z[i], FG[np.arange(b), i]
+    D = _LINE_SLOPES @ P  # F' and F'' as rows over (cos z, sin z, cos 2z, sin 2z)
+    T = _LINE_BASIS[1:, i]
+    z = z0
+    for _ in range(_LINE_NEWTON):
+        g = (D * T).sum(axis=1)
+        dz = np.divide(g[0], g[1], out=np.zeros(b), where=g[1] < -1e-300)
+        z = z - np.minimum(np.maximum(dz, -0.2), 0.2)
+        angles = _LINE_HARMONICS * z
+        T = np.empty((4, b))
+        np.cos(angles, out=T[0::2])
+        np.sin(angles, out=T[1::2])
+    Fz = P[0] + (P[1:] * T).sum(axis=0)
+    up = Fz > F0
+    return np.where(up, z, z0), np.where(up, Fz, F0)
+
+
 def _coordinate_ascent(M, X0, max_sweeps: int = _MAX_SWEEPS):
     """Exact line maximization along spherical coordinate geodesics.
 
-    Along the geodesic through x and (a phase of) a coordinate axis the
-    three quadratic forms are degree-one trig polynomials in z = 2 psi,
-    so F restricted to it is maximized by a coarse grid plus safeguarded
-    Newton steps.  Monotone by construction; independent of the gradient
-    solver it cross-checks.  ``M`` stacks (C, S, D); returns the
-    normalized columns, their values of F and the number of sweeps.
+    Each sweep first follows one pattern geodesic, along the displacement
+    since the start of the previous sweep (from the second sweep on), and
+    then the geodesic through x and each phase 1, i of each coordinate
+    axis, each maximized by ``_line_max``; a column moves only where F
+    rises.  Monotone by construction; independent of the gradient solver
+    it cross-checks.
+    ``M`` stacks (C, S, D); returns the normalized columns, their values of
+    F and the number of sweeps.
     """
     k, b = X0.shape
-    # XW[0] holds X and its C, S, D images, XW[1] the direction W and its images
-    XW = np.empty((2, 4, k, b), dtype=complex)
-    XM, WM = XW
+    XM = np.empty((4, k, b), dtype=complex)  # X and its C, S, D images
     XM[0] = X0
     E = np.concatenate([np.eye(k, dtype=complex)[None], M])
-    axes = [(j, unit == 1j, unit * E[:, :, j, None]) for j in range(k) for unit in (1.0, 1j)]
-    zg = np.linspace(0.0, 2.0 * np.pi, _GEODESIC_GRID, endpoint=False)
-    cg, sg = np.cos(zg), np.sin(zg)
-    # along a geodesic each form is a + bc cos z + cr sin z; K holds
-    # (bc, cr, -bc, -cr), so that K[:3] cos z + K[1:] sin z plus a in the
-    # first row gives the value, first and second derivative rows of V
-    K = np.empty((4, 3, b))
-    bc, cr = K[:2]
+    Mjj = np.diagonal(M, axis1=1, axis2=2).real
+    axes = [(j, unit == 1j, unit * E[:, :, j, None], Mjj[:, j, None])
+            for j in range(k) for unit in (1.0, 1j)]
+    # per form the rows (q, Re<W, Mx>, <W, MW>); q is kept current in V[:, 0]
     V = np.empty((3, 3, b))
-    (_, vS, vD), (_, dS, dD) = V[:2]
-    dC12, dS12, dD12 = V[1:].swapaxes(0, 1)
-    g = np.empty((2, b))  # first and second derivative of F
+    q, cr, w = V.swapaxes(0, 1)
+    # C's rows, then the products of S's rows with D's, for _FOURIER
+    Y = np.empty((12, b))
+    SD = Y[3:].reshape(3, 3, b)
+    G = np.empty((3, b))  # cos^2 psi, 2 sin psi cos psi, sin^2 psi
+
+    def advance(live):
+        """cos psi, sin psi of the best step along each column's W (psi = 0 unless F rises)."""
+        Y[:3] = V[0]
+        np.multiply(V[1, :, None], V[2], out=SD)
+        z, Fz = _line_max(_FOURIER @ Y)
+        psi = np.where(live & (Fz > F), 0.5 * z, 0.0)
+        cs, sn = np.cos(psi), np.sin(psi)
+        np.multiply(cs, cs, out=G[0])
+        np.multiply(2.0 * sn, cs, out=G[1])
+        np.multiply(sn, sn, out=G[2])
+        # psi = 0 leaves q exactly as it is
+        (V * G).sum(axis=1, out=q)
+        np.subtract(q[0], q[1] * q[2], out=F)
+        return cs, sn
+
     sweeps = 0
     while True:
         # (re)normalize X, which also kills the drift of the previous sweep;
@@ -612,53 +694,45 @@ def _coordinate_ascent(M, X0, max_sweeps: int = _MAX_SWEEPS):
         # candidate block does (numpy sums those pairwise once k >= 8)
         XM[0] /= np.linalg.norm(np.asfortranarray(XM[0]), axis=0)
         np.matmul(M, XM[0], out=XM[1:])
-        q = (XM[0].conj() * XM[1:]).real.sum(axis=1)
+        q[...] = (XM[0].conj() * XM[1:]).real.sum(axis=1)
         F = q[0] - q[1] * q[2]
         if sweeps == max_sweeps or (sweeps and float(np.max(F - F_before))
                                     < 1e-13 * (1.0 + float(np.abs(F).max()))):
             break
         sweeps += 1
         F_before = F.copy()
-        for j, imag, Ej in axes:
-            cmix = XM[0, j].imag if imag else XM[0, j].real
+        if sweeps > 1:
+            # pattern step: the horizontal part of x - base, normalized
+            W = XM[0] - base
+            W -= XM[0] * (XM[0].conj() * W).sum(axis=0)
+            norm = np.linalg.norm(W, axis=0)
+            live = norm > 0.0
+            W /= np.where(live, norm, 1.0)
+            MW = M @ W
+            Wc = W.conj()
+            cr[...] = (Wc * XM[1:]).real.sum(axis=1)
+            w[...] = (Wc * MW).real.sum(axis=1)
+            cs, sn = advance(live)
+            XM[0] *= cs
+            XM[0] += W * sn
+            XM[1:] *= cs
+            XM[1:] += MW * sn
+        base = XM[0].copy()
+        for j, imag, Ej, mjj in axes:
+            # W = (e - cmix x) / nu for the axis e = unit e_j, cmix = Re<e, x>
+            row = XM[:, j].imag if imag else XM[:, j].real
+            cmix, r = row[0], row[1:]  # r = Re<e, Mx>
             nu2 = 1.0 - cmix * cmix
-            live = nu2 > 1e-20
-            if not live.any():
-                continue
-            nu = np.sqrt(np.where(live, nu2, 1.0))
-            np.divide(Ej - XM * cmix, nu, out=WM)
-            R = (WM[0].conj() * XW[:, 1:]).sum(axis=2).real  # <W, M X>, <W, M W>
-            a = 0.5 * (q + R[1])
-            np.multiply(0.5, q - R[1], out=bc)
-            cr[...] = R[0]
-            np.negative(K[:2], out=K[2:])
-            # F on the geodesic grid, one row per column of X
-            Q = a[:, :, None] + bc[:, :, None] * cg + cr[:, :, None] * sg
-            FG = Q[0] - Q[1] * Q[2]
-            z0 = zg[FG.argmax(axis=1)]
-            F0 = FG.max(axis=1)
-            z = z0
-            for _ in range(6):
-                np.multiply(K[:3], np.cos(z), out=V)
-                V[0] += a
-                V += K[1:] * np.sin(z)
-                np.subtract(dC12, np.multiply(dS12, vD, out=g), out=g)
-                g[1] -= 2.0 * dS * dD
-                g -= vS * dD12
-                step = np.divide(g[0], g[1], out=np.zeros(b), where=g[1] < -1e-300)
-                z = z - np.minimum(np.maximum(step, -0.2), 0.2)
-            v = a + bc * np.cos(z) + cr * np.sin(z)
-            Fz = v[0] - v[1] * v[2]
-            zfin = np.where(Fz > F0, z, z0)
-            move = live & (np.maximum(Fz, F0) > F)
-            if not move.any():
-                continue
-            mc = move.nonzero()[0]
-            psi = 0.5 * zfin[mc]
-            XM[:, :, mc] = XM[:, :, mc] * np.cos(psi) + WM[:, :, mc] * np.sin(psi)
-            zm = zfin[mc]
-            q[:, mc] = a[:, mc] + bc[:, mc] * np.cos(zm) + cr[:, mc] * np.sin(zm)
-            F[mc] = q[0, mc] - q[1, mc] * q[2, mc]
+            inv2 = 1.0 / np.maximum(nu2, 1e-20)
+            inv = np.sqrt(inv2)
+            rq = r - cmix * q
+            np.multiply(rq, inv, out=cr)
+            np.multiply(mjj - cmix * (r + rq), inv2, out=w)
+            cs, sn = advance(nu2 > 1e-20)
+            # x cos psi + W sin psi, for x and its images at once
+            sn *= inv
+            XM *= cs - cmix * sn
+            XM += Ej * sn
     return XM[0], F, sweeps
 
 
@@ -668,8 +742,8 @@ def solve_bruteforce(problem: GapProblem, samples: int = 20000, seed=0) -> GapRe
     Dimension 1 is closed form.  Dimension 2 additionally sweeps the
     parametrization x = (cos t, e^{i phi} sin t) on a dense grid (the
     global phase is irrelevant).  The best ten candidates are then
-    polished by geodesic coordinate ascent; ``iterations`` counts its
-    sweeps.
+    polished by geodesic coordinate ascent with one pattern step per sweep;
+    ``iterations`` counts its sweeps.
     """
     if samples < 1:
         raise BadDimensions(f"need at least one sample, got {samples}")

@@ -110,28 +110,29 @@ def _spectral_images(A, fns, domain: Interval | None = None, name: str = "matrix
     return [hermitize((U * np.asarray(fn(w), dtype=float)) @ U.conj().T) for fn in fns]
 
 
-def apply_spectral(A, fn, domain: Interval | None = None) -> np.ndarray:
+def apply_spectral(A, fn, domain: Interval | None = None, name: str = "matrix") -> np.ndarray:
     """Apply a scalar callable to A through its eigenvalues.
 
     When a domain is given the spectrum is validated against it first;
     eigenvalues within SPECTRUM_CLAMP_TOL of a closed endpoint are snapped
-    onto it so that rounding does not cause spurious rejections.
+    onto it so that rounding does not cause spurious rejections.  Errors
+    about A name it ``name``.
     """
-    return _spectral_images(A, (fn,), domain)[0]
+    return _spectral_images(A, (fn,), domain, name=name)[0]
 
 
-def calc(f: ScalarFunction, A) -> np.ndarray:
+def calc(f: ScalarFunction, A, name: str = "matrix") -> np.ndarray:
     """Functional calculus f(A) for an admitted convex function."""
-    return apply_spectral(A, f.value_array, f.domain)
+    return apply_spectral(A, f.value_array, f.domain, name=name)
 
 
-def matrix_power(A, p: float) -> np.ndarray:
+def matrix_power(A, p: float, name: str = "matrix") -> np.ndarray:
     """A**p through the spectrum; non-integer p requires A >= 0."""
     p = float(p)
     if p.is_integer() and p >= 0:
-        return apply_spectral(A, lambda w: np.power(w, p))
+        return apply_spectral(A, lambda w: np.power(w, p), name=name)
     domain = Interval(0.0, float("inf"), lo_closed=True)
-    return apply_spectral(A, lambda w: np.power(w, p), domain)
+    return apply_spectral(A, lambda w: np.power(w, p), domain, name=name)
 
 
 class LoewnerCheck(NamedTuple):

@@ -79,7 +79,13 @@ class Pinch:
     variant = "pinch"
 
     def __post_init__(self):
-        blocks = tuple(tuple(int(i) for i in blk) for blk in self.blocks)
+        def index(i):
+            try:
+                return _json_int(i)
+            except ValueError:
+                raise BadDimensions(f"pinch block entry {i!r} is not an integer") from None
+
+        blocks = tuple(tuple(index(i) for i in blk) for blk in self.blocks)
         seen = [i for blk in blocks for i in blk]
         if sorted(seen) != list(range(self.dim)):
             raise BadDimensions(f"blocks {blocks} do not partition range({self.dim})")

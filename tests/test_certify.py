@@ -255,6 +255,18 @@ def test_verify_classical_rejects_unknown():
         verify_classical("unknown", FURUTA_A, FURUTA_B, p=2.0)
 
 
+def test_verify_classical_names_an_overflowing_operand():
+    # finite entries whose largest eigenvalue, 2e308, is beyond the float range
+    big = np.full((2, 2), 1e308)
+    with pytest.raises(NonFinite, match="^A has an eigenvalue that overflows"):
+        verify_classical("lowner_heinz", big, big, p=0.5)
+    with pytest.raises(NonFinite, match="^b.json has an eigenvalue that overflows"):
+        verify_classical("lowner_heinz", {"a.json": np.zeros((2, 2))}, {"b.json": big},
+                         p=0.5)
+    with pytest.raises(BadDimensions):
+        verify_classical("lowner_heinz", {"a": big, "b": big}, big, p=0.5)
+
+
 # -- order violation search --------------------------------------------
 
 

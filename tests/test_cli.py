@@ -286,6 +286,15 @@ def test_overflowing_eigenvalue_is_exit_two(tmp_path, capsys):
     assert "outside domain" not in err
 
 
+def test_classical_errors_name_the_file(tmp_path, capsys):
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"dim": 2, "re": [[1e308, 1e308], [1e308, 1e308]]}))
+    code, out = run_cli(["certify", "--statement", "lowner-heinz", "--A", str(big),
+                         "--B", str(big), "--p", "0.5"])
+    assert code == 2 and out == ""
+    assert f"error: {big} has an eigenvalue that overflows" in capsys.readouterr().err
+
+
 def test_assembly_errors_name_the_file(tmp_path, capsys):
     ok = write_matrix(tmp_path / "ok.json", np.diag([0.5, 1.0]))
     big = tmp_path / "big.json"

@@ -29,6 +29,7 @@ from loewner_cert import (
     solve_multistart,
 )
 from loewner_cert import gaps
+from loewner_cert.fuzz import AGREE_RTOL
 from loewner_cert.hermitian import hermitize
 
 A2 = np.diag([0.0, 1.0]).astype(complex)
@@ -449,6 +450,47 @@ def test_dim2_grid_candidate_joins_the_ascent(i, monkeypatch):
         assert np.array_equal(X0[:, -1], gaps._sweep_dim2(_stack(prob)))
     else:
         assert X0.shape == (prob.dim, gaps._REFINE_CANDIDATES)
+
+
+def _crosscheck_instance_54():
+    """The eta problem that the benchmark's crosscheck pool sends as instance 54.
+
+    n = 4, f = power:-0.5 with spectra drawn from [0.25, 2.5], no family;
+    the same seeded numpy calls as the benchmark's input generator.
+    """
+    rng = np.random.default_rng([200403312, sum(map(ord, "crosscheck")), 54])
+    Z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    Q, R = np.linalg.qr(Z)
+    d = np.diagonal(R)
+    Q = Q * (d / np.abs(d))
+    H = (Q * rng.uniform(0.25, 2.5, size=4)) @ Q.conj().T
+    return build_gap_problem("eta", parse_function("power:-0.5"), [0.5 * (H + H.conj().T)])
+
+
+def test_oracle_reaches_the_maximum_of_crosscheck_instance_54():
+    # at this seed the oracle once stopped at its sweep cap 1.7e-5 short,
+    # and gap --oracle reported disagreement
+    prob = _crosscheck_instance_54()
+    v = solve(prob).value
+    res = solve_bruteforce(prob, samples=20000, seed=1642437701)
+    assert abs(res.value - v) <= AGREE_RTOL * (1.0 + abs(res.value))
+    assert res.value >= v - 1e-12 * (1.0 + abs(v))
+
+
+def test_line_max_beats_a_dense_grid():
+    P = np.random.default_rng(3).standard_normal((5, 400))
+    P[:, :100] *= np.logspace(-8, 8, 100)  # scales across 16 orders
+    P[3:, 100:200] = 0.0  # degree-one polynomials
+    P[1:3, 200:300] *= 1e-9  # nearly pure second harmonics, two equal peaks
+    z, Fz = gaps._line_max(P)
+    grid = np.linspace(0.0, 2.0 * np.pi, 100_000, endpoint=False)
+    basis = np.stack([np.ones_like(grid), np.cos(grid), np.sin(grid),
+                      np.cos(2.0 * grid), np.sin(2.0 * grid)])
+    dense = (P.T @ basis).max(axis=1)
+    assert np.all(Fz >= dense - 1e-12 * (1.0 + np.abs(dense)))
+    # the returned value is F at the returned z
+    at_z = np.stack([np.ones_like(z), np.cos(z), np.sin(z), np.cos(2.0 * z), np.sin(2.0 * z)])
+    assert np.allclose((P * at_z).sum(axis=0), Fz, rtol=1e-14, atol=1e-14 * np.abs(P).max())
 
 
 # -- exact maxima of commuting triples ---------------------------------

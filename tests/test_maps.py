@@ -45,6 +45,19 @@ def test_pinch_partition_validation():
     Pinch(3, ((2, 0), (1,)))  # order inside blocks is free
 
 
+@pytest.mark.parametrize("entry", [1.7, True, np.bool_(True), "1", None])
+def test_pinch_refuses_non_integral_entries(entry):
+    with pytest.raises(BadDimensions, match=f"pinch block entry {entry!r}"):
+        Pinch(2, ((0,), (entry,)))
+
+
+def test_pinch_accepts_integral_floats_and_numpy_ints():
+    for entry in (1.0, np.int64(1), np.float64(1.0), np.uint8(1)):
+        phi = Pinch(2, ((np.int32(0),), (entry,)))
+        assert phi.blocks == ((0,), (1,))
+        assert all(type(i) is int for blk in phi.blocks for i in blk)
+
+
 def test_pinch_apply_zeroes_off_blocks():
     X = np.arange(9, dtype=float).reshape(3, 3)
     X = 0.5 * (X + X.T).astype(complex)
