@@ -19,11 +19,13 @@ from .constants import kantorovich
 from .errors import BadDimensions, HypothesisViolated, NotUnitVector
 from .gaps import _as_ops, _assemble, _problem, solve
 from .hermitian import (
+    _power,
+    _spectral_images,
     calc,
     loewner_leq,
-    matrix_power,
     min_eigenvalue,
     random_dominated_pair,
+    spectral_decompose,
 )
 from .maps import MapFamily
 from .scalarfn import ScalarFunction
@@ -236,13 +238,14 @@ def _require(cond: bool, msg: str) -> None:
         raise HypothesisViolated(msg)
 
 
-def _hull(*mats) -> tuple[float, float]:
-    los, his = [], []
-    for A in mats:
-        w = np.linalg.eigvalsh(A)
-        los.append(float(w[0]))
-        his.append(float(w[-1]))
-    return min(los), max(his)
+def _window(statement: str, spectra, m, M, what: str) -> tuple[float, float]:
+    """[m, M], each end defaulting to the hull of ``spectra``, checked to hold them."""
+    lo, hi = float(min(w[0] for w in spectra)), float(max(w[-1] for w in spectra))
+    m_eff = lo if m is None else float(m)
+    M_eff = hi if M is None else float(M)
+    _require(0 < m_eff < M_eff, f"{statement} needs 0 < m < M")
+    _require(lo >= m_eff - _HYP_TOL and hi <= M_eff + _HYP_TOL, f"{what} must lie in [m, M]")
+    return m_eff, M_eff
 
 
 def _one_operand(op, side: str):
@@ -266,9 +269,11 @@ def verify_classical(statement: str, A, B, *, p: float | None = None,
     alpha_beta_decreasing:  B <= A, f decreasing convex  =>  f(A) <= alpha f(B) + beta
 
     [m, M] defaults to the spectral hull of the constrained operator(s).
-    Inputs that fail a hypothesis raise HypothesisViolated.  A or B given
-    as a one-entry dict is named by its key in errors (the CLI uses the
-    file path), else by "A" or "B".
+    Each operand is decomposed once; the hypotheses, the hull and the
+    functional calculus all read that decomposition.  Inputs that fail a
+    hypothesis raise HypothesisViolated.  A or B given as a one-entry dict
+    is named by its key in errors (the CLI uses the file path), else by
+    "A" or "B".
     """
     if statement not in CLASSICAL_STATEMENTS:
         raise ValueError(f"unknown classical statement {statement!r}")
@@ -278,21 +283,18 @@ def verify_classical(statement: str, A, B, *, p: float | None = None,
         raise HypothesisViolated(f"shapes {A.shape} and {B.shape} differ")
     n = A.shape[0]
     eye = np.eye(n)
+    dA, dB = spectral_decompose(A), spectral_decompose(B)
+    wA, wB = dA.eigenvalues, dB.eigenvalues
 
     if statement == "furuta":
         _require(p is not None and p >= 1.0, "furuta needs an exponent p >= 1")
         _require(loewner_leq(B, A, _HYP_TOL).holds, "furuta needs B <= A")
-        _require(min_eigenvalue(A) > 0, "furuta needs A > 0")
-        _require(min_eigenvalue(B) >= -_HYP_TOL, "furuta needs B >= 0")
-        lo, hi = _hull(A)
-        m_eff = lo if m is None else float(m)
-        M_eff = hi if M is None else float(M)
-        _require(0 < m_eff < M_eff, "furuta needs 0 < m < M")
-        _require(lo >= m_eff - _HYP_TOL and hi <= M_eff + _HYP_TOL,
-                 "spectrum of A must lie in [m, M]")
+        _require(wA[0] > 0, "furuta needs A > 0")
+        _require(wB[0] >= -_HYP_TOL, "furuta needs B >= 0")
+        m_eff, M_eff = _window(statement, (wA,), m, M, "spectrum of A")
         K = kantorovich(m_eff, M_eff, p)
-        Ap = matrix_power(A, p, name=a_name)
-        Bp = matrix_power(B, p, name=b_name)
+        Ap = _power(dA, p, a_name)
+        Bp = _power(dB, p, b_name)
         return _finish(
             statement,
             {"K": K, "p": float(p), "m": m_eff, "M": M_eff},
@@ -305,10 +307,10 @@ def verify_classical(statement: str, A, B, *, p: float | None = None,
 
     if statement == "lowner_heinz":
         _require(p is not None and 0.0 <= p <= 1.0, "lowner_heinz needs p in [0, 1]")
-        _require(min_eigenvalue(A) >= -_HYP_TOL, "lowner_heinz needs A >= 0")
+        _require(wA[0] >= -_HYP_TOL, "lowner_heinz needs A >= 0")
         _require(loewner_leq(A, B, _HYP_TOL).holds, "lowner_heinz needs A <= B")
-        Ap = matrix_power(A, p, name=a_name)
-        Bp = matrix_power(B, p, name=b_name)
+        Ap = _power(dA, p, a_name)
+        Bp = _power(dB, p, b_name)
         return _finish(
             statement,
             {"p": float(p)},
@@ -323,12 +325,7 @@ def verify_classical(statement: str, A, B, *, p: float | None = None,
     _require(f is not None, f"{statement} needs a scalar function")
     _require(alpha > 0, f"{statement} needs alpha > 0")
     _require(loewner_leq(B, A, _HYP_TOL).holds, f"{statement} needs B <= A")
-    lo, hi = _hull(A, B)
-    m_eff = lo if m is None else float(m)
-    M_eff = hi if M is None else float(M)
-    _require(0 < m_eff < M_eff, f"{statement} needs 0 < m < M")
-    _require(lo >= m_eff - _HYP_TOL and hi <= M_eff + _HYP_TOL,
-             "spectra of A and B must lie in [m, M]")
+    m_eff, M_eff = _window(statement, (wA, wB), m, M, "spectra of A and B")
     _require(f.domain.contains_interval(m_eff, M_eff),
              f"[{m_eff}, {M_eff}] must lie inside the domain of f")
     # f convex means f' is nondecreasing, so one endpoint fixes the sign
@@ -337,7 +334,8 @@ def verify_classical(statement: str, A, B, *, p: float | None = None,
     else:
         _require(f.deriv(M_eff) <= 1e-12, "f must be decreasing on [m, M]")
     b_val = beta_const(f, m_eff, M_eff, alpha)
-    fA, fB = calc(f, A, name=a_name), calc(f, B, name=b_name)
+    fA = _spectral_images(dA, (f.value_array,), f.domain, name=a_name)[0]
+    fB = _spectral_images(dB, (f.value_array,), f.domain, name=b_name)[0]
     if statement == "alpha_beta_increasing":
         bound = alpha * fA + b_val * eye - fB
         ref = _fro(alpha * fA)

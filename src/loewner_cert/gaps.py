@@ -62,7 +62,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import BadDimensions, DimensionMismatch, NonFinite, NotUnitalFamily
-from .hermitian import _spectral_images, hermitize, require_hermitian
+from .hermitian import _spectral_images, hermitize, require_hermitian, spectral_decompose
 from .maps import MapFamily, check_unital_family
 from .scalarfn import ScalarFunction
 
@@ -99,7 +99,6 @@ _COMMUTE_TOL = 16.0
 # two distinct joint eigenvalues collide in the combination by accident)
 _MIX = (1.0, 0.7548776662466927, 0.5698402909980532)
 
-_GRID_RESOLUTION = 700
 _REFINE_CANDIDATES = 10
 _MAX_SWEEPS = 60
 _LINE_GRID = 1024
@@ -202,7 +201,7 @@ def _assemble(f: ScalarFunction, a_ops, b_ops=None,
 
     def images(X, name):
         with np.errstate(over="ignore", invalid="ignore"):  # reported below
-            out = _spectral_images(X, fns, f.domain, name=name)
+            out = _spectral_images(spectral_decompose(X), fns, f.domain, name=name)
         for img, label in zip(out, ("f", "f'", "t f'")):
             if not np.isfinite(img).all():
                 raise NonFinite(f"{label}({name}) has a non-finite entry, "
@@ -233,7 +232,7 @@ def _assemble(f: ScalarFunction, a_ops, b_ops=None,
     a_images = [images(A, name) for name, A in a.items()]
     if b is not a:  # the B_i only need their spectra checked
         for name, B in b.items():
-            _spectral_images(B, (), f.domain, name=name)
+            _spectral_images(spectral_decompose(B), (), f.domain, name=name)
     T = family.apply_sum(b.values())
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         sums = [family.apply_sum(ops) for ops in (a.values(), *zip(*a_images))]
@@ -585,37 +584,6 @@ _LINE_SLOPES = np.array([[[0, 0, 1, 0, 0], [0, -1, 0, 0, 0], [0, 0, 0, 0, 2], [0
                           [0, 0, 0, 0, -4]]], dtype=float)
 
 
-def _sweep_dim2(M) -> np.ndarray:
-    """Best x = (cos t, e^{i phi} sin t) on a _GRID_RESOLUTION^2 grid (dim 2 only)."""
-    t = np.linspace(0.0, 0.5 * np.pi, _GRID_RESOLUTION)
-    ct, st = np.cos(t), np.sin(t)
-    cs2 = 2.0 * ct * st
-    phis = np.linspace(0.0, 2.0 * np.pi, _GRID_RESOLUTION, endpoint=False)
-    eph = np.exp(1j * phis)
-    # each form is base(t) + cs2(t) cross(phi)
-    base = ct * ct * M[:, 0, 0].real[:, None] + st * st * M[:, 1, 1].real[:, None]
-    cross = (eph * M[:, 0, 1][:, None]).real
-    best_val = -np.inf
-    best_ti = best_pj = 0
-    chunk = 256
-    Q = np.empty((3, _GRID_RESOLUTION, chunk))  # (form, t, phi), one chunk of phi
-    for start in range(0, _GRID_RESOLUTION, chunk):
-        part = cross[:, None, start:start + chunk]
-        G = Q[:, :, :part.shape[2]]
-        np.multiply(cs2[:, None], part, out=G)
-        G += base[:, :, None]
-        G[1] *= G[2]
-        G[0] -= G[1]
-        Fg = G[0]
-        flat = int(np.argmax(Fg))
-        val = float(Fg.flat[flat])
-        if val > best_val:
-            best_val = val
-            best_ti, best_pj = divmod(flat, Fg.shape[1])
-            best_pj += start
-    return np.array([ct[best_ti], eph[best_pj] * st[best_ti]], dtype=complex)
-
-
 def _line_max(P):
     """Maximum over z of F(z) = P0 + P1 cos z + P2 sin z + P3 cos 2z + P4 sin 2z.
 
@@ -739,11 +707,12 @@ def _coordinate_ascent(M, X0, max_sweeps: int = _MAX_SWEEPS):
 def solve_bruteforce(problem: GapProblem, samples: int = 20000, seed=0) -> GapResult:
     """Sampling oracle: random unit vectors, then coordinate ascent.
 
-    Dimension 1 is closed form.  Dimension 2 additionally sweeps the
-    parametrization x = (cos t, e^{i phi} sin t) on a dense grid (the
-    global phase is irrelevant).  The best ten candidates are then
-    polished by geodesic coordinate ascent with one pattern step per sweep;
-    ``iterations`` counts its sweeps.
+    Dimension 1 is closed form.  The best ten samples are polished by
+    geodesic coordinate ascent with one pattern step per sweep;
+    ``iterations`` counts its sweeps.  The ascent can settle on a local
+    maximum, so the oracle wants ``samples`` >= 10: with one sample it
+    stopped short on 15 of 3,000 random dimension-2 triples, by up to
+    13% of 1 + |max|.
     """
     if samples < 1:
         raise BadDimensions(f"need at least one sample, got {samples}")
@@ -762,10 +731,7 @@ def solve_bruteforce(problem: GapProblem, samples: int = 20000, seed=0) -> GapRe
     qC, qS, qD = ((Zc * (A @ Z)).real.sum(axis=0) for A in M)
     Fs = qC - qS * qD
     top = np.argsort(Fs)[::-1][:_REFINE_CANDIDATES]
-    candidates = [Z[:, top]]
-    if k == 2:
-        candidates.append(_sweep_dim2(M)[:, None])
-    X, F, sweeps = _coordinate_ascent(M, np.concatenate(candidates, axis=1))
+    X, F, sweeps = _coordinate_ascent(M, Z[:, top])
     best = int(np.argmax(F))
     x = X[:, best] / np.linalg.norm(X[:, best])
     return GapResult(gap_objective(problem, x), x, "bruteforce", sweeps, samples)

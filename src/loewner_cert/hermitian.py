@@ -94,13 +94,13 @@ def spectral_decompose(A) -> SpectralDecomposition:
     return SpectralDecomposition(w, U)
 
 
-def _spectral_images(A, fns, domain: Interval | None = None, name: str = "matrix") -> list:
-    """fn(A) for each fn in ``fns`` from one decomposition and one clamp.
+def _spectral_images(dec: SpectralDecomposition, fns, domain: Interval | None = None,
+                     name: str = "matrix") -> list:
+    """fn(A) for each fn in ``fns`` from A's decomposition ``dec`` and one clamp.
 
     An eigenvalue beyond the float range raises NonFinite naming ``name``
     before the spectrum is checked against ``domain``.
     """
-    dec = spectral_decompose(A)
     w = dec.eigenvalues
     if not np.isfinite(w).all():
         raise NonFinite(f"{name} has an eigenvalue that overflows")
@@ -118,7 +118,7 @@ def apply_spectral(A, fn, domain: Interval | None = None, name: str = "matrix") 
     onto it so that rounding does not cause spurious rejections.  Errors
     about A name it ``name``.
     """
-    return _spectral_images(A, (fn,), domain, name=name)[0]
+    return _spectral_images(spectral_decompose(A), (fn,), domain, name=name)[0]
 
 
 def calc(f: ScalarFunction, A, name: str = "matrix") -> np.ndarray:
@@ -126,13 +126,16 @@ def calc(f: ScalarFunction, A, name: str = "matrix") -> np.ndarray:
     return apply_spectral(A, f.value_array, f.domain, name=name)
 
 
+def _power(dec: SpectralDecomposition, p: float, name: str) -> np.ndarray:
+    """A**p from A's decomposition; p other than 0, 1, 2, ... needs A >= 0."""
+    p = float(p)
+    domain = None if p.is_integer() and p >= 0 else Interval(0.0, float("inf"), lo_closed=True)
+    return _spectral_images(dec, (lambda w: np.power(w, p),), domain, name=name)[0]
+
+
 def matrix_power(A, p: float, name: str = "matrix") -> np.ndarray:
     """A**p through the spectrum; non-integer p requires A >= 0."""
-    p = float(p)
-    if p.is_integer() and p >= 0:
-        return apply_spectral(A, lambda w: np.power(w, p), name=name)
-    domain = Interval(0.0, float("inf"), lo_closed=True)
-    return apply_spectral(A, lambda w: np.power(w, p), domain, name=name)
+    return _power(spectral_decompose(A), p, name)
 
 
 class LoewnerCheck(NamedTuple):
@@ -179,29 +182,22 @@ def random_dominated_pair(n: int, m: float, M: float, seed) -> tuple[np.ndarray,
     """Draw (A, B) with B <= A and both spectra inside [m, M], 0 < m < M.
 
     A gets a uniform spectrum in [m, M]; B = A - c*P for a strictly
-    positive random P, with c the largest value in (0, 1] keeping
-    lambda_min(B) >= m (found by bisection on the feasible interval).
+    positive random P.  B - m'I is congruent to X - cI with
+    X = P^{-1/2} (A - m'I) P^{-1/2}, so c = min(1, lambda_min(X)) is the
+    largest c in (0, 1] keeping lambda_min(B) >= m'; m' sits 4 n eps M
+    above m so that lambda_min(B) >= m survives rounding.
     """
     if not (0 < m < M):
         raise BadInterval(f"need 0 < m < M, got ({m}, {M})")
     rng = np.random.default_rng(seed)
     A = random_hermitian(n, m, M, rng)
     P = random_hermitian(n, 0.1, 1.0, rng)
-
-    def feasible(c: float) -> bool:
-        return min_eigenvalue(A - c * P) >= m
-
-    if feasible(1.0):
-        c = 1.0
-    else:
-        lo_c, hi_c = 0.0, 1.0
-        for _ in range(48):
-            mid = 0.5 * (lo_c + hi_c)
-            if feasible(mid):
-                lo_c = mid
-            else:
-                hi_c = mid
-        c = lo_c
+    m_safe = m + 4 * n * np.finfo(float).eps * M
+    w, U = np.linalg.eigh(P)
+    s = 1.0 / np.sqrt(w)
+    # X in P's eigenbasis: D^{-1/2} U* (A - m'I) U D^{-1/2}
+    X = s[:, None] * (U.conj().T @ (A - m_safe * np.eye(n)) @ U) * s
+    c = min(1.0, min_eigenvalue(X))
     if c < 1e-8:
         # no room below A; an exactly equal pair satisfies every postcondition
         return A, A.copy()

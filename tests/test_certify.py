@@ -250,6 +250,16 @@ def test_alpha_beta_hypothesis_checks():
                          m=5.0, M=6.0)
 
 
+def test_hypotheses_come_before_the_domain_of_a_non_integral_power():
+    # p = 1.5 and p = 0.5 need spectra in [0, inf); an indefinite A must
+    # fail the statement's own hypothesis, not the functional calculus
+    A = np.diag([1.0, -0.5])
+    with pytest.raises(HypothesisViolated, match="furuta needs A > 0"):
+        verify_classical("furuta", A, A - np.eye(2), p=1.5)  # B <= A
+    with pytest.raises(HypothesisViolated, match="lowner_heinz needs A >= 0"):
+        verify_classical("lowner_heinz", A, A + np.eye(2), p=0.5)  # A <= B
+
+
 def test_verify_classical_rejects_unknown():
     with pytest.raises(ValueError):
         verify_classical("unknown", FURUTA_A, FURUTA_B, p=2.0)
@@ -393,6 +403,37 @@ def test_certify_jensen_decomposes_each_operand_once(kind, eigh_inputs):
     exact = kind == "eta_choi"
     assert len(decomposed) == (2 * m + 1 if two_sided else m + 1 + exact)
     assert eigh_inputs["eigvalsh"] == 1
+
+
+_CLASSICAL_ARGS = {"furuta": {"p": 1.5}, "lowner_heinz": {"p": 0.5},
+                   "alpha_beta_increasing": {"f": power(2)},
+                   "alpha_beta_decreasing": {"f": neglog()}}
+
+
+@pytest.mark.parametrize("statement", sorted(_CLASSICAL_ARGS))
+def test_verify_classical_decomposes_each_operand_once(statement, eigh_inputs):
+    A, B = random_dominated_pair(3, 0.4, 2.2, seed=19)  # B <= A
+    if statement == "lowner_heinz":
+        A, B = B, A
+    eigh_inputs["eigh"].clear()
+    eigh_inputs["eigvalsh"] = 0
+    cert = verify_classical(statement, A, B, **_CLASSICAL_ARGS[statement])
+    assert cert.passed
+    # A and B once each; the hull and the functional calculus read them,
+    # and eigvalsh runs once on the order hypothesis and once on the slack
+    assert len(eigh_inputs["eigh"]) == 2
+    assert eigh_inputs["eigvalsh"] == 2
+
+
+def test_order_violation_trial_takes_five_decompositions(eigh_inputs):
+    random_dominated_pair(4, 0.5, 2.0, seed=3)
+    # P's eigh and one eigvalsh give the dominated pair's c in closed form
+    assert (len(eigh_inputs["eigh"]), eigh_inputs["eigvalsh"]) == (1, 1)
+    eigh_inputs["eigh"].clear()
+    eigh_inputs["eigvalsh"] = 0
+    assert find_order_violation(affine(2.0, 1.0), 2, 3, seed=0) is None
+    # per trial: the pair's two, f(A), f(B) and the witness
+    assert (len(eigh_inputs["eigh"]), eigh_inputs["eigvalsh"]) == (3 * 3, 3 * 2)
 
 
 def test_sandwich_names_non_finite_operand():

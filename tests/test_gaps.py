@@ -432,26 +432,6 @@ def test_oracle_beats_its_best_sample_and_repeats(i):
     assert np.array_equal(again.maximizer, res.maximizer)
 
 
-@pytest.mark.parametrize("i", [0, 1])
-def test_dim2_grid_candidate_joins_the_ascent(i, monkeypatch):
-    prob = _oracle_case(i)
-    seen = []
-    ascent = gaps._coordinate_ascent
-
-    def spy(M, X0, *args):
-        seen.append(X0.copy())
-        return ascent(M, X0, *args)
-
-    monkeypatch.setattr(gaps, "_coordinate_ascent", spy)
-    solve_bruteforce(prob, samples=30, seed=0)
-    [X0] = seen
-    if prob.dim == 2:
-        assert X0.shape == (2, gaps._REFINE_CANDIDATES + 1)
-        assert np.array_equal(X0[:, -1], gaps._sweep_dim2(_stack(prob)))
-    else:
-        assert X0.shape == (prob.dim, gaps._REFINE_CANDIDATES)
-
-
 def _crosscheck_instance_54():
     """The eta problem that the benchmark's crosscheck pool sends as instance 54.
 

@@ -154,11 +154,24 @@ def test_random_hermitian_rejects_bad_window():
 
 @given(n=st.integers(1, 5), seed=seeds)
 def test_random_dominated_pair_properties(n, seed):
-    A, B = random_dominated_pair(n, 0.5, 2.0, seed)
+    m, M = 0.5, 2.0
+    A, B = random_dominated_pair(n, m, M, seed)
     assert loewner_leq(B, A, tol=1e-12).holds
     wa, wb = np.linalg.eigvalsh(A), np.linalg.eigvalsh(B)
-    assert wa[0] >= 0.5 - 1e-9 and wa[-1] <= 2.0 + 1e-9
-    assert wb[0] >= 0.5 - 1e-9 and wb[-1] <= 2.0 + 1e-9
+    assert wa[0] >= m - 1e-9 and wa[-1] <= M + 1e-9
+    assert wb[0] >= m and wb[-1] <= M + 1e-9
+    # c is maximal: B = A - P, or B has no room left above m
+    rng = np.random.default_rng(seed)
+    random_hermitian(n, m, M, rng)
+    P = random_hermitian(n, 0.1, 1.0, rng)
+    c = np.vdot(P, A - B).real / np.vdot(P, P).real
+    assert abs(c - 1.0) <= 1e-12 or wb[0] - m <= 1e-12 * (1.0 + M)
+
+
+def test_random_dominated_pair_without_room_is_an_equal_pair():
+    # every eigenvalue of A lies within 1e-10 of m, so c would be below 1e-8
+    A, B = random_dominated_pair(3, 1.0, 1.0 + 1e-10, seed=0)
+    assert np.array_equal(A, B) and B is not A
 
 
 def test_random_dominated_pair_rejects_bad_window():
