@@ -9,7 +9,7 @@ penalized for honest rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -19,13 +19,11 @@ from .constants import kantorovich
 from .errors import BadDimensions, HypothesisViolated, NotUnitVector
 from .gaps import _as_ops, _assemble, _problem, solve
 from .hermitian import (
+    SpectralDecomposition,
     _power,
     _spectral_images,
-    calc,
-    loewner_leq,
     min_eigenvalue,
     random_dominated_pair,
-    spectral_decompose,
 )
 from .maps import MapFamily
 from .scalarfn import ScalarFunction
@@ -74,15 +72,7 @@ class Certificate:
     inputs: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "statement": self.statement,
-            "constants": dict(self.constants),
-            "slack": self.slack,
-            "tol": self.tol,
-            "passed": self.passed,
-            "solver": dict(self.solver),
-            "inputs": dict(self.inputs),
-        }
+        return asdict(self)
 
 
 class SandwichResult(NamedTuple):
@@ -123,16 +113,27 @@ def _finish(statement, constants, bound_minus_bounded, ref_norm, tol,
     )
 
 
-def _solver_meta(res, seed, step_tol, max_iter) -> dict:
-    return {
-        "solver": res.solver,
-        "restarts": res.restarts,
-        "iterations": res.iterations,
-        "converged": res.converged,
-        "seed": seed,
-        "step_tol": step_tol,
-        "max_iter": max_iter,
-    }
+def _certify_gap(statement, kind, f, a_ops, b_ops, family, tol, restarts,
+                 max_iter, step_tol, seed) -> Certificate:
+    """Solve the gap problem of ``kind`` and check the bound it gives."""
+    problem, asm = _problem(kind, f, a_ops, b_ops, family)
+    res = solve(problem, restarts=restarts, max_iter=max_iter,
+                step_tol=step_tol, seed=seed)
+    # theta and vartheta bound sum Phi_i(f(A_i)) by f(T), the others the reverse
+    upper, lower = (asm.fT, asm.Sf) if kind in ("theta", "vartheta") else (asm.Sf, asm.fT)
+    k = problem.dim
+    sizes = {"dim": k} if kind == "gamma" else {"output_dim": k, "maps": asm.maps}
+    return _finish(
+        statement,
+        {kind: res.value},
+        upper + res.value * np.eye(k) - lower,
+        _fro(upper),
+        tol,
+        {"solver": res.solver, "restarts": res.restarts, "iterations": res.iterations,
+         "converged": res.converged, "seed": seed, "step_tol": step_tol,
+         "max_iter": max_iter},
+        {**sizes, "function": f.spec_string()},
+    )
 
 
 def certify_order(A, B, f: ScalarFunction, *, tol: float = DEFAULT_TOL,
@@ -143,20 +144,8 @@ def certify_order(A, B, f: ScalarFunction, *, tol: float = DEFAULT_TOL,
     Valid for any Hermitian A, B with spectra in f's domain; no order
     relation between A and B is assumed.
     """
-    problem, asm = _problem("gamma", f, A, B)
-    res = solve(problem, restarts=restarts, max_iter=max_iter,
-                step_tol=step_tol, seed=seed)
-    gamma = res.value
-    bound = asm.Sf + gamma * np.eye(problem.dim) - asm.fT
-    return _finish(
-        "gamma-order",
-        {"gamma": gamma},
-        bound,
-        _fro(asm.Sf),
-        tol,
-        _solver_meta(res, seed, step_tol, max_iter),
-        {"dim": problem.dim, "function": f.spec_string()},
-    )
+    return _certify_gap("gamma-order", "gamma", f, A, B, None, tol, restarts,
+                        max_iter, step_tol, seed)
 
 
 def certify_jensen(kind: str, f: ScalarFunction, a_ops, b_ops=None,
@@ -172,32 +161,8 @@ def certify_jensen(kind: str, f: ScalarFunction, a_ops, b_ops=None,
     """
     if kind not in JENSEN_KINDS:
         raise ValueError(f"unknown jensen kind {kind!r}")
-    gap_kind = JENSEN_KINDS[kind]
-    problem, asm = _problem(gap_kind, f, a_ops, b_ops, family)
-    res = solve(problem, restarts=restarts, max_iter=max_iter,
-                step_tol=step_tol, seed=seed)
-    value = res.value
-    k = problem.dim
-    eye = np.eye(k)
-    if kind in ("delta_forward", "eta_choi"):
-        bound = asm.Sf + value * eye - asm.fT
-        ref = _fro(asm.Sf)
-    else:
-        bound = asm.fT + value * eye - asm.Sf
-        ref = _fro(asm.fT)
-    return _finish(
-        kind,
-        {gap_kind: value},
-        bound,
-        ref,
-        tol,
-        _solver_meta(res, seed, step_tol, max_iter),
-        {
-            "output_dim": int(k),
-            "maps": asm.maps,
-            "function": f.spec_string(),
-        },
-    )
+    return _certify_gap(kind, JENSEN_KINDS[kind], f, a_ops, b_ops, family, tol,
+                        restarts, max_iter, step_tol, seed)
 
 
 def verify_sandwich_pointwise(f: ScalarFunction, a_ops, b_ops=None,
@@ -269,8 +234,8 @@ def verify_classical(statement: str, A, B, *, p: float | None = None,
     alpha_beta_decreasing:  B <= A, f decreasing convex  =>  f(A) <= alpha f(B) + beta
 
     [m, M] defaults to the spectral hull of the constrained operator(s).
-    Each operand is decomposed once; the hypotheses, the hull and the
-    functional calculus all read that decomposition.  Inputs that fail a
+    Each operand is checked and decomposed once; the hypotheses, the hull
+    and the functional calculus all read that decomposition.  Inputs that fail a
     hypothesis raise HypothesisViolated.  A or B given as a one-entry dict
     is named by its key in errors (the CLI uses the file path), else by
     "A" or "B".
@@ -281,76 +246,49 @@ def verify_classical(statement: str, A, B, *, p: float | None = None,
     b_name, B = _one_operand(B, "B")
     if A.shape != B.shape:
         raise HypothesisViolated(f"shapes {A.shape} and {B.shape} differ")
-    n = A.shape[0]
-    eye = np.eye(n)
-    dA, dB = spectral_decompose(A), spectral_decompose(B)
+    dA, dB = (SpectralDecomposition(*np.linalg.eigh(X)) for X in (A, B))
     wA, wB = dA.eigenvalues, dB.eigenvalues
+    inputs = {"dim": A.shape[0]}
 
     if statement == "furuta":
         _require(p is not None and p >= 1.0, "furuta needs an exponent p >= 1")
-        _require(loewner_leq(B, A, _HYP_TOL).holds, "furuta needs B <= A")
+        _require(min_eigenvalue(A - B) >= -_HYP_TOL, "furuta needs B <= A")
         _require(wA[0] > 0, "furuta needs A > 0")
         _require(wB[0] >= -_HYP_TOL, "furuta needs B >= 0")
         m_eff, M_eff = _window(statement, (wA,), m, M, "spectrum of A")
         K = kantorovich(m_eff, M_eff, p)
-        Ap = _power(dA, p, a_name)
-        Bp = _power(dB, p, b_name)
-        return _finish(
-            statement,
-            {"K": K, "p": float(p), "m": m_eff, "M": M_eff},
-            K * Ap - Bp,
-            _fro(K * Ap),
-            tol,
-            {"solver": "eigh"},
-            {"dim": n},
-        )
-
-    if statement == "lowner_heinz":
+        constants = {"K": K, "p": float(p), "m": m_eff, "M": M_eff}
+        KAp = K * _power(dA, p, a_name)
+        bound, ref = KAp - _power(dB, p, b_name), _fro(KAp)
+    elif statement == "lowner_heinz":
         _require(p is not None and 0.0 <= p <= 1.0, "lowner_heinz needs p in [0, 1]")
         _require(wA[0] >= -_HYP_TOL, "lowner_heinz needs A >= 0")
-        _require(loewner_leq(A, B, _HYP_TOL).holds, "lowner_heinz needs A <= B")
+        _require(min_eigenvalue(B - A) >= -_HYP_TOL, "lowner_heinz needs A <= B")
+        constants = {"p": float(p)}
         Ap = _power(dA, p, a_name)
         Bp = _power(dB, p, b_name)
-        return _finish(
-            statement,
-            {"p": float(p)},
-            Bp - Ap,
-            _fro(Bp),
-            tol,
-            {"solver": "eigh"},
-            {"dim": n},
-        )
-
-    # alpha-beta statements
-    _require(f is not None, f"{statement} needs a scalar function")
-    _require(alpha > 0, f"{statement} needs alpha > 0")
-    _require(loewner_leq(B, A, _HYP_TOL).holds, f"{statement} needs B <= A")
-    m_eff, M_eff = _window(statement, (wA, wB), m, M, "spectra of A and B")
-    _require(f.domain.contains_interval(m_eff, M_eff),
-             f"[{m_eff}, {M_eff}] must lie inside the domain of f")
-    # f convex means f' is nondecreasing, so one endpoint fixes the sign
-    if statement == "alpha_beta_increasing":
-        _require(f.deriv(m_eff) >= -1e-12, "f must be increasing on [m, M]")
-    else:
-        _require(f.deriv(M_eff) <= 1e-12, "f must be decreasing on [m, M]")
-    b_val = beta_const(f, m_eff, M_eff, alpha)
-    fA = _spectral_images(dA, (f.value_array,), f.domain, name=a_name)[0]
-    fB = _spectral_images(dB, (f.value_array,), f.domain, name=b_name)[0]
-    if statement == "alpha_beta_increasing":
-        bound = alpha * fA + b_val * eye - fB
-        ref = _fro(alpha * fA)
-    else:
-        bound = alpha * fB + b_val * eye - fA
-        ref = _fro(alpha * fB)
-    return _finish(
-        statement,
-        {"alpha": float(alpha), "beta": b_val, "m": m_eff, "M": M_eff},
-        bound,
-        ref,
-        tol,
-        {"solver": "eigh"},
-        {"dim": n, "function": f.spec_string()},
-    )
+        bound, ref = Bp - Ap, _fro(Bp)
+    else:  # alpha-beta statements
+        _require(f is not None, f"{statement} needs a scalar function")
+        _require(alpha > 0, f"{statement} needs alpha > 0")
+        _require(min_eigenvalue(A - B) >= -_HYP_TOL, f"{statement} needs B <= A")
+        m_eff, M_eff = _window(statement, (wA, wB), m, M, "spectra of A and B")
+        _require(f.domain.contains_interval(m_eff, M_eff),
+                 f"[{m_eff}, {M_eff}] must lie inside the domain of f")
+        increasing = statement == "alpha_beta_increasing"
+        # f convex means f' is nondecreasing, so one endpoint fixes the sign
+        if increasing:
+            _require(f.deriv(m_eff) >= -1e-12, "f must be increasing on [m, M]")
+        else:
+            _require(f.deriv(M_eff) <= 1e-12, "f must be decreasing on [m, M]")
+        b_val = beta_const(f, m_eff, M_eff, alpha)
+        constants = {"alpha": float(alpha), "beta": b_val, "m": m_eff, "M": M_eff}
+        fA = _spectral_images(dA, (f.value_array,), f.domain, name=a_name)[0]
+        fB = _spectral_images(dB, (f.value_array,), f.domain, name=b_name)[0]
+        upper, lower = (alpha * fA, fB) if increasing else (alpha * fB, fA)
+        bound, ref = upper + b_val * np.eye(len(fA)) - lower, _fro(upper)
+        inputs["function"] = f.spec_string()
+    return _finish(statement, constants, bound, ref, tol, {"solver": "eigh"}, inputs)
 
 
 def _violation_window(f: ScalarFunction) -> tuple[float, float]:
@@ -369,6 +307,8 @@ def find_order_violation(f: ScalarFunction, n: int, trials: int, seed,
     order at dimension n) or None when no violation shows up.  The
     spectra window defaults to a band just inside f's domain.
     """
+    if n < 1:
+        raise BadDimensions(f"need dimension n >= 1, got {n}")
     if trials < 1:
         raise BadDimensions(f"need at least one trial, got {trials}")
     if lo is None or hi is None:
@@ -378,8 +318,11 @@ def find_order_violation(f: ScalarFunction, n: int, trials: int, seed,
     base = np.random.SeedSequence(seed)
     for t in range(trials):
         big, small = random_dominated_pair(n, lo, hi, [base.entropy, t])
-        A, B = small, big  # A <= B
-        witness = min_eigenvalue(calc(f, B) - calc(f, A))
+        A, B = small, big  # A <= B, both exactly Hermitian
+        fB, fA = (_spectral_images(SpectralDecomposition(*np.linalg.eigh(X)),
+                                   (f.value_array,), f.domain, name=name)[0]
+                  for X, name in ((B, "B"), (A, "A")))
+        witness = min_eigenvalue(fB - fA)
         if witness < -1e-8:
             return OrderViolation(A=A, B=B, witness=witness, trial=t)
     return None

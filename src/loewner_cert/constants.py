@@ -11,6 +11,7 @@ constant K(m, M, p) controlling B**p <= K * A**p under B <= A.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import BadInterval, DomainError, NonPositiveAlpha
@@ -96,7 +97,11 @@ def kantorovich(m: float, M: float, p: float) -> float:
                  * ((p - 1)/p * (M^p - m^p) / (m M^p - M m^p))^p,
 
     with the removable singularities at p = 0 and p = 1 routed to 1.
+    A NaN or infinite m, M or p raises BadInterval naming it.
     """
+    for name, value in (("m", m), ("M", M), ("p", p)):
+        if not math.isfinite(value):
+            raise BadInterval(f"need a finite {name}, got {value}")
     if not (0 < m < M):
         raise BadInterval(f"need 0 < m < M, got ({m}, {M})")
     p = float(p)

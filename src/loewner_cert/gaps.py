@@ -17,7 +17,8 @@ with T = sum Phi_i(B_i).  The value of gamma makes f(B) <= f(A) + gamma*I
 a certified inequality; delta/eta/theta/vartheta do the same for the
 mapped Jensen-type bounds, and chebyshev is the covariance-style quantity
 that is pointwise nonnegative for convex f.  Every kind reads its triple
-from one spectral assembly that decomposes each operand, and T, once.
+from one spectral assembly that decomposes each A_i, and T, once; the B_i
+need only their eigenvalues.
 
 Two solvers are provided: a multistart Riemannian Newton-CG ascent on the
 complex unit sphere (the primary path) and a sampling plus coordinate
@@ -62,7 +63,12 @@ from itertools import combinations
 import numpy as np
 
 from .errors import BadDimensions, DimensionMismatch, NonFinite, NotUnitalFamily
-from .hermitian import _spectral_images, hermitize, require_hermitian, spectral_decompose
+from .hermitian import (
+    SpectralDecomposition,
+    _checked_spectrum,
+    _spectral_images,
+    require_hermitian,
+)
 from .maps import MapFamily, check_unital_family
 from .scalarfn import ScalarFunction
 
@@ -185,13 +191,14 @@ class _Assembly:
 
 def _assemble(f: ScalarFunction, a_ops, b_ops=None,
               family: MapFamily | None = None) -> _Assembly:
-    """Decompose each operand, and T, once and map their images.
+    """Decompose each A_i, and T, once and map their images.
 
     ``b_ops`` None reuses the A side.  Without a family A and B are single
-    operands under the identity map, so the sums are the hermitized
-    operands and their images, and T is B and shares its decomposition; a
-    given family must match the operands and be unital.  Every spectrum
-    must lie inside f's domain and every image and mapped sum be finite.
+    operands under the identity map, so the sums are the checked operands
+    and their images, and T is B and shares its decomposition; a given
+    family must match the operands and be unital, and its B_i need only
+    their eigenvalues.  Every spectrum must lie inside f's domain and every
+    image and mapped sum be finite.
     """
     a = _as_ops(a_ops, "A")
     if not a:
@@ -201,7 +208,8 @@ def _assemble(f: ScalarFunction, a_ops, b_ops=None,
 
     def images(X, name):
         with np.errstate(over="ignore", invalid="ignore"):  # reported below
-            out = _spectral_images(spectral_decompose(X), fns, f.domain, name=name)
+            out = _spectral_images(SpectralDecomposition(*np.linalg.eigh(X)), fns,
+                                   f.domain, name=name)
         for img, label in zip(out, ("f", "f'", "t f'")):
             if not np.isfinite(img).all():
                 raise NonFinite(f"{label}({name}) has a non-finite entry, "
@@ -216,7 +224,7 @@ def _assemble(f: ScalarFunction, a_ops, b_ops=None,
             raise DimensionMismatch("A and B must have the same size")
         a_images = images(A, name)
         t_images = a_images if b is a else images(B, b_name)
-        return _Assembly(1, hermitize(A), hermitize(B), *a_images, *t_images)
+        return _Assembly(1, A, B, *a_images, *t_images)
 
     if len(a) != len(family) or len(b) != len(family):
         raise BadDimensions(
@@ -230,14 +238,14 @@ def _assemble(f: ScalarFunction, a_ops, b_ops=None,
         raise NotUnitalFamily(f"unitality defect {unital.defect:.3e}")
 
     a_images = [images(A, name) for name, A in a.items()]
-    if b is not a:  # the B_i only need their spectra checked
+    if b is not a:  # the B_i need only their spectra checked
         for name, B in b.items():
-            _spectral_images(spectral_decompose(B), (), f.domain, name=name)
-    T = family.apply_sum(b.values())
+            _checked_spectrum(np.linalg.eigvalsh(B), f.domain, name)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         sums = [family.apply_sum(ops) for ops in (a.values(), *zip(*a_images))]
     if not all(np.isfinite(M).all() for M in sums):
         raise NonFinite("a mapped sum over the A_i has a non-finite entry")
+    T = sums[0] if b is a else family.apply_sum(b.values())
     return _Assembly(len(family), sums[0], T, *sums[1:], *images(T, "T"))
 
 

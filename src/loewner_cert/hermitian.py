@@ -4,6 +4,11 @@ Spectral decomposition, functional calculus f(A) = U f(diag) U*, Loewner
 order checks via the smallest eigenvalue of a difference, and seeded
 generators for test instances.  Matrices are plain complex ndarrays; the
 JSON form is {"dim": n, "re": [[...]], "im": [[...]]} with "im" optional.
+
+An operand is checked once, where it enters, by ``require_hermitian``,
+which returns its exact Hermitian part.  Code holding such a matrix passes
+it to ``np.linalg.eigh`` directly and neither checks nor hermitizes it
+again; the public functions below still check their own arguments.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from .errors import (
     NonFinite,
     NotHermitian,
     ParseError,
+    SpectrumOutsideDomain,
 )
 from .scalarfn import Interval, ScalarFunction
 
@@ -52,7 +58,7 @@ def as_matrix(A) -> np.ndarray:
 
 
 def require_hermitian(A, *, name: str = "matrix") -> np.ndarray:
-    """Return A as a complex ndarray, raising NotHermitian on asymmetry.
+    """Return ``hermitize(A)``, raising NotHermitian on asymmetry.
 
     The tolerance scales with the largest entry: |A - A*| <= HERMITIAN_RTOL (1 + max|A|).
     A NaN or infinite entry raises NonFinite, naming the operand ``name``.
@@ -64,13 +70,16 @@ def require_hermitian(A, *, name: str = "matrix") -> np.ndarray:
     defect = float(np.abs(A - A.conj().T).max()) if A.size else 0.0
     if defect > HERMITIAN_RTOL * scale:
         raise NotHermitian(f"asymmetry {defect:.3e} exceeds {HERMITIAN_RTOL:.1e} * {scale:.3e}")
-    return A
+    return hermitize(A)
 
 
 def hermitize(A) -> np.ndarray:
     """Project onto the Hermitian part; cheap insurance against rounding.
 
-    Halving before adding keeps entries near the float maximum finite.
+    Halving before adding keeps entries near the float maximum finite.  The
+    result is exactly Hermitian (entry (i, j) and conj (j, i) sum the same
+    two halves), so hermitizing it again changes no bit unless an entry is
+    subnormal.
     """
     H = 0.5 * np.asarray(A, dtype=complex)
     return H + H.conj().T
@@ -89,23 +98,26 @@ class SpectralDecomposition:
 
 
 def spectral_decompose(A) -> SpectralDecomposition:
-    A = require_hermitian(A)
-    w, U = np.linalg.eigh(hermitize(A))
-    return SpectralDecomposition(w, U)
+    return SpectralDecomposition(*np.linalg.eigh(require_hermitian(A)))
+
+
+def _checked_spectrum(w, domain: Interval | None, name: str) -> np.ndarray:
+    """``name``'s eigenvalues ``w`` clamped onto ``domain``; errors name ``name``."""
+    if not np.isfinite(w).all():
+        raise NonFinite(f"{name} has an eigenvalue that overflows")
+    if domain is None:
+        return w
+    try:
+        return domain.clamp_spectrum(w)
+    except SpectrumOutsideDomain as exc:
+        exc.args = (f"{name} has {exc}",)
+        raise
 
 
 def _spectral_images(dec: SpectralDecomposition, fns, domain: Interval | None = None,
                      name: str = "matrix") -> list:
-    """fn(A) for each fn in ``fns`` from A's decomposition ``dec`` and one clamp.
-
-    An eigenvalue beyond the float range raises NonFinite naming ``name``
-    before the spectrum is checked against ``domain``.
-    """
-    w = dec.eigenvalues
-    if not np.isfinite(w).all():
-        raise NonFinite(f"{name} has an eigenvalue that overflows")
-    if domain is not None:
-        w = domain.clamp_spectrum(w)
+    """fn(A) for each fn in ``fns`` from A's decomposition ``dec`` and one clamp."""
+    w = _checked_spectrum(dec.eigenvalues, domain, name)
     U = dec.eigenvectors
     return [hermitize((U * np.asarray(fn(w), dtype=float)) @ U.conj().T) for fn in fns]
 

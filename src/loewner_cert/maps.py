@@ -107,7 +107,7 @@ class Pinch:
         for blk in self.blocks:
             idx = np.ix_(blk, blk)
             Y[idx] = X[idx]
-        return hermitize(Y)
+        return Y
 
 
 @dataclass(frozen=True)
@@ -168,7 +168,7 @@ class MapFamily:
         return tuple(phi.input_dim for phi in self.maps)
 
     def apply_sum(self, ops) -> np.ndarray:
-        """sum_i Phi_i(X_i) for a matching list of Hermitian operands."""
+        """sum_i Phi_i(X_i), exactly Hermitian, for matching Hermitian operands."""
         ops = list(ops)
         if len(ops) != len(self.maps):
             raise DimensionMismatch(
@@ -177,7 +177,7 @@ class MapFamily:
         total = np.zeros((self.output_dim, self.output_dim), dtype=complex)
         for phi, X in zip(self.maps, ops):
             total += phi.apply(X)
-        return hermitize(total)
+        return total
 
     def unital_defect(self) -> float:
         total = self.apply_sum([np.eye(phi.input_dim) for phi in self.maps])

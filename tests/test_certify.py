@@ -1,5 +1,8 @@
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from loewner_cert import (
     BadDimensions,
@@ -9,6 +12,7 @@ from loewner_cert import (
     NonFinite,
     NotUnitalFamily,
     NotUnitVector,
+    SpectrumOutsideDomain,
     affine,
     calc,
     certify_jensen,
@@ -23,9 +27,12 @@ from loewner_cert import (
     random_dominated_pair,
     random_hermitian,
     random_unital_family,
+    random_unitary,
     verify_classical,
     verify_sandwich_pointwise,
 )
+
+from loewner_cert.hermitian import require_hermitian
 
 D01 = np.diag([0.0, 1.0]).astype(complex)
 D12 = np.diag([1.0, 2.0]).astype(complex)
@@ -397,12 +404,13 @@ def test_certify_jensen_decomposes_each_operand_once(kind, eigh_inputs):
     certify_jensen(kind, power(2), a_ops, b_ops, fam, restarts=4)
     decomposed = eigh_inputs["eigh"]
     assert len(decomposed) == len(set(decomposed))
-    # each A_i, each B_i (eta and vartheta have none) and T once; eta's
-    # forms are functions of T, so its exact path adds one decomposition
+    # each A_i and T once; eta's forms are functions of T, so its exact
+    # path adds one decomposition.  The B_i of delta and theta (eta and
+    # vartheta have none) get eigenvalues only, and the slack one more
     two_sided = kind in ("delta_forward", "theta_reverse")
     exact = kind == "eta_choi"
-    assert len(decomposed) == (2 * m + 1 if two_sided else m + 1 + exact)
-    assert eigh_inputs["eigvalsh"] == 1
+    assert len(decomposed) == m + 1 + exact
+    assert eigh_inputs["eigvalsh"] == (m + 1 if two_sided else 1)
 
 
 _CLASSICAL_ARGS = {"furuta": {"p": 1.5}, "lowner_heinz": {"p": 0.5},
@@ -434,6 +442,89 @@ def test_order_violation_trial_takes_five_decompositions(eigh_inputs):
     assert find_order_violation(affine(2.0, 1.0), 2, 3, seed=0) is None
     # per trial: the pair's two, f(A), f(B) and the witness
     assert (len(eigh_inputs["eigh"]), eigh_inputs["eigvalsh"]) == (3 * 3, 3 * 2)
+
+
+@pytest.fixture
+def hermitian_checks(monkeypatch):
+    """Record the operand name of every require_hermitian call in the package."""
+    names = []
+
+    def counted(A, **kwargs):
+        names.append(kwargs.get("name"))
+        return require_hermitian(A, **kwargs)
+
+    for mod_name, module in list(sys.modules.items()):
+        if (mod_name.startswith("loewner_cert")
+                and getattr(module, "require_hermitian", None) is require_hermitian):
+            monkeypatch.setattr(module, "require_hermitian", counted)
+    return names
+
+
+def test_certify_order_checks_each_operand_once(hermitian_checks):
+    rng = np.random.default_rng(64)
+    A, B = (random_hermitian(4, 0.3, 2.0, rng) for _ in range(2))
+    certify_order(A, B, power(2), restarts=4)
+    assert hermitian_checks == ["A", "B"]
+
+
+@pytest.mark.parametrize("statement", sorted(_CLASSICAL_ARGS))
+def test_verify_classical_checks_each_operand_once(statement, hermitian_checks):
+    A, B = random_dominated_pair(3, 0.4, 2.2, seed=19)  # B <= A
+    if statement == "lowner_heinz":
+        A, B = B, A
+    assert verify_classical(statement, A, B, **_CLASSICAL_ARGS[statement]).passed
+    assert hermitian_checks == ["A", "B"]
+
+
+def test_order_violation_trial_checks_nothing(hermitian_checks):
+    # the generated pairs are exactly Hermitian and go straight to eigh
+    assert find_order_violation(power(3), 2, 200, seed=42) is not None
+    assert hermitian_checks == []
+
+
+def test_eta_certificate_maps_the_a_side_once(monkeypatch):
+    calls = []
+    apply_sum = MapFamily.apply_sum
+    monkeypatch.setattr(MapFamily, "apply_sum",
+                        lambda self, ops: calls.append(1) or apply_sum(self, ops))
+    rng = np.random.default_rng(65)
+    fam = random_unital_family(2, 3, 3, seed=66)
+    a_ops = [random_hermitian(3, 0.3, 2.0, rng) for _ in range(2)]
+    assert certify_jensen("eta_choi", power(2), a_ops, family=fam, restarts=4).passed
+    # the unitality check, then sum Phi_i(A_i), which is also T, and the
+    # f, f', t f' sums
+    assert len(calls) == 5
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_order_violation_needs_positive_dimension(n):
+    with pytest.raises(BadDimensions, match=f"need dimension n >= 1, got {n}"):
+        find_order_violation(power(3), n, 10, seed=0)
+
+
+def _psd(w, rng) -> np.ndarray:
+    Q = random_unitary(len(w), rng)
+    return (Q * np.asarray(w)) @ Q.conj().T
+
+
+@given(seed=st.integers(0, 2**32 - 1), zeros=st.integers(1, 3),
+       bad=st.integers(0, 1))
+def test_delta_forward_on_the_closed_endpoint_of_the_domain(seed, zeros, bad):
+    # power:1.5 lives on [0, inf): B_i with eigenvalues at 0 (up to rounding)
+    # are admitted, and one with an eigenvalue at -1e-6 is refused by name
+    f = power(1.5)
+    rng = np.random.default_rng(seed)
+    fam = random_unital_family(2, 3, 3, seed=seed)
+    a_ops = [_psd(rng.uniform(0.2, 2.0, 3), rng) for _ in range(2)]
+    spectra = [np.r_[np.zeros(zeros), rng.uniform(0.2, 2.0, 3 - zeros)] for _ in range(2)]
+    b_ops = [_psd(w, rng) for w in spectra]
+    cert = certify_jensen("delta_forward", f, a_ops, b_ops, fam, restarts=4)
+    assert cert.passed
+    spectra[bad][0] = -1e-6
+    b_ops[bad] = _psd(spectra[bad], rng)
+    with pytest.raises(SpectrumOutsideDomain, match=rf"^B\[{bad}\] has eigenvalues") as exc:
+        certify_jensen("delta_forward", f, a_ops, b_ops, fam, restarts=4)
+    assert exc.value.offending == pytest.approx([-1e-6], rel=1e-6)
 
 
 def test_sandwich_names_non_finite_operand():

@@ -263,6 +263,31 @@ def test_non_positive_trials_is_exit_two(argv, trials, capsys):
     assert f"need at least one trial, got {trials}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dim", [0, -1])
+def test_violation_dimension_below_one_is_exit_two(dim, capsys):
+    code, out = run_cli(["violation", "--f", "power:3", "--dim", str(dim)])
+    assert code == 2 and out == ""
+    assert f"error: need dimension n >= 1, got {dim}" in capsys.readouterr().err
+
+
+def test_kantorovich_non_finite_p_is_exit_two(capsys):
+    code, out = run_cli(["kantorovich", "--m", "1", "--M", "2", "--p", "nan"])
+    assert code == 2 and out == ""
+    assert "error: need a finite p, got nan" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--p", "2", "--M", "inf"], "need a finite M, got inf"),
+    (["--p", "inf"], "need a finite p, got inf"),
+])
+def test_furuta_non_finite_constant_argument_is_exit_two(args, message, diag01, diag12,
+                                                         capsys):
+    code, out = run_cli(["certify", "--statement", "furuta", "--A", diag12,
+                         "--B", diag01, *args])
+    assert code == 2 and out == ""
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 def test_ragged_matrix_file_is_exit_two(tmp_path, capsys):
     path = tmp_path / "ragged.json"
     path.write_text(json.dumps({"dim": 2, "re": [[1.0, 0.0], [0.0]]}))

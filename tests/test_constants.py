@@ -145,6 +145,18 @@ def test_kantorovich_rejects_bad_window():
         kantorovich(3.0, 2.0, 2.0)
 
 
+@pytest.mark.parametrize("m,M,p,name", [
+    (1.0, 2.0, math.nan, "p"),
+    (1.0, math.inf, 2.0, "M"),
+    (1.0, 2.0, math.inf, "p"),
+    (1.0, 2.0, -math.inf, "p"),
+    (math.nan, 2.0, 2.0, "m"),
+])
+def test_kantorovich_rejects_non_finite_arguments(m, M, p, name):
+    with pytest.raises(BadInterval, match=f"need a finite {name}, got"):
+        kantorovich(m, M, p)
+
+
 @given(
     m=st.floats(0.1, 2.0),
     width=st.floats(0.2, 3.0),

@@ -30,6 +30,18 @@ seeds = st.integers(0, 2**32 - 1)
 dims = st.integers(1, 6)
 
 
+def test_require_hermitian_returns_the_exact_hermitian_part():
+    rng = np.random.default_rng(12)
+    H = random_hermitian(5, -2.0, 2.0, rng)
+    A = H + 1e-14 * (rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
+    assert not np.array_equal(A, A.conj().T)  # asymmetric at rounding level
+    R = require_hermitian(A)
+    assert R.tobytes() == hermitize(A).tobytes()
+    assert np.array_equal(R, R.conj().T)
+    # so hermitizing the checked operand again changes no bit
+    assert hermitize(R).tobytes() == R.tobytes()
+
+
 def test_require_hermitian_accepts_and_rejects():
     A = np.array([[1.0, 2.0], [2.0, 3.0]])
     assert require_hermitian(A).dtype == complex
