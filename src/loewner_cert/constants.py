@@ -40,6 +40,9 @@ class ChordCoefficients:
 
 
 def _check_window(f: ScalarFunction, m: float, M: float) -> None:
+    for name, value in (("m", m), ("M", M)):
+        if not math.isfinite(value):
+            raise BadInterval(f"need a finite {name}, got {value}")
     if not m < M:
         raise BadInterval(f"need m < M, got ({m}, {M})")
     if not f.domain.contains_interval(m, M):
@@ -62,8 +65,8 @@ def beta_point(f: ScalarFunction, m: float, M: float, alpha: float) -> tuple[flo
     endpoint or the root of g'(t) = a_f - alpha f'(t), found by bisection
     to 1e-12 in t.
     """
-    if not alpha > 0:
-        raise NonPositiveAlpha(f"alpha must be positive, got {alpha}")
+    if not 0 < alpha < math.inf:
+        raise NonPositiveAlpha(f"alpha must be finite and positive, got {alpha}")
     coeffs = chord_coeffs(f, m, M)
 
     def g(t: float) -> float:

@@ -43,7 +43,7 @@ class BadInterval(LoewnerCertError):
 
 
 class NonPositiveAlpha(LoewnerCertError):
-    """A scaling coefficient that must be positive is not."""
+    """A scaling coefficient that must be finite and positive is not."""
 
 
 class NotUnitalFamily(LoewnerCertError):

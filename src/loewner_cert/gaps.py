@@ -550,7 +550,10 @@ def solve(problem: GapProblem, restarts: int = 64, max_iter: int = 500,
 
 # -- brute-force oracle -------------------------------------------------
 #
-# The oracle holds (C, S, D) as one stack M of shape (3, k, k), and X with
+# The sampling stage scores the raw Gaussian draws in real arithmetic, and
+# only the best ten samples become complex unit vectors.
+#
+# The ascent holds (C, S, D) as one stack M of shape (3, k, k), and X with
 # its three images as one (4, k, b) block, so that each numpy call does the
 # work of all three forms.  Along a geodesic x cos psi + W sin psi each form
 # is q cos^2 psi + 2 Re<W, Mx> sin psi cos psi + <W, MW> sin^2 psi, so F is
@@ -730,16 +733,19 @@ def solve_bruteforce(problem: GapProblem, samples: int = 20000, seed=0) -> GapRe
         return GapResult(gap_objective(problem, x), x, "bruteforce", 0, samples)
     M = np.stack([problem.C, problem.S, problem.D])
     rng = np.random.default_rng(seed)
-    Z = np.empty((k, samples), dtype=complex)
-    Z.real = rng.standard_normal((k, samples))
-    Z.imag = rng.standard_normal((k, samples))
-    Z /= np.linalg.norm(Z, axis=0)
-    Zc = Z.conj()
-    # one form at a time, so that at most one k x samples image is alive
-    qC, qS, qD = ((Zc * (A @ Z)).real.sum(axis=0) for A in M)
+    # rows :k hold Re z and rows k: hold Im z of each sample z, so a column
+    # is y = (Re z, Im z) and Re<Az, z> = y^T [[Re A, -Im A], [Im A, Re A]] y;
+    # one form at a time, so that at most one 2k x samples image is alive
+    R = rng.standard_normal((2 * k, samples))
+    norm2 = (R * R).sum(axis=0)
+    qC, qS, qD = ((R * (np.block([[A.real, -A.imag], [A.imag, A.real]]) @ R)).sum(axis=0)
+                  / norm2 for A in M)
     Fs = qC - qS * qD
-    top = np.argsort(Fs)[::-1][:_REFINE_CANDIDATES]
-    X, F, sweeps = _coordinate_ascent(M, Z[:, top])
+    cut = samples - min(_REFINE_CANDIDATES, samples)
+    top = np.argpartition(Fs, cut)[cut:]
+    top = top[np.argsort(Fs[top])[::-1]]
+    Z = R[:k, top] + 1j * R[k:, top]
+    X, F, sweeps = _coordinate_ascent(M, Z / np.linalg.norm(Z, axis=0))
     best = int(np.argmax(F))
     x = X[:, best] / np.linalg.norm(X[:, best])
     return GapResult(gap_objective(problem, x), x, "bruteforce", sweeps, samples)

@@ -1,4 +1,6 @@
+import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from loewner_cert import (
     BadDimensions,
     Conjugation,
     HypothesisViolated,
+    LoewnerCertError,
     MapFamily,
     NonFinite,
     NotUnitalFamily,
@@ -23,6 +26,7 @@ from loewner_cert import (
     loewner_leq,
     min_eigenvalue,
     neglog,
+    parse_function,
     power,
     random_dominated_pair,
     random_hermitian,
@@ -525,6 +529,27 @@ def test_delta_forward_on_the_closed_endpoint_of_the_domain(seed, zeros, bad):
     with pytest.raises(SpectrumOutsideDomain, match=rf"^B\[{bad}\] has eigenvalues") as exc:
         certify_jensen("delta_forward", f, a_ops, b_ops, fam, restarts=4)
     assert exc.value.offending == pytest.approx([-1e-6], rel=1e-6)
+
+
+@given(seed=st.integers(0, 2**32 - 1), spec=st.sampled_from(["power:-1", "neglog"]),
+       e=st.one_of(st.floats(3.0, 330.0), st.just(math.inf)), swap=st.booleans())
+def test_near_singular_operand_certifies_or_names_the_failure(seed, spec, e, swap):
+    # lambda_min of one operand is 10^-e: from 1e-3 through subnormal down to
+    # 0, where rounding in the rotated basis may leave it just outside the
+    # domain; the certificate is finite or a named error, and numpy never warns
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 5))
+    A = _psd(np.r_[10.0 ** -e, rng.uniform(0.2, 2.0, n - 1)], rng)
+    B = _psd(rng.uniform(0.2, 2.0, n), rng)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            cert = certify_order(*((B, A) if swap else (A, B)), parse_function(spec),
+                                 restarts=4)
+        except LoewnerCertError:
+            return
+    assert all(math.isfinite(v) for v in cert.constants.values())
+    assert math.isfinite(cert.slack)
 
 
 def test_sandwich_names_non_finite_operand():

@@ -8,8 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from loewner_cert import loewner_leq, matrix_to_obj
-from loewner_cert.cli import main
+from loewner_cert import cli, loewner_leq, matrix_to_obj
+from loewner_cert.cli import build_parser, main
 
 
 def run_cli(argv):
@@ -86,6 +86,55 @@ def test_gap_runs_are_byte_identical(diag01, diag12):
     _, out1 = run_cli(argv)
     _, out2 = run_cli(argv)
     assert out1 == out2
+
+
+@pytest.fixture
+def gap_argv(tmp_path, diag12):
+    # non-commuting with diag12, so the seed and the restarts reach the report
+    a = write_matrix(tmp_path / "n.json", [[0.5, 0.2], [0.2, 1.5]])
+    return ["gap", "--kind", "gamma", "--f", "power:2", "--A", a, "--B", diag12, "--json"]
+
+
+def test_build_parser_is_fresh_and_main_parses_as_it_does(gap_argv):
+    assert build_parser() is not build_parser()
+    assert cli._parser() is cli._parser()
+    ns = vars(cli._parser().parse_args(gap_argv))
+    assert ns == vars(build_parser().parse_args(gap_argv))
+    assert ns["oracle"] is False and ns["seed"] == 42 and ns["restarts"] == 64
+
+
+def test_gap_after_gap_oracle_has_no_oracle_keys(gap_argv):
+    code, first = run_cli(gap_argv + ["--oracle", "--samples", "300"])
+    assert code == 0 and "oracle_value" in json.loads(first)
+    code, second = run_cli(gap_argv)
+    assert code == 0
+    rep = json.loads(second)
+    assert "oracle_value" not in rep and "agreement" not in rep
+    expected = json.loads(first)
+    del expected["oracle_value"], expected["agreement"]
+    assert rep == expected
+
+
+def test_gap_after_certify_keeps_its_own_defaults(gap_argv, diag12):
+    _, before = run_cli(gap_argv)
+    code, _ = run_cli(["certify", "--statement", "gamma-order", "--f", "power:2",
+                       "--A", diag12, "--B", gap_argv[gap_argv.index("--A") + 1],
+                       "--restarts", "4", "--seed", "7", "--tol", "0.5"])
+    assert code == 0
+    code, after = run_cli(gap_argv)
+    assert code == 0 and after == before
+    solver = json.loads(after)["solver"]
+    assert solver["seed"] == 42 and solver["restarts"] == 64
+
+
+def test_usage_error_leaves_the_next_call_intact(gap_argv, capsys):
+    _, before = run_cli(gap_argv)
+    with pytest.raises(SystemExit) as exc:
+        main(gap_argv[:2] + ["nope"] + gap_argv[3:] + ["--oracle"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    code, after = run_cli(gap_argv)
+    assert code == 0 and after == before
 
 
 def test_certify_gamma_order_identity(diag12):
@@ -274,6 +323,17 @@ def test_kantorovich_non_finite_p_is_exit_two(capsys):
     code, out = run_cli(["kantorovich", "--m", "1", "--M", "2", "--p", "nan"])
     assert code == 2 and out == ""
     assert "error: need a finite p, got nan" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--M", "2", "--alpha", "inf"], "alpha must be finite and positive, got inf"),
+    (["--M", "inf"], "need a finite M, got inf"),
+    (["--M", "2", "--m=-inf"], "need a finite m, got -inf"),
+])
+def test_beta_non_finite_argument_is_exit_two(args, message, capsys):
+    code, out = run_cli(["beta", "--f", "power:2", "--m", "1", *args, "--json"])
+    assert code == 2 and out == ""
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("args,message", [

@@ -78,6 +78,22 @@ def test_beta_alpha_must_be_positive():
         beta(power(2), 1.0, 3.0, -1.0)
 
 
+@pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])
+def test_beta_alpha_must_be_finite(alpha):
+    with pytest.raises(NonPositiveAlpha, match=f"alpha must be finite and positive, got {alpha}"):
+        beta_point(power(2), 1.0, 2.0, alpha)
+
+
+@pytest.mark.parametrize("m,M,name", [(1.0, math.inf, "M"), (-math.inf, 2.0, "m"),
+                                      (math.nan, 2.0, "m"), (1.0, math.nan, "M")])
+def test_window_ends_must_be_finite(m, M, name):
+    # power:2 lives on the whole line, so the domain check would pass an infinite end
+    bad = M if name == "M" else m
+    for call in (lambda: chord_coeffs(power(2), m, M), lambda: beta_point(power(2), m, M, 1.0)):
+        with pytest.raises(BadInterval, match=f"need a finite {name}, got {bad}"):
+            call()
+
+
 def test_beta_window_must_sit_in_domain():
     with pytest.raises(DomainError):
         beta(power(-1), 0.0, 1.0, 1.0)

@@ -432,6 +432,34 @@ def test_oracle_beats_its_best_sample_and_repeats(i):
     assert np.array_equal(again.maximizer, res.maximizer)
 
 
+@pytest.mark.parametrize("samples", [1, 9, 10, 11, 2000])
+@pytest.mark.parametrize("k", range(2, 7))
+def test_oracle_starts_from_the_samples_complex_arithmetic_picks(k, samples, monkeypatch):
+    ascent = gaps._coordinate_ascent
+    starts = []
+
+    def spy(M, X0):
+        starts.append(X0.copy())
+        return ascent(M, X0)
+
+    monkeypatch.setattr(gaps, "_coordinate_ascent", spy)
+    rng = np.random.default_rng(k)
+    for seed in range(3):
+        prob = GapProblem("gamma", *(random_hermitian(k, -2.0, 2.0, rng) for _ in range(3)))
+        res = solve_bruteforce(prob, samples=samples, seed=seed)
+        # the ten best samples in complex arithmetic, by a full argsort: the
+        # same samples in the same order, up to rounding
+        Z, Fs = _sampled_values(prob, samples, seed)
+        Z = Z[:, np.argsort(Fs)[::-1][:10]]
+        assert starts[-1].shape == Z.shape
+        assert np.allclose(starts[-1], Z, rtol=0, atol=1e-14)
+        X, F, sweeps = ascent(_stack(prob), Z)
+        x = X[:, int(np.argmax(F))]
+        ref = gap_objective(prob, x / np.linalg.norm(x))
+        assert abs(res.value - ref) <= 1e-14 * (1.0 + abs(ref))
+        assert res.iterations == sweeps
+
+
 def _crosscheck_instance_54():
     """The eta problem that the benchmark's crosscheck pool sends as instance 54.
 
