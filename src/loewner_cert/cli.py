@@ -10,7 +10,6 @@ error.
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 
 from .certify import (
@@ -296,14 +295,8 @@ _HANDLERS = {
 }
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser ``main`` uses, built once per process; parse_args keeps no state."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
     except (LoewnerCertError, ValueError, OSError) as exc:

@@ -550,10 +550,7 @@ def solve(problem: GapProblem, restarts: int = 64, max_iter: int = 500,
 
 # -- brute-force oracle -------------------------------------------------
 #
-# The sampling stage scores the raw Gaussian draws in real arithmetic, and
-# only the best ten samples become complex unit vectors.
-#
-# The ascent holds (C, S, D) as one stack M of shape (3, k, k), and X with
+# The oracle holds (C, S, D) as one stack M of shape (3, k, k), and X with
 # its three images as one (4, k, b) block, so that each numpy call does the
 # work of all three forms.  Along a geodesic x cos psi + W sin psi each form
 # is q cos^2 psi + 2 Re<W, Mx> sin psi cos psi + <W, MW> sin^2 psi, so F is
@@ -716,7 +713,7 @@ def _coordinate_ascent(M, X0, max_sweeps: int = _MAX_SWEEPS):
 
 
 def solve_bruteforce(problem: GapProblem, samples: int = 20000, seed=0) -> GapResult:
-    """Sampling oracle: random unit vectors, then coordinate ascent.
+    """Sampling oracle: random directions, then coordinate ascent.
 
     Dimension 1 is closed form.  The best ten samples are polished by
     geodesic coordinate ascent with one pattern step per sweep;

@@ -8,8 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from loewner_cert import cli, loewner_leq, matrix_to_obj
-from loewner_cert.cli import build_parser, main
+from loewner_cert import loewner_leq, matrix_to_obj
+from loewner_cert.cli import main
 
 
 def run_cli(argv):
@@ -93,14 +93,6 @@ def gap_argv(tmp_path, diag12):
     # non-commuting with diag12, so the seed and the restarts reach the report
     a = write_matrix(tmp_path / "n.json", [[0.5, 0.2], [0.2, 1.5]])
     return ["gap", "--kind", "gamma", "--f", "power:2", "--A", a, "--B", diag12, "--json"]
-
-
-def test_build_parser_is_fresh_and_main_parses_as_it_does(gap_argv):
-    assert build_parser() is not build_parser()
-    assert cli._parser() is cli._parser()
-    ns = vars(cli._parser().parse_args(gap_argv))
-    assert ns == vars(build_parser().parse_args(gap_argv))
-    assert ns["oracle"] is False and ns["seed"] == 42 and ns["restarts"] == 64
 
 
 def test_gap_after_gap_oracle_has_no_oracle_keys(gap_argv):
