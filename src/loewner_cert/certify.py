@@ -4,7 +4,8 @@ A certificate records the computed constants, the smallest eigenvalue of
 the bound matrix minus the bounded one (the slack), and whether that
 slack clears the tolerance.  Tolerances are scaled by one plus the
 Frobenius norm of the bounding side so that large instances are not
-penalized for honest rounding.
+penalized for honest rounding; a NaN, infinite or negative tolerance is
+refused before any work.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .constants import beta as beta_const
-from .constants import kantorovich
-from .errors import BadDimensions, HypothesisViolated, NotUnitVector
+from .constants import _check_ends, kantorovich
+from .errors import BadDimensions, BadParameter, HypothesisViolated, NotUnitVector
 from .gaps import _as_ops, _assemble, _problem, solve
 from .hermitian import (
     SpectralDecomposition,
@@ -98,6 +99,11 @@ def _fro(A) -> float:
     return float(np.linalg.norm(A))
 
 
+def _check_tol(tol) -> None:
+    if not 0.0 <= tol < np.inf:
+        raise BadParameter(f"tol must be finite and >= 0, got {tol}")
+
+
 def _finish(statement, constants, bound_minus_bounded, ref_norm, tol,
             solver, inputs) -> Certificate:
     tol_eff = tol * (1.0 + ref_norm)
@@ -116,6 +122,7 @@ def _finish(statement, constants, bound_minus_bounded, ref_norm, tol,
 def _certify_gap(statement, kind, f, a_ops, b_ops, family, tol, restarts,
                  max_iter, step_tol, seed) -> Certificate:
     """Solve the gap problem of ``kind`` and check the bound it gives."""
+    _check_tol(tol)
     problem, asm = _problem(kind, f, a_ops, b_ops, family)
     res = solve(problem, restarts=restarts, max_iter=max_iter,
                 step_tol=step_tol, seed=seed)
@@ -236,12 +243,15 @@ def verify_classical(statement: str, A, B, *, p: float | None = None,
     [m, M] defaults to the spectral hull of the constrained operator(s).
     Each operand is checked and decomposed once; the hypotheses, the hull
     and the functional calculus all read that decomposition.  Inputs that fail a
-    hypothesis raise HypothesisViolated.  A or B given as a one-entry dict
+    hypothesis raise HypothesisViolated, and a NaN or infinite m or M
+    raises BadInterval before any work.  A or B given as a one-entry dict
     is named by its key in errors (the CLI uses the file path), else by
     "A" or "B".
     """
     if statement not in CLASSICAL_STATEMENTS:
         raise ValueError(f"unknown classical statement {statement!r}")
+    _check_tol(tol)
+    _check_ends(m=m, M=M)
     a_name, A = _one_operand(A, "A")
     b_name, B = _one_operand(B, "B")
     if A.shape != B.shape:

@@ -39,10 +39,15 @@ class ChordCoefficients:
         return self.a_f * t + self.b_f
 
 
-def _check_window(f: ScalarFunction, m: float, M: float) -> None:
-    for name, value in (("m", m), ("M", M)):
-        if not math.isfinite(value):
+def _check_ends(**ends) -> None:
+    """Each window end given must be finite; None stands for a default end."""
+    for name, value in ends.items():
+        if value is not None and not math.isfinite(value):
             raise BadInterval(f"need a finite {name}, got {value}")
+
+
+def _check_window(f: ScalarFunction, m: float, M: float) -> None:
+    _check_ends(m=m, M=M)
     if not m < M:
         raise BadInterval(f"need m < M, got ({m}, {M})")
     if not f.domain.contains_interval(m, M):

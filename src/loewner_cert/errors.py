@@ -42,6 +42,10 @@ class BadInterval(LoewnerCertError):
     """Interval endpoints are degenerate or out of order."""
 
 
+class BadParameter(LoewnerCertError):
+    """A solver or certificate tolerance or iteration cap is out of range."""
+
+
 class NonPositiveAlpha(LoewnerCertError):
     """A scaling coefficient that must be finite and positive is not."""
 

@@ -25,11 +25,13 @@ complex unit sphere (the primary path) and a sampling plus coordinate
 ascent brute-force oracle that shares no iteration logic with it: it uses
 no gradient, no Hessian and no CG, only exact maxima of F along great
 circles, each found from F's five Fourier coefficients on that circle.
-``solve``, which the certificates and the CLI call, first tries a closed
-form: when C, S and D commute (chebyshev, eta, vartheta without a family
+``solve``, which the certificates and the CLI call, first tries two closed
+forms.  When C, S and D commute (chebyshev, eta, vartheta without a family
 and many diagonal or pinching families) the maximum lies on an edge of the
 simplex of weights on their common eigenbasis, and one pass over the pairs
-of eigenvectors finds it.  Otherwise it runs the multistart ascent.
+of eigenvectors finds it.  At k = 2, F is a quadratic on the Bloch sphere,
+and a trust-region subproblem in R^3 gives its maximum.  Otherwise it runs
+the multistart ascent.
 
 The primary path runs all restarts as one lockstep batch.  F is invariant
 under x -> e^{i phi} x, so each iteration works in the horizontal space
@@ -57,12 +59,19 @@ row; tests pin the resulting bits.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from .errors import BadDimensions, DimensionMismatch, NonFinite, NotUnitalFamily
+from .errors import (
+    BadDimensions,
+    BadParameter,
+    DimensionMismatch,
+    NonFinite,
+    NotUnitalFamily,
+)
 from .hermitian import (
     SpectralDecomposition,
     _checked_spectrum,
@@ -104,6 +113,10 @@ _COMMUTE_TOL = 16.0
 # commuting triple (1 and powers of the inverse plastic number, so that no
 # two distinct joint eigenvalues collide in the combination by accident)
 _MIX = (1.0, 0.7548776662466927, 0.5698402909980532)
+# cap on the Newton steps of the k = 2 secular equation; monotone from its
+# lower bound, it took at most 10 on 2,000 random and 250 rotated hard-case
+# triples
+_DIM2_NEWTON = 100
 
 _REFINE_CANDIDATES = 10
 _MAX_SWEEPS = 60
@@ -417,8 +430,7 @@ def solve_multistart(problem: GapProblem, restarts: int = 64, max_iter: int = 50
     ``iterations`` counts its outer iterations and ``converged`` is the
     stop-test flag of the restart that attains the returned value.
     """
-    if restarts < 1:
-        raise BadDimensions(f"need at least one restart, got {restarts}")
+    _check_solver_args(restarts, max_iter, step_tol)
     C, S, D = problem.C, problem.S, problem.D
     k = problem.dim
     rng = np.random.default_rng(seed)
@@ -529,23 +541,116 @@ def _exact(problem: GapProblem):
     return x / np.linalg.norm(x)
 
 
+# -- exact maxima at dimension 2 ----------------------------------------
+
+
+def _bloch(M):
+    """(m0, m) with M = m0 I + m . (sigma_x, sigma_y, sigma_z), halving before adding."""
+    m0 = 0.5 * M[0, 0].real + 0.5 * M[1, 1].real
+    m = np.array([0.5 * M[0, 1].real + 0.5 * M[1, 0].real,
+                  0.5 * M[1, 0].imag - 0.5 * M[0, 1].imag,
+                  0.5 * M[0, 0].real - 0.5 * M[1, 1].real])
+    return m0, m
+
+
+def _exact_dim2(problem: GapProblem):
+    """A unit maximizer of F for a finite 2 x 2 problem, else None.
+
+    With M = m0 I + m . sigma, <Mx, x> = m0 + m . r for the Bloch vector r
+    of x, so F = const + g . r - (s . r)(d . r) with g = c - s0 d - d0 s,
+    and a maximizer minimizes r^T H r - 2 b^T r on |r| = 1 for
+    H = (s d^T + d s^T) / 2 and b = g / 2: a trust-region subproblem.  Its
+    multiplier lambda is the least real eigenvalue of [[H, -I], [-b b^T, H]]
+    (Gander, Golub & von Matt, 1989), and r = (H - lambda I)^-1 b.  Near the
+    hard case that eigenvalue is a near double one, which ``eig`` can return
+    as a complex pair, so lambda = h_1 - mu is found instead as the root of
+    |r| = 1 in the eigenbasis of H: with beta = Q^T b and d_i = h_i - h_1,
+    r_i = beta_i / (d_i + mu).  1 / |r| is concave and increasing in mu, so
+    Newton steps from the lower bound max(|beta_1|, |beta| - d_3) rise
+    monotonically to the root.  In the hard case, b orthogonal to the h_1
+    eigenspace with |(H - h_1 I)^+ b| <= 1, mu = 0 and r adds the
+    h_1 eigenvector that makes |r| = 1.  H and b are scaled first so that
+    their largest entries are at most 1.
+    """
+    forms = (problem.C, problem.S, problem.D)
+    if problem.dim != 2 or not all(np.isfinite(M).all() for M in forms):
+        return None
+    (_, c), (s0, s), (d0, d) = (_bloch(M) for M in forms)
+    g = c - s0 * d - d0 * s
+    sig, dlt, gam = (float(np.abs(v).max()) for v in (s, d, g))
+    # weights of s d^T and g, of which the larger is 1 (Python floats do
+    # not warn when a product underflows or overflows)
+    if gam <= sig * dlt:
+        wH, wb = 1.0, (gam / sig / dlt if gam > 0.0 else 0.0)
+    else:
+        wH, wb = sig * dlt / gam, 1.0
+    us, ud = (v / m if m > 0.0 else v for v, m in ((s, sig), (d, dlt)))
+    H = 0.5 * wH * (np.outer(us, ud) + np.outer(ud, us))
+    h, Q = np.linalg.eigh(H)
+    beta = Q.T @ (0.5 * wb * (g / gam if gam > 0.0 else g))
+    gap = h - h[0]
+    low = gap == 0.0
+    y = np.zeros(3)
+    # the hard case: every |y_i| = |beta_i| / d_i <= 1 first, so none overflows
+    if not beta[low].any() and np.all(np.abs(beta[~low]) <= gap[~low]):
+        y[~low] = beta[~low] / gap[~low]
+        if y @ y <= 1.0:
+            y[0] = np.sqrt(1.0 - y @ y)
+            return _bloch_to_vector(Q @ y)
+    mu = max(float(np.linalg.norm(beta[low])), float(np.linalg.norm(beta)) - gap[-1], 0.0)
+    for _ in range(_DIM2_NEWTON):
+        shift = gap + mu
+        y = np.divide(beta, shift, out=np.zeros(3), where=shift > 0.0)
+        n = np.sqrt(y @ y)
+        # Newton on 1/|r| - 1 = 0; |r| > 1 left of the root
+        step = n * n * (n - 1.0) / np.divide(y * y, shift, out=np.zeros(3),
+                                             where=shift > 0.0).sum()
+        if not step > 4.0 * np.finfo(float).eps * mu:
+            break
+        mu += step
+    return _bloch_to_vector(Q @ y)
+
+
+def _bloch_to_vector(r):
+    """A unit x whose Bloch vector is r / |r|."""
+    rx, ry, rz = r / np.linalg.norm(r)
+    if rz >= 0.0:
+        a = np.sqrt(0.5 * (1.0 + rz))
+        x = np.array([a, complex(rx, ry) / (2.0 * a)])
+    else:
+        a = np.sqrt(0.5 * (1.0 - rz))
+        x = np.array([complex(rx, -ry) / (2.0 * a), a])
+    return x / np.linalg.norm(x)
+
+
+def _check_solver_args(restarts, max_iter, step_tol) -> None:
+    if not isinstance(restarts, numbers.Integral) or restarts < 1:
+        raise BadDimensions(f"restarts must be an integer >= 1, got {restarts}")
+    if not isinstance(max_iter, numbers.Integral) or max_iter < 0:
+        raise BadParameter(f"max_iter must be an integer >= 0, got {max_iter}")
+    if not 0.0 <= step_tol < np.inf:
+        raise BadParameter(f"step_tol must be finite and >= 0, got {step_tol}")
+
+
 def solve(problem: GapProblem, restarts: int = 64, max_iter: int = 500,
           step_tol: float = 1e-10, seed=0) -> GapResult:
-    """Maximum of F: in closed form for a commuting triple, else multistart.
+    """Maximum of F: in closed form for a commuting triple or at k = 2, else multistart.
 
-    A commuting (C, S, D) gives solver "exact-commuting" with no restarts
-    or iterations, and the value is F at the closed-form maximizer; the
-    solver arguments then only need to be valid.  Any other problem gets
-    exactly what ``solve_multistart`` returns for the same arguments.
+    A commuting (C, S, D) gives solver "exact-commuting" and any other
+    finite 2 x 2 problem "exact-dim2", each with no restarts or iterations,
+    converged, and the value of F at the closed-form maximizer.  The solver
+    arguments do not change either closed form, but are checked first and
+    must be valid.  Any other problem gets exactly what ``solve_multistart``
+    returns for the same arguments.
     """
-    if restarts < 1:
-        raise BadDimensions(f"need at least one restart, got {restarts}")
-    x = _exact(problem)
-    if x is None:
-        return solve_multistart(problem, restarts=restarts, max_iter=max_iter,
-                                step_tol=step_tol, seed=seed)
-    return GapResult(gap_objective(problem, x), x, "exact-commuting",
-                     iterations=0, restarts=0, converged=True)
+    _check_solver_args(restarts, max_iter, step_tol)
+    for name, closed_form in (("exact-commuting", _exact), ("exact-dim2", _exact_dim2)):
+        x = closed_form(problem)
+        if x is not None:
+            return GapResult(gap_objective(problem, x), x, name,
+                             iterations=0, restarts=0, converged=True)
+    return solve_multistart(problem, restarts=restarts, max_iter=max_iter,
+                            step_tol=step_tol, seed=seed)
 
 
 # -- brute-force oracle -------------------------------------------------

@@ -8,6 +8,8 @@ from hypothesis import given, strategies as st
 
 from loewner_cert import (
     BadDimensions,
+    BadInterval,
+    BadParameter,
     Conjugation,
     HypothesisViolated,
     LoewnerCertError,
@@ -40,8 +42,12 @@ from loewner_cert.hermitian import require_hermitian
 
 D01 = np.diag([0.0, 1.0]).astype(complex)
 D12 = np.diag([1.0, 2.0]).astype(complex)
-# does not commute with D12, so gamma problems pairing them take Newton-CG
+# does not commute with D12, so gamma problems pairing them take the k = 2
+# closed form
 N12 = np.array([[1.0, 0.5], [0.5, 2.0]], dtype=complex)
+# does not commute with D123, so gamma problems pairing them take Newton-CG
+D123 = np.diag([1.0, 2.0, 3.0]).astype(complex)
+N123 = np.array([[1.0, 0.5, 0.2], [0.5, 2.0, 0.3], [0.2, 0.3, 1.5]], dtype=complex)
 
 
 def test_certify_order_toy_half():
@@ -74,6 +80,12 @@ def test_certify_order_affine_non_commuting():
     assert abs(cert.constants["gamma"] - 0.5) < 1e-12
     assert abs(cert.slack) < 1e-12
     assert cert.passed
+    assert cert.solver["solver"] == "exact-dim2" and cert.solver["restarts"] == 0
+    # the same at k = 3, where Newton-CG finds gamma
+    cert = certify_order(N123, D123, affine(1.0, 0.0))
+    assert abs(cert.constants["gamma"] - np.linalg.eigvalsh(D123 - N123)[-1]) < 1e-12
+    assert abs(cert.slack) < 1e-12
+    assert cert.passed
     assert cert.solver["solver"] == "multistart"
 
 
@@ -99,9 +111,12 @@ def test_certificate_serializes_canonically():
 
 
 def test_non_commuting_certificate_records_restarts():
-    cert = certify_order(N12, D12, power(2))
+    cert = certify_order(N123, D123, power(2))
     assert cert.solver["solver"] == "multistart"
     assert cert.solver["seed"] == 0 and cert.solver["restarts"] == 64
+    cert = certify_order(N12, D12, power(2))
+    assert cert.solver["solver"] == "exact-dim2"
+    assert cert.solver["seed"] == 0 and cert.solver["restarts"] == 0
 
 
 @pytest.mark.parametrize("kind", [
@@ -569,3 +584,30 @@ def test_sandwich_rejects_non_unital_family():
     with pytest.raises(NotUnitalFamily):
         verify_sandwich_pointwise(power(2), np.diag([0.5, 1.0]), family=doubled,
                                   x=np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+def test_certificates_refuse_a_bad_tolerance_before_any_work(tol, monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda A: calls.append(A) or eigh(A))
+    match = f"tol must be finite and >= 0, got {tol}"
+    with pytest.raises(BadParameter, match=match):
+        certify_order(N12, D12, power(2), tol=tol)
+    with pytest.raises(BadParameter, match=match):
+        certify_jensen("eta_choi", power(2), D12, tol=tol)
+    with pytest.raises(BadParameter, match=match):
+        verify_classical("furuta", D12, D01, p=2.0, tol=tol)
+    assert calls == []
+
+
+@pytest.mark.parametrize("ends,message", [
+    ({"m": 1.0, "M": math.inf}, "need a finite M, got inf"),
+    ({"m": -math.inf}, "need a finite m, got -inf"),
+    ({"M": math.nan}, "need a finite M, got nan"),
+])
+@pytest.mark.parametrize("statement", ["alpha_beta_increasing", "furuta"])
+def test_classical_window_ends_must_be_finite(ends, message, statement):
+    A, B = np.diag([2.0, 3.0]), np.diag([1.0, 2.0])  # B <= A, spectra in [1, 3]
+    with pytest.raises(BadInterval, match=message):
+        verify_classical(statement, A, B, p=2.0, f=power(2), **ends)

@@ -34,6 +34,26 @@ def diag12(tmp_path):
     return write_matrix(tmp_path / "b.json", np.diag([1.0, 2.0]))
 
 
+@pytest.fixture
+def diag123(tmp_path):
+    return write_matrix(tmp_path / "b3.json", np.diag([1.0, 2.0, 3.0]))
+
+
+@pytest.fixture
+def n12(tmp_path):
+    # does not commute with diag12, so gamma problems pairing them take the
+    # k = 2 closed form
+    return write_matrix(tmp_path / "n.json", [[0.5, 0.2], [0.2, 1.5]])
+
+
+@pytest.fixture
+def n123(tmp_path):
+    # does not commute with diag123, so gamma problems pairing them take the
+    # seeded multistart solver
+    return write_matrix(tmp_path / "n3.json",
+                        [[0.5, 0.2, 0.1], [0.2, 1.5, 0.3], [0.1, 0.3, 1.0]])
+
+
 def test_kantorovich_text():
     code, out = run_cli(["kantorovich", "--m", "1", "--M", "2", "--p", "2"])
     assert code == 0
@@ -68,16 +88,23 @@ def test_gap_json_with_oracle(diag01, diag12):
     assert rep["inputs"]["A"][0]["sha256"]
 
 
-def test_gap_json_with_oracle_non_commuting(tmp_path, diag12):
-    a = write_matrix(tmp_path / "n.json", [[0.5, 0.2], [0.2, 1.5]])
+def test_gap_json_with_oracle_non_commuting(diag12, n12, n123, diag123):
     code, out = run_cli(["gap", "--kind", "gamma", "--f", "power:2",
-                         "--A", a, "--B", diag12,
+                         "--A", n123, "--B", diag123,
                          "--samples", "3000", "--oracle", "--json"])
     assert code == 0
     rep = json.loads(out)
     assert rep["agreement"] is True
     assert rep["solver"]["name"] == "multistart"
     assert rep["solver"]["restarts"] == 64
+    code, out = run_cli(["gap", "--kind", "gamma", "--f", "power:2",
+                         "--A", n12, "--B", diag12,
+                         "--samples", "3000", "--oracle", "--json"])
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["agreement"] is True
+    assert rep["solver"]["name"] == "exact-dim2"
+    assert rep["solver"]["restarts"] == 0
 
 
 def test_gap_runs_are_byte_identical(diag01, diag12):
@@ -89,10 +116,10 @@ def test_gap_runs_are_byte_identical(diag01, diag12):
 
 
 @pytest.fixture
-def gap_argv(tmp_path, diag12):
-    # non-commuting with diag12, so the seed and the restarts reach the report
-    a = write_matrix(tmp_path / "n.json", [[0.5, 0.2], [0.2, 1.5]])
-    return ["gap", "--kind", "gamma", "--f", "power:2", "--A", a, "--B", diag12, "--json"]
+def gap_argv(n123, diag123):
+    # a non-commuting 3 x 3 pair, so the seed and the restarts reach the report
+    return ["gap", "--kind", "gamma", "--f", "power:2", "--A", n123, "--B", diag123,
+            "--json"]
 
 
 def test_gap_after_gap_oracle_has_no_oracle_keys(gap_argv):
@@ -107,10 +134,10 @@ def test_gap_after_gap_oracle_has_no_oracle_keys(gap_argv):
     assert rep == expected
 
 
-def test_gap_after_certify_keeps_its_own_defaults(gap_argv, diag12):
+def test_gap_after_certify_keeps_its_own_defaults(gap_argv, diag123):
     _, before = run_cli(gap_argv)
     code, _ = run_cli(["certify", "--statement", "gamma-order", "--f", "power:2",
-                       "--A", diag12, "--B", gap_argv[gap_argv.index("--A") + 1],
+                       "--A", diag123, "--B", gap_argv[gap_argv.index("--A") + 1],
                        "--restarts", "4", "--seed", "7", "--tol", "0.5"])
     assert code == 0
     code, after = run_cli(gap_argv)
@@ -137,12 +164,13 @@ def test_certify_gamma_order_identity(diag12):
     assert "gamma     0" in out
 
 
-def test_certify_exit_one_on_failed_bound(diag01, diag12):
-    # a negative tolerance demands strictly positive slack margin the
-    # identity instance cannot provide, so the certificate fails cleanly
+def test_certify_exit_one_on_failed_bound(n123, diag123):
+    # for the identity f, gamma = lambda_max(B - A) leaves slack 0; a solve
+    # capped at 0 iterations reports F at one random start, below that
+    # maximum, so the certificate fails cleanly
     code, out = run_cli(["certify", "--statement", "gamma-order",
-                         "--f", "affine:1,0", "--A", diag12, "--B", diag12,
-                         "--tol=-1e-3"])
+                         "--f", "affine:1,0", "--A", n123, "--B", diag123,
+                         "--restarts", "1", "--max-iter", "0"])
     assert code == 1
     assert "FAIL" in out
 
@@ -211,16 +239,17 @@ def test_fuzz_sandwich_small():
     assert "pass" in out
 
 
-def test_run_config_determines_report(tmp_path, diag12):
-    # a non-commuting pair, so that the seeded multistart solver runs
-    a = write_matrix(tmp_path / "n.json", [[0.5, 0.2], [0.2, 1.5]])
-    argv = ["certify", "--statement", "gamma-order", "--f", "power:2",
-            "--A", a, "--B", diag12, "--seed", "5", "--json"]
-    code1, out1 = run_cli(argv)
-    code2, out2 = run_cli(list(argv))
-    assert code1 == code2 == 0
-    assert json.loads(out1)["solver"]["solver"] == "multistart"
-    assert out1.encode() == out2.encode()
+def test_run_config_determines_report(diag12, n12, n123, diag123):
+    for pair, solver, restarts in (((n123, diag123), "multistart", 64),
+                                   ((n12, diag12), "exact-dim2", 0)):
+        argv = ["certify", "--statement", "gamma-order", "--f", "power:2",
+                "--A", pair[0], "--B", pair[1], "--seed", "5", "--json"]
+        code1, out1 = run_cli(argv)
+        code2, out2 = run_cli(list(argv))
+        assert code1 == code2 == 0
+        rep = json.loads(out1)["solver"]
+        assert (rep["solver"], rep["restarts"]) == (solver, restarts)
+        assert out1.encode() == out2.encode()
 
 
 def test_fuzz_json_structure():
@@ -397,3 +426,53 @@ def test_non_integral_dim_file_is_exit_two(tmp_path, capsys):
                          "--A", str(path)])
     assert code == 2 and out == ""
     assert f"{path}: 'dim' must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--tol", "nan"], "tol must be finite and >= 0, got nan"),
+    (["--tol", "inf"], "tol must be finite and >= 0, got inf"),
+    (["--tol=-1"], "tol must be finite and >= 0, got -1.0"),
+    (["--step-tol", "nan"], "step_tol must be finite and >= 0, got nan"),
+    (["--max-iter", "-1"], "max_iter must be an integer >= 0, got -1"),
+])
+@pytest.mark.parametrize("pair", ["commuting", "dim2", "dim3"])
+def test_certify_bad_tolerance_or_solver_argument_is_exit_two(args, message, pair, diag01,
+                                                               diag12, n12, n123, diag123,
+                                                               capsys):
+    # checked before the solve, on both closed forms as on Newton-CG
+    a, b = {"commuting": (diag01, diag12), "dim2": (n12, diag12),
+            "dim3": (n123, diag123)}[pair]
+    code, out = run_cli(["certify", "--statement", "gamma-order", "--f", "power:2",
+                         "--A", a, "--B", b, *args])
+    assert code == 2 and out == ""
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--step-tol", "nan"], "step_tol must be finite and >= 0, got nan"),
+    (["--step-tol", "inf"], "step_tol must be finite and >= 0, got inf"),
+    (["--max-iter", "-1"], "max_iter must be an integer >= 0, got -1"),
+])
+def test_gap_bad_solver_argument_is_exit_two(args, message, gap_argv, diag01, diag12, n12,
+                                             capsys):
+    for a in (None, diag01, n12):  # k = 3, then both closed forms
+        argv = gap_argv if a is None else ["gap", "--kind", "gamma", "--f", "power:2",
+                                           "--A", a, "--B", diag12]
+        code, out = run_cli(argv + args)
+        assert code == 2 and out == ""
+        assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_classical_tolerance_and_window_are_checked_first(tmp_path, capsys):
+    # B <= A with both spectra in [1, 3], so only the named argument is wrong
+    a = write_matrix(tmp_path / "a23.json", np.diag([2.0, 3.0]))
+    b = write_matrix(tmp_path / "b12.json", np.diag([1.0, 2.0]))
+    argv = ["certify", "--statement", "alpha-beta-increasing", "--f", "power:2",
+            "--A", a, "--B", b]
+    assert run_cli(argv + ["--m", "1", "--M", "3"])[0] == 0
+    for args, message in ((["--m", "1", "--M", "inf"], "need a finite M, got inf"),
+                          (["--m", "nan"], "need a finite m, got nan"),
+                          (["--tol", "nan"], "tol must be finite and >= 0, got nan")):
+        code, out = run_cli(argv + args)
+        assert code == 2 and out == ""
+        assert f"error: {message}" in capsys.readouterr().err

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from loewner_cert import (
     KINDS,
     BadDimensions,
+    BadParameter,
     Conjugation,
     GapProblem,
     LoewnerCertError,
@@ -582,3 +583,139 @@ def test_solve_checks_restarts_on_the_exact_path():
     assert gaps._exact(prob) is not None
     with pytest.raises(BadDimensions):
         solve(prob, restarts=0)
+    # a non-integral count is refused by name on every path, not by numpy
+    rng = np.random.default_rng(61)
+    dim3 = GapProblem("gamma", *(hermitize(rng.standard_normal((3, 3))) for _ in range(3)))
+    for p in (prob, dim3):
+        for solver in (solve, solve_multistart):
+            with pytest.raises(BadDimensions, match="restarts must be an integer >= 1"):
+                solver(p, restarts=2.5)
+
+
+@pytest.mark.parametrize("args", [
+    {"step_tol": float("nan")}, {"step_tol": float("inf")}, {"step_tol": -1e-10},
+    {"max_iter": -1}, {"max_iter": 2.5},
+])
+@pytest.mark.parametrize("ops", ["commuting", "dim2", "dim3"])
+def test_solve_checks_solver_arguments_before_any_path(args, ops):
+    C, S, D = (hermitize(np.random.default_rng([5, i]).standard_normal((3, 3)))
+               for i in range(3))
+    prob = {"commuting": build_gap_problem("chebyshev", power(2), B2),
+            "dim2": GapProblem("gamma", C[:2, :2], S[:2, :2], D[:2, :2]),
+            "dim3": GapProblem("gamma", C, S, D)}[ops]
+    with pytest.raises(BadParameter, match=next(iter(args))):
+        solve(prob, **args)
+    with pytest.raises(BadParameter, match=next(iter(args))):
+        solve_multistart(prob, **args)
+
+
+# -- exact maxima at dimension 2 ------------------------------------------
+
+_SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+_SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+
+
+def _random_dim2(seed):
+    """A non-commuting 2 x 2 triple; some have a scalar form or mixed scales."""
+    rng = np.random.default_rng([41, seed])
+    forms = [hermitize(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+             for _ in range(3)]
+    if seed % 10 == 1:  # a scalar S: F is affine in the Bloch vector
+        forms[1] = rng.standard_normal() * np.eye(2, dtype=complex)
+    elif seed % 10 == 2:
+        forms = [10.0 ** rng.uniform(-3, 3) * M for M in forms]
+    return GapProblem("gamma", *forms)
+
+
+def _restart_maxima(prob, seed):
+    """Distinct values, to 1e-8, of the converged restarts of solve_multistart."""
+    rng = np.random.default_rng(seed)
+    X0 = rng.standard_normal((2, 64)) + 1j * rng.standard_normal((2, 64))
+    X, conv, _ = gaps._newton_ascent(prob.C, prob.S, prob.D, X0, 500, 1e-10)
+    qC, qS, qD = gaps._forms(prob.C, prob.S, prob.D, X[:, conv])
+    F = np.sort(qC - qS * qD)
+    return 1 + np.count_nonzero(np.diff(F) > 1e-8 * (1.0 + np.abs(F[1:])))
+
+
+def test_exact_dim2_reaches_the_maximum_of_random_triples():
+    several = 0
+    for seed in range(300):
+        prob = _random_dim2(seed)
+        assert gaps._exact(prob) is None
+        res = solve(prob, seed=seed)
+        assert res.solver == "exact-dim2"
+        assert (res.restarts, res.iterations, res.converged) == (0, 0, True)
+        v, tol = res.value, 1e-12 * (1.0 + abs(res.value))
+        assert abs(np.linalg.norm(res.maximizer) - 1.0) <= 1e-14
+        assert v == gap_objective(prob, res.maximizer)
+        assert v >= solve_multistart(prob, restarts=64, seed=seed).value - tol
+        assert v >= solve_bruteforce(prob, samples=20000, seed=seed).value - tol
+        several += _restart_maxima(prob, seed) >= 2
+    # 64 restarts find two or more distinct maxima on a good share of them
+    assert several >= 30
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-3, 0.1, 0.3, 0.7])
+def test_exact_dim2_hard_case(eps):
+    # S = sigma_x, D = sigma_y, C = 2 eps (sigma_x + sigma_y): b is orthogonal
+    # to the least eigenvector of H, and max F = 1/2 + 2 eps^2 for eps < 1/sqrt 2
+    prob = GapProblem("gamma", 2.0 * eps * (_SX + _SY), _SX, _SY)
+    res = solve(prob)
+    assert res.solver == "exact-dim2"
+    assert abs(res.value - (0.5 + 2.0 * eps * eps)) <= 1e-14
+    # rotated, the exact zeros of the hard case become rounding
+    for seed in range(20):
+        U = random_unitary(2, np.random.default_rng([43, seed]))
+        spun = GapProblem("gamma", *(hermitize(U @ M @ U.conj().T)
+                                     for M in (prob.C, prob.S, prob.D)))
+        assert abs(solve(spun).value - (0.5 + 2.0 * eps * eps)) <= 1e-14
+
+
+def test_exact_dim2_is_unitarily_invariant():
+    for seed in range(50):
+        prob = _random_dim2(seed)
+        v = solve(prob).value
+        U = random_unitary(2, np.random.default_rng([47, seed]))
+        spun = GapProblem("gamma", *(hermitize(U @ M @ U.conj().T)
+                                     for M in (prob.C, prob.S, prob.D)))
+        assert abs(solve(spun).value - v) <= 1e-14 * (1.0 + abs(v))
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-100, 1e100, 1e200])
+def test_exact_dim2_scales_without_warnings(scale):
+    # F is unchanged by S -> a S, D -> D / a and scales by a under
+    # C -> a C, S -> sqrt(a) S, D -> sqrt(a) D; RuntimeWarnings are errors here
+    for seed in range(20):
+        prob = _random_dim2(seed)
+        v = solve(prob).value
+        C, S, D = prob.C, prob.S, prob.D
+        split = solve(GapProblem("gamma", C, scale * S, D / scale)).value
+        assert abs(split - v) <= 1e-14 * (1.0 + abs(v))
+        r = np.sqrt(scale)
+        whole = solve(GapProblem("gamma", scale * C, r * S, r * D)).value
+        assert abs(whole / scale - v) <= 1e-14 * (1.0 + abs(v))
+
+
+def test_exact_dim2_never_runs_newton_cg(monkeypatch):
+    def fail(*args):
+        raise AssertionError("Newton-CG ran at k = 2")
+
+    monkeypatch.setattr(gaps, "_newton_ascent", fail)
+    for seed in range(50):
+        assert solve(_random_dim2(seed)).solver == "exact-dim2"
+    for eps in (0.0, 0.5, 1.0):
+        assert solve(GapProblem("gamma", eps * _SX, _SX, _SY)).solver == "exact-dim2"
+
+
+def test_solve_labels_by_dimension_and_commutation():
+    U = random_unitary(2, np.random.default_rng(53))
+    commuting = GapProblem("gamma", *(hermitize((U * v) @ U.conj().T)
+                                      for v in ([1.0, 3.0], [0.5, -1.0], [2.0, 0.25])))
+    assert solve(commuting).solver == "exact-commuting"
+    rng = np.random.default_rng(59)
+    dim3 = GapProblem("gamma", *(hermitize(rng.standard_normal((3, 3))) for _ in range(3)))
+    res = solve(dim3, restarts=8, seed=1)
+    assert res.solver == "multistart" and res.restarts == 8
+    # a non-finite 2 x 2 problem has no closed form and reaches multistart
+    bad = GapProblem("gamma", np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex), _SX, _SY)
+    assert solve(bad, restarts=2, max_iter=3).solver == "multistart"
