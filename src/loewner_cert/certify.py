@@ -19,13 +19,7 @@ from .constants import beta as beta_const
 from .constants import _check_ends, kantorovich
 from .errors import BadDimensions, BadParameter, HypothesisViolated, NotUnitVector
 from .gaps import _as_ops, _assemble, _problem, solve
-from .hermitian import (
-    SpectralDecomposition,
-    _power,
-    _spectral_images,
-    min_eigenvalue,
-    random_dominated_pair,
-)
+from .hermitian import _calc, _power, random_dominated_pair
 from .maps import MapFamily
 from .scalarfn import ScalarFunction
 
@@ -107,7 +101,7 @@ def _check_tol(tol) -> None:
 def _finish(statement, constants, bound_minus_bounded, ref_norm, tol,
             solver, inputs) -> Certificate:
     tol_eff = tol * (1.0 + ref_norm)
-    slack = min_eigenvalue(bound_minus_bounded)
+    slack = float(np.linalg.eigvalsh(bound_minus_bounded)[0])
     return Certificate(
         statement=statement,
         constants=constants,
@@ -242,49 +236,49 @@ def verify_classical(statement: str, A, B, *, p: float | None = None,
 
     [m, M] defaults to the spectral hull of the constrained operator(s).
     Each operand is checked and decomposed once; the hypotheses, the hull
-    and the functional calculus all read that decomposition.  Inputs that fail a
-    hypothesis raise HypothesisViolated, and a NaN or infinite m or M
-    raises BadInterval before any work.  A or B given as a one-entry dict
-    is named by its key in errors (the CLI uses the file path), else by
-    "A" or "B".
+    and the functional calculus all read that decomposition.  Inputs that
+    fail a hypothesis raise HypothesisViolated, a NaN or infinite m, M or p
+    raises BadInterval before any work, and an overflowing image raises
+    NonFinite.  A or B given as a one-entry dict is named by its key in
+    errors (the CLI uses the file path), else by "A" or "B".
     """
     if statement not in CLASSICAL_STATEMENTS:
         raise ValueError(f"unknown classical statement {statement!r}")
     _check_tol(tol)
-    _check_ends(m=m, M=M)
+    _check_ends(m=m, M=M, p=p)
     a_name, A = _one_operand(A, "A")
     b_name, B = _one_operand(B, "B")
     if A.shape != B.shape:
         raise HypothesisViolated(f"shapes {A.shape} and {B.shape} differ")
-    dA, dB = (SpectralDecomposition(*np.linalg.eigh(X)) for X in (A, B))
-    wA, wB = dA.eigenvalues, dB.eigenvalues
+    eA, eB = np.linalg.eigh(A), np.linalg.eigh(B)
+    wA, wB = eA[0], eB[0]
     inputs = {"dim": A.shape[0]}
 
     if statement == "furuta":
         _require(p is not None and p >= 1.0, "furuta needs an exponent p >= 1")
-        _require(min_eigenvalue(A - B) >= -_HYP_TOL, "furuta needs B <= A")
+        _require(np.linalg.eigvalsh(A - B)[0] >= -_HYP_TOL, "furuta needs B <= A")
         _require(wA[0] > 0, "furuta needs A > 0")
         _require(wB[0] >= -_HYP_TOL, "furuta needs B >= 0")
         m_eff, M_eff = _window(statement, (wA,), m, M, "spectrum of A")
+        Ap, Bp = _power(eA, p, a_name), _power(eB, p, b_name)
         K = kantorovich(m_eff, M_eff, p)
         constants = {"K": K, "p": float(p), "m": m_eff, "M": M_eff}
-        KAp = K * _power(dA, p, a_name)
-        bound, ref = KAp - _power(dB, p, b_name), _fro(KAp)
+        bound, ref = K * Ap - Bp, _fro(K * Ap)
     elif statement == "lowner_heinz":
         _require(p is not None and 0.0 <= p <= 1.0, "lowner_heinz needs p in [0, 1]")
         _require(wA[0] >= -_HYP_TOL, "lowner_heinz needs A >= 0")
-        _require(min_eigenvalue(B - A) >= -_HYP_TOL, "lowner_heinz needs A <= B")
+        _require(np.linalg.eigvalsh(B - A)[0] >= -_HYP_TOL, "lowner_heinz needs A <= B")
         constants = {"p": float(p)}
-        Ap = _power(dA, p, a_name)
-        Bp = _power(dB, p, b_name)
+        Ap, Bp = _power(eA, p, a_name), _power(eB, p, b_name)
         bound, ref = Bp - Ap, _fro(Bp)
     else:  # alpha-beta statements
         _require(f is not None, f"{statement} needs a scalar function")
         _require(alpha > 0, f"{statement} needs alpha > 0")
-        _require(min_eigenvalue(A - B) >= -_HYP_TOL, f"{statement} needs B <= A")
+        _require(np.linalg.eigvalsh(A - B)[0] >= -_HYP_TOL, f"{statement} needs B <= A")
         m_eff, M_eff = _window(statement, (wA, wB), m, M, "spectra of A and B")
         _require(f.domain.contains_interval(m_eff, M_eff),
                  f"[{m_eff}, {M_eff}] must lie inside the domain of f")
+        fA, fB = _calc(eA, f, a_name), _calc(eB, f, b_name)
         increasing = statement == "alpha_beta_increasing"
         # f convex means f' is nondecreasing, so one endpoint fixes the sign
         if increasing:
@@ -293,8 +287,6 @@ def verify_classical(statement: str, A, B, *, p: float | None = None,
             _require(f.deriv(M_eff) <= 1e-12, "f must be decreasing on [m, M]")
         b_val = beta_const(f, m_eff, M_eff, alpha)
         constants = {"alpha": float(alpha), "beta": b_val, "m": m_eff, "M": M_eff}
-        fA = _spectral_images(dA, (f.value_array,), f.domain, name=a_name)[0]
-        fB = _spectral_images(dB, (f.value_array,), f.domain, name=b_name)[0]
         upper, lower = (alpha * fA, fB) if increasing else (alpha * fB, fA)
         bound, ref = upper + b_val * np.eye(len(fA)) - lower, _fro(upper)
         inputs["function"] = f.spec_string()
@@ -321,6 +313,7 @@ def find_order_violation(f: ScalarFunction, n: int, trials: int, seed,
         raise BadDimensions(f"need dimension n >= 1, got {n}")
     if trials < 1:
         raise BadDimensions(f"need at least one trial, got {trials}")
+    _check_ends(lo=lo, hi=hi)
     if lo is None or hi is None:
         w_lo, w_hi = _violation_window(f)
         lo = w_lo if lo is None else lo
@@ -329,10 +322,8 @@ def find_order_violation(f: ScalarFunction, n: int, trials: int, seed,
     for t in range(trials):
         big, small = random_dominated_pair(n, lo, hi, [base.entropy, t])
         A, B = small, big  # A <= B, both exactly Hermitian
-        fB, fA = (_spectral_images(SpectralDecomposition(*np.linalg.eigh(X)),
-                                   (f.value_array,), f.domain, name=name)[0]
-                  for X, name in ((B, "B"), (A, "A")))
-        witness = min_eigenvalue(fB - fA)
+        fB, fA = (_calc(np.linalg.eigh(X), f, name) for X, name in ((B, "B"), (A, "A")))
+        witness = float(np.linalg.eigvalsh(fB - fA)[0])
         if witness < -1e-8:
             return OrderViolation(A=A, B=B, witness=witness, trial=t)
     return None

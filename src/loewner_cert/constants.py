@@ -14,7 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BadInterval, DomainError, NonPositiveAlpha
+import numpy as np
+
+from .errors import BadInterval, DomainError, NonFinite, NonPositiveAlpha
 from .scalarfn import ScalarFunction
 
 __all__ = ["ChordCoefficients", "chord_coeffs", "beta", "beta_point", "kantorovich"]
@@ -55,11 +57,14 @@ def _check_window(f: ScalarFunction, m: float, M: float) -> None:
 
 
 def chord_coeffs(f: ScalarFunction, m: float, M: float) -> ChordCoefficients:
-    """Coefficients of the secant of f over [m, M]."""
+    """Coefficients of the secant of f over [m, M]; NonFinite if beyond the float range."""
     _check_window(f, m, M)
-    fm, fM = f.eval(m), f.eval(M)
+    with np.errstate(over="ignore"):  # reported below
+        fm, fM = f.eval(m), f.eval(M)
     a_f = (fM - fm) / (M - m)
     b_f = (M * fm - m * fM) / (M - m)
+    if not all(map(math.isfinite, (fm, fM, a_f, b_f))):
+        raise NonFinite(f"the chord of {f.spec_string()} over [{m}, {M}] overflows")
     return ChordCoefficients(a_f, b_f, m, M)
 
 
@@ -105,17 +110,21 @@ def kantorovich(m: float, M: float, p: float) -> float:
                  * ((p - 1)/p * (M^p - m^p) / (m M^p - M m^p))^p,
 
     with the removable singularities at p = 0 and p = 1 routed to 1.
-    A NaN or infinite m, M or p raises BadInterval naming it.
+    A non-finite m, M or p raises BadInterval, and K beyond the float range NonFinite.
     """
-    for name, value in (("m", m), ("M", M), ("p", p)):
-        if not math.isfinite(value):
-            raise BadInterval(f"need a finite {name}, got {value}")
+    _check_ends(m=m, M=M, p=p)
     if not (0 < m < M):
         raise BadInterval(f"need 0 < m < M, got ({m}, {M})")
     p = float(p)
     if abs(p) <= _P_LIMIT_TOL or abs(p - 1.0) <= _P_LIMIT_TOL:
         return 1.0
-    mp, Mp = m ** p, M ** p
-    lead = (m * Mp - M * mp) / ((p - 1.0) * (M - m))
-    base = (p - 1.0) / p * (Mp - mp) / (m * Mp - M * mp)
-    return lead * base ** p
+    try:  # a float power raises OverflowError, and one that underflows to 0 can divide by it
+        mp, Mp = m ** p, M ** p
+        lead = (m * Mp - M * mp) / ((p - 1.0) * (M - m))
+        base = (p - 1.0) / p * (Mp - mp) / (m * Mp - M * mp)
+        K = lead * base ** p
+    except (OverflowError, ZeroDivisionError):
+        K = math.nan
+    if not math.isfinite(K):
+        raise NonFinite(f"K({m}, {M}, {p}) overflows or underflows the float range")
+    return K

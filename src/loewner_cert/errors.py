@@ -23,7 +23,7 @@ class SpectrumOutsideDomain(DomainError):
 
 
 class NonFinite(LoewnerCertError):
-    """A matrix operand, a map or a functional-calculus image is not finite."""
+    """An operand, a map, a functional-calculus image or a constant is not finite."""
 
 
 class NotHermitian(LoewnerCertError):

@@ -72,12 +72,7 @@ from .errors import (
     NonFinite,
     NotUnitalFamily,
 )
-from .hermitian import (
-    SpectralDecomposition,
-    _checked_spectrum,
-    _spectral_images,
-    require_hermitian,
-)
+from .hermitian import _checked_spectrum, _spectral_images, require_hermitian
 from .maps import MapFamily, check_unital_family
 from .scalarfn import ScalarFunction
 
@@ -132,6 +127,11 @@ class GapProblem:
     C: np.ndarray
     S: np.ndarray
     D: np.ndarray
+
+    def __post_init__(self):  # so that every solver works on finite forms
+        for label in ("C", "S", "D"):
+            if not np.isfinite(getattr(self, label)).all():
+                raise NonFinite(f"{label} of the {self.kind} problem has a non-finite entry")
 
     @property
     def dim(self) -> int:
@@ -217,17 +217,10 @@ def _assemble(f: ScalarFunction, a_ops, b_ops=None,
     if not a:
         raise BadDimensions("at least one A operand is required")
     b = a if b_ops is None else _as_ops(b_ops, "B")
-    fns = (f.value_array, f.deriv_array, lambda w: w * f.deriv_array(w))
+    fns = {"f": f.value_array, "f'": f.deriv_array, "t f'": lambda w: w * f.deriv_array(w)}
 
     def images(X, name):
-        with np.errstate(over="ignore", invalid="ignore"):  # reported below
-            out = _spectral_images(SpectralDecomposition(*np.linalg.eigh(X)), fns,
-                                   f.domain, name=name)
-        for img, label in zip(out, ("f", "f'", "t f'")):
-            if not np.isfinite(img).all():
-                raise NonFinite(f"{label}({name}) has a non-finite entry, "
-                                f"f = {f.spec_string()}")
-        return out
+        return _spectral_images(np.linalg.eigh(X), fns, f.domain, name, f.spec_string())
 
     if family is None:
         if len(a) != 1 or len(b) != 1:
@@ -516,8 +509,6 @@ def _exact(problem: GapProblem):
     units = []  # the nonzero forms scaled to unit norm; a zero form drops out
     for X in forms:
         top = float(np.abs(X).max())
-        if not top < np.inf:  # a non-finite problem is not taken as commuting
-            return None
         if top > 0.0:
             X = X / top  # first to the largest entry, so that no square underflows
             units.append(X / np.linalg.norm(X))
@@ -554,7 +545,7 @@ def _bloch(M):
 
 
 def _exact_dim2(problem: GapProblem):
-    """A unit maximizer of F for a finite 2 x 2 problem, else None.
+    """A unit maximizer of F for a 2 x 2 problem, else None.
 
     With M = m0 I + m . sigma, <Mx, x> = m0 + m . r for the Bloch vector r
     of x, so F = const + g . r - (s . r)(d . r) with g = c - s0 d - d0 s,
@@ -572,10 +563,9 @@ def _exact_dim2(problem: GapProblem):
     h_1 eigenvector that makes |r| = 1.  H and b are scaled first so that
     their largest entries are at most 1.
     """
-    forms = (problem.C, problem.S, problem.D)
-    if problem.dim != 2 or not all(np.isfinite(M).all() for M in forms):
+    if problem.dim != 2:
         return None
-    (_, c), (s0, s), (d0, d) = (_bloch(M) for M in forms)
+    (_, c), (s0, s), (d0, d) = (_bloch(M) for M in (problem.C, problem.S, problem.D))
     g = c - s0 * d - d0 * s
     sig, dlt, gam = (float(np.abs(v).max()) for v in (s, d, g))
     # weights of s d^T and g, of which the larger is 1 (Python floats do
@@ -637,7 +627,7 @@ def solve(problem: GapProblem, restarts: int = 64, max_iter: int = 500,
     """Maximum of F: in closed form for a commuting triple or at k = 2, else multistart.
 
     A commuting (C, S, D) gives solver "exact-commuting" and any other
-    finite 2 x 2 problem "exact-dim2", each with no restarts or iterations,
+    2 x 2 problem "exact-dim2", each with no restarts or iterations,
     converged, and the value of F at the closed-form maximizer.  The solver
     arguments do not change either closed form, but are checked first and
     must be valid.  Any other problem gets exactly what ``solve_multistart``

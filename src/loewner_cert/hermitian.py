@@ -8,13 +8,16 @@ JSON form is {"dim": n, "re": [[...]], "im": [[...]]} with "im" optional.
 An operand is checked once, where it enters, by ``require_hermitian``,
 which returns its exact Hermitian part.  Code holding such a matrix passes
 it to ``np.linalg.eigh`` directly and neither checks nor hermitizes it
-again; the public functions below still check their own arguments.
+again, nor their sums, differences and real multiples; the public
+functions below still check their own arguments.  Every image f(A) is
+formed from A's ``eigh`` pair by ``_spectral_images``, which checks the
+spectrum against f's domain and names the image, A and f in NonFinite
+when an entry overflows.
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -27,10 +30,10 @@ from .errors import (
     ParseError,
     SpectrumOutsideDomain,
 )
-from .scalarfn import Interval, ScalarFunction
+from .constants import _check_ends
+from .scalarfn import Interval, ScalarFunction, _fmt_endpoint
 
 __all__ = [
-    "SpectralDecomposition",
     "LoewnerCheck",
     "require_hermitian",
     "hermitize",
@@ -85,20 +88,9 @@ def hermitize(A) -> np.ndarray:
     return H + H.conj().T
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Ascending eigenvalues and a unitary of matching eigenvectors."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        U = self.eigenvectors
-        return (U * self.eigenvalues) @ U.conj().T
-
-
-def spectral_decompose(A) -> SpectralDecomposition:
-    return SpectralDecomposition(*np.linalg.eigh(require_hermitian(A)))
+def spectral_decompose(A) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh`` of the checked A: ascending eigenvalues w and a unitary U."""
+    return np.linalg.eigh(require_hermitian(A))
 
 
 def _checked_spectrum(w, domain: Interval | None, name: str) -> np.ndarray:
@@ -114,12 +106,23 @@ def _checked_spectrum(w, domain: Interval | None, name: str) -> np.ndarray:
         raise
 
 
-def _spectral_images(dec: SpectralDecomposition, fns, domain: Interval | None = None,
-                     name: str = "matrix") -> list:
-    """fn(A) for each fn in ``fns`` from A's decomposition ``dec`` and one clamp."""
-    w = _checked_spectrum(dec.eigenvalues, domain, name)
-    U = dec.eigenvectors
-    return [hermitize((U * np.asarray(fn(w), dtype=float)) @ U.conj().T) for fn in fns]
+def _spectral_images(eig, fns: dict, domain: Interval | None, name: str, f: str) -> list:
+    """g(A) for each label g -> callable in ``fns``, from A's ``eigh`` pair ``eig``.
+
+    A's spectrum is checked and clamped onto ``domain`` once.  An image with
+    a non-finite entry raises NonFinite naming the image, A as ``name`` and
+    the function as ``f``: "f'(A) has a non-finite entry, f = exp;dom=(-inf,inf)".
+    """
+    w, U = eig
+    w = _checked_spectrum(w, domain, name)
+    images = []
+    with np.errstate(all="ignore"):  # an overflow is reported below
+        for label, fn in fns.items():
+            image = hermitize((U * np.asarray(fn(w), dtype=float)) @ U.conj().T)
+            if not np.isfinite(image).all():
+                raise NonFinite(f"{label}({name}) has a non-finite entry, f = {f}")
+            images.append(image)
+    return images
 
 
 def apply_spectral(A, fn, domain: Interval | None = None, name: str = "matrix") -> np.ndarray:
@@ -128,21 +131,28 @@ def apply_spectral(A, fn, domain: Interval | None = None, name: str = "matrix") 
     When a domain is given the spectrum is validated against it first;
     eigenvalues within SPECTRUM_CLAMP_TOL of a closed endpoint are snapped
     onto it so that rounding does not cause spurious rejections.  Errors
-    about A name it ``name``.
+    about A name it ``name``, and an image that overflows raises NonFinite.
     """
-    return _spectral_images(spectral_decompose(A), (fn,), domain, name=name)[0]
+    f = getattr(fn, "__name__", "fn")
+    return _spectral_images(spectral_decompose(A), {"f": fn}, domain, name, f)[0]
+
+
+def _calc(eig, f: ScalarFunction, name: str) -> np.ndarray:
+    """f(A) from A's ``eigh`` pair."""
+    return _spectral_images(eig, {"f": f.value_array}, f.domain, name, f.spec_string())[0]
 
 
 def calc(f: ScalarFunction, A, name: str = "matrix") -> np.ndarray:
     """Functional calculus f(A) for an admitted convex function."""
-    return apply_spectral(A, f.value_array, f.domain, name=name)
+    return _calc(spectral_decompose(A), f, name)
 
 
-def _power(dec: SpectralDecomposition, p: float, name: str) -> np.ndarray:
-    """A**p from A's decomposition; p other than 0, 1, 2, ... needs A >= 0."""
+def _power(eig, p: float, name: str) -> np.ndarray:
+    """A**p from A's ``eigh`` pair; p other than 0, 1, 2, ... needs A >= 0."""
     p = float(p)
     domain = None if p.is_integer() and p >= 0 else Interval(0.0, float("inf"), lo_closed=True)
-    return _spectral_images(dec, (lambda w: np.power(w, p),), domain, name=name)[0]
+    return _spectral_images(eig, {"f": lambda w: np.power(w, p)}, domain, name,
+                            f"power:{_fmt_endpoint(p)}")[0]
 
 
 def matrix_power(A, p: float, name: str = "matrix") -> np.ndarray:
@@ -197,8 +207,9 @@ def random_dominated_pair(n: int, m: float, M: float, seed) -> tuple[np.ndarray,
     positive random P.  B - m'I is congruent to X - cI with
     X = P^{-1/2} (A - m'I) P^{-1/2}, so c = min(1, lambda_min(X)) is the
     largest c in (0, 1] keeping lambda_min(B) >= m'; m' sits 4 n eps M
-    above m so that lambda_min(B) >= m survives rounding.
+    above m so that lambda_min(B) >= m survives rounding.  m and M must be finite.
     """
+    _check_ends(m=m, M=M)
     if not (0 < m < M):
         raise BadInterval(f"need 0 < m < M, got ({m}, {M})")
     rng = np.random.default_rng(seed)
@@ -213,8 +224,7 @@ def random_dominated_pair(n: int, m: float, M: float, seed) -> tuple[np.ndarray,
     if c < 1e-8:
         # no room below A; an exactly equal pair satisfies every postcondition
         return A, A.copy()
-    B = hermitize(A - c * P)
-    return A, B
+    return A, A - c * P
 
 
 # -- JSON form ---------------------------------------------------------

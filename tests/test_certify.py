@@ -1,3 +1,4 @@
+import importlib
 import math
 import sys
 import warnings
@@ -19,13 +20,17 @@ from loewner_cert import (
     NotUnitVector,
     SpectrumOutsideDomain,
     affine,
+    apply_spectral,
+    build_gap_problem,
     calc,
     certify_jensen,
     certify_order,
     dumps_canonical,
+    exponential,
     find_order_violation,
     kantorovich,
     loewner_leq,
+    matrix_power,
     min_eigenvalue,
     neglog,
     parse_function,
@@ -611,3 +616,47 @@ def test_classical_window_ends_must_be_finite(ends, message, statement):
     A, B = np.diag([2.0, 3.0]), np.diag([1.0, 2.0])  # B <= A, spectra in [1, 3]
     with pytest.raises(BadInterval, match=message):
         verify_classical(statement, A, B, p=2.0, f=power(2), **ends)
+
+
+# exp(800) and 1e103**3 are beyond the float range
+EXP_HUGE = np.diag([800.0, 1.0]).astype(complex)
+CUBE_HUGE = np.diag([2e103, 1.0]).astype(complex)
+_HALVES = MapFamily((Conjugation(np.eye(2) / np.sqrt(2.0)),) * 2)
+
+
+@pytest.mark.parametrize("form,image", [
+    (lambda: calc(exponential(), EXP_HUGE, name="X"), r"f\(X\)"),
+    (lambda: apply_spectral(EXP_HUGE, np.exp, name="X"), r"f\(X\)"),
+    (lambda: matrix_power(CUBE_HUGE, 3, name="X"), r"f\(X\)"),
+    (lambda: build_gap_problem("gamma", exponential(), D12, EXP_HUGE), r"f\(B\)"),
+    (lambda: certify_order(D12, EXP_HUGE, exponential()), r"f\(B\)"),
+    (lambda: certify_jensen("eta_choi", exponential(), [D12, EXP_HUGE], family=_HALVES),
+     r"f\(A\[1\]\)"),
+    (lambda: verify_sandwich_pointwise(exponential(), EXP_HUGE, x=np.array([1.0, 0.0])),
+     r"f\(A\)"),
+    (lambda: verify_classical("furuta", CUBE_HUGE, D01, p=3.0), r"f\(A\)"),
+    (lambda: verify_classical("alpha_beta_increasing", EXP_HUGE, np.diag([799.0, 1.0]),
+                              f=exponential()), r"f\(A\)"),
+    (lambda: find_order_violation(exponential(), 2, 3, 0, lo=750.0, hi=800.0), r"f\(B\)"),
+], ids=["calc", "apply_spectral", "matrix_power", "build_gap_problem", "certify_order",
+        "certify_jensen", "verify_sandwich_pointwise", "furuta", "alpha_beta_increasing",
+        "find_order_violation"])
+def test_overflowing_image_names_its_operand(form, image):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFinite, match=rf"^{image} has a non-finite entry, f = "):
+            form()
+
+
+@pytest.mark.parametrize("lo,hi,name", [
+    (1.0, math.inf, "hi"),
+    (None, math.inf, "hi"),
+    (math.nan, 2.0, "lo"),
+    (math.nan, None, "lo"),
+])
+def test_violation_window_must_be_finite_before_any_draw(lo, hi, name, monkeypatch):
+    certify_module = importlib.import_module("loewner_cert.certify")
+    monkeypatch.setattr(certify_module, "random_dominated_pair",
+                        lambda *args: pytest.fail("a pair was drawn"))
+    with pytest.raises(BadInterval, match=f"^need a finite {name}, got"):
+        find_order_violation(power(3), 2, 5, 0, lo=lo, hi=hi)

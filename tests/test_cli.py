@@ -369,6 +369,37 @@ def test_furuta_non_finite_constant_argument_is_exit_two(args, message, diag01, 
     assert f"error: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv,message", [
+    (["violation", "--f", "power:3", "--trials", "3", "--lo", "1e200", "--hi", "2e200",
+      "--json"], "f(B) has a non-finite entry, f = power:3;dom=[0,inf)"),
+    (["violation", "--f", "power:3", "--trials", "5", "--hi", "inf"],
+     "need a finite hi, got inf"),
+    (["violation", "--f", "power:3", "--trials", "5", "--lo", "nan"],
+     "need a finite lo, got nan"),
+    (["kantorovich", "--m", "1e300", "--M", "2e300", "--p", "3"],
+     "K(1e+300, 2e+300, 3.0) overflows or underflows the float range"),
+    (["kantorovich", "--m", "1e-300", "--M", "1", "--p", "-3"],
+     "K(1e-300, 1.0, -3.0) overflows or underflows the float range"),
+    (["beta", "--f", "exp", "--m", "700", "--M", "800", "--json"],
+     "the chord of exp;dom=(-inf,inf) over [700.0, 800.0] overflows"),
+], ids=["violation-image", "violation-hi", "violation-lo", "kantorovich-M", "kantorovich-m",
+        "beta"])
+def test_out_of_float_range_is_a_named_exit_two(argv, message, capsys):
+    code, out = run_cli(argv)
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_furuta_power_overflow_names_the_file(tmp_path, capsys):
+    a = write_matrix(tmp_path / "a.json", np.diag([2e300, 1e300]))
+    b = write_matrix(tmp_path / "b.json", np.diag([1e300, 1e300]))
+    code, out = run_cli(["certify", "--statement", "furuta", "--p", "3", "--A", a, "--B", b])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"error: f({a}) has a non-finite entry, f = power:3\n"
+
+
 def test_ragged_matrix_file_is_exit_two(tmp_path, capsys):
     path = tmp_path / "ragged.json"
     path.write_text(json.dumps({"dim": 2, "re": [[1.0, 0.0], [0.0]]}))

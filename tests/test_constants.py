@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,10 +8,12 @@ from hypothesis import given, strategies as st
 from loewner_cert import (
     BadInterval,
     DomainError,
+    NonFinite,
     NonPositiveAlpha,
     beta,
     beta_point,
     chord_coeffs,
+    exponential,
     kantorovich,
     power,
 )
@@ -171,6 +174,30 @@ def test_kantorovich_rejects_bad_window():
 def test_kantorovich_rejects_non_finite_arguments(m, M, p, name):
     with pytest.raises(BadInterval, match=f"need a finite {name}, got"):
         kantorovich(m, M, p)
+
+
+@pytest.mark.parametrize("m,M,p", [
+    (1e300, 2e300, 3.0),  # M**p overflows
+    (1e-300, 1.0, -3.0),  # m**p overflows
+    (1e-200, 1.0, 3.0),  # m**p underflows to 0, and base**p overflows
+    (1e-200, 2e-200, 3.0),  # both powers underflow to 0
+])
+def test_kantorovich_out_of_float_range_is_named(m, M, p):
+    with pytest.raises(NonFinite, match=r"^K\(.*\) overflows or underflows the float range"):
+        kantorovich(m, M, p)
+
+
+@pytest.mark.parametrize("f,m,M", [
+    (exponential(), 700.0, 800.0),  # f(M) overflows
+    (exponential(), 700.0, 709.0),  # f is finite, m f(M) is not
+    (power(-3.0), 1e-300, 1.0),  # f(m) overflows
+])
+def test_chord_out_of_float_range_is_named(f, m, M):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for compute in (chord_coeffs, lambda *args: beta(*args, 1.0)):
+            with pytest.raises(NonFinite, match=rf"^the chord of {f.spec_string()[:3]}"):
+                compute(f, m, M)
 
 
 @given(

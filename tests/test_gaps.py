@@ -262,18 +262,29 @@ def test_multistart_converges_in_few_iterations(kind, n, f_idx):
 
 
 def test_multistart_returns_on_non_finite_problem():
-    # a NaN entry makes every trial step NaN; the line search must still stop
+    # GapProblem refuses NaN, so the ascent is driven directly: a NaN entry
+    # makes every trial step NaN, and the line search must still stop
     C = np.diag([1.0, 2.0, 3.0]).astype(complex)
     C[0, 0] = np.nan
-    prob = GapProblem("gamma", C, np.eye(3, dtype=complex), np.eye(3, dtype=complex))
+    eye = np.eye(3, dtype=complex)
+    X0 = np.random.default_rng(0).standard_normal((3, 4)).astype(complex)
     out = []
     worker = threading.Thread(
-        target=lambda: out.append(solve_multistart(prob, restarts=4, max_iter=20)),
+        target=lambda: out.append(gaps._newton_ascent(C, eye, eye, X0, 20, 1e-10)),
         daemon=True)
     worker.start()
     worker.join(timeout=60)
     assert not worker.is_alive()
-    assert out and not out[0].converged
+    assert out and not out[0][1].any()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("label", ["C", "S", "D"])
+def test_gap_problem_refuses_non_finite_forms(label, bad):
+    forms = {"C": B2.copy(), "S": A2.copy(), "D": B2.copy()}
+    forms[label][1, 1] = bad
+    with pytest.raises(NonFinite, match=rf"^{label} of the delta problem has a non-finite"):
+        GapProblem("delta", **forms)
 
 
 def test_overflowing_image_names_operand_and_function():
@@ -716,6 +727,6 @@ def test_solve_labels_by_dimension_and_commutation():
     dim3 = GapProblem("gamma", *(hermitize(rng.standard_normal((3, 3))) for _ in range(3)))
     res = solve(dim3, restarts=8, seed=1)
     assert res.solver == "multistart" and res.restarts == 8
-    # a non-finite 2 x 2 problem has no closed form and reaches multistart
-    bad = GapProblem("gamma", np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex), _SX, _SY)
-    assert solve(bad, restarts=2, max_iter=3).solver == "multistart"
+    # a non-finite problem is refused when it is built
+    with pytest.raises(NonFinite, match=r"^C of the gamma problem has a non-finite entry"):
+        GapProblem("gamma", np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex), _SX, _SY)

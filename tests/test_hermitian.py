@@ -70,9 +70,9 @@ def test_require_hermitian_tolerates_rounding():
 def test_spectral_decompose_reconstructs(n, seed):
     rng = np.random.default_rng(seed)
     A = random_hermitian(n, -2.0, 3.0, rng)
-    dec = spectral_decompose(A)
-    assert np.all(np.diff(dec.eigenvalues) >= 0)
-    assert np.linalg.norm(dec.reconstruct() - A) <= 1e-10 * (1 + np.linalg.norm(A))
+    w, U = spectral_decompose(A)
+    assert np.all(np.diff(w) >= 0)
+    assert np.linalg.norm((U * w) @ U.conj().T - A) <= 1e-10 * (1 + np.linalg.norm(A))
 
 
 def test_calc_square_of_symmetry():
@@ -191,6 +191,9 @@ def test_random_dominated_pair_rejects_bad_window():
         random_dominated_pair(2, -1.0, 2.0, 0)
     with pytest.raises(BadInterval):
         random_dominated_pair(2, 0.0, 2.0, 0)
+    for m, M, name in ((1.0, math.inf, "M"), (math.nan, 2.0, "m"), (-math.inf, 2.0, "m")):
+        with pytest.raises(BadInterval, match=f"^need a finite {name}, got"):
+            random_dominated_pair(2, m, M, 0)
 
 
 # -- JSON form ---------------------------------------------------------
