@@ -130,9 +130,7 @@ def _certify_gap(statement, kind, f, a_ops, b_ops, family, tol, restarts,
         upper + res.value * np.eye(k) - lower,
         _fro(upper),
         tol,
-        {"solver": res.solver, "restarts": res.restarts, "iterations": res.iterations,
-         "converged": res.converged, "seed": seed, "step_tol": step_tol,
-         "max_iter": max_iter},
+        res.record(seed, step_tol, max_iter),
         {**sizes, "function": f.spec_string()},
     )
 
@@ -290,7 +288,7 @@ def verify_classical(statement: str, A, B, *, p: float | None = None,
         upper, lower = (alpha * fA, fB) if increasing else (alpha * fB, fA)
         bound, ref = upper + b_val * np.eye(len(fA)) - lower, _fro(upper)
         inputs["function"] = f.spec_string()
-    return _finish(statement, constants, bound, ref, tol, {"solver": "eigh"}, inputs)
+    return _finish(statement, constants, bound, ref, tol, {"name": "eigh"}, inputs)
 
 
 def _violation_window(f: ScalarFunction) -> tuple[float, float]:

@@ -178,15 +178,7 @@ def _cmd_gap(args) -> int:
         "value": res.value,
         "maximizer_re": [float(v) for v in res.maximizer.real],
         "maximizer_im": [float(v) for v in res.maximizer.imag],
-        "solver": {
-            "name": res.solver,
-            "restarts": res.restarts,
-            "iterations": res.iterations,
-            "converged": res.converged,
-            "seed": args.seed,
-            "step_tol": args.step_tol,
-            "max_iter": args.max_iter,
-        },
+        "solver": res.record(args.seed, args.step_tol, args.max_iter),
         "inputs": digests,
     }
     lines = [
@@ -195,6 +187,8 @@ def _cmd_gap(args) -> int:
         f"value     {format_float(res.value)}",
         f"converged {str(res.converged).lower()}",
     ]
+    if res.upper is not None:
+        lines.append(f"upper     {format_float(res.upper)}")
     if args.oracle:
         oracle = solve_bruteforce(problem, samples=args.samples, seed=args.seed)
         agree = abs(res.value - oracle.value) <= AGREE_RTOL * (1.0 + abs(oracle.value))

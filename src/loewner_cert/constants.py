@@ -83,10 +83,11 @@ def beta_point(f: ScalarFunction, m: float, M: float, alpha: float) -> tuple[flo
         return coeffs(t) - alpha * f.eval(t)
 
     def gprime(t: float) -> float:
-        return coeffs.a_f - alpha * f.deriv(t)
+        # f' rises on [m, M] (f is convex): finite between the ends checked below
+        return coeffs.a_f - alpha * float(f.deriv_array(np.array([t]))[0])
 
     candidates = [m, M]
-    if gprime(m) > 0 and gprime(M) < 0:
+    if coeffs.a_f - alpha * f.deriv(m) > 0 and coeffs.a_f - alpha * f.deriv(M) < 0:
         lo, hi = m, M
         while hi - lo > _BISECT_TOL:
             mid = 0.5 * (lo + hi)

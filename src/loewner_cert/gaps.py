@@ -31,7 +31,10 @@ and many diagonal or pinching families) the maximum lies on an edge of the
 simplex of weights on their common eigenbasis, and one pass over the pairs
 of eigenvectors finds it.  At k = 2, F is a quadratic on the Bloch sphere,
 and a trust-region subproblem in R^3 gives its maximum.  Otherwise it runs
-the multistart ascent.
+the multistart ascent on a first batch of 8 starts and bounds max F from
+above by S-lemma duality (``_upper_bound``); the rest of its ``restarts``
+cap runs only while that bound stays more than 1e-8 (1 + |value|) above
+the value found.  ``solve_multistart`` is the fixed-count ascent alone.
 
 The primary path runs all restarts as one lockstep batch.  F is invariant
 under x -> e^{i phi} x, so each iteration works in the horizontal space
@@ -60,7 +63,7 @@ row; tests pin the resulting bits.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
@@ -140,12 +143,29 @@ class GapProblem:
 
 @dataclass
 class GapResult:
+    """A maximizer of F, how it was found, and the certified bound ``upper``.
+
+    ``gap`` is ``upper - value``; both are None where no bound was computed
+    (the closed forms and the bare solvers).  ``eigensolves`` counts the
+    bound's eigenvalue problems.
+    """
+
     value: float
     maximizer: np.ndarray
     solver: str
     iterations: int
     restarts: int
     converged: bool = True
+    upper: float | None = None
+    gap: float | None = None
+    eigensolves: int = 0
+
+    def record(self, seed, step_tol: float, max_iter: int) -> dict:
+        """The solver record of ``gap --json`` and of certificates."""
+        return {"name": self.solver, "restarts": self.restarts,
+                "iterations": self.iterations, "converged": self.converged,
+                "upper": self.upper, "gap": self.gap, "eigensolves": self.eigensolves,
+                "seed": seed, "step_tol": step_tol, "max_iter": max_iter}
 
 
 def gap_objective(problem: GapProblem, x) -> float:
@@ -613,6 +633,159 @@ def _bloch_to_vector(r):
     return x / np.linalg.norm(x)
 
 
+# -- certified upper bound ------------------------------------------------
+#
+# With A = C - sD the pairs (<Ax,x>, <Sx,x>) fill the numerical range of
+# A + iS, which is convex (Toeplitz-Hausdorff), so by the S-lemma
+# (Polik & Terlaky, SIAM Rev. 2007)
+#
+#     max F = max over s in [lambda_min S, lambda_max S] of min over mu of h(s, mu),
+#     h(s, mu) = lambda_max(C - sD - mu(S - sI)),
+#
+# and h(s, mu(s)) bounds F on the slice <Sx,x> = s for any multiplier mu(s).
+# _upper_bound takes mu piecewise linear between nodes, each node with the
+# mu that (nearly) minimizes h there.  On [a, b] with w = b - a, t = s - a
+# and kappa = (mu_a - mu_b) / w, h(s, mu(s)) = lambda_max(A0 + t A1) -
+# kappa t^2, and lambda_max of an affine family is convex in t, so it lies
+# below the chord of h_a, h_b plus max(kappa, 0) t (w - t), which has a
+# closed-form maximum.  Its excess over the chord is second order in w even
+# where the top eigenvalue at the maximum is double.
+
+# starts of solve's first batch, and the relative gap that closes a bound
+_FIRST_BATCH = 8
+_GAP_RTOL = 1e-8
+# eigenvalue problems per bound, and evaluations of h per node's multiplier
+_BOUND_EIGENSOLVES = 64
+_NODE_EVALS = 7
+# eigenvalues this far below the top, relative to 1 + |top|, enter the
+# curvature of h in mu; closer ones are treated as part of a double top
+_CURV_GAP = 1e-9
+
+
+def _gap_tol(value: float) -> float:
+    return _GAP_RTOL * (1.0 + abs(value))
+
+
+def _upper_bound(problem: GapProblem, value: float, x):
+    """(upper, eigensolves): a certified bound on max F, built around x.
+
+    ``value`` is F at the unit vector x.  The first nodes are the ends of
+    S's spectrum, each widened by its rounding, and s* = <Sx,x> with
+    mu = <Dx,x>, where h(s*, mu) = F(x) when x is a maximizer.  Each node's
+    mu then takes bracketed Newton steps on h (convex in mu), at most
+    _NODE_EVALS evaluations, clamped to [lambda_min D - r, lambda_max D + r]
+    with r the spread of D's spectrum: the best mu runs off to +-inf at the
+    ends of S's spectrum.  An interval whose bound exceeds value + tau gets
+    a node at its maximizing t, clipped to the middle half, with mu
+    interpolated from its neighbours.  Refining stops once every interval
+    is within tau, once a node's own h exceeds value + tau (splitting
+    cannot lower it), or after _BOUND_EIGENSOLVES eigenvalue problems.
+    Every computed lambda_max carries k eps times a bound on the norm of
+    its matrix (Weyl, for a backward-stable ``eigh``), and every interval
+    bound the rounding of its closed form.  ``upper`` is None if it is not
+    finite.
+    """
+    C, S, D = problem.C, problem.S, problem.D
+    k = problem.dim
+    eps = np.finfo(float).eps
+    tau = _gap_tol(value)
+    target, low = value + tau, value - 10.0 * tau
+    eye = np.eye(k)
+    nC, nS, nD = (float(np.linalg.norm(X)) for X in (C, S, D))
+    evals = 2
+    with np.errstate(all="ignore"):  # a bound beyond the float range is None
+        ws, wd = np.linalg.eigvalsh(S), np.linalg.eigvalsh(D)
+        r = wd[-1] - wd[0]
+        mu_lo, mu_hi = wd[0] - r, wd[-1] + r
+        pad = k * eps * nS
+        s_lo, s_hi = ws[0] - pad, ws[-1] + pad
+
+        def h(s, mu):
+            """h(s, mu) with its rounding margin, and h's slope and curvature in mu."""
+            nonlocal evals
+            evals += 1
+            P = S - s * eye
+            w, V = np.linalg.eigh(C - s * D - mu * P)
+            top = w[-1]
+            c = V.conj().T @ (P @ V[:, -1])  # <v_i, P v> for the eigenvectors v_i
+            rest = top - w[:-1] > _CURV_GAP * (1.0 + abs(top))
+            curv = 2.0 * float((np.abs(c[:-1][rest]) ** 2 / (top - w[:-1][rest])).sum())
+            norm = nC + abs(s) * nD + abs(mu) * (nS + abs(s) * np.sqrt(k))
+            return top + k * eps * norm, -c[-1].real, curv
+
+        def node(s, mu):
+            """(s, h, mu) for the least h found from ``mu`` by bracketed Newton."""
+            mu = min(max(mu, mu_lo), mu_hi)
+            best = (np.inf, mu)
+            left = right = None  # (mu, h, slope) with slope < 0, and > 0
+            last = np.inf  # length of the previous step
+            for _ in range(_NODE_EVALS):
+                hv, g, curv = h(s, mu)
+                best = min(best, (hv, mu))
+                if hv <= low or evals >= _BOUND_EIGENSOLVES:
+                    break
+                if g < 0.0:
+                    if mu >= mu_hi:
+                        break
+                    left = (mu, hv, g)
+                else:
+                    if mu <= mu_lo:
+                        break
+                    right = (mu, hv, g)
+                # the Newton decrement g^2 / (2 curv) is within 0.1 tau (or g = 0)
+                if g * g <= 0.2 * tau * curv:
+                    break
+                cross = None
+                if left and right:  # the two tangents meet below min h
+                    (ma, ha, ga), (mb, hb, gb) = left, right
+                    cross = (hb - ha + ga * ma - gb * mb) / (ga - gb)
+                    if best[0] - (ha + ga * (cross - ma)) <= 0.1 * tau:
+                        break
+                a = left[0] if left else mu_lo
+                b = right[0] if right else mu_hi
+                # h is convex but kinks where its top eigenvalue changes, and
+                # there Newton steps can swing across the minimum: a step
+                # that leaves the bracket or fails to halve the last one
+                # goes to where the tangents cross, or to the open end
+                step = mu - g / curv if curv > 0.0 else np.nan
+                if not (a < step < b and abs(step - mu) <= 0.5 * last):
+                    step = cross if cross is not None else (b if g < 0.0 else a)
+                last = abs(step - mu)
+                mu = step
+            return s, *best
+
+        def interval(a, b):
+            """(bound on F over nodes a to b, the t where it peaks)."""
+            (sa, ha, ma), (sb, hb, mb) = a, b
+            w = sb - sa
+            kappa = (ma - mb) / w if w > 0.0 else 0.0
+            if not kappa > 0.0:
+                return max(ha, hb), 0.5 * w
+            t = min(max(0.5 * w + (hb - ha) / (2.0 * kappa * w), 0.0), w)
+            bound = ha + (hb - ha) * (t / w) + kappa * t * (w - t)
+            return bound + 4.0 * eps * (abs(ha) + abs(hb) + kappa * w * w), t
+
+        qS, qD = (float(np.vdot(x, X @ x).real) for X in (S, D))
+        first = {s_lo: mu_hi, min(max(qS, s_lo), s_hi): qD, s_hi: mu_lo}
+        nodes = [node(s, mu) for s, mu in sorted(first.items())]
+        while True:
+            pairs = list(zip(nodes, nodes[1:]))
+            bounds = [interval(a, b) for a, b in pairs] or [(nodes[0][1], 0.0)]
+            upper = max(ub for ub, _ in bounds)
+            if (upper <= target or evals >= _BOUND_EIGENSOLVES
+                    or max(n[1] for n in nodes) > target):
+                break
+            refined = []
+            for (a, b), (ub, t) in zip(pairs, bounds):
+                refined.append(a)
+                if ub > target and evals < _BOUND_EIGENSOLVES:
+                    w = b[0] - a[0]
+                    t = min(max(t, 0.25 * w), 0.75 * w)
+                    refined.append(node(a[0] + t, a[2] + (b[2] - a[2]) * (t / w)))
+            nodes = refined + nodes[-1:]
+    return (float(upper) if np.isfinite(upper) else None), evals
+
+
 def _check_solver_args(restarts, max_iter, step_tol) -> None:
     if not isinstance(restarts, numbers.Integral) or restarts < 1:
         raise BadDimensions(f"restarts must be an integer >= 1, got {restarts}")
@@ -624,14 +797,23 @@ def _check_solver_args(restarts, max_iter, step_tol) -> None:
 
 def solve(problem: GapProblem, restarts: int = 64, max_iter: int = 500,
           step_tol: float = 1e-10, seed=0) -> GapResult:
-    """Maximum of F: in closed form for a commuting triple or at k = 2, else multistart.
+    """Maximum of F: in closed form for a commuting triple or at k = 2, else bounded multistart.
 
     A commuting (C, S, D) gives solver "exact-commuting" and any other
     2 x 2 problem "exact-dim2", each with no restarts or iterations,
-    converged, and the value of F at the closed-form maximizer.  The solver
-    arguments do not change either closed form, but are checked first and
-    must be valid.  Any other problem gets exactly what ``solve_multistart``
-    returns for the same arguments.
+    converged, no bound, and the value of F at the closed-form maximizer.
+    The solver arguments do not change either closed form, but are checked
+    first and must be valid.
+
+    Any other problem gets solver "multistart": the best of a first batch
+    of min(_FIRST_BATCH, ``restarts``) seeded Newton-CG starts, returned as
+    soon as ``_upper_bound`` closes on it, i.e. upper - value <= _GAP_RTOL
+    (1 + |value|).  Otherwise the rest of the ``restarts`` cap runs as a
+    second batch from the same generator, the better point is kept and
+    bounded once more, and the lower of the two bounds is reported as it
+    stands.  ``restarts`` and ``iterations`` count both batches; the first
+    batch alone is ``solve_multistart`` with ``restarts`` = _FIRST_BATCH,
+    bit for bit.
     """
     _check_solver_args(restarts, max_iter, step_tol)
     for name, closed_form in (("exact-commuting", _exact), ("exact-dim2", _exact_dim2)):
@@ -639,8 +821,24 @@ def solve(problem: GapProblem, restarts: int = 64, max_iter: int = 500,
         if x is not None:
             return GapResult(gap_objective(problem, x), x, name,
                              iterations=0, restarts=0, converged=True)
-    return solve_multistart(problem, restarts=restarts, max_iter=max_iter,
-                            step_tol=step_tol, seed=seed)
+    # both batches draw their starts from one generator
+    rng = np.random.default_rng(seed)
+    first = min(_FIRST_BATCH, restarts)
+    res = solve_multistart(problem, first, max_iter, step_tol, seed=rng)
+    upper, evals = _upper_bound(problem, res.value, res.maximizer)
+    if restarts > first and not (upper is not None
+                                 and upper - res.value <= _gap_tol(res.value)):
+        more = solve_multistart(problem, restarts - first, max_iter, step_tol, seed=rng)
+        iterations = res.iterations + more.iterations
+        if more.value > res.value:
+            res = more
+            again, extra = _upper_bound(problem, res.value, res.maximizer)
+            evals += extra
+            # each bound holds whatever point it was built around
+            upper = min((u for u in (upper, again) if u is not None), default=None)
+        res = replace(res, iterations=iterations, restarts=restarts)
+    gap = None if upper is None else upper - res.value
+    return replace(res, upper=upper, gap=gap, eigensolves=evals)
 
 
 # -- brute-force oracle -------------------------------------------------

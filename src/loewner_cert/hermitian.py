@@ -192,9 +192,12 @@ def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def random_hermitian(n: int, lo: float, hi: float, rng: np.random.Generator) -> np.ndarray:
-    """Random Hermitian with spectrum drawn uniformly from [lo, hi]."""
+    """Random Hermitian with spectrum drawn uniformly from [lo, hi], both finite."""
+    _check_ends(lo=lo, hi=hi)
     if not lo < hi:
         raise BadInterval(f"need lo < hi, got ({lo}, {hi})")
+    if not float(hi) - float(lo) < np.inf:
+        raise BadInterval(f"hi - lo exceeds the float range, got ({lo}, {hi})")
     u = rng.uniform(lo, hi, size=n)
     Q = random_unitary(n, rng)
     return hermitize((Q * u) @ Q.conj().T)

@@ -22,6 +22,7 @@ from .errors import (
     BadInterval,
     DomainError,
     InvalidFunction,
+    NonFinite,
     ParseError,
     SpectrumOutsideDomain,
 )
@@ -164,7 +165,13 @@ class ScalarFunction:
     __call__ = eval
 
     def deriv(self, t: float) -> float:
-        return float(self.deriv_array(np.array([self._check(t)]))[0])
+        """f'(t), the one checked scalar path: NonFinite where it overflows."""
+        t = self._check(t)
+        with np.errstate(all="ignore"):  # reported below
+            d = float(self.deriv_array(np.array([t]))[0])
+        if not math.isfinite(d):
+            raise NonFinite(f"f'({t!r}) is not finite, f = {self.spec_string()}")
+        return d
 
     def value_array(self, w) -> np.ndarray:
         """Vectorized values; callers must pre-validate the domain."""

@@ -76,7 +76,7 @@ def test_certify_order_affine_identity():
     assert abs(cert.constants["gamma"]) < 1e-12
     assert abs(cert.slack) < 1e-12
     assert cert.passed
-    assert cert.solver["solver"] == "exact-commuting"
+    assert cert.solver["name"] == "exact-commuting"
 
 
 def test_certify_order_affine_non_commuting():
@@ -85,13 +85,13 @@ def test_certify_order_affine_non_commuting():
     assert abs(cert.constants["gamma"] - 0.5) < 1e-12
     assert abs(cert.slack) < 1e-12
     assert cert.passed
-    assert cert.solver["solver"] == "exact-dim2" and cert.solver["restarts"] == 0
+    assert cert.solver["name"] == "exact-dim2" and cert.solver["restarts"] == 0
     # the same at k = 3, where Newton-CG finds gamma
     cert = certify_order(N123, D123, affine(1.0, 0.0))
     assert abs(cert.constants["gamma"] - np.linalg.eigvalsh(D123 - N123)[-1]) < 1e-12
     assert abs(cert.slack) < 1e-12
     assert cert.passed
-    assert cert.solver["solver"] == "multistart"
+    assert cert.solver["name"] == "multistart"
 
 
 def test_slack_shifts_with_constant():
@@ -116,12 +116,19 @@ def test_certificate_serializes_canonically():
 
 
 def test_non_commuting_certificate_records_restarts():
+    # the bound closes on the first batch, so 8 of the 64 allowed starts run
     cert = certify_order(N123, D123, power(2))
-    assert cert.solver["solver"] == "multistart"
-    assert cert.solver["seed"] == 0 and cert.solver["restarts"] == 64
+    gamma = cert.constants["gamma"]
+    assert cert.solver["name"] == "multistart"
+    assert cert.solver["seed"] == 0 and cert.solver["restarts"] == 8
+    assert cert.solver["upper"] >= gamma
+    assert cert.solver["gap"] == cert.solver["upper"] - gamma <= 1e-8 * (1.0 + abs(gamma))
+    assert cert.solver["eigensolves"] > 0
     cert = certify_order(N12, D12, power(2))
-    assert cert.solver["solver"] == "exact-dim2"
+    assert cert.solver["name"] == "exact-dim2"
     assert cert.solver["seed"] == 0 and cert.solver["restarts"] == 0
+    assert cert.solver["upper"] is None and cert.solver["gap"] is None
+    assert cert.solver["eigensolves"] == 0
 
 
 @pytest.mark.parametrize("kind", [
@@ -291,6 +298,14 @@ def test_hypotheses_come_before_the_domain_of_a_non_integral_power():
         verify_classical("lowner_heinz", A, A + np.eye(2), p=0.5)  # A <= B
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_monotonicity_test_names_an_overflowing_derivative():
+    # f(A) = A^-3 is finite, but f'(M) = -3 M^-4 at M = 2e-80 is not
+    A, B = np.diag([1e-80, 2e-80]), np.diag([0.5e-80, 1e-80])
+    with pytest.raises(NonFinite, match=r"^f'\(2e-80\) is not finite, f = power:-3"):
+        verify_classical("alpha_beta_decreasing", A, B, f=power(-3))
+
+
 def test_verify_classical_rejects_unknown():
     with pytest.raises(ValueError):
         verify_classical("unknown", FURUTA_A, FURUTA_B, p=2.0)
@@ -409,12 +424,21 @@ def eigh_inputs(monkeypatch):
     return seen
 
 
+def _bound_calls(cert):
+    """(eigh, eigvalsh) calls of the certificate's bound: eigvalsh of S and D, then eigh."""
+    n = cert.solver["eigensolves"]
+    return (n - 2, 2) if n else (0, 0)
+
+
 def test_certify_order_decomposes_each_operand_once(eigh_inputs):
     rng = np.random.default_rng(61)
     A, B = (random_hermitian(4, 0.3, 2.0, rng) for _ in range(2))
-    certify_order(A, B, power(2), restarts=4)
-    assert len(eigh_inputs["eigh"]) == 2
-    assert eigh_inputs["eigvalsh"] == 1
+    cert = certify_order(A, B, power(2), restarts=4)
+    bound_eigh, bound_eigvalsh = _bound_calls(cert)
+    assert bound_eigh > 0  # the triple does not commute, so its maximum is bounded
+    # A and B once each, then the bound's own eigenvalue problems
+    assert len(eigh_inputs["eigh"]) == 2 + bound_eigh
+    assert eigh_inputs["eigvalsh"] == 1 + bound_eigvalsh
 
 
 @pytest.mark.parametrize("kind", ["delta_forward", "eta_choi",
@@ -425,16 +449,20 @@ def test_certify_jensen_decomposes_each_operand_once(kind, eigh_inputs):
     fam = random_unital_family(m, 3, 3, seed=63)
     a_ops = [random_hermitian(3, 0.3, 2.0, rng) for _ in range(m)]
     b_ops = [random_hermitian(3, 0.3, 2.0, rng) for _ in range(m)]
-    certify_jensen(kind, power(2), a_ops, b_ops, fam, restarts=4)
-    decomposed = eigh_inputs["eigh"]
+    cert = certify_jensen(kind, power(2), a_ops, b_ops, fam, restarts=4)
+    # the bound of a non-commuting triple decomposes its own matrices last
+    bound_eigh, bound_eigvalsh = _bound_calls(cert)
+    decomposed = eigh_inputs["eigh"][:len(eigh_inputs["eigh"]) - bound_eigh]
     assert len(decomposed) == len(set(decomposed))
     # each A_i and T once; eta's forms are functions of T, so its exact
-    # path adds one decomposition.  The B_i of delta and theta (eta and
-    # vartheta have none) get eigenvalues only, and the slack one more
+    # path adds one decomposition and needs no bound.  The B_i of delta and
+    # theta (eta and vartheta have none) get eigenvalues only, and the
+    # slack one more
     two_sided = kind in ("delta_forward", "theta_reverse")
     exact = kind == "eta_choi"
+    assert (bound_eigh > 0) == (not exact)
     assert len(decomposed) == m + 1 + exact
-    assert eigh_inputs["eigvalsh"] == (m + 1 if two_sided else 1)
+    assert eigh_inputs["eigvalsh"] == (m + 1 if two_sided else 1) + bound_eigvalsh
 
 
 _CLASSICAL_ARGS = {"furuta": {"p": 1.5}, "lowner_heinz": {"p": 0.5},

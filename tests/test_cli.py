@@ -96,7 +96,9 @@ def test_gap_json_with_oracle_non_commuting(diag12, n12, n123, diag123):
     rep = json.loads(out)
     assert rep["agreement"] is True
     assert rep["solver"]["name"] == "multistart"
-    assert rep["solver"]["restarts"] == 64
+    assert rep["solver"]["restarts"] == 8  # the bound closes on the first batch
+    assert rep["solver"]["gap"] <= 1e-8 * (1.0 + abs(rep["value"]))
+    assert rep["solver"]["upper"] >= rep["value"]
     code, out = run_cli(["gap", "--kind", "gamma", "--f", "power:2",
                          "--A", n12, "--B", diag12,
                          "--samples", "3000", "--oracle", "--json"])
@@ -105,6 +107,20 @@ def test_gap_json_with_oracle_non_commuting(diag12, n12, n123, diag123):
     assert rep["agreement"] is True
     assert rep["solver"]["name"] == "exact-dim2"
     assert rep["solver"]["restarts"] == 0
+
+
+_SOLVER_KEYS = {"name", "restarts", "iterations", "converged", "upper", "gap",
+                "eigensolves", "seed", "step_tol", "max_iter"}
+
+
+def test_gap_and_certify_write_one_solver_record(n123, diag123):
+    files = ["--A", n123, "--B", diag123, "--f", "power:2", "--seed", "3", "--json"]
+    _, gap = run_cli(["gap", "--kind", "gamma", *files])
+    _, cert = run_cli(["certify", "--statement", "gamma-order", *files])
+    gap, cert = json.loads(gap), json.loads(cert)
+    assert set(gap["solver"]) == set(cert["solver"]) == _SOLVER_KEYS
+    # the same problem and seed give the same record
+    assert gap["solver"] == cert["solver"] and gap["value"] == cert["constants"]["gamma"]
 
 
 def test_gap_runs_are_byte_identical(diag01, diag12):
@@ -143,7 +159,9 @@ def test_gap_after_certify_keeps_its_own_defaults(gap_argv, diag123):
     code, after = run_cli(gap_argv)
     assert code == 0 and after == before
     solver = json.loads(after)["solver"]
-    assert solver["seed"] == 42 and solver["restarts"] == 64
+    # certify's 4 restarts would cap the run at 4; gap's cap of 64 runs 8
+    assert solver["seed"] == 42 and solver["restarts"] == 8
+    assert (solver["max_iter"], solver["step_tol"]) == (500, 1e-10)
 
 
 def test_usage_error_leaves_the_next_call_intact(gap_argv, capsys):
@@ -240,7 +258,7 @@ def test_fuzz_sandwich_small():
 
 
 def test_run_config_determines_report(diag12, n12, n123, diag123):
-    for pair, solver, restarts in (((n123, diag123), "multistart", 64),
+    for pair, solver, restarts in (((n123, diag123), "multistart", 8),
                                    ((n12, diag12), "exact-dim2", 0)):
         argv = ["certify", "--statement", "gamma-order", "--f", "power:2",
                 "--A", pair[0], "--B", pair[1], "--seed", "5", "--json"]
@@ -248,7 +266,7 @@ def test_run_config_determines_report(diag12, n12, n123, diag123):
         code2, out2 = run_cli(list(argv))
         assert code1 == code2 == 0
         rep = json.loads(out1)["solver"]
-        assert (rep["solver"], rep["restarts"]) == (solver, restarts)
+        assert (rep["name"], rep["restarts"]) == (solver, restarts)
         assert out1.encode() == out2.encode()
 
 
@@ -383,8 +401,10 @@ def test_furuta_non_finite_constant_argument_is_exit_two(args, message, diag01, 
      "K(1e-300, 1.0, -3.0) overflows or underflows the float range"),
     (["beta", "--f", "exp", "--m", "700", "--M", "800", "--json"],
      "the chord of exp;dom=(-inf,inf) over [700.0, 800.0] overflows"),
+    (["beta", "--f", "power:-3", "--m", "1e-80", "--M", "1"],
+     "f'(1e-80) is not finite, f = power:-3;dom=(0,inf)"),
 ], ids=["violation-image", "violation-hi", "violation-lo", "kantorovich-M", "kantorovich-m",
-        "beta"])
+        "beta", "beta-derivative"])
 def test_out_of_float_range_is_a_named_exit_two(argv, message, capsys):
     code, out = run_cli(argv)
     assert code == 2 and out == ""

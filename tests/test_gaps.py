@@ -14,6 +14,7 @@ from loewner_cert import (
     MapFamily,
     NonFinite,
     NotUnitalFamily,
+    Pinch,
     SpectrumOutsideDomain,
     build_gap_problem,
     exponential,
@@ -562,6 +563,23 @@ def test_exact_path_splits_a_collision_of_the_first_combination(monkeypatch):
     assert abs(res.value - p) <= 1e-14 * p
 
 
+def test_exact_path_splits_columns_that_rounding_couples():
+    # joint eigenvalues (c, s, d) of (-2, -2, 3) and (-2, 1, -2) sit 0.0064
+    # apart in the combination _MIX, so its eigenvectors carry rounding of
+    # about eps / 0.0064, above the off-diagonal tolerance: the first basis
+    # fails and the split of coupled runs repairs it, with no monkeypatch
+    c, s, d = np.full(4, -2.0), np.array([-2.0, -2.0, -2.0, 1.0]), np.array([-2.0, -2.0, 3.0, -2.0])
+    U = random_unitary(4, np.random.default_rng(0))
+    prob = GapProblem("gamma", *(hermitize((U * v) @ U.conj().T) for v in (c, s, d)))
+    units = [X / np.linalg.norm(X) for X in (prob.C, prob.S, prob.D)]
+    tol = gaps._COMMUTE_TOL * 4 * np.finfo(float).eps
+    first = np.linalg.eigh(gaps._combine(gaps._MIX, units, 4))[1]
+    assert not gaps._off_diagonal_within([first.conj().T @ X @ first for X in units], tol)
+    res = solve(prob)
+    assert res.solver == "exact-commuting"
+    assert abs(res.value - 4.0) <= 1e-14 * 4.0  # at the vertex (-2, -2, 3)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
 def test_chebyshev_is_the_operator_gruss_constant(n):
     # for f = t^2 the maximal covariance of t and f'(t) = 2t is (M - m)^2 / 2
@@ -582,11 +600,16 @@ def test_non_commuting_solve_is_multistart(kind):
         prob = build_gap_problem(kind, power(2), a, b,
                                  family=random_unital_family(2, 3, 3, seed=12))
     assert gaps._exact(prob) is None
-    res, ref = solve(prob, restarts=16, seed=4), solve_multistart(prob, restarts=16, seed=4)
+    # the bound closes on the first batch, which is solve_multistart's 8 starts
+    res, ref = solve(prob, restarts=16, seed=4), solve_multistart(prob, restarts=8, seed=4)
     assert res.solver == "multistart" and res.value == ref.value
     assert res.maximizer.tobytes() == ref.maximizer.tobytes()
     assert (res.iterations, res.restarts, res.converged) == (
         ref.iterations, ref.restarts, ref.converged)
+    v = solve_multistart(prob, restarts=16, seed=4).value
+    assert res.value >= v - 1e-12 * (1.0 + abs(v))
+    assert res.upper >= v and res.gap == res.upper - res.value
+    assert res.gap <= gaps._gap_tol(res.value) and res.eigensolves > 0
 
 
 def test_solve_checks_restarts_on_the_exact_path():
@@ -730,3 +753,66 @@ def test_solve_labels_by_dimension_and_commutation():
     # a non-finite problem is refused when it is built
     with pytest.raises(NonFinite, match=r"^C of the gamma problem has a non-finite entry"):
         GapProblem("gamma", np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex), _SX, _SY)
+
+
+# -- certified upper bound ------------------------------------------------
+
+
+def _random_triple(k, seed):
+    rng = np.random.default_rng([71, k, seed])
+    return GapProblem("gamma", *(hermitize(rng.standard_normal((k, k))
+                                           + 1j * rng.standard_normal((k, k)))
+                                 for _ in range(3)))
+
+
+@pytest.mark.parametrize("k", [3, 5, 8, 16])
+def test_bound_closes_above_the_64_restart_maximum(k):
+    for seed in range(16):
+        prob = _random_triple(k, seed)
+        res = solve(prob, seed=seed)
+        v = solve_multistart(prob, restarts=64, seed=seed).value
+        assert res.solver == "multistart"
+        assert res.upper >= v and res.upper >= res.value
+        assert res.value >= v - 1e-12 * (1.0 + abs(v))
+        assert res.gap == res.upper - res.value <= gaps._gap_tol(res.value)
+        assert res.restarts == 8 and 5 <= res.eigensolves <= gaps._BOUND_EIGENSOLVES
+
+
+@pytest.mark.parametrize("seed", [1, 3, 5, 6])
+def test_bound_closes_where_the_top_eigenvalue_is_double(seed):
+    # vartheta under one pinching: C, S and D share its blocks, and at the
+    # maximum L = C - <Dx,x> S - <Sx,x> D has a double top eigenvalue, the
+    # case in which one multiplier per interval left the bound open
+    fam = MapFamily((Pinch(4, ((2, 1), (3,), (0,))),))
+    A = random_hermitian(4, 0.2, 2.0, np.random.default_rng([67, seed]))
+    prob = build_gap_problem("vartheta", power(2), A, family=fam)
+    res = solve(prob)
+    x = res.maximizer
+    qS, qD = (np.vdot(x, X @ x).real for X in (prob.S, prob.D))
+    w = np.linalg.eigvalsh(prob.C - qD * prob.S - qS * prob.D)
+    assert w[-1] - w[-2] <= 1e-9 * (1.0 + abs(w[-1]))
+    assert res.solver == "multistart" and res.gap <= gaps._gap_tol(res.value)
+    assert res.upper >= solve_multistart(prob, restarts=64).value
+
+
+def test_an_open_bound_runs_the_rest_of_the_cap():
+    # with no Newton steps each batch keeps its best random start, so the
+    # bound stays open: the second batch runs, its better point is kept and
+    # the lower of the two bounds, each valid, is reported as it stands (at
+    # seed 3 the second bound is the lower, at seed 5 the first)
+    prob = _random_triple(5, 0)
+    v = solve_multistart(prob, restarts=64).value
+    for seed in (3, 5):
+        res = solve(prob, restarts=12, max_iter=0, seed=seed)
+        rng = np.random.default_rng(seed)  # both batches draw from one generator
+        first = solve_multistart(prob, restarts=8, max_iter=0, seed=rng)
+        second = solve_multistart(prob, restarts=4, max_iter=0, seed=rng)
+        assert second.value > first.value and res.value == second.value
+        assert res.maximizer.tobytes() == second.maximizer.tobytes()
+        assert (res.restarts, res.iterations) == (12, 0)
+        bounds = [gaps._upper_bound(prob, r.value, r.maximizer) for r in (first, second)]
+        assert res.upper == min(b[0] for b in bounds) >= v
+        assert res.gap > gaps._gap_tol(res.value)
+        assert res.eigensolves == sum(b[1] for b in bounds) <= 2 * gaps._BOUND_EIGENSOLVES
+    # a cap of 8 or less is one batch
+    assert solve(prob, restarts=5, max_iter=0, seed=3).restarts == 5

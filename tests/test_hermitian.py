@@ -164,6 +164,18 @@ def test_random_hermitian_rejects_bad_window():
         random_hermitian(2, 2.0, 1.0, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("lo,hi,message", [
+    (-1e308, 1e308, r"^hi - lo exceeds the float range"),
+    (0.0, math.inf, "^need a finite hi, got inf"),
+    (math.nan, 1.0, "^need a finite lo, got nan"),
+    (-math.inf, 1.0, "^need a finite lo, got -inf"),
+])
+def test_random_hermitian_names_a_window_beyond_the_float_range(lo, hi, message):
+    # numpy's uniform used to raise its own OverflowError for these
+    with pytest.raises(BadInterval, match=message):
+        random_hermitian(2, lo, hi, np.random.default_rng(0))
+
+
 @given(n=st.integers(1, 5), seed=seeds)
 def test_random_dominated_pair_properties(n, seed):
     m, M = 0.5, 2.0

@@ -9,6 +9,7 @@ from loewner_cert import (
     DomainError,
     Interval,
     InvalidFunction,
+    NonFinite,
     ParseError,
     affine,
     check_gradient_inequality,
@@ -152,6 +153,15 @@ def test_closed_endpoint_evaluates():
     assert power(3)(0.0) == 0.0
     assert power(3).deriv(0.0) == 0.0
     assert power(1.5)(0.0) == 0.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("f,t", [(power(-3), 1e-80), (power(-1), 1e-160),
+                                 (neglog(), 1e-320), (exponential(), 710.0)])
+def test_derivative_beyond_the_float_range_is_named(f, t):
+    # f(t) is finite or overflows alike, but f'(t) may overflow alone
+    with pytest.raises(NonFinite, match=rf"^f'\({t!r}\) is not finite, f = "):
+        f.deriv(t)
 
 
 def test_monotonicity_tags():
