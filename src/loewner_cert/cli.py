@@ -22,7 +22,7 @@ from .certify import (
 )
 from .constants import beta_point, kantorovich
 from .errors import LoewnerCertError, ParseError
-from .fuzz import _SUITES, AGREE_RTOL, SUITE_NAMES, run_fuzz
+from .fuzz import AGREE_RTOL, SUITE_NAMES, run_fuzz
 from .gaps import KINDS, build_gap_problem, solve, solve_bruteforce
 from .hermitian import matrix_from_obj, matrix_to_obj
 from .jsonio import dumps_canonical, format_float, load_json_file, sha256_file
@@ -31,9 +31,8 @@ from .scalarfn import parse_function
 
 __all__ = ["main", "build_parser"]
 
-_STATEMENTS = ("gamma-order",) + tuple(
-    k.replace("_", "-") for k in JENSEN_KINDS
-) + tuple(s.replace("_", "-") for s in CLASSICAL_STATEMENTS)
+_STATEMENTS = tuple(s.replace("_", "-")
+                    for s in ("gamma_order", *JENSEN_KINDS, *CLASSICAL_STATEMENTS))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -202,32 +201,20 @@ def _cmd_gap(args) -> int:
 
 def _cmd_certify(args) -> int:
     statement = args.statement.replace("-", "_")
+    if args.maps and statement not in JENSEN_KINDS:
+        raise LoewnerCertError(f"statement {args.statement} takes no map family")
     f = parse_function(args.f) if args.f else None
     a_ops, b_ops, family, digests = _load_inputs(args)
-
-    def one(ops, side):
-        if not ops or len(ops) != 1:
-            raise LoewnerCertError(f"statement {args.statement} needs exactly one --{side} file")
-        return ops
-
-    if statement == "gamma_order":
-        if f is None:
-            raise LoewnerCertError("gamma-order needs --f")
-        cert = certify_order(one(a_ops, "A"), one(b_ops, "B"), f, tol=args.tol,
-                             restarts=args.restarts, max_iter=args.max_iter,
-                             step_tol=args.step_tol, seed=args.seed)
-    elif statement in JENSEN_KINDS:
-        if f is None:
-            raise LoewnerCertError(f"{args.statement} needs --f")
-        if not a_ops:
-            raise LoewnerCertError(f"{args.statement} needs --A files")
-        cert = certify_jensen(statement, f, a_ops, b_ops, family, tol=args.tol,
-                              restarts=args.restarts, max_iter=args.max_iter,
-                              step_tol=args.step_tol, seed=args.seed)
-    else:
-        cert = verify_classical(statement, one(a_ops, "A"), one(b_ops, "B"),
-                                p=args.p, f=f, alpha=args.alpha,
+    if statement in CLASSICAL_STATEMENTS:
+        cert = verify_classical(statement, a_ops, b_ops, p=args.p, f=f, alpha=args.alpha,
                                 m=args.m, M=args.M, tol=args.tol)
+    elif f is None:  # None would reach the spectral assembly as an AttributeError
+        raise LoewnerCertError(f"{args.statement} needs --f")
+    else:
+        solver = {"tol": args.tol, "restarts": args.restarts, "max_iter": args.max_iter,
+                  "step_tol": args.step_tol, "seed": args.seed}
+        cert = certify_order(a_ops, b_ops, f, **solver) if statement == "gamma_order" \
+            else certify_jensen(statement, f, a_ops, b_ops, family, **solver)
     report = cert.to_dict()
     report["inputs"]["files"] = digests
     lines = [f"statement {cert.statement}"]
@@ -266,16 +253,12 @@ def _cmd_violation(args) -> int:
 
 def _cmd_fuzz(args) -> int:
     report = run_fuzz(args.suite, args.trials, args.seed)
-    if args.json:
-        print(dumps_canonical(report))
-    else:
-        header = f"{'suite':<12} {'trials':>8} {'failures':>9}  status"
-        print(header)
-        for name, res in report["suites"].items():
-            trials = _SUITES[name][1] if args.trials is None else args.trials
-            ok = "pass" if res["failures"] == 0 else "FAIL"
-            print(f"{name:<12} {trials:>8} {res['failures']:>9}  {ok}")
-        print("all pass" if report["passed"] else "FAILURES")
+    lines = [f"{'suite':<12} {'trials':>8} {'failures':>9}  status"]
+    for name, res in report["suites"].items():
+        ok = "pass" if res["failures"] == 0 else "FAIL"
+        lines.append(f"{name:<12} {res['trials']:>8} {res['failures']:>9}  {ok}")
+    lines.append("all pass" if report["passed"] else "FAILURES")
+    _print(report, lines, args.json)
     return 0 if report["passed"] else 1
 
 

@@ -121,6 +121,19 @@ def _draw_family(rng: np.random.Generator, variant: int, n: int) -> MapFamily:
     return MapFamily((Diag(n),))
 
 
+def _draw(rng: np.random.Generator, kind: str, i: int, n: int, lo: float, hi: float):
+    """(a_ops, b_ops, family) of one ``kind`` instance; keep the order of the draws."""
+    if kind in ("gamma", "chebyshev"):
+        A = random_hermitian(n, lo, hi, rng)
+        B = random_hermitian(n, lo, hi, rng) if kind == "gamma" else None
+        return A, B, None
+    fam = _draw_family(rng, i, n)
+    a_ops = [random_hermitian(d, lo, hi, rng) for d in fam.input_dims]
+    b_ops = [random_hermitian(d, lo, hi, rng) for d in fam.input_dims] \
+        if kind in ("delta", "theta") else None
+    return a_ops, b_ops, fam
+
+
 def suite_gradient(trials: int, seed=42) -> dict:
     """Scalar chord check: f(s) + f'(s)(t - s) <= f(t) on random draws."""
     failures = 0
@@ -138,7 +151,7 @@ def suite_gradient(trials: int, seed=42) -> dict:
     return {
         "suite": "gradient",
         "functions": len(GRADIENT_FUNCTIONS),
-        "trials_per_function": int(trials),
+        "trials": int(trials),
         "failures": int(failures),
         "worst": worst,
     }
@@ -152,9 +165,7 @@ def suite_sandwich(trials: int, seed=42) -> dict:
         rng = _rng(seed, "sandwich", i)
         tag, f, lo, hi = SANDWICH_FUNCTIONS[i % len(SANDWICH_FUNCTIONS)]
         n = int(rng.integers(2, 7))
-        fam = _draw_family(rng, i, n)
-        a_list = [random_hermitian(d, lo, hi, rng) for d in fam.input_dims]
-        b_list = [random_hermitian(d, lo, hi, rng) for d in fam.input_dims]
+        a_list, b_list, fam = _draw(rng, "delta", i, n, lo, hi)
         k = fam.output_dim
         for _ in range(SANDWICH_VECTORS):
             x = _unit_vector(rng, k)
@@ -172,25 +183,20 @@ def suite_sandwich(trials: int, seed=42) -> dict:
     }
 
 
-def _positivity_suite(name: str, kind: str, trials: int, seed, with_family: bool) -> dict:
+def _positivity_suite(kind: str, trials: int, seed) -> dict:
     failures = 0
     worst = np.inf
     for i in range(trials):
-        rng = _rng(seed, name, i)
+        rng = _rng(seed, kind, i)
         tag, f, lo, hi = CONVEX_POS[i % len(CONVEX_POS)]
         n = int(rng.integers(2, 6))
-        if with_family:
-            fam = _draw_family(rng, i, n)
-            ops = [random_hermitian(d, lo, hi, rng) for d in fam.input_dims]
-            problem = build_gap_problem(kind, f, ops, family=fam)
-        else:
-            problem = build_gap_problem(kind, f, random_hermitian(n, lo, hi, rng))
+        problem = build_gap_problem(kind, f, *_draw(rng, kind, i, n, lo, hi))
         res = solve_multistart(problem, restarts=8, max_iter=300, seed=_subseed(rng))
         worst = min(worst, float(res.value))
         if res.value < POSITIVITY_FLOOR:
             failures += 1
     return {
-        "suite": name,
+        "suite": kind,
         "trials": int(trials),
         "failures": int(failures),
         "worst": worst,
@@ -199,12 +205,12 @@ def _positivity_suite(name: str, kind: str, trials: int, seed, with_family: bool
 
 def suite_chebyshev(trials: int, seed=42) -> dict:
     """The single-operator correlation gap is nonnegative for convex f."""
-    return _positivity_suite("chebyshev", "chebyshev", trials, seed, False)
+    return _positivity_suite("chebyshev", trials, seed)
 
 
 def suite_eta(trials: int, seed=42) -> dict:
     """The mapped one-operand gap is nonnegative for convex f."""
-    return _positivity_suite("eta", "eta", trials, seed, True)
+    return _positivity_suite("eta", trials, seed)
 
 
 def suite_gamma(trials: int, seed=42) -> dict:
@@ -221,8 +227,7 @@ def suite_gamma(trials: int, seed=42) -> dict:
         rng = _rng(seed, "gamma", i)
         tag, f, lo, hi = CONVEX_POS[i % len(CONVEX_POS)]
         n = int(rng.integers(2, 5))
-        A = random_hermitian(n, lo, hi, rng)
-        B = random_hermitian(n, lo, hi, rng)
+        A, B, _ = _draw(rng, "gamma", i, n, lo, hi)
         cert = certify_order(A, B, f, restarts=32, max_iter=400, seed=_subseed(rng))
         worst_slack = min(worst_slack, cert.slack)
         if not cert.passed:
@@ -274,7 +279,7 @@ def suite_classical(trials: int, seed=42) -> dict:
         failures += fails
     return {
         "suite": "classical",
-        "trials_per_statement": int(trials),
+        "trials": int(trials),
         "failures": int(failures),
         "per_statement": per_statement,
         "worst": float(worst),
@@ -311,22 +316,7 @@ def suite_agreement(trials: int, seed=42) -> dict:
             rng = _rng(seed, "agreement", kind_idx * trials + i)
             tag, f, lo, hi = CONVEX_POS[i % len(CONVEX_POS)]
             n = int(rng.integers(2, AGREE_MAX_DIM + 1))
-            if kind in ("gamma", "chebyshev"):
-                A = random_hermitian(n, lo, hi, rng)
-                if kind == "gamma":
-                    B = random_hermitian(n, lo, hi, rng)
-                    problem = build_gap_problem(kind, f, A, B)
-                else:
-                    problem = build_gap_problem(kind, f, A)
-            else:
-                fam = _draw_family(rng, i, n)
-                a_list = [random_hermitian(d, lo, hi, rng) for d in fam.input_dims]
-                if kind in ("delta", "theta"):
-                    b_list = [random_hermitian(d, lo, hi, rng)
-                              for d in fam.input_dims]
-                    problem = build_gap_problem(kind, f, a_list, b_list, fam)
-                else:
-                    problem = build_gap_problem(kind, f, a_list, family=fam)
+            problem = build_gap_problem(kind, f, *_draw(rng, kind, i, n, lo, hi))
             res_m = solve_multistart(problem, restarts=AGREE_RESTARTS,
                                      max_iter=AGREE_MAX_ITER, seed=_subseed(rng))
             res_b = solve_bruteforce(problem, samples=AGREE_SAMPLES, seed=_subseed(rng))
@@ -340,7 +330,7 @@ def suite_agreement(trials: int, seed=42) -> dict:
         failures += fails
     return {
         "suite": "agreement",
-        "trials_per_kind": int(trials),
+        "trials": int(trials),
         "failures": int(failures),
         "per_kind": per_kind,
         "worst": float(worst),

@@ -87,9 +87,13 @@ class Pinch:
 
         blocks = tuple(tuple(index(i) for i in blk) for blk in self.blocks)
         seen = [i for blk in blocks for i in blk]
-        if sorted(seen) != list(range(self.dim)):
+        if self.dim < 0 or sorted(seen) != list(range(self.dim)):
             raise BadDimensions(f"blocks {blocks} do not partition range({self.dim})")
+        kept = np.zeros((self.dim, self.dim), dtype=bool)
+        for blk in blocks:
+            kept[np.ix_(blk, blk)] = True
         object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "_kept", kept)
 
     @property
     def input_dim(self) -> int:
@@ -103,37 +107,21 @@ class Pinch:
         X = require_hermitian(X)
         if X.shape[0] != self.dim:
             raise DimensionMismatch(f"map expects {self.dim}x{self.dim}, got {X.shape}")
-        Y = np.zeros_like(X)
-        for blk in self.blocks:
-            idx = np.ix_(blk, blk)
-            Y[idx] = X[idx]
-        return Y
+        return np.where(self._kept, X, 0.0)
 
 
-@dataclass(frozen=True)
-class Diag:
+class Diag(Pinch):
     """X -> diag(X); the pinch with singleton blocks."""
 
-    dim: int
-
     variant = "diag"
+    # its own entry, for tools that wrap each class's apply (bench/tracer.py)
+    apply = Pinch.apply
 
-    @property
-    def input_dim(self) -> int:
-        return self.dim
-
-    @property
-    def output_dim(self) -> int:
-        return self.dim
-
-    def apply(self, X) -> np.ndarray:
-        X = require_hermitian(X)
-        if X.shape[0] != self.dim:
-            raise DimensionMismatch(f"map expects {self.dim}x{self.dim}, got {X.shape}")
-        return np.diag(np.diagonal(X).real).astype(complex)
+    def __init__(self, dim: int):
+        super().__init__(dim, tuple((i,) for i in range(dim)))
 
 
-PositiveLinearMap = Union[Conjugation, Pinch, Diag]
+PositiveLinearMap = Union[Conjugation, Pinch]
 
 
 class UnitalCheck(NamedTuple):
@@ -219,11 +207,11 @@ def map_to_obj(phi: PositiveLinearMap) -> dict:
         if np.abs(phi.V.imag).max(initial=0.0) > 0.0:
             obj["V_im"] = phi.V.imag.tolist()
         return obj
+    if isinstance(phi, Diag):  # before Pinch, its base class
+        return {"variant": "diag", "dim": phi.dim}
     if isinstance(phi, Pinch):
         return {"variant": "pinch", "dim": phi.dim,
                 "blocks": [list(blk) for blk in phi.blocks]}
-    if isinstance(phi, Diag):
-        return {"variant": "diag", "dim": phi.dim}
     raise ParseError(f"unknown map type {type(phi).__name__}")
 
 

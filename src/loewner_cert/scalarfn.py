@@ -292,6 +292,14 @@ def check_gradient_inequality(f: ScalarFunction, s: float, t: float, tol: float 
 
 # -- textual specs ---------------------------------------------------
 
+# family -> (constructor taking its arguments then the domain, arity, usage)
+_FAMILIES = {
+    "power": (power, 1, "exactly one exponent"),
+    "exp": (exponential, 0, "no arguments"),
+    "neglog": (neglog, 0, "no arguments"),
+    "affine": (affine, 2, "a slope and an intercept"),
+}
+
 
 def parse_function(spec: str) -> ScalarFunction:
     """Parse "power:3", "exp", "neglog", "affine:2,-1".
@@ -315,23 +323,12 @@ def parse_function(spec: str) -> ScalarFunction:
             args = [float(a) for a in argtext.split(",")]
         except ValueError as exc:
             raise ParseError(f"malformed numeric arguments in {head!r}") from exc
+    if name not in _FAMILIES:
+        raise ParseError(f"unknown function family {name!r}")
+    construct, arity, usage = _FAMILIES[name]
+    if len(args) != arity:
+        raise ParseError(f"{name} takes {usage}")
     try:
-        if name == "power":
-            if len(args) != 1:
-                raise ParseError("power takes exactly one exponent")
-            return power(args[0], domain)
-        if name == "exp":
-            if args:
-                raise ParseError("exp takes no arguments")
-            return exponential(domain)
-        if name == "neglog":
-            if args:
-                raise ParseError("neglog takes no arguments")
-            return neglog(domain)
-        if name == "affine":
-            if len(args) != 2:
-                raise ParseError("affine takes a slope and an intercept")
-            return affine(args[0], args[1], domain)
+        return construct(*args, domain)
     except InvalidFunction as exc:
         raise ParseError(str(exc)) from exc
-    raise ParseError(f"unknown function family {name!r}")

@@ -688,3 +688,23 @@ def test_violation_window_must_be_finite_before_any_draw(lo, hi, name, monkeypat
                         lambda *args: pytest.fail("a pair was drawn"))
     with pytest.raises(BadInterval, match=f"^need a finite {name}, got"):
         find_order_violation(power(3), 2, 5, 0, lo=lo, hi=hi)
+
+
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(2, 4),
+       spec=st.sampled_from(["power:2", "power:3", "power:-1", "exp", "neglog"]))
+def test_rank_deficient_conjugations_certify_and_sandwich(seed, count, spec):
+    # each V_i is 2 x 4, so Phi_i(X) = V_i* X V_i has rank at most 2 in the
+    # 4 x 4 output; the family stays unital, and every bound must hold
+    f = parse_function(spec)
+    fam = random_unital_family(count, 2, 4, seed)
+    assert fam.input_dims == (2,) * count and fam.output_dim == 4
+    rng = np.random.default_rng(seed)
+    a_ops = [random_hermitian(2, 0.3, 1.8, rng) for _ in range(count)]
+    b_ops = [random_hermitian(2, 0.3, 1.8, rng) for _ in range(count)]
+    for kind in ("delta_forward", "eta_choi", "theta_reverse", "vartheta_reverse"):
+        b = b_ops if kind in ("delta_forward", "theta_reverse") else None
+        cert = certify_jensen(kind, f, a_ops, b, fam, restarts=8, seed=seed)
+        assert cert.passed, (kind, cert.slack, cert.tol)
+    for _ in range(4):
+        x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        assert verify_sandwich_pointwise(f, a_ops, b_ops, fam, x / np.linalg.norm(x)).ok

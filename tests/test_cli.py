@@ -527,3 +527,64 @@ def test_classical_tolerance_and_window_are_checked_first(tmp_path, capsys):
         code, out = run_cli(argv + args)
         assert code == 2 and out == ""
         assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.fixture
+def diag_maps(tmp_path):
+    maps = tmp_path / "maps.json"
+    maps.write_text(json.dumps([{"variant": "diag", "dim": 2}]))
+    return str(maps)
+
+
+@pytest.mark.parametrize("statement,args", [
+    ("gamma-order", ["--f", "power:2"]),
+    ("lowner-heinz", ["--p", "0.5"]),
+])
+def test_certify_refuses_maps_for_a_statement_without_a_family(statement, args, diag01,
+                                                                diag12, diag_maps, capsys):
+    # diag01 <= diag12, so both statements pass without the map file
+    argv = ["certify", "--statement", statement, *args, "--A", diag01, "--B", diag12]
+    code, out = run_cli(argv)
+    assert code == 0 and out.strip().endswith("PASS")
+    code, out = run_cli(argv + ["--maps", diag_maps])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"error: statement {statement} takes no map family\n"
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--statement", "gamma-order", "--f", "power:2", "--A", "{a}"],
+     "kind gamma needs B operands"),
+    (["--statement", "gamma-order", "--f", "power:2", "--B", "{b}"],
+     "at least one A operand is required"),
+    (["--statement", "gamma-order", "--A", "{a}", "--B", "{b}"], "gamma-order needs --f"),
+    (["--statement", "eta-choi", "--A", "{a}"], "eta-choi needs --f"),
+    (["--statement", "lowner-heinz", "--p", "0.5", "--A", "{a}"],
+     "B must be a single operand, got 0"),
+    (["--statement", "furuta", "--p", "2", "--A", "{b}", "{b}", "--B", "{a}"],
+     "A must be a single operand, got 2"),
+])
+def test_certify_names_a_missing_input(args, message, diag01, diag12, capsys):
+    argv = [a.format(a=diag01, b=diag12) for a in args]
+    code, out = run_cli(["certify", *argv])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_fuzz_reports_every_count_under_trials():
+    code, out = run_cli(["fuzz", "--suite", "all", "--trials", "3", "--seed", "1", "--json"])
+    assert code == 0
+    suites = json.loads(out)["suites"]
+    assert list(suites) == ["agreement", "chebyshev", "classical", "eta", "gamma",
+                            "gradient", "sandwich"]
+    assert all(rep["trials"] == 3 for rep in suites.values())
+    assert not any(key.startswith("trials_") for rep in suites.values() for key in rep)
+
+
+def test_fuzz_table_lists_the_default_trials():
+    code, out = run_cli(["fuzz", "--suite", "all", "--seed", "42"])
+    assert code == 0
+    rows = [line.split() for line in out.splitlines()[1:-1]]
+    assert [(r[0], int(r[1])) for r in rows] == [
+        ("gradient", 2000), ("sandwich", 60), ("chebyshev", 150), ("eta", 60),
+        ("gamma", 40), ("classical", 30), ("agreement", 8)]
+    assert out.splitlines()[-1] == "all pass"

@@ -43,6 +43,8 @@ def test_pinch_partition_validation():
     with pytest.raises(BadDimensions):
         Pinch(3, ((0, 1), (1, 2)))
     Pinch(3, ((2, 0), (1,)))  # order inside blocks is free
+    with pytest.raises(BadDimensions, match=r"do not partition range\(-1\)"):
+        Diag(-1)
 
 
 @pytest.mark.parametrize("entry", [1.7, True, np.bool_(True), "1", None])
@@ -70,6 +72,38 @@ def test_pinch_apply_zeroes_off_blocks():
 def test_diag_apply():
     X = np.array([[1.0, 5.0], [5.0, 2.0]], dtype=complex)
     assert np.array_equal(Diag(2).apply(X), np.diag([1.0, 2.0]))
+
+
+@st.composite
+def partitions(draw):
+    n = draw(st.integers(1, 7))
+    perm = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=n - 1))) if n > 1 else []
+    edges = [0, *cuts, n]
+    return n, tuple(tuple(perm[a:b]) for a, b in zip(edges, edges[1:]))
+
+
+@given(part=partitions(), seed=seeds)
+def test_pinch_apply_is_a_blockwise_copy(part, seed):
+    n, blocks = part
+    X = random_hermitian(n, -2.0, 2.0, np.random.default_rng(seed))  # exactly Hermitian
+    Y = np.zeros_like(X)
+    for blk in blocks:
+        Y[np.ix_(blk, blk)] = X[np.ix_(blk, blk)]
+    assert Pinch(n, blocks).apply(X).tobytes() == Y.tobytes()
+
+
+@given(n=st.integers(1, 7), seed=seeds)
+def test_diag_is_the_singleton_pinch(n, seed):
+    X = random_hermitian(n, -2.0, 2.0, np.random.default_rng(seed))  # exactly Hermitian
+    phi = Diag(n)
+    assert isinstance(phi, Pinch) and phi.blocks == tuple((i,) for i in range(n))
+    # the imaginary parts are +0, as in the real diagonal cast to complex
+    expected = np.diag(np.diagonal(X).real).astype(complex)
+    assert phi.apply(X).tobytes() == expected.tobytes()
+    back = map_from_obj(map_to_obj(phi))
+    assert type(back) is Diag and back == phi
+    assert map_to_obj(phi) == {"variant": "diag", "dim": n}
 
 
 @given(seed=seeds)

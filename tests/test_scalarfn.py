@@ -239,3 +239,19 @@ def test_spec_string_form():
 def test_parse_function_rejects(text):
     with pytest.raises(ParseError):
         parse_function(text)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("power", "power takes exactly one exponent"),
+    ("power:2,3", "power takes exactly one exponent"),
+    ("exp:1", "exp takes no arguments"),
+    ("neglog:2;dom=(0,inf)", "neglog takes no arguments"),
+    ("affine:1", "affine takes a slope and an intercept"),
+    ("affine:1,2,3", "affine takes a slope and an intercept"),
+    ("sqrt:2", "unknown function family 'sqrt'"),
+    ("sqrt", "unknown function family 'sqrt'"),
+])
+def test_parse_function_names_the_family_and_its_arguments(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_function(text)
+    assert str(exc.value) == message
