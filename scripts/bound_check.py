@@ -2,16 +2,20 @@
 
 For each dimension k, draws random complex Hermitian triples (C, S, D),
 runs ``solve`` (8 starts, then the rest of the 64-start cap only while the
-bound stays open) and ``solve_multistart`` with 64 restarts at the same
-seed, and counts:
+bound stays open), ``solve_multistart`` with 64 restarts at the same seed,
+and the sampling oracle (``solve_bruteforce``, 2,000 samples) stopped at
+solve's bound, and counts:
 
   closed   gap <= 1e-8 (1 + |value|)
   second   the second batch ran
   lost     solve's value below the 64-restart value - 1e-12 (1 + |v|)
   below    upper below the 64-restart value or below solve's own value
+  oracle   the oracle's stops: at the bound, stalled, at the sweep cap
+  above    the oracle's value above upper
 
 and the median and largest number of eigenvalue problems per bound.  Exits
-1 if any value is lost or any bound falls below a feasible value.
+1 if any value is lost or any bound falls below a feasible value: the
+64-restart value, solve's own or the oracle's.
 
     PYTHONPATH=src python3 scripts/bound_check.py --per-k 130
 """
@@ -21,10 +25,11 @@ import sys
 
 import numpy as np
 
-from loewner_cert import GapProblem, solve, solve_multistart
+from loewner_cert import GapProblem, solve, solve_bruteforce, solve_multistart
 from loewner_cert.hermitian import hermitize
 
 DIMS = (3, 5, 8, 16)
+ORACLE_SAMPLES = 2000
 
 
 def triple(k: int, seed: int) -> GapProblem:
@@ -35,7 +40,8 @@ def triple(k: int, seed: int) -> GapProblem:
 
 
 def check(k: int, count: int) -> dict:
-    row = {"k": k, "triples": count, "closed": 0, "second": 0, "lost": 0, "below": 0}
+    row = {"k": k, "triples": count, "closed": 0, "second": 0, "lost": 0, "below": 0,
+           "oracle": {"bound": 0, "stalled": 0, "cap": 0}, "above": 0}
     solves = []
     for seed in range(count):
         prob = triple(k, seed)
@@ -45,6 +51,9 @@ def check(k: int, count: int) -> dict:
         row["second"] += res.restarts > 8
         row["lost"] += res.value < v - 1e-12 * (1.0 + abs(v))
         row["below"] += res.upper is None or res.upper < max(v, res.value)
+        oracle = solve_bruteforce(prob, samples=ORACLE_SAMPLES, seed=seed, upper=res.upper)
+        row["oracle"][oracle.stop] += 1
+        row["above"] += res.upper is not None and oracle.value > res.upper
         solves.append(res.eigensolves)
     row["eigensolves_median"] = float(np.median(solves))
     row["eigensolves_max"] = max(solves)
@@ -59,9 +68,9 @@ def main() -> int:
     for row in rows:
         print(row)
     total = {key: sum(r[key] for r in rows)
-             for key in ("triples", "closed", "second", "lost", "below")}
+             for key in ("triples", "closed", "second", "lost", "below", "above")}
     print("total", total)
-    return 1 if total["lost"] or total["below"] else 0
+    return 1 if total["lost"] or total["below"] or total["above"] else 0
 
 
 if __name__ == "__main__":

@@ -23,7 +23,14 @@ from .certify import (
 from .constants import beta_point, kantorovich
 from .errors import LoewnerCertError, ParseError
 from .fuzz import AGREE_RTOL, SUITE_NAMES, run_fuzz
-from .gaps import KINDS, build_gap_problem, solve, solve_bruteforce
+from .gaps import (
+    KINDS,
+    ONE_OPERAND_KINDS,
+    _upper_bound,
+    build_gap_problem,
+    solve,
+    solve_bruteforce,
+)
 from .hermitian import matrix_from_obj, matrix_to_obj
 from .jsonio import dumps_canonical, format_float, load_json_file, sha256_file
 from .maps import family_from_obj
@@ -166,6 +173,8 @@ def _load_inputs(args):
 
 
 def _cmd_gap(args) -> int:
+    if args.B is not None and args.kind in ONE_OPERAND_KINDS:
+        raise LoewnerCertError(f"kind {args.kind} takes no B operands")
     f = parse_function(args.f)
     a_ops, b_ops, family, digests = _load_inputs(args)
     problem = build_gap_problem(args.kind, f, a_ops, b_ops, family)
@@ -189,11 +198,17 @@ def _cmd_gap(args) -> int:
     if res.upper is not None:
         lines.append(f"upper     {format_float(res.upper)}")
     if args.oracle:
-        oracle = solve_bruteforce(problem, samples=args.samples, seed=args.seed)
+        # the oracle stops at a certified bound, which the closed forms lack
+        upper = res.upper if res.solver == "multistart" else \
+            _upper_bound(problem, res.value, res.maximizer)[0]
+        oracle = solve_bruteforce(problem, samples=args.samples, seed=args.seed, upper=upper)
         agree = abs(res.value - oracle.value) <= AGREE_RTOL * (1.0 + abs(oracle.value))
         report["oracle_value"] = oracle.value
         report["agreement"] = bool(agree)
+        report["oracle"] = {"samples": args.samples, "sweeps": oracle.iterations,
+                            "stop": oracle.stop}
         lines.append(f"oracle    {format_float(oracle.value)}")
+        lines.append(f"sweeps    {oracle.iterations} ({oracle.stop})")
         lines.append(f"agreement {str(bool(agree)).lower()}")
     _print(report, lines, args.json)
     return 0
@@ -203,6 +218,8 @@ def _cmd_certify(args) -> int:
     statement = args.statement.replace("-", "_")
     if args.maps and statement not in JENSEN_KINDS:
         raise LoewnerCertError(f"statement {args.statement} takes no map family")
+    if args.B is not None and JENSEN_KINDS.get(statement) in ONE_OPERAND_KINDS:
+        raise LoewnerCertError(f"statement {args.statement} takes no B operands")
     f = parse_function(args.f) if args.f else None
     a_ops, b_ops, family, digests = _load_inputs(args)
     if statement in CLASSICAL_STATEMENTS:

@@ -25,6 +25,9 @@ complex unit sphere (the primary path) and a sampling plus coordinate
 ascent brute-force oracle that shares no iteration logic with it: it uses
 no gradient, no Hessian and no CG, only exact maxima of F along great
 circles, each found from F's five Fourier coefficients on that circle.
+Given a certified upper bound, as ``gap --oracle`` gives it, the oracle
+also stops once its best value is within 1e-8 (1 + |bound|) of the bound;
+that stop reads the dual bound only, never a primal value.
 ``solve``, which the certificates and the CLI call, first tries two closed
 forms.  When C, S and D commute (chebyshev, eta, vartheta without a family
 and many diagonal or pinching families) the maximum lies on an edge of the
@@ -91,6 +94,8 @@ __all__ = [
 ]
 
 KINDS = ("gamma", "delta", "eta", "theta", "vartheta", "chebyshev")
+# the kinds whose forms read the A side alone
+ONE_OPERAND_KINDS = ("eta", "vartheta", "chebyshev")
 
 # sufficient-increase fraction of the Newton-CG line search
 _ARMIJO = 1e-4
@@ -147,7 +152,8 @@ class GapResult:
 
     ``gap`` is ``upper - value``; both are None where no bound was computed
     (the closed forms and the bare solvers).  ``eigensolves`` counts the
-    bound's eigenvalue problems.
+    bound's eigenvalue problems.  ``stop`` is why the oracle's ascent ended
+    (``solve_bruteforce``); the other solvers leave it None.
     """
 
     value: float
@@ -159,6 +165,7 @@ class GapResult:
     upper: float | None = None
     gap: float | None = None
     eigensolves: int = 0
+    stop: str | None = None
 
     def record(self, seed, step_tol: float, max_iter: int) -> dict:
         """The solver record of ``gap --json`` and of certificates."""
@@ -282,7 +289,7 @@ def _problem(kind: str, f: ScalarFunction, a_ops, b_ops=None,
         raise ValueError(f"unknown gap kind {kind!r}")
     if kind in ("gamma", "chebyshev") and family is not None:
         raise BadDimensions(f"kind {kind} takes no map family")
-    if kind in ("eta", "vartheta", "chebyshev"):
+    if kind in ONE_OPERAND_KINDS:
         b_ops = None
     elif b_ops is None:
         raise BadDimensions(f"kind {kind} needs B operands")
@@ -681,8 +688,10 @@ def _upper_bound(problem: GapProblem, value: float, x):
     is within tau, once a node's own h exceeds value + tau (splitting
     cannot lower it), or after _BOUND_EIGENSOLVES eigenvalue problems.
     Every computed lambda_max carries k eps times a bound on the norm of
-    its matrix (Weyl, for a backward-stable ``eigh``), and every interval
-    bound the rounding of its closed form.  ``upper`` is None if it is not
+    its matrix (Weyl, for a backward-stable ``eigvalsh`` or ``eigh``), and
+    every interval bound the rounding of its closed form.  An evaluation of
+    h computes eigenvectors only where its node goes on, and counts as one
+    eigenvalue problem either way.  ``upper`` is None if it is not
     finite.
     """
     C, S, D = problem.C, problem.S, problem.D
@@ -701,17 +710,26 @@ def _upper_bound(problem: GapProblem, value: float, x):
         s_lo, s_hi = ws[0] - pad, ws[-1] + pad
 
         def h(s, mu):
-            """h(s, mu) with its rounding margin, and h's slope and curvature in mu."""
+            """h(s, mu) with its rounding margin, and h's slope and curvature in mu.
+
+            Where the node stops on this value (at or below ``low``, or at
+            the eigensolve cap) only eigenvalues are computed, and the slope
+            and curvature, which need eigenvectors, are None.
+            """
             nonlocal evals
             evals += 1
             P = S - s * eye
-            w, V = np.linalg.eigh(C - s * D - mu * P)
+            H = C - s * D - mu * P
+            margin = k * eps * (nC + abs(s) * nD + abs(mu) * (nS + abs(s) * np.sqrt(k)))
+            top = np.linalg.eigvalsh(H)[-1]
+            if top + margin <= low or evals >= _BOUND_EIGENSOLVES:
+                return top + margin, None, None
+            w, V = np.linalg.eigh(H)
             top = w[-1]
             c = V.conj().T @ (P @ V[:, -1])  # <v_i, P v> for the eigenvectors v_i
             rest = top - w[:-1] > _CURV_GAP * (1.0 + abs(top))
             curv = 2.0 * float((np.abs(c[:-1][rest]) ** 2 / (top - w[:-1][rest])).sum())
-            norm = nC + abs(s) * nD + abs(mu) * (nS + abs(s) * np.sqrt(k))
-            return top + k * eps * norm, -c[-1].real, curv
+            return top + margin, -c[-1].real, curv
 
         def node(s, mu):
             """(s, h, mu) for the least h found from ``mu`` by bracketed Newton."""
@@ -722,7 +740,7 @@ def _upper_bound(problem: GapProblem, value: float, x):
             for _ in range(_NODE_EVALS):
                 hv, g, curv = h(s, mu)
                 best = min(best, (hv, mu))
-                if hv <= low or evals >= _BOUND_EIGENSOLVES:
+                if g is None or hv <= low:
                     break
                 if g < 0.0:
                     if mu >= mu_hi:
@@ -914,7 +932,7 @@ def _line_max(P):
     return np.where(up, z, z0), np.where(up, Fz, F0)
 
 
-def _coordinate_ascent(M, X0, max_sweeps: int = _MAX_SWEEPS):
+def _coordinate_ascent(M, X0, max_sweeps: int = _MAX_SWEEPS, upper=None):
     """Exact line maximization along spherical coordinate geodesics.
 
     Each sweep first follows one pattern geodesic, along the displacement
@@ -924,7 +942,10 @@ def _coordinate_ascent(M, X0, max_sweeps: int = _MAX_SWEEPS):
     rises.  Monotone by construction; independent of the gradient solver
     it cross-checks.
     ``M`` stacks (C, S, D); returns the normalized columns, their values of
-    F and the number of sweeps.
+    F, the number of sweeps and why the ascent stopped: "bound" once the
+    best F reaches ``upper`` - 1e-8 (1 + |upper|) (never without an
+    ``upper``), "stalled" after a sweep in which no column gained more than
+    1e-13 (1 + max |F|), or "cap" after ``max_sweeps`` sweeps.
     """
     k, b = X0.shape
     XM = np.empty((4, k, b), dtype=complex)  # X and its C, S, D images
@@ -956,6 +977,7 @@ def _coordinate_ascent(M, X0, max_sweeps: int = _MAX_SWEEPS):
         np.subtract(q[0], q[1] * q[2], out=F)
         return cs, sn
 
+    goal = np.inf if upper is None else upper - _gap_tol(upper)
     sweeps = 0
     while True:
         # (re)normalize X, which also kills the drift of the previous sweep;
@@ -965,8 +987,11 @@ def _coordinate_ascent(M, X0, max_sweeps: int = _MAX_SWEEPS):
         np.matmul(M, XM[0], out=XM[1:])
         q[...] = (XM[0].conj() * XM[1:]).real.sum(axis=1)
         F = q[0] - q[1] * q[2]
-        if sweeps == max_sweeps or (sweeps and float(np.max(F - F_before))
-                                    < 1e-13 * (1.0 + float(np.abs(F).max()))):
+        stop = ("bound" if float(F.max()) >= goal
+                else "stalled" if sweeps and (float(np.max(F - F_before))
+                                              < 1e-13 * (1.0 + float(np.abs(F).max())))
+                else "cap" if sweeps == max_sweeps else None)
+        if stop:
             break
         sweeps += 1
         F_before = F.copy()
@@ -1002,25 +1027,31 @@ def _coordinate_ascent(M, X0, max_sweeps: int = _MAX_SWEEPS):
             sn *= inv
             XM *= cs - cmix * sn
             XM += Ej * sn
-    return XM[0], F, sweeps
+    return XM[0], F, sweeps, stop
 
 
-def solve_bruteforce(problem: GapProblem, samples: int = 20000, seed=0) -> GapResult:
+def solve_bruteforce(problem: GapProblem, samples: int = 20000, seed=0,
+                     upper=None) -> GapResult:
     """Sampling oracle: random directions, then coordinate ascent.
 
     Dimension 1 is closed form.  The best ten samples are polished by
     geodesic coordinate ascent with one pattern step per sweep;
-    ``iterations`` counts its sweeps.  The ascent can settle on a local
-    maximum, so the oracle wants ``samples`` >= 10: with one sample it
-    stopped short on 15 of 3,000 random dimension-2 triples, by up to
-    13% of 1 + |max|.
+    ``iterations`` counts its sweeps and ``stop`` says why it ended
+    (``_coordinate_ascent``).  Given a certified bound ``upper`` on max F,
+    the ascent also stops once its best value is within 1e-8 (1 + |upper|)
+    of it; the stop reads only ``upper``, never a primal value.  Without
+    one the oracle runs as it always has, bit for bit.  The ascent can
+    settle on a local maximum, so the oracle wants ``samples`` >= 10: with
+    one sample it stopped short on 15 of 3,000 random dimension-2 triples,
+    by up to 13% of 1 + |max|.
     """
     if samples < 1:
         raise BadDimensions(f"need at least one sample, got {samples}")
     k = problem.dim
-    if k == 1:
+    if k == 1:  # every unit vector is a phase of the maximizer
         x = np.array([1.0 + 0.0j])
-        return GapResult(gap_objective(problem, x), x, "bruteforce", 0, samples)
+        return GapResult(gap_objective(problem, x), x, "bruteforce", 0, samples,
+                         stop="stalled")
     M = np.stack([problem.C, problem.S, problem.D])
     rng = np.random.default_rng(seed)
     # rows :k hold Re z and rows k: hold Im z of each sample z, so a column
@@ -1035,7 +1066,9 @@ def solve_bruteforce(problem: GapProblem, samples: int = 20000, seed=0) -> GapRe
     top = np.argpartition(Fs, cut)[cut:]
     top = top[np.argsort(Fs[top])[::-1]]
     Z = R[:k, top] + 1j * R[k:, top]
-    X, F, sweeps = _coordinate_ascent(M, Z / np.linalg.norm(Z, axis=0))
+    X0 = Z / np.linalg.norm(Z, axis=0)
+    X, F, sweeps, stop = (_coordinate_ascent(M, X0) if upper is None
+                          else _coordinate_ascent(M, X0, upper=upper))
     best = int(np.argmax(F))
     x = X[:, best] / np.linalg.norm(X[:, best])
-    return GapResult(gap_objective(problem, x), x, "bruteforce", sweeps, samples)
+    return GapResult(gap_objective(problem, x), x, "bruteforce", sweeps, samples, stop=stop)

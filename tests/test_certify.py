@@ -407,16 +407,18 @@ def test_alpha_beta_explicit_window_unit_alpha():
 
 @pytest.fixture
 def eigh_inputs(monkeypatch):
-    """Record the matrices handed to numpy's eigh and the eigvalsh call count."""
-    seen = {"eigh": [], "eigvalsh": 0}
+    """Record the matrices handed to numpy's eigh, the eigvalsh call count, and both in order."""
+    seen = {"eigh": [], "eigvalsh": 0, "calls": []}
     eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
 
     def counted_eigh(A, *args, **kwargs):
         seen["eigh"].append(np.array(A).tobytes())
+        seen["calls"].append(("eigh", seen["eigh"][-1]))
         return eigh(A, *args, **kwargs)
 
     def counted_eigvalsh(A, *args, **kwargs):
         seen["eigvalsh"] += 1
+        seen["calls"].append(("eigvalsh", np.array(A).tobytes()))
         return eigvalsh(A, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
@@ -424,21 +426,33 @@ def eigh_inputs(monkeypatch):
     return seen
 
 
-def _bound_calls(cert):
-    """(eigh, eigvalsh) calls of the certificate's bound: eigvalsh of S and D, then eigh."""
-    n = cert.solver["eigensolves"]
-    return (n - 2, 2) if n else (0, 0)
+def _split_eigh(seen):
+    """(operand eigh inputs, bound eigh inputs), told apart by their bytes.
+
+    Each evaluation of the bound hands its matrix to eigvalsh and, where its
+    node goes on, the same matrix to eigh right after; no operand is
+    decomposed right after eigvalsh ran on the same matrix.
+    """
+    operands, bound = [], []
+    for before, (name, data) in zip([None, *seen["calls"]], seen["calls"]):
+        if name == "eigh":
+            (bound if before == ("eigvalsh", data) else operands).append(data)
+    return operands, bound
 
 
 def test_certify_order_decomposes_each_operand_once(eigh_inputs):
     rng = np.random.default_rng(61)
     A, B = (random_hermitian(4, 0.3, 2.0, rng) for _ in range(2))
     cert = certify_order(A, B, power(2), restarts=4)
-    bound_eigh, bound_eigvalsh = _bound_calls(cert)
-    assert bound_eigh > 0  # the triple does not commute, so its maximum is bounded
-    # A and B once each, then the bound's own eigenvalue problems
-    assert len(eigh_inputs["eigh"]) == 2 + bound_eigh
-    assert eigh_inputs["eigvalsh"] == 1 + bound_eigvalsh
+    evaluations = cert.solver["eigensolves"] - 2  # after the spectra of S and D
+    operands, bound = _split_eigh(eigh_inputs)
+    # the triple does not commute, so its maximum is bounded; eigh runs only
+    # where a node goes on
+    assert 0 < len(bound) <= evaluations
+    # A and B once each
+    assert operands == [A.tobytes(), B.tobytes()]
+    # the slack once, then S, D and each evaluation of the bound
+    assert eigh_inputs["eigvalsh"] == 1 + 2 + evaluations
 
 
 @pytest.mark.parametrize("kind", ["delta_forward", "eta_choi",
@@ -450,19 +464,20 @@ def test_certify_jensen_decomposes_each_operand_once(kind, eigh_inputs):
     a_ops = [random_hermitian(3, 0.3, 2.0, rng) for _ in range(m)]
     b_ops = [random_hermitian(3, 0.3, 2.0, rng) for _ in range(m)]
     cert = certify_jensen(kind, power(2), a_ops, b_ops, fam, restarts=4)
-    # the bound of a non-commuting triple decomposes its own matrices last
-    bound_eigh, bound_eigvalsh = _bound_calls(cert)
-    decomposed = eigh_inputs["eigh"][:len(eigh_inputs["eigh"]) - bound_eigh]
-    assert len(decomposed) == len(set(decomposed))
+    eigensolves = cert.solver["eigensolves"]
+    operands, bound = _split_eigh(eigh_inputs)
+    assert len(operands) == len(set(operands))
+    assert all(operands.count(A.tobytes()) == 1 for A in a_ops)
     # each A_i and T once; eta's forms are functions of T, so its exact
     # path adds one decomposition and needs no bound.  The B_i of delta and
     # theta (eta and vartheta have none) get eigenvalues only, and the
-    # slack one more
+    # slack one more; the bound's S, D and each of its evaluations one each
     two_sided = kind in ("delta_forward", "theta_reverse")
     exact = kind == "eta_choi"
-    assert (bound_eigh > 0) == (not exact)
-    assert len(decomposed) == m + 1 + exact
-    assert eigh_inputs["eigvalsh"] == (m + 1 if two_sided else 1) + bound_eigvalsh
+    assert (eigensolves > 0) == (not exact)
+    assert 0 < len(bound) <= eigensolves - 2 or (exact and not bound)
+    assert len(operands) == m + 1 + exact
+    assert eigh_inputs["eigvalsh"] == (m + 1 if two_sided else 1) + eigensolves
 
 
 _CLASSICAL_ARGS = {"furuta": {"p": 1.5}, "lowner_heinz": {"p": 0.5},

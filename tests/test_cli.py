@@ -109,6 +109,25 @@ def test_gap_json_with_oracle_non_commuting(diag12, n12, n123, diag123):
     assert rep["solver"]["restarts"] == 0
 
 
+@pytest.mark.parametrize("pair", ["commuting", "multistart"])
+def test_gap_oracle_records_its_stop_at_the_bound(pair, diag01, diag12, n123, diag123):
+    a, b = (diag01, diag12) if pair == "commuting" else (n123, diag123)
+    argv = ["gap", "--kind", "gamma", "--f", "power:2", "--A", a, "--B", b,
+            "--samples", "3000", "--oracle"]
+    code, out = run_cli(argv + ["--json"])
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["solver"]["name"] == ("exact-commuting" if pair == "commuting" else "multistart")
+    oracle = rep["oracle"]
+    assert set(oracle) == {"samples", "sweeps", "stop"}
+    assert oracle["samples"] == 3000 and oracle["stop"] == "bound"
+    assert 0 <= oracle["sweeps"] <= 60
+    # the closed form's record gains no bound: gap computes it for the oracle only
+    assert (rep["solver"]["upper"] is None) == (pair == "commuting")
+    code, out = run_cli(argv)
+    assert code == 0 and f"sweeps    {oracle['sweeps']} (bound)" in out.splitlines()
+
+
 _SOLVER_KEYS = {"name", "restarts", "iterations", "converged", "upper", "gap",
                 "eigensolves", "seed", "step_tol", "max_iter"}
 
@@ -144,9 +163,9 @@ def test_gap_after_gap_oracle_has_no_oracle_keys(gap_argv):
     code, second = run_cli(gap_argv)
     assert code == 0
     rep = json.loads(second)
-    assert "oracle_value" not in rep and "agreement" not in rep
+    assert "oracle_value" not in rep and "agreement" not in rep and "oracle" not in rep
     expected = json.loads(first)
-    del expected["oracle_value"], expected["agreement"]
+    del expected["oracle_value"], expected["agreement"], expected["oracle"]
     assert rep == expected
 
 
@@ -549,6 +568,22 @@ def test_certify_refuses_maps_for_a_statement_without_a_family(statement, args, 
     code, out = run_cli(argv + ["--maps", diag_maps])
     assert code == 2 and out == ""
     assert capsys.readouterr().err == f"error: statement {statement} takes no map family\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["gap", "--kind", "eta"], "kind eta takes no B operands"),
+    (["gap", "--kind", "vartheta"], "kind vartheta takes no B operands"),
+    (["gap", "--kind", "chebyshev"], "kind chebyshev takes no B operands"),
+    (["certify", "--statement", "eta-choi"], "statement eta-choi takes no B operands"),
+    (["certify", "--statement", "vartheta-reverse"],
+     "statement vartheta-reverse takes no B operands"),
+])
+def test_one_operand_kinds_refuse_b_before_reading_files(argv, message, tmp_path, capsys):
+    # neither file exists: the refusal comes before any file is read
+    missing = str(tmp_path / "missing.json")
+    code, out = run_cli(argv + ["--f", "power:2", "--A", missing, "--B", missing])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("args,message", [

@@ -420,7 +420,7 @@ def test_oracle_values_are_stable(i):
 def test_coordinate_ascent_never_lowers_a_column(i):
     prob = _oracle_case(i)
     Z, F0 = _sampled_values(prob, 12, seed=i)
-    X, F, sweeps = gaps._coordinate_ascent(_stack(prob), Z)
+    X, F, sweeps, _ = gaps._coordinate_ascent(_stack(prob), Z)
     assert 1 <= sweeps <= gaps._MAX_SWEEPS
     assert np.all(F >= F0 - 1e-12 * (1.0 + np.abs(F0)))
     assert np.allclose(np.linalg.norm(X, axis=0), 1.0, atol=1e-14)
@@ -466,7 +466,7 @@ def test_oracle_starts_from_the_samples_complex_arithmetic_picks(k, samples, mon
         Z = Z[:, np.argsort(Fs)[::-1][:10]]
         assert starts[-1].shape == Z.shape
         assert np.allclose(starts[-1], Z, rtol=0, atol=1e-14)
-        X, F, sweeps = ascent(_stack(prob), Z)
+        X, F, sweeps, _ = ascent(_stack(prob), Z)
         x = X[:, int(np.argmax(F))]
         ref = gap_objective(prob, x / np.linalg.norm(x))
         assert abs(res.value - ref) <= 1e-14 * (1.0 + abs(ref))
@@ -496,6 +496,44 @@ def test_oracle_reaches_the_maximum_of_crosscheck_instance_54():
     res = solve_bruteforce(prob, samples=20000, seed=1642437701)
     assert abs(res.value - v) <= AGREE_RTOL * (1.0 + abs(res.value))
     assert res.value >= v - 1e-12 * (1.0 + abs(v))
+
+
+def _certified_upper(prob):
+    """solve's bound, or for a closed-form result the bound around its maximizer."""
+    res = solve(prob)
+    if res.solver == "multistart":
+        return res.upper
+    return gaps._upper_bound(prob, res.value, res.maximizer)[0]
+
+
+def _stopped_and_free(prob, samples, seed):
+    """The oracle with and without the bound; checks the stop's invariants."""
+    upper = _certified_upper(prob)
+    tau = 1e-8 * (1.0 + abs(upper))
+    free = solve_bruteforce(prob, samples=samples, seed=seed)
+    stopped = solve_bruteforce(prob, samples=samples, seed=seed, upper=upper)
+    assert free.stop in ("stalled", "cap")  # without a bound the oracle never claims one
+    assert stopped.value >= upper - tau or stopped.stop == "cap"
+    assert stopped.value <= upper
+    assert stopped.iterations <= free.iterations
+    return stopped, free
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_oracle_stops_at_the_certified_bound(k):
+    rng = np.random.default_rng(300 + k)
+    for seed in range(3):
+        prob = GapProblem("gamma", *(random_hermitian(k, -2.0, 2.0, rng) for _ in range(3)))
+        stopped, _ = _stopped_and_free(prob, 2000, seed)
+        assert stopped.stop == "bound"
+
+
+def test_oracle_stops_at_the_bound_on_crosscheck_instance_54():
+    prob = _crosscheck_instance_54()
+    for seed in (0, 1, 1642437701):
+        stopped, free = _stopped_and_free(prob, 20000, seed)
+        # without the bound the ascent ran for tens of sweeps on this problem
+        assert stopped.stop == "bound" and stopped.iterations < free.iterations
 
 
 def test_line_max_beats_a_dense_grid():
