@@ -34,10 +34,11 @@ and many diagonal or pinching families) the maximum lies on an edge of the
 simplex of weights on their common eigenbasis, and one pass over the pairs
 of eigenvectors finds it.  At k = 2, F is a quadratic on the Bloch sphere,
 and a trust-region subproblem in R^3 gives its maximum.  Otherwise it runs
-the multistart ascent on a first batch of 8 starts and bounds max F from
-above by S-lemma duality (``_upper_bound``); the rest of its ``restarts``
-cap runs only while that bound stays more than 1e-8 (1 + |value|) above
-the value found.  ``solve_multistart`` is the fixed-count ascent alone.
+the ascent from one seeded start and bounds max F from above by S-lemma
+duality (``_upper_bound``).  While that bound stays more than 1e-8
+(1 + |value|) above the value found, the ascent reruns from the bound's
+worst node, and then the rest of the ``restarts`` cap runs.
+``solve_multistart`` is the fixed-count ascent alone.
 
 The primary path runs all restarts as one lockstep batch.  F is invariant
 under x -> e^{i phi} x, so each iteration works in the horizontal space
@@ -152,7 +153,8 @@ class GapResult:
 
     ``gap`` is ``upper - value``; both are None where no bound was computed
     (the closed forms and the bare solvers).  ``eigensolves`` counts the
-    bound's eigenvalue problems.  ``stop`` is why the oracle's ascent ended
+    eigenvalue problems of the bounds and of ``solve``'s repair rounds, and
+    ``repairs`` those rounds.  ``stop`` is why the oracle's ascent ended
     (``solve_bruteforce``); the other solvers leave it None.
     """
 
@@ -165,6 +167,7 @@ class GapResult:
     upper: float | None = None
     gap: float | None = None
     eigensolves: int = 0
+    repairs: int = 0
     stop: str | None = None
 
     def record(self, seed, step_tol: float, max_iter: int) -> dict:
@@ -172,7 +175,8 @@ class GapResult:
         return {"name": self.solver, "restarts": self.restarts,
                 "iterations": self.iterations, "converged": self.converged,
                 "upper": self.upper, "gap": self.gap, "eigensolves": self.eigensolves,
-                "seed": seed, "step_tol": step_tol, "max_iter": max_iter}
+                "repairs": self.repairs, "seed": seed, "step_tol": step_tol,
+                "max_iter": max_iter}
 
 
 def gap_objective(problem: GapProblem, x) -> float:
@@ -658,14 +662,17 @@ def _bloch_to_vector(r):
 # closed-form maximum.  Its excess over the chord is second order in w even
 # where the top eigenvalue at the maximum is double.
 
-# starts of solve's first batch, and the relative gap that closes a bound
-_FIRST_BATCH = 8
+# random starts before solve's first bound, its repair rounds at most, and
+# the relative gap that closes a bound
+_FIRST_BATCH = 1
+_REPAIRS = 2
 _GAP_RTOL = 1e-8
 # eigenvalue problems per bound, and evaluations of h per node's multiplier
 _BOUND_EIGENSOLVES = 64
 _NODE_EVALS = 7
 # eigenvalues this far below the top, relative to 1 + |top|, enter the
-# curvature of h in mu; closer ones are treated as part of a double top
+# curvature of h in mu; closer ones are treated as part of a double top,
+# and span the top eigenspace of a repair
 _CURV_GAP = 1e-9
 
 
@@ -674,7 +681,7 @@ def _gap_tol(value: float) -> float:
 
 
 def _upper_bound(problem: GapProblem, value: float, x):
-    """(upper, eigensolves): a certified bound on max F, built around x.
+    """(upper, eigensolves, worst): a certified bound on max F, built around x.
 
     ``value`` is F at the unit vector x.  The first nodes are the ends of
     S's spectrum, each widened by its rounding, and s* = <Sx,x> with
@@ -692,7 +699,9 @@ def _upper_bound(problem: GapProblem, value: float, x):
     every interval bound the rounding of its closed form.  An evaluation of
     h computes eigenvectors only where its node goes on, and counts as one
     eigenvalue problem either way.  ``upper`` is None if it is not
-    finite.
+    finite.  ``worst`` is None where it closes (or is None); otherwise it is
+    the (s, mu) of the highest node if its h exceeds value + tau, else the
+    split point of the interval with the highest bound.
     """
     C, S, D = problem.C, problem.S, problem.D
     k = problem.dim
@@ -772,6 +781,12 @@ def _upper_bound(problem: GapProblem, value: float, x):
                 mu = step
             return s, *best
 
+        def split(a, b, t):
+            """(s, mu) at t into the interval from node a to b, clipped to its middle half."""
+            w = b[0] - a[0]
+            t = min(max(t, 0.25 * w), 0.75 * w)
+            return a[0] + t, a[2] + (b[2] - a[2]) * (t / w)
+
         def interval(a, b):
             """(bound on F over nodes a to b, the t where it peaks)."""
             (sa, ha, ma), (sb, hb, mb) = a, b
@@ -797,11 +812,38 @@ def _upper_bound(problem: GapProblem, value: float, x):
             for (a, b), (ub, t) in zip(pairs, bounds):
                 refined.append(a)
                 if ub > target and evals < _BOUND_EIGENSOLVES:
-                    w = b[0] - a[0]
-                    t = min(max(t, 0.25 * w), 0.75 * w)
-                    refined.append(node(a[0] + t, a[2] + (b[2] - a[2]) * (t / w)))
+                    refined.append(node(*split(a, b, t)))
             nodes = refined + nodes[-1:]
-    return (float(upper) if np.isfinite(upper) else None), evals
+        if not np.isfinite(upper):
+            return None, evals, None
+        if upper <= target:
+            return float(upper), evals, None
+        s, h_top, mu = max(nodes, key=lambda n: n[1])
+        if h_top > target:
+            return float(upper), evals, (s, mu)
+        (_, t), (a, b) = max(zip(bounds, pairs), key=lambda bp: bp[0][0])
+        return float(upper), evals, split(a, b, t)
+
+
+def _repair_point(problem: GapProblem, s: float, mu: float):
+    """The S-lemma primal point of the node (s, mu), from two eigenvalue problems.
+
+    P = S - sI is diagonalized on the top eigenspace of H = C - sD - mu P
+    (eigenvalues within _CURV_GAP (1 + |top|) of the top).  Where its
+    extreme eigenvectors there straddle 0, the unit v mixes them so that
+    <Pv, v> = 0, and F(v) = <Hv, v> = h(s, mu); otherwise v is the one
+    nearer 0.
+    """
+    P = problem.S - s * np.eye(problem.dim)
+    w, V = np.linalg.eigh(problem.C - s * problem.D - mu * P)
+    E = V[:, w >= w[-1] - _CURV_GAP * (1.0 + abs(w[-1]))]
+    p, U = np.linalg.eigh(E.conj().T @ P @ E)
+    lo, hi = E @ U[:, 0], E @ U[:, -1]
+    if p[0] < 0.0 < p[-1]:  # the two are P-orthogonal, so the cross term drops
+        v = np.sqrt(p[-1]) * lo + np.sqrt(-p[0]) * hi
+    else:
+        v = lo if abs(p[0]) <= abs(p[-1]) else hi
+    return v / np.linalg.norm(v)
 
 
 def _check_solver_args(restarts, max_iter, step_tol) -> None:
@@ -823,15 +865,16 @@ def solve(problem: GapProblem, restarts: int = 64, max_iter: int = 500,
     The solver arguments do not change either closed form, but are checked
     first and must be valid.
 
-    Any other problem gets solver "multistart": the best of a first batch
-    of min(_FIRST_BATCH, ``restarts``) seeded Newton-CG starts, returned as
-    soon as ``_upper_bound`` closes on it, i.e. upper - value <= _GAP_RTOL
-    (1 + |value|).  Otherwise the rest of the ``restarts`` cap runs as a
-    second batch from the same generator, the better point is kept and
-    bounded once more, and the lower of the two bounds is reported as it
-    stands.  ``restarts`` and ``iterations`` count both batches; the first
-    batch alone is ``solve_multistart`` with ``restarts`` = _FIRST_BATCH,
-    bit for bit.
+    Any other problem gets solver "multistart": one seeded Newton-CG start
+    (``solve_multistart`` with _FIRST_BATCH restarts, bit for bit), returned
+    as soon as ``_upper_bound`` closes on it, i.e. upper - value <= _GAP_RTOL
+    (1 + |value|).  While it stays open, up to _REPAIRS rounds run the ascent
+    from ``_repair_point`` at the bound's worst node and bound a better point
+    again; a round with no gain ends them.  Then the rest of the ``restarts``
+    cap runs as a second batch from the same generator, and the best point
+    is reported with the lowest bound, as it stands.  ``restarts`` counts
+    the random starts run, ``repairs`` the rounds and ``iterations`` the
+    outer iterations of every ascent.
     """
     _check_solver_args(restarts, max_iter, step_tol)
     for name, closed_form in (("exact-commuting", _exact), ("exact-dim2", _exact_dim2)):
@@ -839,24 +882,41 @@ def solve(problem: GapProblem, restarts: int = 64, max_iter: int = 500,
         if x is not None:
             return GapResult(gap_objective(problem, x), x, name,
                              iterations=0, restarts=0, converged=True)
-    # both batches draw their starts from one generator
+    # the first start and the second batch draw from one generator
     rng = np.random.default_rng(seed)
-    first = min(_FIRST_BATCH, restarts)
-    res = solve_multistart(problem, first, max_iter, step_tol, seed=rng)
-    upper, evals = _upper_bound(problem, res.value, res.maximizer)
-    if restarts > first and not (upper is not None
-                                 and upper - res.value <= _gap_tol(res.value)):
-        more = solve_multistart(problem, restarts - first, max_iter, step_tol, seed=rng)
-        iterations = res.iterations + more.iterations
+    res = solve_multistart(problem, _FIRST_BATCH, max_iter, step_tol, seed=rng)
+    upper, evals, worst = _upper_bound(problem, res.value, res.maximizer)
+    iterations, repairs, bounds = res.iterations, 0, [upper]
+    while worst is not None and repairs < _REPAIRS:
+        repairs += 1
+        v = _repair_point(problem, *worst)
+        X, conv, iters = _newton_ascent(problem.C, problem.S, problem.D, v[:, None],
+                                        max_iter, step_tol)
+        evals += 2
+        iterations += iters
+        x = X[:, 0] / np.linalg.norm(X[:, 0])
+        value = gap_objective(problem, x)
+        if not value > res.value:
+            break
+        res = replace(res, value=value, maximizer=x, converged=bool(conv[0]))
+        again, extra, worst = _upper_bound(problem, value, x)
+        evals += extra
+        bounds.append(again)
+    # each bound holds whatever point it was built around
+    upper = min((u for u in bounds if u is not None), default=None)
+    if restarts > _FIRST_BATCH and not (upper is not None
+                                        and upper - res.value <= _gap_tol(res.value)):
+        more = solve_multistart(problem, restarts - _FIRST_BATCH, max_iter, step_tol, seed=rng)
+        iterations += more.iterations
         if more.value > res.value:
             res = more
-            again, extra = _upper_bound(problem, res.value, res.maximizer)
+            again, extra, _ = _upper_bound(problem, res.value, res.maximizer)
             evals += extra
-            # each bound holds whatever point it was built around
             upper = min((u for u in (upper, again) if u is not None), default=None)
-        res = replace(res, iterations=iterations, restarts=restarts)
+        res = replace(res, restarts=restarts)
     gap = None if upper is None else upper - res.value
-    return replace(res, upper=upper, gap=gap, eigensolves=evals)
+    return replace(res, iterations=iterations, upper=upper, gap=gap, eigensolves=evals,
+                   repairs=repairs)
 
 
 # -- brute-force oracle -------------------------------------------------

@@ -44,6 +44,7 @@ from loewner_cert.fuzz import (
     suite_gradient,
     suite_sandwich,
 )
+from loewner_cert.gaps import _upper_bound
 
 
 def test_criterion_01_gradient_inequality():
@@ -173,6 +174,9 @@ def test_criterion_09_solver_agreement():
             rm = solve_multistart(problem, restarts=32, max_iter=3000, seed=7)
             rb = solve_bruteforce(problem, samples=3000, seed=11)
             assert rm.value >= rb.value - 1e-7, (kind, n, rm.value, rb.value)
+            # a further check: the certified bound lies above both solvers
+            upper = _upper_bound(problem, rm.value, rm.maximizer)[0]
+            assert upper >= max(rm.value, rb.value), (kind, n, upper, rm.value, rb.value)
     print("criterion 9: PASS")
 
 

@@ -116,11 +116,12 @@ def test_certificate_serializes_canonically():
 
 
 def test_non_commuting_certificate_records_restarts():
-    # the bound closes on the first batch, so 8 of the 64 allowed starts run
+    # the bound closes on the first start, so 1 of the 64 allowed starts runs
     cert = certify_order(N123, D123, power(2))
     gamma = cert.constants["gamma"]
     assert cert.solver["name"] == "multistart"
-    assert cert.solver["seed"] == 0 and cert.solver["restarts"] == 8
+    assert cert.solver["seed"] == 0 and cert.solver["restarts"] == 1
+    assert cert.solver["repairs"] == 0
     assert cert.solver["upper"] >= gamma
     assert cert.solver["gap"] == cert.solver["upper"] - gamma <= 1e-8 * (1.0 + abs(gamma))
     assert cert.solver["eigensolves"] > 0

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from loewner_cert import loewner_leq, matrix_to_obj
+from loewner_cert import gaps, loewner_leq, matrix_to_obj
 from loewner_cert.cli import main
 
 
@@ -96,7 +96,7 @@ def test_gap_json_with_oracle_non_commuting(diag12, n12, n123, diag123):
     rep = json.loads(out)
     assert rep["agreement"] is True
     assert rep["solver"]["name"] == "multistart"
-    assert rep["solver"]["restarts"] == 8  # the bound closes on the first batch
+    assert rep["solver"]["restarts"] == 1  # the bound closes on the first start
     assert rep["solver"]["gap"] <= 1e-8 * (1.0 + abs(rep["value"]))
     assert rep["solver"]["upper"] >= rep["value"]
     code, out = run_cli(["gap", "--kind", "gamma", "--f", "power:2",
@@ -129,7 +129,7 @@ def test_gap_oracle_records_its_stop_at_the_bound(pair, diag01, diag12, n123, di
 
 
 _SOLVER_KEYS = {"name", "restarts", "iterations", "converged", "upper", "gap",
-                "eigensolves", "seed", "step_tol", "max_iter"}
+                "eigensolves", "repairs", "seed", "step_tol", "max_iter"}
 
 
 def test_gap_and_certify_write_one_solver_record(n123, diag123):
@@ -178,8 +178,8 @@ def test_gap_after_certify_keeps_its_own_defaults(gap_argv, diag123):
     code, after = run_cli(gap_argv)
     assert code == 0 and after == before
     solver = json.loads(after)["solver"]
-    # certify's 4 restarts would cap the run at 4; gap's cap of 64 runs 8
-    assert solver["seed"] == 42 and solver["restarts"] == 8
+    # certify's seed 7 would change the start; gap's own seed closes on one start
+    assert solver["seed"] == 42 and solver["restarts"] == 1
     assert (solver["max_iter"], solver["step_tol"]) == (500, 1e-10)
 
 
@@ -201,13 +201,18 @@ def test_certify_gamma_order_identity(diag12):
     assert "gamma     0" in out
 
 
-def test_certify_exit_one_on_failed_bound(n123, diag123):
-    # for the identity f, gamma = lambda_max(B - A) leaves slack 0; a solve
-    # capped at 0 iterations reports F at one random start, below that
-    # maximum, so the certificate fails cleanly
-    code, out = run_cli(["certify", "--statement", "gamma-order",
-                         "--f", "affine:1,0", "--A", n123, "--B", diag123,
-                         "--restarts", "1", "--max-iter", "0"])
+def test_certify_exit_one_on_failed_bound(n123, diag123, monkeypatch):
+    # for the identity f, gamma = lambda_max(B - A) leaves slack 0.  F is
+    # linear there, and the repair point of the open bound is its maximizer,
+    # so even a solve capped at 0 iterations passes; without repair rounds
+    # it reports F at one random start, below that maximum, so the
+    # certificate fails cleanly
+    argv = ["certify", "--statement", "gamma-order", "--f", "affine:1,0",
+            "--A", n123, "--B", diag123, "--restarts", "1", "--max-iter", "0"]
+    code, out = run_cli(argv)
+    assert code == 0 and "PASS" in out
+    monkeypatch.setattr(gaps, "_REPAIRS", 0)
+    code, out = run_cli(argv)
     assert code == 1
     assert "FAIL" in out
 
@@ -277,7 +282,7 @@ def test_fuzz_sandwich_small():
 
 
 def test_run_config_determines_report(diag12, n12, n123, diag123):
-    for pair, solver, restarts in (((n123, diag123), "multistart", 8),
+    for pair, solver, restarts in (((n123, diag123), "multistart", 1),
                                    ((n12, diag12), "exact-dim2", 0)):
         argv = ["certify", "--statement", "gamma-order", "--f", "power:2",
                 "--A", pair[0], "--B", pair[1], "--seed", "5", "--json"]

@@ -2,7 +2,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from loewner_cert import (
     KINDS,
@@ -638,9 +638,9 @@ def test_non_commuting_solve_is_multistart(kind):
         prob = build_gap_problem(kind, power(2), a, b,
                                  family=random_unital_family(2, 3, 3, seed=12))
     assert gaps._exact(prob) is None
-    # the bound closes on the first batch, which is solve_multistart's 8 starts
-    res, ref = solve(prob, restarts=16, seed=4), solve_multistart(prob, restarts=8, seed=4)
-    assert res.solver == "multistart" and res.value == ref.value
+    # the bound closes on the first start, which is solve_multistart's one start
+    res, ref = solve(prob, restarts=16, seed=4), solve_multistart(prob, restarts=1, seed=4)
+    assert res.solver == "multistart" and res.value == ref.value and res.repairs == 0
     assert res.maximizer.tobytes() == ref.maximizer.tobytes()
     assert (res.iterations, res.restarts, res.converged) == (
         ref.iterations, ref.restarts, ref.converged)
@@ -787,7 +787,7 @@ def test_solve_labels_by_dimension_and_commutation():
     rng = np.random.default_rng(59)
     dim3 = GapProblem("gamma", *(hermitize(rng.standard_normal((3, 3))) for _ in range(3)))
     res = solve(dim3, restarts=8, seed=1)
-    assert res.solver == "multistart" and res.restarts == 8
+    assert res.solver == "multistart" and res.restarts == 1  # the bound closes on one start
     # a non-finite problem is refused when it is built
     with pytest.raises(NonFinite, match=r"^C of the gamma problem has a non-finite entry"):
         GapProblem("gamma", np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex), _SX, _SY)
@@ -813,7 +813,9 @@ def test_bound_closes_above_the_64_restart_maximum(k):
         assert res.upper >= v and res.upper >= res.value
         assert res.value >= v - 1e-12 * (1.0 + abs(v))
         assert res.gap == res.upper - res.value <= gaps._gap_tol(res.value)
-        assert res.restarts == 8 and 5 <= res.eigensolves <= gaps._BOUND_EIGENSOLVES
+        # a repair round adds at most two eigensolves and one bound
+        assert res.restarts == 1 and res.repairs <= gaps._REPAIRS
+        assert 5 <= res.eigensolves <= (1 + res.repairs) * (gaps._BOUND_EIGENSOLVES + 2)
 
 
 @pytest.mark.parametrize("seed", [1, 3, 5, 6])
@@ -833,24 +835,125 @@ def test_bound_closes_where_the_top_eigenvalue_is_double(seed):
     assert res.upper >= solve_multistart(prob, restarts=64).value
 
 
-def test_an_open_bound_runs_the_rest_of_the_cap():
-    # with no Newton steps each batch keeps its best random start, so the
-    # bound stays open: the second batch runs, its better point is kept and
-    # the lower of the two bounds, each valid, is reported as it stands (at
-    # seed 3 the second bound is the lower, at seed 5 the first)
+def test_an_open_bound_runs_the_rest_of_the_cap(monkeypatch):
+    # with no Newton steps and no repair round the first start and the
+    # batch keep their random points, so the bound stays open: the second
+    # batch runs, its better point is kept and the lower of the two bounds,
+    # each valid, is reported as it stands (at seed 3 the second bound is
+    # the lower, at seed 5 the first)
+    monkeypatch.setattr(gaps, "_REPAIRS", 0)
     prob = _random_triple(5, 0)
     v = solve_multistart(prob, restarts=64).value
     for seed in (3, 5):
         res = solve(prob, restarts=12, max_iter=0, seed=seed)
-        rng = np.random.default_rng(seed)  # both batches draw from one generator
-        first = solve_multistart(prob, restarts=8, max_iter=0, seed=rng)
-        second = solve_multistart(prob, restarts=4, max_iter=0, seed=rng)
+        rng = np.random.default_rng(seed)  # the start and the batch draw from one generator
+        first = solve_multistart(prob, restarts=1, max_iter=0, seed=rng)
+        second = solve_multistart(prob, restarts=11, max_iter=0, seed=rng)
         assert second.value > first.value and res.value == second.value
         assert res.maximizer.tobytes() == second.maximizer.tobytes()
-        assert (res.restarts, res.iterations) == (12, 0)
+        assert (res.restarts, res.iterations, res.repairs) == (12, 0, 0)
         bounds = [gaps._upper_bound(prob, r.value, r.maximizer) for r in (first, second)]
         assert res.upper == min(b[0] for b in bounds) >= v
         assert res.gap > gaps._gap_tol(res.value)
         assert res.eigensolves == sum(b[1] for b in bounds) <= 2 * gaps._BOUND_EIGENSOLVES
-    # a cap of 8 or less is one batch
-    assert solve(prob, restarts=5, max_iter=0, seed=3).restarts == 5
+    # a cap of 1 is the one start
+    assert solve(prob, restarts=1, max_iter=0, seed=3).restarts == 1
+
+
+def test_repair_rounds_lift_a_start_without_newton_steps():
+    # with no Newton steps each repair round keeps its S-lemma point as it
+    # is: both rounds lift the value far above the random start and the
+    # eleven random starts after them, and the bound stays open; each round
+    # starts from the worst node of the bound around the last point
+    prob = _random_triple(5, 0)
+    v = solve_multistart(prob, restarts=64).value
+    for seed in (3, 5):
+        res = solve(prob, restarts=12, max_iter=0, seed=seed)
+        rng = np.random.default_rng(seed)
+        first = solve_multistart(prob, restarts=1, max_iter=0, seed=rng)
+        second = solve_multistart(prob, restarts=11, max_iter=0, seed=rng)
+        upper, evals, worst = gaps._upper_bound(prob, first.value, first.maximizer)
+        bounds, value = [upper], first.value
+        for _ in range(gaps._REPAIRS):
+            x = gaps._repair_point(prob, *worst)
+            x = x / np.linalg.norm(x)  # as the ascent normalizes its start
+            x = x / np.linalg.norm(x)
+            assert gap_objective(prob, x) > value
+            value = gap_objective(prob, x)
+            upper, more, worst = gaps._upper_bound(prob, value, x)
+            bounds.append(upper)
+            evals += 2 + more
+        assert worst is not None and value > second.value
+        assert res.value == value and res.maximizer.tobytes() == x.tobytes()
+        assert (res.restarts, res.iterations, res.repairs) == (12, 0, 2)
+        assert res.upper == min(bounds) >= v and res.gap > gaps._gap_tol(res.value)
+        assert res.eigensolves == evals
+
+
+def _bound_check_triple(k, seed):
+    """scripts/bound_check.py's random triple."""
+    rng = np.random.default_rng([2026, k, seed])
+    return GapProblem("gamma", *(hermitize(rng.standard_normal((k, k))
+                                           + 1j * rng.standard_normal((k, k)))
+                                 for _ in range(3)))
+
+
+@pytest.mark.parametrize("k, seed", [(3, 5), (5, 6)])
+def test_one_repair_closes_where_the_start_falls_short(k, seed):
+    prob = _bound_check_triple(k, seed)
+    start = solve_multistart(prob, restarts=1, seed=seed)
+    assert gaps._upper_bound(prob, start.value, start.maximizer)[2] is not None
+    res = solve(prob, seed=seed)
+    v = solve_multistart(prob, restarts=64, seed=seed).value
+    assert (res.solver, res.restarts, res.repairs) == ("multistart", 1, 1)
+    assert res.value > start.value and res.value >= v - 1e-12 * (1.0 + abs(v))
+    assert res.upper >= v and res.gap <= gaps._gap_tol(res.value)
+
+
+def test_repair_point_lies_on_its_slice_at_a_double_top():
+    # in a random basis, H = C - sD - mu(S - sI) = diag(2, 2, 0, -1) at
+    # s = 0.25, mu = 0.7, and S - sI is diag(1, -1) on its top eigenspace:
+    # the mixed point has <Sv,v> = s, so F(v) = h(s, mu) = 2, while the
+    # bound around a poor point is open at that node
+    U = random_unitary(4, np.random.default_rng(89))
+    s, mu = 0.25, 0.7
+    S = np.diag([1.0, -1.0, 0.3, -0.5]) + s * np.eye(4)
+    D = hermitize(np.random.default_rng(97).standard_normal((4, 4)))
+    C = np.diag([2.0, 2.0, 0.0, -1.0]) + s * D + mu * (S - s * np.eye(4))
+    prob = GapProblem("gamma", *(hermitize(U @ M @ U.conj().T) for M in (C, S, D)))
+    x = U[:, 3]
+    value = gap_objective(prob, x)
+    assert 2.0 > value + gaps._gap_tol(value)
+    assert gaps._upper_bound(prob, value, x)[2] is not None
+    v = gaps._repair_point(prob, s, mu)
+    assert abs(np.linalg.norm(v) - 1.0) <= 1e-15
+    assert abs(np.vdot(v, prob.S @ v).real - s) <= 1e-14
+    assert abs(gap_objective(prob, v) - 2.0) <= 1e-14
+    assert gap_objective(prob, v) >= value + gaps._gap_tol(value)
+
+
+def _repeated(draw_values, basis, r):
+    """U diag(w) U^H for values w whose first r entries are equal."""
+    w = np.array(draw_values)
+    w[:r] = w[0]
+    return hermitize((basis * w) @ basis.conj().T)
+
+
+@given(k=st.integers(3, 6), data=st.data())
+def test_solve_closes_where_s_and_d_have_repeated_eigenvalues(k, data):
+    # non-commuting triples whose S and D each have a repeated eigenvalue,
+    # in two different random bases: the top eigenvalue of the Lagrangian is
+    # often double there, and Newton-CG meets flat directions
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    rs, rd = (data.draw(st.integers(2, k - 1)) for _ in range(2))
+    values = st.lists(st.floats(-3.0, 3.0), min_size=k, max_size=k, unique=True)
+    rng = np.random.default_rng(seed)
+    C = hermitize(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+    S = _repeated(data.draw(values), random_unitary(k, rng), rs)
+    D = _repeated(data.draw(values), random_unitary(k, rng), rd)
+    prob = GapProblem("gamma", C, S, D)
+    assume(gaps._exact(prob) is None)
+    res = solve(prob, seed=seed)
+    v = solve_multistart(prob, restarts=64, seed=seed).value
+    assert res.solver == "multistart" and res.gap <= gaps._gap_tol(res.value)
+    assert res.upper >= v and res.value >= v - 1e-12 * (1.0 + abs(v))
