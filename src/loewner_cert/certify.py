@@ -114,12 +114,11 @@ def _finish(statement, constants, bound_minus_bounded, ref_norm, tol,
 
 
 def _certify_gap(statement, kind, f, a_ops, b_ops, family, tol, restarts,
-                 max_iter, step_tol, seed) -> Certificate:
+                 seed) -> Certificate:
     """Solve the gap problem of ``kind`` and check the bound it gives."""
     _check_tol(tol)
     problem, asm = _problem(kind, f, a_ops, b_ops, family)
-    res = solve(problem, restarts=restarts, max_iter=max_iter,
-                step_tol=step_tol, seed=seed)
+    res = solve(problem, restarts=restarts, seed=seed)
     # theta and vartheta bound sum Phi_i(f(A_i)) by f(T), the others the reverse
     upper, lower = (asm.fT, asm.Sf) if kind in ("theta", "vartheta") else (asm.Sf, asm.fT)
     k = problem.dim
@@ -130,27 +129,24 @@ def _certify_gap(statement, kind, f, a_ops, b_ops, family, tol, restarts,
         upper + res.value * np.eye(k) - lower,
         _fro(upper),
         tol,
-        res.record(seed, step_tol, max_iter),
+        res.record(seed),
         {**sizes, "function": f.spec_string()},
     )
 
 
 def certify_order(A, B, f: ScalarFunction, *, tol: float = DEFAULT_TOL,
-                  restarts: int = 64, max_iter: int = 500,
-                  step_tol: float = 1e-10, seed=0) -> Certificate:
+                  restarts: int = 64, seed=0) -> Certificate:
     """Certify f(B) <= f(A) + gamma * I with the computed gamma.
 
     Valid for any Hermitian A, B with spectra in f's domain; no order
     relation between A and B is assumed.
     """
-    return _certify_gap("gamma-order", "gamma", f, A, B, None, tol, restarts,
-                        max_iter, step_tol, seed)
+    return _certify_gap("gamma-order", "gamma", f, A, B, None, tol, restarts, seed)
 
 
 def certify_jensen(kind: str, f: ScalarFunction, a_ops, b_ops=None,
                    family: MapFamily | None = None, *, tol: float = DEFAULT_TOL,
-                   restarts: int = 64, max_iter: int = 500,
-                   step_tol: float = 1e-10, seed=0) -> Certificate:
+                   restarts: int = 64, seed=0) -> Certificate:
     """Certify one of the mapped Jensen-type bounds.
 
     delta_forward:    f(sum Phi_i(B_i)) <= sum Phi_i(f(A_i)) + delta * I
@@ -161,7 +157,7 @@ def certify_jensen(kind: str, f: ScalarFunction, a_ops, b_ops=None,
     if kind not in JENSEN_KINDS:
         raise ValueError(f"unknown jensen kind {kind!r}")
     return _certify_gap(kind, JENSEN_KINDS[kind], f, a_ops, b_ops, family, tol,
-                        restarts, max_iter, step_tol, seed)
+                        restarts, seed)
 
 
 def verify_sandwich_pointwise(f: ScalarFunction, a_ops, b_ops=None,

@@ -51,8 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def solver_flags(p, seed_default):
         p.add_argument("--restarts", type=int, default=64)
-        p.add_argument("--max-iter", type=int, default=500)
-        p.add_argument("--step-tol", type=float, default=1e-10)
         p.add_argument("--seed", type=int, default=seed_default)
 
     p = sub.add_parser("kantorovich", help="generalized ratio constant K(m, M, p)")
@@ -178,15 +176,14 @@ def _cmd_gap(args) -> int:
     f = parse_function(args.f)
     a_ops, b_ops, family, digests = _load_inputs(args)
     problem = build_gap_problem(args.kind, f, a_ops, b_ops, family)
-    res = solve(problem, restarts=args.restarts, max_iter=args.max_iter,
-                step_tol=args.step_tol, seed=args.seed)
+    res = solve(problem, restarts=args.restarts, seed=args.seed)
     report = {
         "kind": args.kind,
         "f": f.spec_string(),
         "value": res.value,
         "maximizer_re": [float(v) for v in res.maximizer.real],
         "maximizer_im": [float(v) for v in res.maximizer.imag],
-        "solver": res.record(args.seed, args.step_tol, args.max_iter),
+        "solver": res.record(args.seed),
         "inputs": digests,
     }
     lines = [
@@ -199,7 +196,7 @@ def _cmd_gap(args) -> int:
         lines.append(f"upper     {format_float(res.upper)}")
     if args.oracle:
         # the oracle stops at a certified bound, which the closed forms lack
-        upper = res.upper if res.solver == "multistart" else \
+        upper = res.upper if res.upper is not None else \
             _upper_bound(problem, res.value, res.maximizer)[0]
         oracle = solve_bruteforce(problem, samples=args.samples, seed=args.seed, upper=upper)
         agree = abs(res.value - oracle.value) <= AGREE_RTOL * (1.0 + abs(oracle.value))
@@ -228,8 +225,7 @@ def _cmd_certify(args) -> int:
     elif f is None:  # None would reach the spectral assembly as an AttributeError
         raise LoewnerCertError(f"{args.statement} needs --f")
     else:
-        solver = {"tol": args.tol, "restarts": args.restarts, "max_iter": args.max_iter,
-                  "step_tol": args.step_tol, "seed": args.seed}
+        solver = {"tol": args.tol, "restarts": args.restarts, "seed": args.seed}
         cert = certify_order(a_ops, b_ops, f, **solver) if statement == "gamma_order" \
             else certify_jensen(statement, f, a_ops, b_ops, family, **solver)
     report = cert.to_dict()

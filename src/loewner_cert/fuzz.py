@@ -81,7 +81,6 @@ POSITIVITY_FLOOR = -1e-10  # least chebyshev, eta and ordered gamma value admitt
 AGREE_RTOL = 1e-5  # |multistart - oracle| <= AGREE_RTOL * (1 + |oracle|)
 AGREE_ONE_SIDED_TOL = 1e-7  # multistart may fall below the oracle by this much
 AGREE_RESTARTS = 32
-AGREE_MAX_ITER = 3000
 AGREE_SAMPLES = 4000
 AGREE_MAX_DIM = 3
 
@@ -191,7 +190,7 @@ def _positivity_suite(kind: str, trials: int, seed) -> dict:
         tag, f, lo, hi = CONVEX_POS[i % len(CONVEX_POS)]
         n = int(rng.integers(2, 6))
         problem = build_gap_problem(kind, f, *_draw(rng, kind, i, n, lo, hi))
-        res = solve_multistart(problem, restarts=8, max_iter=300, seed=_subseed(rng))
+        res = solve_multistart(problem, restarts=8, seed=_subseed(rng))
         worst = min(worst, float(res.value))
         if res.value < POSITIVITY_FLOOR:
             failures += 1
@@ -228,7 +227,7 @@ def suite_gamma(trials: int, seed=42) -> dict:
         tag, f, lo, hi = CONVEX_POS[i % len(CONVEX_POS)]
         n = int(rng.integers(2, 5))
         A, B, _ = _draw(rng, "gamma", i, n, lo, hi)
-        cert = certify_order(A, B, f, restarts=32, max_iter=400, seed=_subseed(rng))
+        cert = certify_order(A, B, f, restarts=32, seed=_subseed(rng))
         worst_slack = min(worst_slack, cert.slack)
         if not cert.passed:
             failures += 1
@@ -245,7 +244,7 @@ def suite_gamma(trials: int, seed=42) -> dict:
             A, B = small, big  # A <= B, f increasing: constant stays >= 0
         else:
             A, B = big, small  # B <= A, f decreasing: same sign structure
-        cert = certify_order(A, B, f, restarts=32, max_iter=400, seed=_subseed(rng))
+        cert = certify_order(A, B, f, restarts=32, seed=_subseed(rng))
         gamma = cert.constants["gamma"]
         worst_ordered = min(worst_ordered, float(gamma))
         if gamma < POSITIVITY_FLOOR or not cert.passed:
@@ -302,11 +301,7 @@ def _classical_case(statement: str, i: int, rng: np.random.Generator):
 
 
 def suite_agreement(trials: int, seed=42) -> dict:
-    """Multistart ascent versus the dense sampling solver on small instances.
-
-    The iteration cap is generous; restarts leave the solver's batch
-    as they converge, so easy instances do not pay for it.
-    """
+    """Multistart ascent versus the dense sampling solver on small instances."""
     failures = 0
     worst = 0.0
     per_kind = {}
@@ -317,8 +312,7 @@ def suite_agreement(trials: int, seed=42) -> dict:
             tag, f, lo, hi = CONVEX_POS[i % len(CONVEX_POS)]
             n = int(rng.integers(2, AGREE_MAX_DIM + 1))
             problem = build_gap_problem(kind, f, *_draw(rng, kind, i, n, lo, hi))
-            res_m = solve_multistart(problem, restarts=AGREE_RESTARTS,
-                                     max_iter=AGREE_MAX_ITER, seed=_subseed(rng))
+            res_m = solve_multistart(problem, restarts=AGREE_RESTARTS, seed=_subseed(rng))
             res_b = solve_bruteforce(problem, samples=AGREE_SAMPLES, seed=_subseed(rng))
             diff = abs(res_m.value - res_b.value)
             worst = max(worst, float(diff))

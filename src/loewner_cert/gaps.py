@@ -46,9 +46,10 @@ under x -> e^{i phi} x, so each iteration works in the horizontal space
 with Hessian-vector products only, give the step direction, and Armijo
 backtracking along x -> (x + t eta)/|x + t eta| makes every accepted step
 increase F.  A restart stops once its tangent gradient norm is at most
-``step_tol``; ``max_iter`` caps the outer iterations of the batch.  The
-result's ``iterations`` is the number of outer iterations the batch ran,
-and ``converged`` is the stop-test flag of the restart with the best value.
+_STEP_TOL (1e-10), and _MAX_ITER (500) caps the outer iterations of every
+ascent that ``solve`` runs.  The result's ``iterations`` is the number of
+outer iterations the batch ran, and ``converged`` is the stop-test flag of
+the restart with the best value.
 
 The ascent holds the n restarts still running in stacked blocks: x and
 its images Cx, Sx, Dx, then the CG direction p, its images and Hess p in
@@ -108,6 +109,11 @@ _MIN_STEP = 1e-18
 # residuals in flat directions, and dividing by their curvature of order
 # 1e-16 yields huge steps that no longer ascend
 _CURV_FLOOR = 1e-12
+# the ascent's stop test on the tangent gradient norm, and the cap on the
+# outer iterations of each ascent that solve runs; the bound, not these,
+# says how close a reported value is to the maximum
+_STEP_TOL = 1e-10
+_MAX_ITER = 500
 
 # commutators and off-diagonal parts count as zero below this many units
 # of k * eps * (norm product); measured rounding stays under 1.3 units and
@@ -170,13 +176,13 @@ class GapResult:
     repairs: int = 0
     stop: str | None = None
 
-    def record(self, seed, step_tol: float, max_iter: int) -> dict:
+    def record(self, seed) -> dict:
         """The solver record of ``gap --json`` and of certificates."""
         return {"name": self.solver, "restarts": self.restarts,
                 "iterations": self.iterations, "converged": self.converged,
                 "upper": self.upper, "gap": self.gap, "eigensolves": self.eigensolves,
-                "repairs": self.repairs, "seed": seed, "step_tol": step_tol,
-                "max_iter": max_iter}
+                "repairs": self.repairs, "seed": seed, "step_tol": _STEP_TOL,
+                "max_iter": _MAX_ITER}
 
 
 def gap_objective(problem: GapProblem, x) -> float:
@@ -320,11 +326,11 @@ def build_gap_problem(kind: str, f: ScalarFunction, a_ops, b_ops=None,
 # -- multistart Riemannian Newton-CG ascent ----------------------------
 
 
-def _newton_ascent(C, S, D, X0, max_iter: int, step_tol: float):
+def _newton_ascent(C, S, D, X0, max_iter: int):
     """Lockstep Newton-CG ascent over the columns of X0; returns (X, converged, iters).
 
     A column leaves the batch when its tangent gradient norm is at most
-    ``step_tol`` (converged) or when the line search finds no increase
+    _STEP_TOL (converged) or when the line search finds no increase
     above _MIN_STEP (stalled).  With qM = <Mx,x>, the gradient is the
     horizontal part of G = 2(Cx - qD Sx - qS Dx), and the Riemannian
     Hessian applied to a horizontal E is the horizontal part of
@@ -358,7 +364,7 @@ def _newton_ascent(C, S, D, X0, max_iter: int, step_tol: float):
         G -= x * rad
         G -= x * (xc * G).sum(axis=0)
         gn = np.sqrt(_rdot(G, G))
-        done = gn <= step_tol
+        done = gn <= _STEP_TOL
         converged[work[done]] = True
         live = ~done
         if not live.any() or iters == max_iter:
@@ -446,20 +452,23 @@ def _newton_ascent(C, S, D, X0, max_iter: int, step_tol: float):
     return X, converged, iters
 
 
-def solve_multistart(problem: GapProblem, restarts: int = 64, max_iter: int = 500,
-                     step_tol: float = 1e-10, seed=0) -> GapResult:
+def solve_multistart(problem: GapProblem, restarts: int = 64, max_iter: int = _MAX_ITER,
+                     seed=0) -> GapResult:
     """Best stationary value of F over ``restarts`` seeded sphere starts.
 
-    The restarts run as one lockstep Newton-CG batch (module docstring);
-    ``iterations`` counts its outer iterations and ``converged`` is the
-    stop-test flag of the restart that attains the returned value.
+    The restarts run as one lockstep Newton-CG batch (module docstring) of
+    at most ``max_iter`` outer iterations; ``iterations`` counts them and
+    ``converged`` is the stop-test flag of the restart that attains the
+    returned value.
     """
-    _check_solver_args(restarts, max_iter, step_tol)
+    _check_count("restarts", restarts)
+    if not isinstance(max_iter, numbers.Integral) or max_iter < 0:
+        raise BadParameter(f"max_iter must be an integer >= 0, got {max_iter}")
     C, S, D = problem.C, problem.S, problem.D
     k = problem.dim
     rng = np.random.default_rng(seed)
     X0 = rng.standard_normal((k, restarts)) + 1j * rng.standard_normal((k, restarts))
-    X, conv, iters = _newton_ascent(C, S, D, X0, max_iter, step_tol)
+    X, conv, iters = _newton_ascent(C, S, D, X0, max_iter)
     qC, qS, qD = _forms(C, S, D, X)
     best = int(np.argmax(qC - qS * qD))
     x = X[:, best]
@@ -846,24 +855,19 @@ def _repair_point(problem: GapProblem, s: float, mu: float):
     return v / np.linalg.norm(v)
 
 
-def _check_solver_args(restarts, max_iter, step_tol) -> None:
-    if not isinstance(restarts, numbers.Integral) or restarts < 1:
-        raise BadDimensions(f"restarts must be an integer >= 1, got {restarts}")
-    if not isinstance(max_iter, numbers.Integral) or max_iter < 0:
-        raise BadParameter(f"max_iter must be an integer >= 0, got {max_iter}")
-    if not 0.0 <= step_tol < np.inf:
-        raise BadParameter(f"step_tol must be finite and >= 0, got {step_tol}")
+def _check_count(name: str, value) -> None:
+    if not isinstance(value, numbers.Integral) or value < 1:
+        raise BadDimensions(f"{name} must be an integer >= 1, got {value}")
 
 
-def solve(problem: GapProblem, restarts: int = 64, max_iter: int = 500,
-          step_tol: float = 1e-10, seed=0) -> GapResult:
+def solve(problem: GapProblem, restarts: int = 64, seed=0) -> GapResult:
     """Maximum of F: in closed form for a commuting triple or at k = 2, else bounded multistart.
 
     A commuting (C, S, D) gives solver "exact-commuting" and any other
     2 x 2 problem "exact-dim2", each with no restarts or iterations,
     converged, no bound, and the value of F at the closed-form maximizer.
-    The solver arguments do not change either closed form, but are checked
-    first and must be valid.
+    ``restarts`` does not change either closed form, but is checked first
+    and must be valid.
 
     Any other problem gets solver "multistart": one seeded Newton-CG start
     (``solve_multistart`` with _FIRST_BATCH restarts, bit for bit), returned
@@ -872,11 +876,12 @@ def solve(problem: GapProblem, restarts: int = 64, max_iter: int = 500,
     from ``_repair_point`` at the bound's worst node and bound a better point
     again; a round with no gain ends them.  Then the rest of the ``restarts``
     cap runs as a second batch from the same generator, and the best point
-    is reported with the lowest bound, as it stands.  ``restarts`` counts
-    the random starts run, ``repairs`` the rounds and ``iterations`` the
-    outer iterations of every ascent.
+    is reported with the lowest bound, as it stands.  Every ascent runs at
+    most _MAX_ITER outer iterations.  ``restarts`` counts the random starts
+    run, ``repairs`` the rounds and ``iterations`` the outer iterations of
+    every ascent.
     """
-    _check_solver_args(restarts, max_iter, step_tol)
+    _check_count("restarts", restarts)
     for name, closed_form in (("exact-commuting", _exact), ("exact-dim2", _exact_dim2)):
         x = closed_form(problem)
         if x is not None:
@@ -884,14 +889,14 @@ def solve(problem: GapProblem, restarts: int = 64, max_iter: int = 500,
                              iterations=0, restarts=0, converged=True)
     # the first start and the second batch draw from one generator
     rng = np.random.default_rng(seed)
-    res = solve_multistart(problem, _FIRST_BATCH, max_iter, step_tol, seed=rng)
+    res = solve_multistart(problem, _FIRST_BATCH, _MAX_ITER, seed=rng)
     upper, evals, worst = _upper_bound(problem, res.value, res.maximizer)
     iterations, repairs, bounds = res.iterations, 0, [upper]
     while worst is not None and repairs < _REPAIRS:
         repairs += 1
         v = _repair_point(problem, *worst)
         X, conv, iters = _newton_ascent(problem.C, problem.S, problem.D, v[:, None],
-                                        max_iter, step_tol)
+                                        _MAX_ITER)
         evals += 2
         iterations += iters
         x = X[:, 0] / np.linalg.norm(X[:, 0])
@@ -906,7 +911,7 @@ def solve(problem: GapProblem, restarts: int = 64, max_iter: int = 500,
     upper = min((u for u in bounds if u is not None), default=None)
     if restarts > _FIRST_BATCH and not (upper is not None
                                         and upper - res.value <= _gap_tol(res.value)):
-        more = solve_multistart(problem, restarts - _FIRST_BATCH, max_iter, step_tol, seed=rng)
+        more = solve_multistart(problem, restarts - _FIRST_BATCH, _MAX_ITER, seed=rng)
         iterations += more.iterations
         if more.value > res.value:
             res = more
@@ -1099,14 +1104,12 @@ def solve_bruteforce(problem: GapProblem, samples: int = 20000, seed=0,
     ``iterations`` counts its sweeps and ``stop`` says why it ended
     (``_coordinate_ascent``).  Given a certified bound ``upper`` on max F,
     the ascent also stops once its best value is within 1e-8 (1 + |upper|)
-    of it; the stop reads only ``upper``, never a primal value.  Without
-    one the oracle runs as it always has, bit for bit.  The ascent can
-    settle on a local maximum, so the oracle wants ``samples`` >= 10: with
-    one sample it stopped short on 15 of 3,000 random dimension-2 triples,
-    by up to 13% of 1 + |max|.
+    of it; the stop reads only ``upper``, never a primal value.  The ascent
+    can settle on a local maximum, so the oracle wants ``samples`` >= 10:
+    with one sample it stopped short on 15 of 3,000 random dimension-2
+    triples, by up to 13% of 1 + |max|.
     """
-    if samples < 1:
-        raise BadDimensions(f"need at least one sample, got {samples}")
+    _check_count("samples", samples)
     k = problem.dim
     if k == 1:  # every unit vector is a phase of the maximizer
         x = np.array([1.0 + 0.0j])
@@ -1127,8 +1130,7 @@ def solve_bruteforce(problem: GapProblem, samples: int = 20000, seed=0,
     top = top[np.argsort(Fs[top])[::-1]]
     Z = R[:k, top] + 1j * R[k:, top]
     X0 = Z / np.linalg.norm(Z, axis=0)
-    X, F, sweeps, stop = (_coordinate_ascent(M, X0) if upper is None
-                          else _coordinate_ascent(M, X0, upper=upper))
+    X, F, sweeps, stop = _coordinate_ascent(M, X0, upper=upper)
     best = int(np.argmax(F))
     x = X[:, best] / np.linalg.norm(X[:, best])
     return GapResult(gap_objective(problem, x), x, "bruteforce", sweeps, samples, stop=stop)

@@ -18,6 +18,7 @@ from loewner_cert import (
     NonFinite,
     NotUnitalFamily,
     NotUnitVector,
+    Pinch,
     SpectrumOutsideDomain,
     affine,
     apply_spectral,
@@ -593,6 +594,44 @@ def test_delta_forward_on_the_closed_endpoint_of_the_domain(seed, zeros, bad):
     with pytest.raises(SpectrumOutsideDomain, match=rf"^B\[{bad}\] has eigenvalues") as exc:
         certify_jensen("delta_forward", f, a_ops, b_ops, fam, restarts=4)
     assert exc.value.offending == pytest.approx([-1e-6], rel=1e-6)
+
+
+@given(seed=st.integers(0, 2**32 - 1),
+       spec=st.sampled_from(["power:1.5", "power:3", "power:2;dom=[0,inf)"]),
+       offset=st.sampled_from([0.0, 3e-17, -5e-11]), pinch=st.booleans())
+def test_spectra_on_the_closed_end_of_the_domain(seed, spec, offset, pinch):
+    # every operand has one eigenvalue at offset from 0, the closed end of
+    # f's domain [0, inf), within the clamp.  Under the pinching the operands
+    # are block-diagonal along its blocks, and under the one unitary
+    # conjugation T is a rotation of B (or A), so T's spectrum touches 0 as
+    # well: the A_i path and the T path both meet the end
+    f = parse_function(spec)
+    rng = np.random.default_rng(seed)
+    fam = MapFamily((Pinch(3, ((0, 1), (2,))),)) if pinch else random_unital_family(1, 3, 3, seed)
+
+    def operand(low):
+        if not pinch:
+            return _psd(np.r_[low, rng.uniform(0.2, 2.0, 2)], rng)
+        X = np.zeros((3, 3), dtype=complex)
+        X[:2, :2] = _psd([low, rng.uniform(0.2, 2.0)], rng)
+        X[2, 2] = rng.uniform(0.2, 2.0)
+        return X
+
+    ops = {"A": [operand(offset)], "B": [operand(offset)]}
+    for kind in ("delta_forward", "eta_choi", "theta_reverse", "vartheta_reverse"):
+        b = ops["B"] if kind in ("delta_forward", "theta_reverse") else None
+        cert = certify_jensen(kind, f, ops["A"], b, fam, restarts=4, seed=seed)
+        assert cert.passed, (kind, cert.slack, cert.tol)
+    x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    x /= np.linalg.norm(x)
+    assert verify_sandwich_pointwise(f, ops["A"], ops["B"], fam, x).ok
+    # 1e-9 below the end is outside the clamp, and the operand is named
+    for side in ops:
+        bad = dict(ops, **{side: [operand(-1e-9)]})
+        with pytest.raises(SpectrumOutsideDomain, match=rf"^{side}\[0\] has eigenvalues"):
+            certify_jensen("delta_forward", f, bad["A"], bad["B"], fam, restarts=4)
+        with pytest.raises(SpectrumOutsideDomain, match=rf"^{side}\[0\] has eigenvalues"):
+            verify_sandwich_pointwise(f, bad["A"], bad["B"], fam, x)
 
 
 @given(seed=st.integers(0, 2**32 - 1), spec=st.sampled_from(["power:-1", "neglog"]),
