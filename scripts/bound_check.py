@@ -15,7 +15,8 @@ bound, and counts:
   oracle   the oracle's stops: at the bound, stalled, at the sweep cap
   above    the oracle's value above upper
 
-and the median and largest number of eigenvalue problems per solve.  Exits
+and the median and largest number of eigenvalue problems and of Newton
+iterations (every ascent it ran, summed) per solve.  Exits
 1 if any bound stays open, any value is lost or any bound falls below a
 feasible value: the 64-restart value, solve's own or the oracle's.
 
@@ -44,7 +45,7 @@ def triple(k: int, seed: int) -> GapProblem:
 def check(k: int, count: int) -> dict:
     row = {"k": k, "triples": count, "closed": 0, "repaired": 0, "second": 0, "lost": 0,
            "below": 0, "oracle": {"bound": 0, "stalled": 0, "cap": 0}, "above": 0}
-    solves = []
+    solves, iterations = [], []
     for seed in range(count):
         prob = triple(k, seed)
         res = solve(prob, seed=seed)
@@ -58,8 +59,11 @@ def check(k: int, count: int) -> dict:
         row["oracle"][oracle.stop] += 1
         row["above"] += res.upper is not None and oracle.value > res.upper
         solves.append(res.eigensolves)
+        iterations.append(res.iterations)
     row["eigensolves_median"] = float(np.median(solves))
     row["eigensolves_max"] = max(solves)
+    row["iterations_median"] = float(np.median(iterations))
+    row["iterations_max"] = max(iterations)
     return row
 
 

@@ -17,7 +17,7 @@ from .certify import (
     verify_sandwich_pointwise,
 )
 from .errors import BadDimensions
-from .gaps import KINDS, build_gap_problem, solve_bruteforce, solve_multistart
+from .gaps import KINDS, _upper_bound, build_gap_problem, solve_bruteforce, solve_multistart
 from .hermitian import random_dominated_pair, random_hermitian
 from .maps import Diag, MapFamily, Pinch, identity_family, random_unital_family
 from .scalarfn import (
@@ -301,7 +301,12 @@ def _classical_case(statement: str, i: int, rng: np.random.Generator):
 
 
 def suite_agreement(trials: int, seed=42) -> dict:
-    """Multistart ascent versus the dense sampling solver on small instances."""
+    """Multistart ascent versus the dense sampling solver on small instances.
+
+    A trial fails unless the two agree, the ascent is not below the oracle,
+    and the certified bound built around the better point (``_upper_bound``)
+    is at least both values.
+    """
     failures = 0
     worst = 0.0
     per_kind = {}
@@ -318,7 +323,10 @@ def suite_agreement(trials: int, seed=42) -> dict:
             worst = max(worst, float(diff))
             close = diff <= AGREE_RTOL * (1.0 + abs(res_b.value))
             not_below = res_m.value >= res_b.value - AGREE_ONE_SIDED_TOL
-            if not (close and not_below):
+            best = max(res_m, res_b, key=lambda r: r.value)
+            upper = _upper_bound(problem, best.value, best.maximizer)[0]
+            bounded = upper is not None and upper >= max(res_m.value, res_b.value)
+            if not (close and not_below and bounded):
                 fails += 1
         per_kind[kind] = int(fails)
         failures += fails
