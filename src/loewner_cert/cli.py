@@ -5,11 +5,16 @@ run is fully determined by its flags; reports are emitted either as a
 short text block or as canonical JSON (--json), with identical numbers
 in both modes.  Exit codes: 0 pass, 1 fail, 2 input or hypothesis
 error.
+
+``main`` builds its parser once per process, on its first call, and
+parses every later call with it; ``build_parser`` returns a new parser
+on every call, so a caller that changes one leaves ``main`` unchanged.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .certify import (
@@ -25,6 +30,7 @@ from .errors import LoewnerCertError, ParseError
 from .fuzz import AGREE_RTOL, SUITE_NAMES, run_fuzz
 from .gaps import (
     KINDS,
+    NO_FAMILY_KINDS,
     ONE_OPERAND_KINDS,
     _upper_bound,
     build_gap_problem,
@@ -171,6 +177,8 @@ def _load_inputs(args):
 
 
 def _cmd_gap(args) -> int:
+    if args.maps and args.kind in NO_FAMILY_KINDS:
+        raise LoewnerCertError(f"kind {args.kind} takes no map family")
     if args.B is not None and args.kind in ONE_OPERAND_KINDS:
         raise LoewnerCertError(f"kind {args.kind} takes no B operands")
     f = parse_function(args.f)
@@ -285,8 +293,13 @@ _HANDLERS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
     except (LoewnerCertError, ValueError, OSError) as exc:

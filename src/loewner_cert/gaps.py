@@ -90,6 +90,8 @@ __all__ = [
 KINDS = ("gamma", "delta", "eta", "theta", "vartheta", "chebyshev")
 # the kinds whose forms read the A side alone
 ONE_OPERAND_KINDS = ("eta", "vartheta", "chebyshev")
+# the kinds that take no map family: delta and eta under the identity map
+NO_FAMILY_KINDS = ("gamma", "chebyshev")
 
 # sufficient-increase fraction of the Newton line search
 _ARMIJO = 1e-4
@@ -273,6 +275,8 @@ def _assemble(f: ScalarFunction, a_ops, b_ops=None,
         if A.shape[0] != phi.input_dim or B.shape[0] != phi.input_dim:
             raise DimensionMismatch("operand sizes must match the map input dims")
     unital = check_unital_family(family)
+    if not np.isfinite(unital.defect):
+        raise NotUnitalFamily("unitality defect overflows: sum_i Phi_i(I) is not finite")
     if not unital.holds:
         raise NotUnitalFamily(f"unitality defect {unital.defect:.3e}")
 
@@ -293,7 +297,7 @@ def _problem(kind: str, f: ScalarFunction, a_ops, b_ops=None,
     """build_gap_problem's GapProblem together with the _Assembly it reads."""
     if kind not in KINDS:
         raise ValueError(f"unknown gap kind {kind!r}")
-    if kind in ("gamma", "chebyshev") and family is not None:
+    if kind in NO_FAMILY_KINDS and family is not None:
         raise BadDimensions(f"kind {kind} takes no map family")
     if kind in ONE_OPERAND_KINDS:
         b_ops = None

@@ -168,8 +168,10 @@ class MapFamily:
         return total
 
     def unital_defect(self) -> float:
-        total = self.apply_sum([np.eye(phi.input_dim) for phi in self.maps])
-        return float(np.linalg.norm(total - np.eye(self.output_dim)))
+        """|sum_i Phi_i(I) - I|_F; not finite where the sum overflows."""
+        with np.errstate(all="ignore"):  # callers test the defect's finiteness
+            total = self.apply_sum([np.eye(phi.input_dim) for phi in self.maps])
+            return float(np.linalg.norm(total - np.eye(self.output_dim)))
 
 
 def check_unital_family(family: MapFamily) -> UnitalCheck:

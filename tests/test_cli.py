@@ -4,12 +4,22 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from loewner_cert import gaps, loewner_leq, matrix_to_obj
-from loewner_cert.cli import main
+from loewner_cert import cli, gaps, loewner_leq, matrix_to_obj
+from loewner_cert.cli import build_parser, main
+
+
+def run_module(argv):
+    """``python -m loewner_cert`` in a fresh process: (exit code, stdout)."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "loewner_cert", *argv],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    return proc.returncode, proc.stdout
 
 
 def run_cli(argv):
@@ -193,6 +203,59 @@ def test_usage_error_leaves_the_next_call_intact(gap_argv, capsys):
     assert code == 0 and after == before
 
 
+def test_main_builds_its_parser_once(monkeypatch):
+    built = []
+
+    def counting():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        for _ in range(3):
+            assert run_cli(["kantorovich", "--m", "1", "--M", "2", "--p", "2"]) == \
+                (0, "1.125\n")
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+
+
+def test_a_changed_build_parser_result_leaves_main_unchanged(capsys):
+    argv = ["kantorovich", "--m", "1", "--M", "2", "--p", "2"]
+    assert run_cli(argv) == (0, "1.125\n")
+    parser = build_parser()
+    assert parser is not build_parser()
+    parser.add_argument("--extra")
+    assert parser.parse_args(["--extra=1", *argv]).extra == "1"
+    with pytest.raises(SystemExit) as exc:
+        main(["--extra=1", *argv])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --extra=1" in capsys.readouterr().err
+    assert run_cli(argv) == (0, "1.125\n")
+
+
+def test_reused_parser_matches_a_fresh_process(gap_argv, n123, diag123, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(gap_argv[:2] + ["nope"] + gap_argv[3:])
+    assert exc.value.code == 2
+    certify_argv = ["certify", "--statement", "gamma-order", "--f", "power:2",
+                    "--A", n123, "--B", diag123, "--json"]
+    for argv in (gap_argv, certify_argv):
+        code, out = run_cli(argv)
+        assert code == 0 and (code, out) == run_module(argv)
+
+
+def test_help_prints_the_same_text_twice(capsys):
+    texts = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["gap", "--help"])
+        assert exc.value.code == 0
+        texts.append(capsys.readouterr().out)
+    assert "--oracle" in texts[0] and texts[0] == texts[1]
+
+
 def test_certify_gamma_order_identity(diag12):
     code, out = run_cli(["certify", "--statement", "gamma-order",
                          "--f", "affine:1,0", "--A", diag12, "--B", diag12])
@@ -334,6 +397,19 @@ def test_huge_operand_is_exit_two(tmp_path, capsys):
     assert code == 2 and out == ""
     err = capsys.readouterr().err
     assert f"f({a}) has a non-finite entry" in err and "power:2" in err and "nan" not in err
+
+
+def test_overflowing_map_family_is_a_named_error(tmp_path, diag01, diag12, capsys):
+    maps = tmp_path / "maps.json"
+    maps.write_text(json.dumps([{"variant": "conjugation",
+                                 "V_re": [[1e200, 0.0], [0.0, 1e200]]}]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out = run_cli(["gap", "--kind", "delta", "--f", "power:2",
+                             "--A", diag01, "--B", diag12, "--maps", str(maps)])
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: unitality defect") and "nan" not in err
 
 
 def test_maps_file_with_nan_is_exit_two(tmp_path, diag01, capsys):
@@ -586,6 +662,19 @@ def test_one_operand_kinds_refuse_b_before_reading_files(argv, message, tmp_path
     code, out = run_cli(argv + ["--f", "power:2", "--A", missing, "--B", missing])
     assert code == 2 and out == ""
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--kind", "gamma", "--B", "{missing}"],
+    ["--kind", "chebyshev"],
+])
+def test_kinds_without_a_family_refuse_maps_before_reading_files(argv, tmp_path, capsys):
+    # no file exists: the refusal comes before any file is read
+    missing = str(tmp_path / "missing.json")
+    argv = [a.format(missing=missing) for a in argv]
+    code, out = run_cli(["gap", *argv, "--f", "power:2", "--A", missing, "--maps", missing])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"error: kind {argv[1]} takes no map family\n"
 
 
 @pytest.mark.parametrize("args,message", [

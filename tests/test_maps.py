@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -240,6 +242,14 @@ def test_split_unitary_pair_is_unital():
 def test_doubled_identity_defect_is_norm_of_identity():
     fam = MapFamily((Conjugation(np.eye(2, dtype=complex)),) * 2)
     assert abs(check_unital_family(fam).defect - np.sqrt(2.0)) < 1e-14
+
+
+def test_overflowing_family_defect_is_not_finite_and_warns_nothing():
+    fam = MapFamily((Conjugation(np.diag([1e200, 1e200])),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        chk = check_unital_family(fam)
+    assert not chk.holds and not np.isfinite(chk.defect)
 
 
 @pytest.mark.parametrize("count,n,k", [(1, 3, 3), (3, 2, 2), (2, 2, 4)])
