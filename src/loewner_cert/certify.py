@@ -19,7 +19,7 @@ from .constants import beta as beta_const
 from .constants import _check_ends, kantorovich
 from .errors import BadDimensions, BadParameter, HypothesisViolated, NotUnitVector
 from .gaps import _as_ops, _assemble, _problem, solve
-from .hermitian import _calc, _power, random_dominated_pair
+from .hermitian import _by_size, _calc, _power, random_dominated_pair
 from .maps import MapFamily
 from .scalarfn import ScalarFunction
 
@@ -229,12 +229,13 @@ def verify_classical(statement: str, A, B, *, p: float | None = None,
     alpha_beta_decreasing:  B <= A, f decreasing convex  =>  f(A) <= alpha f(B) + beta
 
     [m, M] defaults to the spectral hull of the constrained operator(s).
-    Each operand is checked and decomposed once; the hypotheses, the hull
-    and the functional calculus all read that decomposition.  Inputs that
-    fail a hypothesis raise HypothesisViolated, a NaN or infinite m, M or p
-    raises BadInterval before any work, and an overflowing image raises
-    NonFinite.  A or B given as a one-entry dict is named by its key in
-    errors (the CLI uses the file path), else by "A" or "B".
+    Each operand is checked once, and A and B are decomposed by one stacked
+    call; the hypotheses, the hull and the functional calculus all read that
+    decomposition.  Inputs that fail a hypothesis raise HypothesisViolated,
+    a NaN or infinite m, M or p raises BadInterval before any work, and an
+    overflowing image raises NonFinite.  A or B given as a one-entry dict is
+    named by its key in errors (the CLI uses the file path), else by "A" or
+    "B".
     """
     if statement not in CLASSICAL_STATEMENTS:
         raise ValueError(f"unknown classical statement {statement!r}")
@@ -244,8 +245,9 @@ def verify_classical(statement: str, A, B, *, p: float | None = None,
     b_name, B = _one_operand(B, "B")
     if A.shape != B.shape:
         raise HypothesisViolated(f"shapes {A.shape} and {B.shape} differ")
-    eA, eB = np.linalg.eigh(A), np.linalg.eigh(B)
-    wA, wB = eA[0], eB[0]
+    groups = _by_size([A, B], np.linalg.eigh)  # one group: A and B share a size
+    wA, wB = groups[0][1][0]
+    names = [a_name, b_name]
     inputs = {"dim": A.shape[0]}
 
     if statement == "furuta":
@@ -254,7 +256,7 @@ def verify_classical(statement: str, A, B, *, p: float | None = None,
         _require(wA[0] > 0, "furuta needs A > 0")
         _require(wB[0] >= -_HYP_TOL, "furuta needs B >= 0")
         m_eff, M_eff = _window(statement, (wA,), m, M, "spectrum of A")
-        Ap, Bp = _power(eA, p, a_name), _power(eB, p, b_name)
+        Ap, Bp = _power(groups, p, names)
         K = kantorovich(m_eff, M_eff, p)
         constants = {"K": K, "p": float(p), "m": m_eff, "M": M_eff}
         bound, ref = K * Ap - Bp, _fro(K * Ap)
@@ -263,7 +265,7 @@ def verify_classical(statement: str, A, B, *, p: float | None = None,
         _require(wA[0] >= -_HYP_TOL, "lowner_heinz needs A >= 0")
         _require(np.linalg.eigvalsh(B - A)[0] >= -_HYP_TOL, "lowner_heinz needs A <= B")
         constants = {"p": float(p)}
-        Ap, Bp = _power(eA, p, a_name), _power(eB, p, b_name)
+        Ap, Bp = _power(groups, p, names)
         bound, ref = Bp - Ap, _fro(Bp)
     else:  # alpha-beta statements
         _require(f is not None, f"{statement} needs a scalar function")
@@ -272,7 +274,7 @@ def verify_classical(statement: str, A, B, *, p: float | None = None,
         m_eff, M_eff = _window(statement, (wA, wB), m, M, "spectra of A and B")
         _require(f.domain.contains_interval(m_eff, M_eff),
                  f"[{m_eff}, {M_eff}] must lie inside the domain of f")
-        fA, fB = _calc(eA, f, a_name), _calc(eB, f, b_name)
+        fA, fB = _calc(groups, f, names)
         increasing = statement == "alpha_beta_increasing"
         # f convex means f' is nondecreasing, so one endpoint fixes the sign
         if increasing:
@@ -316,7 +318,7 @@ def find_order_violation(f: ScalarFunction, n: int, trials: int, seed,
     for t in range(trials):
         big, small = random_dominated_pair(n, lo, hi, [base.entropy, t])
         A, B = small, big  # A <= B, both exactly Hermitian
-        fB, fA = (_calc(np.linalg.eigh(X), f, name) for X, name in ((B, "B"), (A, "A")))
+        fB, fA = _calc(_by_size([B, A], np.linalg.eigh), f, ["B", "A"])
         witness = float(np.linalg.eigvalsh(fB - fA)[0])
         if witness < -1e-8:
             return OrderViolation(A=A, B=B, witness=witness, trial=t)

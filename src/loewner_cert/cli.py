@@ -38,7 +38,7 @@ from .gaps import (
     solve_bruteforce,
 )
 from .hermitian import matrix_from_obj, matrix_to_obj
-from .jsonio import dumps_canonical, format_float, load_json_file, sha256_file
+from .jsonio import _read_json, dumps_canonical, format_float
 from .maps import family_from_obj
 from .scalarfn import parse_function
 
@@ -119,15 +119,17 @@ def _load_matrices(paths, side):
     """Operands named by their files, in order, and the files' digests.
 
     The names label every error about an operand; a file given again is
-    another operand, named by its position too.
+    another operand, named by its position too.  Each file is read once,
+    and its digest is that of the bytes parsed.
     """
     if not paths:
         return None, []
     mats, digests = {}, []
     for i, path in enumerate(paths):
         name = path if path not in mats else f"{path} ({side}[{i}])"
-        mats[name] = matrix_from_obj(load_json_file(path), name=path)
-        digests.append({"path": path, "sha256": sha256_file(path)})
+        obj, digest = _read_json(path)
+        mats[name] = matrix_from_obj(obj, name=path)
+        digests.append({"path": path, "sha256": digest})
     return mats, digests
 
 
@@ -167,12 +169,12 @@ def _load_inputs(args):
     family = None
     digests = {"A": a_digests, "B": b_digests}
     if args.maps:
-        obj = load_json_file(args.maps)
+        obj, digest = _read_json(args.maps)
         try:
             family = family_from_obj(obj)
         except LoewnerCertError as exc:
             raise ParseError(f"{args.maps}: {exc}") from exc
-        digests["maps"] = {"path": args.maps, "sha256": sha256_file(args.maps)}
+        digests["maps"] = {"path": args.maps, "sha256": digest}
     return a_ops, b_ops, family, digests
 
 

@@ -84,7 +84,7 @@ def beta_point(f: ScalarFunction, m: float, M: float, alpha: float) -> tuple[flo
 
     def gprime(t: float) -> float:
         # f' rises on [m, M] (f is convex): finite between the ends checked below
-        return coeffs.a_f - alpha * float(f.deriv_array(np.array([t]))[0])
+        return coeffs.a_f - alpha * float(f.deriv_array(t))
 
     candidates = [m, M]
     if coeffs.a_f - alpha * f.deriv(m) > 0 and coeffs.a_f - alpha * f.deriv(M) < 0:

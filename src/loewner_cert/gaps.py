@@ -72,7 +72,7 @@ from .errors import (
     NonFinite,
     NotUnitalFamily,
 )
-from .hermitian import _checked_spectrum, _spectral_images, require_hermitian
+from .hermitian import _by_size, _check_spectra, _spectral_images, require_hermitian
 from .maps import MapFamily, check_unital_family
 from .scalarfn import ScalarFunction
 
@@ -245,8 +245,10 @@ def _assemble(f: ScalarFunction, a_ops, b_ops=None,
     operands under the identity map, so the sums are the checked operands
     and their images, and T is B and shares its decomposition; a given
     family must match the operands and be unital, and its B_i need only
-    their eigenvalues.  Every spectrum must lie inside f's domain and every
-    image and mapped sum be finite.
+    their eigenvalues.  Operands of one size are decomposed by one stacked
+    call, and each A_i goes through its map once, with its images, as one
+    stack.  Every spectrum must lie inside f's domain and every image and
+    mapped sum be finite.
     """
     a = _as_ops(a_ops, "A")
     if not a:
@@ -254,18 +256,19 @@ def _assemble(f: ScalarFunction, a_ops, b_ops=None,
     b = a if b_ops is None else _as_ops(b_ops, "B")
     fns = {"f": f.value_array, "f'": f.deriv_array, "t f'": lambda w: w * f.deriv_array(w)}
 
-    def images(X, name):
-        return _spectral_images(np.linalg.eigh(X), fns, f.domain, name, f.spec_string())
+    def images(named):
+        names, mats = zip(*named)
+        groups = _by_size(mats, np.linalg.eigh)
+        return _spectral_images(groups, fns, f.domain, names, f.spec_string())
 
     if family is None:
         if len(a) != 1 or len(b) != 1:
             raise BadDimensions("without a map family A and B must be single operands")
-        [(name, A)], [(b_name, B)] = a.items(), b.items()
+        [A], [B] = a.values(), b.values()
         if B.shape != A.shape:
             raise DimensionMismatch("A and B must have the same size")
-        a_images = images(A, name)
-        t_images = a_images if b is a else images(B, b_name)
-        return _Assembly(1, A, B, *a_images, *t_images)
+        stacks = images([*a.items(), *(() if b is a else b.items())])
+        return _Assembly(1, A, B, *stacks[0], *stacks[-1])
 
     if len(a) != len(family) or len(b) != len(family):
         raise BadDimensions(
@@ -280,16 +283,16 @@ def _assemble(f: ScalarFunction, a_ops, b_ops=None,
     if not unital.holds:
         raise NotUnitalFamily(f"unitality defect {unital.defect:.3e}")
 
-    a_images = [images(A, name) for name, A in a.items()]
+    stacks = [np.concatenate((A[None], X)) for A, X in zip(a.values(), images(a.items()))]
     if b is not a:  # the B_i need only their spectra checked
-        for name, B in b.items():
-            _checked_spectrum(np.linalg.eigvalsh(B), f.domain, name)
+        _check_spectra(_by_size(list(b.values()), np.linalg.eigvalsh), f.domain, list(b))
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        sums = [family.apply_sum(ops) for ops in (a.values(), *zip(*a_images))]
-    if not all(np.isfinite(M).all() for M in sums):
+        sums = family._map_sum(stacks)
+    if not np.isfinite(sums).all():
         raise NonFinite("a mapped sum over the A_i has a non-finite entry")
-    T = sums[0] if b is a else family.apply_sum(b.values())
-    return _Assembly(len(family), sums[0], T, *sums[1:], *images(T, "T"))
+    T = sums[0] if b is a else family._map_sum(list(b.values()))
+    [t_images] = images([("T", T)])
+    return _Assembly(len(family), sums[0], T, *sums[1:], *t_images)
 
 
 def _problem(kind: str, f: ScalarFunction, a_ops, b_ops=None,

@@ -8,11 +8,14 @@ JSON form is {"dim": n, "re": [[...]], "im": [[...]]} with "im" optional.
 An operand is checked once, where it enters, by ``require_hermitian``,
 which returns its exact Hermitian part.  Code holding such a matrix passes
 it to ``np.linalg.eigh`` directly and neither checks nor hermitizes it
-again, nor their sums, differences and real multiples; the public
-functions below still check their own arguments.  Every image f(A) is
-formed from A's ``eigh`` pair by ``_spectral_images``, which checks the
-spectrum against f's domain and names the image, A and f in NonFinite
-when an entry overflows.
+again, nor their sums, differences and real multiples, nor their images
+under the maps of a family; the public functions below still check their
+own arguments.  Operands of one size are decomposed by one stacked
+``eigh`` call (``_by_size``), and ``_spectral_images`` forms every image
+f(A), f'(A), ... of a stack from one product (U * f(w)) @ U*: one domain
+check, one hermitize and one finiteness check per stack.  Each result has
+the bits of the same computation on one matrix, and an error names the
+first operand at fault and, for an image that overflows, the image and f.
 """
 
 from __future__ import annotations
@@ -82,15 +85,37 @@ def hermitize(A) -> np.ndarray:
     Halving before adding keeps entries near the float maximum finite.  The
     result is exactly Hermitian (entry (i, j) and conj (j, i) sum the same
     two halves), so hermitizing it again changes no bit unless an entry is
-    subnormal.
+    subnormal.  A stack of matrices is hermitized matrix by matrix.
     """
     H = 0.5 * np.asarray(A, dtype=complex)
-    return H + H.conj().T
+    return H + H.conj().swapaxes(-1, -2)
 
 
 def spectral_decompose(A) -> tuple[np.ndarray, np.ndarray]:
     """``np.linalg.eigh`` of the checked A: ascending eigenvalues w and a unitary U."""
     return np.linalg.eigh(require_hermitian(A))
+
+
+def _by_size(mats, decompose) -> list:
+    """[(positions, decompose(stack))]: one call per size, on the matrices of that size.
+
+    ``decompose`` is ``np.linalg.eigh`` or ``eigvalsh``; LAPACK runs the same
+    routine on each matrix of a stack, so every result has the bits of a
+    call on that matrix alone.  Sizes come in order of first appearance.
+    """
+    groups = {}
+    for i, X in enumerate(mats):
+        groups.setdefault(X.shape, []).append(i)
+    return [(idx, decompose(np.array([mats[i] for i in idx]))) for idx in groups.values()]
+
+
+def _clamped(w, domain: Interval | None):
+    """(spectra ``w`` clamped onto ``domain``, per-spectrum flag: finite and inside)."""
+    ok = np.isfinite(w).all(axis=-1)
+    if domain is None:
+        return w, ok
+    w, inside = domain._snap(w)
+    return w, ok & inside.all(axis=-1)
 
 
 def _checked_spectrum(w, domain: Interval | None, name: str) -> np.ndarray:
@@ -106,23 +131,68 @@ def _checked_spectrum(w, domain: Interval | None, name: str) -> np.ndarray:
         raise
 
 
-def _spectral_images(eig, fns: dict, domain: Interval | None, name: str, f: str) -> list:
-    """g(A) for each label g -> callable in ``fns``, from A's ``eigh`` pair ``eig``.
+def _check_spectra(groups, domain: Interval | None, names) -> None:
+    """Check spectra from stacked ``eigvalsh`` groups (see ``_by_size``) against ``domain``.
 
-    A's spectrum is checked and clamped onto ``domain`` once.  An image with
-    a non-finite entry raises NonFinite naming the image, A as ``name`` and
-    the function as ``f``: "f'(A) has a non-finite entry, f = exp;dom=(-inf,inf)".
+    The first operand at fault, in the order of ``names``, raises.
     """
-    w, U = eig
-    w = _checked_spectrum(w, domain, name)
-    images = []
-    with np.errstate(all="ignore"):  # an overflow is reported below
-        for label, fn in fns.items():
-            image = hermitize((U * np.asarray(fn(w), dtype=float)) @ U.conj().T)
-            if not np.isfinite(image).all():
-                raise NonFinite(f"{label}({name}) has a non-finite entry, f = {f}")
-            images.append(image)
+    faults = []
+    for idx, w in groups:
+        ok = _clamped(w, domain)[1]
+        if not ok.all():
+            j = int(np.argmin(ok))
+            faults.append((idx[j], w[j]))
+    if faults:
+        i, w = min(faults, key=lambda fault: fault[0])
+        _checked_spectrum(w, domain, names[i])
+
+
+def _spectral_images(groups, fns: dict, domain: Interval | None, names, f: str) -> list:
+    """Per operand, the stack of its images g(X), one per label g -> callable in ``fns``.
+
+    ``groups`` holds the stacked ``eigh`` pairs of the operands, one per
+    size (see ``_by_size``), and ``names`` names the operands in order.
+    Each group's spectra are checked and clamped onto ``domain`` at once,
+    and every image of the group comes from one product (U * g(w)) @ U*,
+    hermitized once and checked for finiteness once; it has the bits of
+    that image formed alone.  The first operand at fault, in order, raises:
+    a spectrum outside ``domain`` names it, and an image with a non-finite
+    entry raises NonFinite naming the image, the operand and the function
+    as ``f``: "f'(A) has a non-finite entry, f = exp;dom=(-inf,inf)".
+    """
+    labels = list(fns)
+    images = [None] * len(names)
+    faults = []
+    for idx, (w, U) in groups:
+        wc, ok = _clamped(w, domain)
+        F = np.empty((len(fns), *w.shape))
+        with np.errstate(all="ignore"):  # a fault is reported below
+            for row, fn in zip(F, fns.values()):
+                row[...] = fn(wc)
+            U = U[:, None]
+            F = F.swapaxes(0, 1)[..., None, :]  # (operands, labels, 1, n)
+            stack = hermitize((U * F) @ U.conj().swapaxes(-1, -2))
+        bad = ~(ok[:, None] & np.isfinite(stack).all(axis=(-2, -1)))
+        if bad.any():
+            j, label = np.argwhere(bad)[0]
+            faults.append((idx[j], label, w[j]))
+        for j, i in enumerate(idx):
+            images[i] = stack[j]
+    if faults:
+        i, label, w = min(faults, key=lambda fault: fault[0])
+        _checked_spectrum(w, domain, names[i])  # raises where the spectrum is at fault
+        raise NonFinite(f"{labels[label]}({names[i]}) has a non-finite entry, f = {f}")
     return images
+
+
+def _decomposed(A) -> list:
+    """The ``_by_size`` groups of the checked A alone."""
+    return _by_size([require_hermitian(A)], np.linalg.eigh)
+
+
+def _one(image_stacks) -> list:
+    """The one image of each operand."""
+    return [stack[0] for stack in image_stacks]
 
 
 def apply_spectral(A, fn, domain: Interval | None = None, name: str = "matrix") -> np.ndarray:
@@ -134,30 +204,34 @@ def apply_spectral(A, fn, domain: Interval | None = None, name: str = "matrix") 
     about A name it ``name``, and an image that overflows raises NonFinite.
     """
     f = getattr(fn, "__name__", "fn")
-    return _spectral_images(spectral_decompose(A), {"f": fn}, domain, name, f)[0]
+    return _one(_spectral_images(_decomposed(A), {"f": fn}, domain, [name], f))[0]
 
 
-def _calc(eig, f: ScalarFunction, name: str) -> np.ndarray:
-    """f(A) from A's ``eigh`` pair."""
-    return _spectral_images(eig, {"f": f.value_array}, f.domain, name, f.spec_string())[0]
+def _calc(groups, f: ScalarFunction, names) -> list:
+    """f(X) of each operand, from the stacked ``eigh`` pairs ``groups``."""
+    return _one(_spectral_images(groups, {"f": f.value_array}, f.domain, names,
+                                 f.spec_string()))
 
 
 def calc(f: ScalarFunction, A, name: str = "matrix") -> np.ndarray:
     """Functional calculus f(A) for an admitted convex function."""
-    return _calc(spectral_decompose(A), f, name)
+    return _calc(_decomposed(A), f, [name])[0]
 
 
-def _power(eig, p: float, name: str) -> np.ndarray:
-    """A**p from A's ``eigh`` pair; p other than 0, 1, 2, ... needs A >= 0."""
+def _power(groups, p: float, names) -> list:
+    """X**p of each operand, from the stacked ``eigh`` pairs ``groups``.
+
+    p other than 0, 1, 2, ... needs X >= 0.
+    """
     p = float(p)
     domain = None if p.is_integer() and p >= 0 else Interval(0.0, float("inf"), lo_closed=True)
-    return _spectral_images(eig, {"f": lambda w: np.power(w, p)}, domain, name,
-                            f"power:{_fmt_endpoint(p)}")[0]
+    return _one(_spectral_images(groups, {"f": lambda w: np.power(w, p)}, domain, names,
+                                 f"power:{_fmt_endpoint(p)}"))
 
 
 def matrix_power(A, p: float, name: str = "matrix") -> np.ndarray:
     """A**p through the spectrum; non-integer p requires A >= 0."""
-    return _power(spectral_decompose(A), p, name)
+    return _power(_decomposed(A), p, [name])[0]
 
 
 class LoewnerCheck(NamedTuple):

@@ -54,14 +54,27 @@ def dumps_canonical(obj) -> str:
     return _emit(obj)
 
 
-def load_json_file(path: str):
+def _read_json(path: str):
+    """(parsed JSON, sha256 hex digest) of the file at ``path``, from one read.
+
+    The digest is of the very bytes parsed.  They are decoded as UTF-8 with
+    universal newlines, as a text-mode read decodes them.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    return obj, hashlib.sha256(data).hexdigest()
+
+
+def load_json_file(path: str):
+    return _read_json(path)[0]
 
 
 def sha256_file(path: str) -> str:

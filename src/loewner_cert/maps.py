@@ -4,6 +4,14 @@ Three variants: conjugation X -> V* X V, pinching onto a block-diagonal
 index partition, and the diagonal restriction X -> diag(X).  A family
 {Phi_i} is unital when sum_i Phi_i(I) = I; random unital families come
 from slicing orthonormal columns of a Haar unitary into vertical blocks.
+
+The public ``apply`` and ``MapFamily.apply_sum`` check their arguments.
+The spectral assembly (``gaps._assemble``) holds matrices that are checked
+and exactly Hermitian already, operands and their images alike; it maps
+each operand's whole stack of them through its map at once with
+``_map_sum`` and does not check them again.  Both paths run the same
+arithmetic, matrix by matrix, so a stack maps to the bits of its matrices
+mapped one at a time.
 """
 
 from __future__ import annotations
@@ -36,6 +44,15 @@ __all__ = [
 UNITAL_DEFECT_TOL = 1e-10
 
 
+def _checked(phi, X) -> np.ndarray:
+    """X checked as an argument of ``phi``: Hermitian, of its input size."""
+    X = require_hermitian(X)
+    n = phi.input_dim
+    if X.shape[0] != n:
+        raise DimensionMismatch(f"map expects {n}x{n}, got {X.shape}")
+    return X
+
+
 @dataclass(frozen=True)
 class Conjugation:
     """X -> V* X V for a fixed n-by-k matrix V."""
@@ -51,6 +68,7 @@ class Conjugation:
         if not np.isfinite(V).all():
             raise NonFinite("conjugation map V has a non-finite entry")
         object.__setattr__(self, "V", V)
+        object.__setattr__(self, "_VH", V.conj().T)
 
     @property
     def input_dim(self) -> int:
@@ -61,12 +79,11 @@ class Conjugation:
         return self.V.shape[1]
 
     def apply(self, X) -> np.ndarray:
-        X = require_hermitian(X)
-        if X.shape[0] != self.input_dim:
-            raise DimensionMismatch(
-                f"map expects {self.input_dim}x{self.input_dim}, got {X.shape}"
-            )
-        return hermitize(self.V.conj().T @ X @ self.V)
+        return self._map(_checked(self, X))
+
+    def _map(self, X) -> np.ndarray:
+        """V* X V, exactly Hermitian, for an exactly Hermitian X or a stack of them."""
+        return hermitize(self._VH @ X @ self.V)
 
 
 @dataclass(frozen=True)
@@ -104,9 +121,10 @@ class Pinch:
         return self.dim
 
     def apply(self, X) -> np.ndarray:
-        X = require_hermitian(X)
-        if X.shape[0] != self.dim:
-            raise DimensionMismatch(f"map expects {self.dim}x{self.dim}, got {X.shape}")
+        return self._map(_checked(self, X))
+
+    def _map(self, X) -> np.ndarray:
+        """X off the blocks set to 0, for an exactly Hermitian X or a stack of them."""
         return np.where(self._kept, X, 0.0)
 
 
@@ -162,15 +180,24 @@ class MapFamily:
             raise DimensionMismatch(
                 f"family of {len(self.maps)} maps got {len(ops)} operands"
             )
-        total = np.zeros((self.output_dim, self.output_dim), dtype=complex)
+        return self._map_sum([_checked(phi, X) for phi, X in zip(self.maps, ops)])
+
+    def _map_sum(self, ops) -> np.ndarray:
+        """sum_i Phi_i(X_i) for exactly Hermitian X_i of the input sizes, unchecked.
+
+        Each X_i may be a stack of matrices, all stacks of one length; the
+        sum is then the stack of the sums.
+        """
+        k = self.output_dim
+        total = np.zeros((*np.shape(ops[0])[:-2], k, k), dtype=complex)
         for phi, X in zip(self.maps, ops):
-            total += phi.apply(X)
+            total += phi._map(X)
         return total
 
     def unital_defect(self) -> float:
         """|sum_i Phi_i(I) - I|_F; not finite where the sum overflows."""
         with np.errstate(all="ignore"):  # callers test the defect's finiteness
-            total = self.apply_sum([np.eye(phi.input_dim) for phi in self.maps])
+            total = self._map_sum([np.eye(phi.input_dim, dtype=complex) for phi in self.maps])
             return float(np.linalg.norm(total - np.eye(self.output_dim)))
 
 

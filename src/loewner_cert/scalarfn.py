@@ -89,17 +89,24 @@ class Interval:
         Open endpoints get no grace: values outside raise
         SpectrumOutsideDomain.  Returns the (possibly clamped) array.
         """
+        w, inside = self._snap(w)
+        if not inside.all():
+            raise SpectrumOutsideDomain(w[~inside].tolist(), self)
+        return w
+
+    def _snap(self, w) -> tuple[np.ndarray, np.ndarray]:
+        """(w snapped onto the closed endpoints, elementwise membership), for any shape.
+
+        Membership is ``contains`` taken elementwise: NaN is outside.
+        """
         w = np.array(w, dtype=float, copy=True)
         if self.lo_closed:
-            near = np.abs(w - self.lo) <= SPECTRUM_CLAMP_TOL
-            w[near] = self.lo
+            w[np.abs(w - self.lo) <= SPECTRUM_CLAMP_TOL] = self.lo
         if self.hi_closed:
-            near = np.abs(w - self.hi) <= SPECTRUM_CLAMP_TOL
-            w[near] = self.hi
-        bad = [float(v) for v in w if not self.contains(float(v))]
-        if bad:
-            raise SpectrumOutsideDomain(bad, self)
-        return w
+            w[np.abs(w - self.hi) <= SPECTRUM_CLAMP_TOL] = self.hi
+        above = w >= self.lo if self.lo_closed else w > self.lo
+        below = w <= self.hi if self.hi_closed else w < self.hi
+        return w, above & below
 
     def __str__(self) -> str:
         lb = "[" if self.lo_closed else "("
@@ -137,6 +144,16 @@ def _is_even_power(p: float) -> bool:
     return p >= 2 and float(p).is_integer() and int(p) % 2 == 0
 
 
+def _operand(w):
+    """``w`` as a numpy float scalar if it is a float, else as a float array.
+
+    A ufunc maps a numpy scalar through the loop it runs on arrays, so a
+    scalar value has the bits of the same entry of an array, without
+    building a one-element array.
+    """
+    return np.float64(w) if isinstance(w, float) else np.asarray(w, dtype=float)
+
+
 @dataclass(frozen=True)
 class ScalarFunction:
     """A convex function from one of the admitted families.
@@ -160,7 +177,7 @@ class ScalarFunction:
         return t
 
     def eval(self, t: float) -> float:
-        return float(self.value_array(np.array([self._check(t)]))[0])
+        return float(self.value_array(self._check(t)))
 
     __call__ = eval
 
@@ -168,14 +185,18 @@ class ScalarFunction:
         """f'(t), the one checked scalar path: NonFinite where it overflows."""
         t = self._check(t)
         with np.errstate(all="ignore"):  # reported below
-            d = float(self.deriv_array(np.array([t]))[0])
+            d = float(self.deriv_array(t))
         if not math.isfinite(d):
             raise NonFinite(f"f'({t!r}) is not finite, f = {self.spec_string()}")
         return d
 
     def value_array(self, w) -> np.ndarray:
-        """Vectorized values; callers must pre-validate the domain."""
-        w = np.asarray(w, dtype=float)
+        """Vectorized values; callers must pre-validate the domain.
+
+        A float gives a numpy scalar from the same ufunc loops as an array
+        (see ``_operand``).
+        """
+        w = _operand(w)
         if self.family == "power":
             return np.power(w, self.params[0])
         if self.family == "exp":
@@ -186,7 +207,7 @@ class ScalarFunction:
         return a * w + b
 
     def deriv_array(self, w) -> np.ndarray:
-        w = np.asarray(w, dtype=float)
+        w = _operand(w)
         if self.family == "power":
             p = self.params[0]
             if p == 0:

@@ -407,20 +407,31 @@ def test_alpha_beta_explicit_window_unit_alpha():
     assert abs(cert.constants["beta"] - 1.0) < 1e-9
 
 
+def _matrices(A) -> list:
+    """The bytes of each matrix handed over at once: one, or each of a stack."""
+    A = np.asarray(A)
+    return [M.tobytes() for M in A.reshape(-1, *A.shape[-2:])]
+
+
 @pytest.fixture
 def eigh_inputs(monkeypatch):
-    """Record the matrices handed to numpy's eigh, the eigvalsh call count, and both in order."""
-    seen = {"eigh": [], "eigvalsh": 0, "calls": []}
+    """Record the matrices decomposed by numpy's eigh, the count of those by
+    eigvalsh, and both in order; a stacked call counts each of its matrices,
+    and ``eigh_stacks`` holds the number of matrices of each eigh call."""
+    seen = {"eigh": [], "eigvalsh": 0, "calls": [], "eigh_stacks": []}
     eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
 
     def counted_eigh(A, *args, **kwargs):
-        seen["eigh"].append(np.array(A).tobytes())
-        seen["calls"].append(("eigh", seen["eigh"][-1]))
+        seen["eigh_stacks"].append(len(_matrices(A)))
+        for data in _matrices(A):
+            seen["eigh"].append(data)
+            seen["calls"].append(("eigh", data))
         return eigh(A, *args, **kwargs)
 
     def counted_eigvalsh(A, *args, **kwargs):
-        seen["eigvalsh"] += 1
-        seen["calls"].append(("eigvalsh", np.array(A).tobytes()))
+        for data in _matrices(A):
+            seen["eigvalsh"] += 1
+            seen["calls"].append(("eigvalsh", data))
         return eigvalsh(A, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
@@ -451,8 +462,9 @@ def test_certify_order_decomposes_each_operand_once(eigh_inputs):
     # the triple does not commute, so its maximum is bounded; eigh runs only
     # where a node goes on
     assert 0 < len(bound) <= evaluations
-    # A and B once each
+    # A and B once each, in one stacked call
     assert operands == [A.tobytes(), B.tobytes()]
+    assert eigh_inputs["eigh_stacks"][0] == 2
     # the slack once, then S, D and each evaluation of the bound
     assert eigh_inputs["eigvalsh"] == 1 + 2 + evaluations
 
@@ -493,12 +505,15 @@ def test_verify_classical_decomposes_each_operand_once(statement, eigh_inputs):
     if statement == "lowner_heinz":
         A, B = B, A
     eigh_inputs["eigh"].clear()
+    eigh_inputs["eigh_stacks"].clear()
     eigh_inputs["eigvalsh"] = 0
     cert = verify_classical(statement, A, B, **_CLASSICAL_ARGS[statement])
     assert cert.passed
-    # A and B once each; the hull and the functional calculus read them,
-    # and eigvalsh runs once on the order hypothesis and once on the slack
-    assert len(eigh_inputs["eigh"]) == 2
+    # A and B once each, in one stacked call; the hull and the functional
+    # calculus read them, and eigvalsh runs once on the order hypothesis and
+    # once on the slack
+    assert eigh_inputs["eigh"] == [A.tobytes(), B.tobytes()]
+    assert eigh_inputs["eigh_stacks"] == [2]
     assert eigh_inputs["eigvalsh"] == 2
 
 
@@ -552,17 +567,17 @@ def test_order_violation_trial_checks_nothing(hermitian_checks):
 
 
 def test_eta_certificate_maps_the_a_side_once(monkeypatch):
-    calls = []
-    apply_sum = MapFamily.apply_sum
-    monkeypatch.setattr(MapFamily, "apply_sum",
-                        lambda self, ops: calls.append(1) or apply_sum(self, ops))
+    shapes = []
+    map_ = Conjugation._map
+    monkeypatch.setattr(Conjugation, "_map",
+                        lambda self, X: shapes.append(np.shape(X)) or map_(self, X))
     rng = np.random.default_rng(65)
     fam = random_unital_family(2, 3, 3, seed=66)
     a_ops = [random_hermitian(3, 0.3, 2.0, rng) for _ in range(2)]
     assert certify_jensen("eta_choi", power(2), a_ops, family=fam, restarts=4).passed
-    # the unitality check, then sum Phi_i(A_i), which is also T, and the
-    # f, f', t f' sums
-    assert len(calls) == 5
+    # each map once on I for the unitality check, then once on its operand's
+    # stack A_i, f(A_i), f'(A_i), t f'(A_i); sum Phi_i(A_i) is also T
+    assert shapes == [(3, 3), (3, 3), (4, 3, 3), (4, 3, 3)]
 
 
 @pytest.mark.parametrize("n", [0, -1])

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -9,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from loewner_cert import cli, gaps, loewner_leq, matrix_to_obj
+from loewner_cert import ParseError, cli, gaps, jsonio, loewner_leq, matrix_to_obj
 from loewner_cert.cli import build_parser, main
 
 
@@ -150,6 +151,43 @@ def test_gap_and_certify_write_one_solver_record(n123, diag123):
     assert set(gap["solver"]) == set(cert["solver"]) == _SOLVER_KEYS
     # the same problem and seed give the same record
     assert gap["solver"] == cert["solver"] and gap["value"] == cert["constants"]["gamma"]
+
+
+def test_gap_and_certify_read_each_input_file_once(n123, diag123, tmp_path, monkeypatch):
+    maps = tmp_path / "maps.json"
+    maps.write_text(json.dumps([{"variant": "diag", "dim": 3}]))
+    opened = []
+
+    def counted_open(path, *args, **kwargs):
+        opened.append(str(path))
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(jsonio, "open", counted_open, raising=False)
+    files = ["--f", "power:2", "--A", n123, "--B", diag123, "--json"]
+    for argv in (["gap", "--kind", "gamma", *files],
+                 ["gap", "--kind", "delta", *files, "--maps", str(maps)],
+                 ["certify", "--statement", "delta-forward", *files, "--maps", str(maps)]):
+        opened.clear()
+        code, out = run_cli(argv)
+        assert code == 0
+        paths = [n123, diag123] + ([str(maps)] if "--maps" in argv else [])
+        assert sorted(opened) == sorted(paths)
+        # each digest is that of the bytes parsed
+        inputs = json.loads(out)["inputs"]
+        inputs = inputs.get("files", inputs)  # where certify puts them
+        digests = [d["sha256"] for d in (*inputs["A"], *inputs["B"], inputs.get("maps"))
+                   if d is not None]
+        assert digests == [hashlib.sha256(open(p, "rb").read()).hexdigest() for p in paths]
+
+
+def test_a_file_is_parsed_as_text_mode_reads_it(tmp_path):
+    path = tmp_path / "crlf.json"
+    path.write_bytes(b'{"dim": 1,\r\n "re": [[2]]}\r')
+    assert jsonio.load_json_file(str(path)) == {"dim": 1, "re": [[2]]}
+    assert jsonio._read_json(str(path))[1] == jsonio.sha256_file(str(path))
+    path.write_bytes(b'{"dim": 1,\r\n "re": [[2]],\r}')
+    with pytest.raises(ParseError, match=r"line 3 column 1 \(char 25\)"):
+        jsonio.load_json_file(str(path))
 
 
 def test_gap_runs_are_byte_identical(diag01, diag12):

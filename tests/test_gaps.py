@@ -16,6 +16,7 @@ from loewner_cert import (
     NotUnitalFamily,
     Pinch,
     SpectrumOutsideDomain,
+    apply_spectral,
     build_gap_problem,
     exponential,
     gap_objective,
@@ -447,6 +448,64 @@ def test_overflowing_eigenvalue_names_operand():
         build_gap_problem("theta", power(2), [B2, B2], [B2, huge], family=fam)
 
 
+# a unital family from 3x3, 2x2 and 3x3 operands to 2x2 matrices: its
+# operands are decomposed in two stacked calls, A[0] with A[2], then A[1]
+_THIRDS = MapFamily(tuple(Conjugation(V / np.sqrt(3.0)) for V in (
+    np.eye(3)[:, :2], np.eye(2), np.eye(3)[:, 1:])))
+
+
+@pytest.mark.parametrize("spec", ["power:2", "exp", "neglog", "power:-0.5"])
+def test_family_of_mixed_input_sizes_assembles_each_operand_alone(spec):
+    # the stacked assembly gives the bits of the public path, which decomposes
+    # and maps one matrix at a time
+    f = parse_function(spec)
+    rng = np.random.default_rng(17)
+    a_ops, b_ops = ([random_hermitian(n, 0.3, 2.0, rng) for n in (3, 2, 3)] for _ in range(2))
+    asm = gaps._assemble(f, a_ops, b_ops, _THIRDS)
+
+    def images(X):
+        return [apply_spectral(X, fn, f.domain)
+                for fn in (f.value_array, f.deriv_array, lambda w: w * f.deriv_array(w))]
+
+    T = _THIRDS.apply_sum(b_ops)
+    mapped = [_THIRDS.apply_sum(ops) for ops in zip(*map(images, a_ops))]
+    expected = [_THIRDS.apply_sum(a_ops), T, *mapped, *images(T)]
+    assert asm.maps == 3
+    for got, want in zip(list(vars(asm).values())[1:], expected, strict=True):
+        assert np.array_equal(got, want)
+
+
+def test_the_first_operand_at_fault_is_named():
+    pos2, pos3 = np.diag([1.0, 2.0]), np.diag([1.0, 2.0, 3.0])
+    neg2, neg3 = np.diag([-1.0, 2.0]), np.diag([1.0, -2.0, 3.0])
+    huge2, huge3 = np.diag([1.0, 800.0]), np.diag([1.0, 2.0, 800.0])
+    # a second operand that leaves the domain or overflows, in one stack with
+    # the first
+    with pytest.raises(SpectrumOutsideDomain, match=r"^B has eigenvalues \[-1\.0\]"):
+        build_gap_problem("gamma", neglog(), pos2, neg2)
+    with pytest.raises(NonFinite, match=r"^f\(B\) has a non-finite entry, f = exp"):
+        build_gap_problem("gamma", exponential(), pos2, huge2)
+    # the operands' order decides, not their stacks': A[2] is decomposed
+    # with A[0], before A[1]
+    with pytest.raises(SpectrumOutsideDomain, match=r"^A\[1\] has eigenvalues \[-1\.0\]"):
+        build_gap_problem("eta", neglog(), [pos3, neg2, neg3], family=_THIRDS)
+    with pytest.raises(NonFinite, match=r"^f\(A\[1\]\) has a non-finite entry"):
+        build_gap_problem("eta", exponential(), [pos3, huge2, huge3], family=_THIRDS)
+    f = parse_function("exp;dom=[0,inf)")
+    with pytest.raises(NonFinite, match=r"^f\(A\[0\]\) has a non-finite entry"):
+        build_gap_problem("eta", f, [huge3, neg2, pos3], family=_THIRDS)
+    with pytest.raises(SpectrumOutsideDomain, match=r"^A\[1\] has"):
+        build_gap_problem("eta", f, [pos3, neg2, huge3], family=_THIRDS)
+    # an operand's spectrum comes before its images
+    with pytest.raises(SpectrumOutsideDomain, match=r"^A\[0\] has"):
+        build_gap_problem("eta", f, [np.diag([-1.0, 2.0, 800.0]), pos2, pos3],
+                          family=_THIRDS)
+    # the B_i, whose spectra come from stacked eigvalsh calls
+    with pytest.raises(SpectrumOutsideDomain, match=r"^B\[1\] has"):
+        build_gap_problem("delta", neglog(), [pos3, pos2, pos3], [pos3, neg2, neg3],
+                          family=_THIRDS)
+
+
 @settings(max_examples=50, deadline=None)
 @given(e=st.integers(-300, 308), kind=st.sampled_from(KINDS),
        spec=st.sampled_from(["power:2", "exp", "neglog", "power:-1"]),
@@ -484,7 +543,8 @@ def test_nested_list_is_one_operand():
 
 
 def test_no_family_applies_no_map(monkeypatch):
-    monkeypatch.setattr(MapFamily, "apply_sum", lambda self, ops: pytest.fail("map applied"))
+    for name in ("apply_sum", "_map_sum"):
+        monkeypatch.setattr(MapFamily, name, lambda self, ops: pytest.fail("map applied"))
     # Hermitian only within the tolerance: S is its Hermitian part
     A = np.array([[1.0, 0.5 + 1e-13j], [0.5, 2.0]])
     for kind in ("gamma", "delta", "chebyshev"):

@@ -24,7 +24,8 @@ from loewner_cert import (
     random_unitary,
     spectral_decompose,
 )
-from loewner_cert.hermitian import hermitize, require_hermitian
+from loewner_cert.hermitian import _by_size, _spectral_images, hermitize, require_hermitian
+from loewner_cert.scalarfn import parse_function
 
 seeds = st.integers(0, 2**32 - 1)
 dims = st.integers(1, 6)
@@ -124,6 +125,26 @@ def test_apply_spectral_clamps_rounding():
 
     out = apply_spectral(A, np.sqrt, parse_interval("[0,inf)"))
     assert out[0, 0].real == 0.0
+
+
+@pytest.mark.parametrize("spec", ["exp", "power:2", "power:1.5", "neglog", "power:-0.5",
+                                  "affine:2,-1"])
+def test_stacked_images_equal_the_single_image_path(spec):
+    # five operands of three sizes: one eigh call and one product per size,
+    # and every image has the bits of (U * g(w)) @ U* formed for its matrix alone
+    f = parse_function(spec)
+    rng = np.random.default_rng(7)
+    mats = [random_hermitian(n, 0.2, 3.0, rng) for n in (3, 1, 3, 2, 3)]
+    fns = {"f": f.value_array, "f'": f.deriv_array, "t f'": lambda w: w * f.deriv_array(w)}
+    groups = _by_size(mats, np.linalg.eigh)
+    assert [idx for idx, _ in groups] == [[0, 2, 4], [1], [3]]
+    stacks = _spectral_images(groups, fns, f.domain, ["X"] * 5, spec)
+    for X, stack in zip(mats, stacks, strict=True):
+        w, U = np.linalg.eigh(X)
+        assert stack.shape == (3, *X.shape)
+        for image, fn in zip(stack, fns.values(), strict=True):
+            assert np.array_equal(image, hermitize((U * fn(w)) @ U.conj().T))
+        assert np.array_equal(stack[0], calc(f, X))
 
 
 def test_loewner_leq_basics():

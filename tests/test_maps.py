@@ -10,6 +10,7 @@ from loewner_cert import (
     Diag,
     DimensionMismatch,
     MapFamily,
+    NotHermitian,
     ParseError,
     Pinch,
     check_unital_family,
@@ -123,6 +124,30 @@ def test_family_requires_common_output():
         MapFamily((Diag(2), Diag(3)))
     with pytest.raises(BadDimensions):
         MapFamily(())
+
+
+@pytest.mark.parametrize("phi", [Conjugation(np.eye(2)), Pinch(2, ((0, 1),)), Diag(2)],
+                         ids=["conjugation", "pinch", "diag"])
+def test_apply_and_apply_sum_check_their_arguments(phi):
+    skew = np.array([[1.0, 2.0], [0.0, 1.0]])
+    with pytest.raises(NotHermitian):
+        phi.apply(skew)
+    with pytest.raises(NotHermitian):
+        MapFamily((phi, phi)).apply_sum([np.eye(2), skew])
+    with pytest.raises(DimensionMismatch, match=r"^map expects 2x2, got \(3, 3\)"):
+        phi.apply(np.eye(3))
+
+
+def test_a_stack_maps_to_the_bits_of_its_matrices():
+    rng = np.random.default_rng(5)
+    V = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+    fam = MapFamily((Conjugation(V), Pinch(3, ((0, 2), (1,))), Diag(3)))
+    stacks = [np.stack([random_hermitian(n, -1.0, 1.0, rng) for _ in range(4)])
+              for n in (2, 3, 3)]
+    total = fam._map_sum(stacks)
+    assert total.shape == (4, 3, 3)
+    for j in range(4):
+        assert np.array_equal(total[j], fam.apply_sum([S[j] for S in stacks]))
 
 
 def test_family_apply_sum_checks_length():
