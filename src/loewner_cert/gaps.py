@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -197,6 +198,11 @@ def _rdot(U, V):
     return (U.conj() * V).real.sum(axis=0)
 
 
+def _colnorm(X):
+    """np.linalg.norm(X, axis=0) by the same reduction, without its wrapper."""
+    return np.sqrt(_rdot(X, X))
+
+
 def _forms(C, S, D, X):
     return _rdot(X, C @ X), _rdot(X, S @ X), _rdot(X, D @ X)
 
@@ -330,7 +336,7 @@ def build_gap_problem(kind: str, f: ScalarFunction, a_ops, b_ops=None,
 
 
 def _newton_step(A, R):
-    """(eta, pd): eta solves (K + T) eta = g in each row where pd holds, else eta = g.
+    """(eta, pd, every): eta solves (K + T) eta = g in each row where pd holds, else eta = g.
 
     Each row is one restart.  ``A`` stacks its rho I - 2(C - qD S - qS D)
     plus any shift, and ``R`` its columns x, g, u and w: the iterate, the
@@ -344,9 +350,11 @@ def _newton_step(A, R):
     N = Sigma^-1 + U^T K^-1 U, and by Haynsworth inertia additivity K + T is
     positive definite exactly when det N < 0.  Where the step lies within
     acos(_ANGLE) of a right angle to g, it is the Cauchy step along g.
+    ``every`` says whether pd holds in every row.
     """
     x, g = R[:, :, 0], R[:, :, 1]
-    K = A + x[:, :, None] * (x + g).conj()[:, None, :] + g[:, :, None] * x.conj()[:, None, :]
+    xc = x.conj()
+    K = A + x[:, :, None] * (x + g).conj()[:, None, :] + g[:, :, None] * xc[:, None, :]
     B = R[:, :, 1:]
     GS = np.empty(g.shape + (2,), dtype=complex)  # g and the step
     GS[:, :, 0] = g
@@ -363,16 +371,19 @@ def _newton_step(A, R):
         step = np.subtract(Z[:, :, 0], (Z[:, :, 1:] @ y)[:, :, 0], out=GS[:, :, 1])
         # K'^-1 u and K'^-1 w keep x-components at the rounding level of
         # |u| and |w|; the line search needs that of |step|
-        step -= x * (x.conj() * step).sum(axis=1, keepdims=True)
-        (gg, rise), (_, ss) = (GS.conj().transpose(0, 2, 1) @ GS).real.transpose(1, 2, 0)
+        step -= x * (xc * step).sum(axis=1, keepdims=True)
+        GG = (GS.conj().transpose(0, 2, 1) @ GS).real
+    gg, rise, ss = GG[:, 0, 0], GG[:, 0, 1], GG[:, 1, 1]
     flat = pd & ~(rise > _ANGLE * np.sqrt(gg * ss))
     if flat.any():  # the Cauchy step g |g|^2 / <g, (K + T) g>
         gf, uf, wf = g[flat], R[flat, :, 2], R[flat, :, 3]
         curv = ((gf.conj() * (K[flat] @ gf[:, :, None])[:, :, 0]).real.sum(axis=1)
                 + 8.0 * (uf.conj() * gf).real.sum(axis=1) * (wf.conj() * gf).real.sum(axis=1))
         step[flat] = gf * (gg[flat] / curv)[:, None]
-    step[~pd] = g[~pd]
-    return step, pd
+    every = pd.all()
+    if not every:
+        step[~pd] = g[~pd]
+    return step, pd, every
 
 
 def _newton_ascent(C, S, D, X0, max_iter: int):
@@ -407,11 +418,19 @@ def _newton_ascent(C, S, D, X0, max_iter: int):
     converged = np.zeros(b, dtype=bool)
     stalled = np.zeros(b, dtype=bool)
     iters = 0
+    # the live columns and a block for their x, g and the horizontal parts
+    # of Sx and Dx, both kept until a column leaves; while every column is
+    # live (``full``), x is read from X and written back in place
+    work, full, buf = np.arange(b), True, None
     while True:
-        work = np.flatnonzero(~(converged | stalled))
-        # x, g and the horizontal parts of Sx and Dx
-        R = np.empty((4, k, work.size), dtype=complex)
-        x = np.take(X, work, axis=1, out=R[0])
+        if buf is None:
+            buf = np.empty((4, k, work.size), dtype=complex)
+        R = buf
+        x = R[0]
+        if full:
+            np.copyto(x, X)
+        else:
+            np.take(X, work, axis=1, out=x)
         xc = x.conj()
         MX = (M @ x).reshape(3, k, -1)
         Q = (xc * MX).real.sum(axis=1)  # qC, qS, qD
@@ -424,16 +443,19 @@ def _newton_ascent(C, S, D, X0, max_iter: int):
         g -= x * (xc * g).sum(axis=0)
         gn = np.sqrt(_rdot(g, g))
         done = gn <= _STEP_TOL
-        converged[work[done]] = True
-        live = ~done
-        if not live.any() or iters == max_iter:
+        left = done.any()
+        if left:
+            converged[work[done]] = True
+            live = ~done
+        if (left and not live.any()) or iters == max_iter:
             break
         iters += 1
-        if done.any():
+        if left:
             work, R, MX, Q, rho, gn = (work[live], R[..., live], MX[..., live], Q[:, live],
                                        rho[live], gn[live])
             qS, qD = Q[1], Q[2]
-        x = R[0]
+            x = R[0]
+            full, buf = False, None
         np.subtract(MX[1:], x * Q[1:, None], out=R[2:])
 
         sigma = np.maximum(gn, floor)
@@ -441,13 +463,14 @@ def _newton_ascent(C, S, D, X0, max_iter: int):
         coef[2] = rho + sigma
         A = (coef.T @ basis).reshape(-1, k, k) + C2
         Rt = R.T
-        eta, pd = _newton_step(A, Rt)
-        todo, shift = np.flatnonzero(~pd), _LM_FIRST * sigma[~pd]
-        while todo.size:
-            eta[todo], pd = _newton_step(A[todo] + (shift - sigma[todo])[:, None, None] * eye,
-                                         Rt[todo])
-            keep = ~pd & np.isfinite(shift)
-            todo, shift = todo[keep], _LM_GROWTH * shift[keep]
+        eta, pd, every = _newton_step(A, Rt)
+        if not every:
+            todo, shift = np.flatnonzero(~pd), _LM_FIRST * sigma[~pd]
+            while todo.size:
+                eta[todo], pd, _ = _newton_step(
+                    A[todo] + (shift - sigma[todo])[:, None, None] * eye, Rt[todo])
+                keep = ~pd & np.isfinite(shift)
+                todo, shift = todo[keep], _LM_GROWTH * shift[keep]
         eta = eta.T
 
         # Armijo backtracking on the increase of F, evaluated without
@@ -463,6 +486,7 @@ def _newton_ascent(C, S, D, X0, max_iter: int):
         slope = 2.0 * (lin[0] - qD * lin[1] - qS * lin[2])
         t = np.minimum(1.0, _MAX_STEP / np.sqrt(nn))
         pending = np.ones(work.size, dtype=bool)
+        lost = np.zeros(work.size, dtype=bool)
         while True:
             tt = t * t
             dC, dS, dD = (2.0 * t * lin + tt * quad) / (1.0 + tt * nn)
@@ -471,12 +495,26 @@ def _newton_ascent(C, S, D, X0, max_iter: int):
             if not pending.any():
                 break
             t = np.where(pending, 0.5 * t, t)
-            lost = pending & ~(t >= _MIN_STEP)
-            stalled[work[lost]] = True
+            lost |= pending & ~(t >= _MIN_STEP)
             pending &= ~lost
-        moved = ~stalled[work]
-        Xn = x[:, moved] + eta[:, moved] * t[moved]
-        X[:, work[moved]] = Xn / np.linalg.norm(Xn, axis=0)
+        if lost.any():  # stalled columns keep x and leave
+            stalled[work[lost]] = True
+            moved = ~lost
+            Xn = x[:, moved] + eta[:, moved] * t[moved]
+            X[:, work[moved]] = Xn / _colnorm(Xn)
+            work, full, buf = work[moved], False, None
+            if not work.size:
+                break
+        else:
+            # Xn takes eta's layout, as x[:, moved] + ... does above, so
+            # that _colnorm sums each column in the same order
+            Xn = eta * t
+            Xn += x
+            Xn /= _colnorm(Xn)
+            if full:
+                np.copyto(X, Xn)
+            else:
+                X[:, work] = Xn
     return X, converged, iters
 
 
@@ -736,9 +774,11 @@ def _upper_bound(problem: GapProblem, value: float, x):
     its matrix (Weyl, for a backward-stable ``eigvalsh`` or ``eigh``), and
     every interval bound the rounding of its closed form.  An evaluation of
     h computes eigenvectors only where its node goes on, and counts as one
-    eigenvalue problem either way.  ``upper`` is None if it is not
-    finite.  ``worst`` is None where it closes (or is None); otherwise it is
-    the (s, mu) of the highest node if its h exceeds value + tau, else the
+    eigenvalue problem either way.  Each interval's bound is kept until
+    the interval is split.  ``upper`` is None if it is not finite or if
+    LAPACK fails on any of its eigenvalue problems (NaN eigenvalues).
+    ``worst`` is None where it closes (or is None); otherwise it is the
+    (s, mu) of the highest node if its h exceeds value + tau, else the
     split point of the interval with the highest bound.
     """
     C, S, D = problem.C, problem.S, problem.D
@@ -746,11 +786,17 @@ def _upper_bound(problem: GapProblem, value: float, x):
     eps = np.finfo(float).eps
     tau = _gap_tol(value)
     target, low = value + tau, value - 10.0 * tau
-    eye = np.eye(k)
+    eye, rk = np.eye(k), np.sqrt(k)
     nC, nS, nD = (float(np.linalg.norm(X)) for X in (C, S, D))
     evals = 2
+    # np.linalg.eigvalsh and eigh run these gufuncs; called directly, a
+    # matrix LAPACK fails on gives NaN eigenvalues instead of an exception
+    dt = "D" if np.result_type(C, S, D).kind == "c" else "d"
+    eigvalsh = partial(_umath_linalg.eigvalsh_lo, signature=f"{dt}->d")
+    eigh = partial(_umath_linalg.eigh_lo, signature=f"{dt}->d{dt}")
     with np.errstate(all="ignore"):  # a bound beyond the float range is None
-        ws, wd = np.linalg.eigvalsh(S), np.linalg.eigvalsh(D)
+        ws, wd = eigvalsh(S), eigvalsh(D)
+        failed = np.isnan(ws[-1]) or np.isnan(wd[-1])
         r = wd[-1] - wd[0]
         mu_lo, mu_hi = wd[0] - r, wd[-1] + r
         pad = k * eps * nS
@@ -763,16 +809,18 @@ def _upper_bound(problem: GapProblem, value: float, x):
             the eigensolve cap) only eigenvalues are computed, and the slope
             and curvature, which need eigenvectors, are None.
             """
-            nonlocal evals
+            nonlocal evals, failed
             evals += 1
             P = S - s * eye
             H = C - s * D - mu * P
-            margin = k * eps * (nC + abs(s) * nD + abs(mu) * (nS + abs(s) * np.sqrt(k)))
-            top = np.linalg.eigvalsh(H)[-1]
+            margin = k * eps * (nC + abs(s) * nD + abs(mu) * (nS + abs(s) * rk))
+            top = eigvalsh(H)[-1]
+            failed |= np.isnan(top)
             if top + margin <= low or evals >= _BOUND_EIGENSOLVES:
                 return top + margin, None, None
-            w, V = np.linalg.eigh(H)
+            w, V = eigh(H)
             top = w[-1]
+            failed |= np.isnan(top)
             c = V.conj().T @ (P @ V[:, -1])  # <v_i, P v> for the eigenvectors v_i
             rest = top - w[:-1] > _CURV_GAP * (1.0 + abs(top))
             curv = 2.0 * float((np.abs(c[:-1][rest]) ** 2 / (top - w[:-1][rest])).sum())
@@ -839,27 +887,31 @@ def _upper_bound(problem: GapProblem, value: float, x):
         qS, qD = (float(np.vdot(x, X @ x).real) for X in (S, D))
         first = {s_lo: mu_hi, min(max(qS, s_lo), s_hi): qD, s_hi: mu_lo}
         nodes = [node(s, mu) for s, mu in sorted(first.items())]
+        # bounds[i] = interval(nodes[i], nodes[i + 1])
+        bounds = [interval(a, b) for a, b in zip(nodes, nodes[1:])]
         while True:
-            pairs = list(zip(nodes, nodes[1:]))
-            bounds = [interval(a, b) for a, b in pairs] or [(nodes[0][1], 0.0)]
-            upper = max(ub for ub, _ in bounds)
+            upper = max(ub for ub, _ in bounds) if bounds else nodes[0][1]
             if (upper <= target or evals >= _BOUND_EIGENSOLVES
                     or max(n[1] for n in nodes) > target):
                 break
-            refined = []
-            for (a, b), (ub, t) in zip(pairs, bounds):
+            refined, kept = [], []
+            for a, b, (ub, t) in zip(nodes, nodes[1:], bounds):
                 refined.append(a)
                 if ub > target and evals < _BOUND_EIGENSOLVES:
-                    refined.append(node(*split(a, b, t)))
-            nodes = refined + nodes[-1:]
-        if not np.isfinite(upper):
+                    m = node(*split(a, b, t))
+                    refined.append(m)
+                    kept += [interval(a, m), interval(m, b)]
+                else:
+                    kept.append((ub, t))
+            nodes, bounds = refined + nodes[-1:], kept
+        if failed or not np.isfinite(upper):
             return None, evals, None
         if upper <= target:
             return float(upper), evals, None
         s, h_top, mu = max(nodes, key=lambda n: n[1])
         if h_top > target:
             return float(upper), evals, (s, mu)
-        (_, t), (a, b) = max(zip(bounds, pairs), key=lambda bp: bp[0][0])
+        (_, t), a, b = max(zip(bounds, nodes, nodes[1:]), key=lambda bp: bp[0][0])
         return float(upper), evals, split(a, b, t)
 
 

@@ -5,6 +5,8 @@ index partition, and the diagonal restriction X -> diag(X).  A family
 {Phi_i} is unital when sum_i Phi_i(I) = I; random unital families come
 from slicing orthonormal columns of a Haar unitary into vertical blocks.
 
+Maps are immutable: a conjugation keeps its own read-only copy of V, and
+a pinch a read-only mask, so a family's unitality defect is computed once.
 The public ``apply`` and ``MapFamily.apply_sum`` check their arguments.
 The spectral assembly (``gaps._assemble``) holds matrices that are checked
 and exactly Hermitian already, operands and their images alike; it maps
@@ -17,7 +19,7 @@ mapped one at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -53,22 +55,27 @@ def _checked(phi, X) -> np.ndarray:
     return X
 
 
+def _frozen(X: np.ndarray) -> np.ndarray:
+    X.flags.writeable = False
+    return X
+
+
 @dataclass(frozen=True)
 class Conjugation:
-    """X -> V* X V for a fixed n-by-k matrix V."""
+    """X -> V* X V for a fixed n-by-k matrix V, copied from the caller's array."""
 
     V: np.ndarray
 
     variant = "conjugation"
 
     def __post_init__(self):
-        V = np.asarray(self.V, dtype=complex)
+        V = np.array(self.V, dtype=complex)
         if V.ndim != 2:
             raise BadDimensions(f"V must be a matrix, got shape {V.shape}")
         if not np.isfinite(V).all():
             raise NonFinite("conjugation map V has a non-finite entry")
-        object.__setattr__(self, "V", V)
-        object.__setattr__(self, "_VH", V.conj().T)
+        object.__setattr__(self, "V", _frozen(V))
+        object.__setattr__(self, "_VH", _frozen(V.conj().T))
 
     @property
     def input_dim(self) -> int:
@@ -110,7 +117,7 @@ class Pinch:
         for blk in blocks:
             kept[np.ix_(blk, blk)] = True
         object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "_kept", kept)
+        object.__setattr__(self, "_kept", _frozen(kept))
 
     @property
     def input_dim(self) -> int:
@@ -195,7 +202,14 @@ class MapFamily:
         return total
 
     def unital_defect(self) -> float:
-        """|sum_i Phi_i(I) - I|_F; not finite where the sum overflows."""
+        """|sum_i Phi_i(I) - I|_F; not finite where the sum overflows.
+
+        The maps are immutable, so it is computed once per family.
+        """
+        return self._defect
+
+    @cached_property
+    def _defect(self) -> float:
         with np.errstate(all="ignore"):  # callers test the defect's finiteness
             total = self._map_sum([np.eye(phi.input_dim, dtype=complex) for phi in self.maps])
             return float(np.linalg.norm(total - np.eye(self.output_dim)))

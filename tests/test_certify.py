@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from numpy.linalg import _umath_linalg
 
 from loewner_cert import (
     BadDimensions,
@@ -417,9 +418,12 @@ def _matrices(A) -> list:
 def eigh_inputs(monkeypatch):
     """Record the matrices decomposed by numpy's eigh, the count of those by
     eigvalsh, and both in order; a stacked call counts each of its matrices,
-    and ``eigh_stacks`` holds the number of matrices of each eigh call."""
+    and ``eigh_stacks`` holds the number of matrices of each eigh call.
+
+    The gufuncs behind np.linalg.eigh and eigvalsh are recorded, so that
+    the bound's direct calls of them count as well."""
     seen = {"eigh": [], "eigvalsh": 0, "calls": [], "eigh_stacks": []}
-    eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+    eigh, eigvalsh = _umath_linalg.eigh_lo, _umath_linalg.eigvalsh_lo
 
     def counted_eigh(A, *args, **kwargs):
         seen["eigh_stacks"].append(len(_matrices(A)))
@@ -434,8 +438,8 @@ def eigh_inputs(monkeypatch):
             seen["calls"].append(("eigvalsh", data))
         return eigvalsh(A, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    monkeypatch.setattr(_umath_linalg, "eigh_lo", counted_eigh)
+    monkeypatch.setattr(_umath_linalg, "eigvalsh_lo", counted_eigvalsh)
     return seen
 
 

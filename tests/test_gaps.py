@@ -1,4 +1,7 @@
+import hashlib
 import threading
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -361,7 +364,8 @@ def test_the_step_is_the_newton_step():
         # to (1 + sigma) x, so sigma >= 0
         for sigma in {0.0, max(0.0, -low - 0.2 * scale), max(0.0, -low + 0.2 * scale)}:
             A, R = _step_inputs(prob, x, sigma)
-            eta, pd = gaps._newton_step(A, R)
+            eta, pd, every = gaps._newton_step(A, R)
+            assert every == pd[0]
             definite = low + sigma > 0.0
             # pd is never wrong, and exact wherever K + sigma is definite
             assert definite or not pd[0]
@@ -396,8 +400,8 @@ def test_a_step_turned_from_the_gradient_gives_way_to_the_cauchy_step(monkeypatc
         basis = list(Q.T) + list(1j * Q.T)
         H = _minus_hessian(prob, x, basis)
         A, R = _step_inputs(prob, x, 0.0)
-        eta, pd = gaps._newton_step(A, R)
-        assert pd[0]  # near a local maximum
+        eta, pd, every = gaps._newton_step(A, R)
+        assert pd[0] and every  # near a local maximum
         g = np.array([np.vdot(b, R[0, :, 1]).real for b in basis])
         got = np.array([np.vdot(b, eta[0]).real for b in basis])
         want = g * (g @ g) / (g @ H @ g)
@@ -598,6 +602,122 @@ _NEWTON_RESULTS = (("0x1.299b13e44eb82p+1", 7, True), ("0x1.230c652770cc4p-3", 8
 def test_newton_results_are_bit_stable(i):
     res = solve_multistart(_oracle_case(i), restarts=16, seed=i)
     assert (res.value.hex(), res.iterations, res.converged) == _NEWTON_RESULTS[i]
+
+
+# (value.hex(), iterations, upper.hex(), eigensolves, repairs) of solve at
+# solver seed ``seed`` on bound_check's triple(k, seed) and on two family
+# problems: the one start, the bound and the repair rounds, pinned to the bit
+_SOLVE_RESULTS = {
+    ("triple", 3, 0): ("0x1.3fb11e93e23f7p+1", 15, "0x1.3fb11e9a18946p+1", 33, 1),
+    ("triple", 3, 1): ("0x1.082a6a594db5cp+3", 5, "0x1.082a6a7a72d46p+3", 17, 0),
+    ("triple", 4, 2): ("0x1.a12f90e554c7dp+1", 13, "0x1.a12f910ed88d6p+1", 43, 1),
+    ("triple", 4, 3): ("0x1.ce2aee0a84d5fp+1", 6, "0x1.ce2aee33a0e77p+1", 23, 0),
+    ("triple", 5, 6): ("0x1.6c1bf7657730bp+2", 11, "0x1.6c1bf799c7433p+2", 29, 1),
+    ("triple", 6, 0): ("0x1.fcc88a0820954p+2", 10, "0x1.fcc88a61b4e44p+2", 58, 1),
+    ("triple", 8, 1): ("0x1.af39caa18a2a0p+3", 13, "0x1.af39cab9d201bp+3", 37, 1),
+    ("oracle_case", 4, 4): ("0x1.dfc9df08ead34p+2", 6, "0x1.dfc9df4b25bc3p+2", 12, 0),
+    ("oracle_case", 5, 5): ("0x1.ba567c32fad9cp-2", 9, "0x1.ba567c76a9164p-2", 17, 0),
+}
+
+
+@pytest.mark.parametrize("case", list(_SOLVE_RESULTS))
+def test_solve_results_are_bit_stable(case):
+    source, k, seed = case
+    prob = _bound_check_triple(k, seed) if source == "triple" else _oracle_case(k)
+    res = solve(prob, seed=seed)
+    assert res.solver == "multistart" and res.restarts == 1
+    got = (res.value.hex(), res.iterations, res.upper.hex(), res.eigensolves, res.repairs)
+    assert got == _SOLVE_RESULTS[case]
+
+
+# (upper.hex(), eigensolves, worst) of _upper_bound around the one start
+# solve_multistart(triple(k, seed), restarts=1, max_iter=max_iter, seed=seed),
+# worst as the hex of (s, mu): closed, open at a node and open at a random
+# start (max_iter 0), pinned to the bit
+_BOUND_RESULTS = {
+    (3, 5, 500): ("0x1.3c563379f7aacp+1", 15, ("0x1.e7aaaba7b0ee1p-2", "-0x1.f9bc44b5dfd49p-1")),
+    (5, 6, 500): ("0x1.05dc72e1baf2ep+4", 5, ("0x1.2bc711e422acbp+1", "-0x1.552cf023c4e90p+3")),
+    (4, 3, 500): ("0x1.ce2aee33a0e77p+1", 23, None),
+    (6, 0, 500): ("0x1.0e5c582e241fap+3", 25, ("0x1.3ac31e17949c4p+1", "-0x1.b9add42bf5fa4p+1")),
+    (5, 0, 0): ("0x1.3569a10ed6f89p+3", 8, ("0x1.678eae957274dp+1", "-0x1.092e8bc686628p+3")),
+    (8, 2, 0): ("0x1.7417968502206p+4", 8, ("-0x1.b3238b9482b15p+0", "0x1.78e512ceea8c4p-1")),
+}
+
+
+@pytest.mark.parametrize("case", list(_BOUND_RESULTS))
+def test_bound_results_are_bit_stable(case):
+    k, seed, max_iter = case
+    prob = _bound_check_triple(k, seed)
+    start = solve_multistart(prob, restarts=1, max_iter=max_iter, seed=seed)
+    upper, evals, worst = gaps._upper_bound(prob, start.value, start.maximizer)
+    worst = None if worst is None else tuple(float(v).hex() for v in worst)
+    assert (upper.hex(), evals, worst) == _BOUND_RESULTS[case]
+
+
+def _failing_eigensolver(monkeypatch, fail):
+    """Make the bound's ``fail``-th eigenvalue problem (1-based) fail.
+
+    Where LAPACK does not converge, numpy's eigh and eigvalsh gufuncs fill
+    their outputs with NaN; the call returns that here.  Returns the list
+    of the names of the calls made.
+    """
+    real = gaps._umath_linalg
+    calls = []
+
+    def counted(name):
+        def call(H, **kwargs):
+            calls.append(name)
+            out = getattr(real, name)(H, **kwargs)
+            if len(calls) != fail:
+                return out
+            return tuple(np.full_like(o, np.nan) for o in out) if name == "eigh_lo" \
+                else np.full_like(out, np.nan)
+        return call
+
+    monkeypatch.setattr(gaps, "_umath_linalg", SimpleNamespace(
+        eigh_lo=counted("eigh_lo"), eigvalsh_lo=counted("eigvalsh_lo")))
+    return calls
+
+
+@pytest.mark.parametrize("fail, name", [(1, "eigvalsh_lo"), (2, "eigvalsh_lo"),
+                                        (3, "eigvalsh_lo"), (5, "eigh_lo"),
+                                        (18, "eigh_lo"), (20, "eigvalsh_lo")])
+def test_an_eigenvalue_problem_lapack_fails_leaves_the_bound_none(monkeypatch, fail, name):
+    # the spectra of S and D, the first node's eigenvalues, a node's first
+    # and a later eigenvectors, and a node after the last eigh: NaN
+    # eigenvalues end as no bound, with no exception and no RuntimeWarning
+    # (np.linalg would raise LinAlgError)
+    prob = _bound_check_triple(4, 3)
+    start = solve_multistart(prob, restarts=1, seed=3)
+    assert gaps._upper_bound(prob, start.value, start.maximizer)[0] is not None
+    calls = _failing_eigensolver(monkeypatch, fail)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        upper, evals, worst = gaps._upper_bound(prob, start.value, start.maximizer)
+    assert calls[fail - 1] == name and (upper, worst) == (None, None)
+    assert evals == calls.count("eigvalsh_lo")
+
+
+# (iterations, converged flags, sha256 of X's bytes) of one eight-column
+# _newton_ascent on _oracle_case(5) from seeded starts, at the default stop
+# test (columns converge after 6 to 8 iterations), at 3e-16 (three converge,
+# five stall, after 9 to 21) and at 0 (all stall, after 9 to 70)
+_BATCH_RESULTS = {
+    1e-10: (8, "11111111", "b52b7eb756aa762d0764245e01ce86f8418d61627c86fde05aa4193c97f6bbec"),
+    3e-16: (22, "00110100", "256cbd64f552dd5a55ba49a048558e268dc59a8623f0f0ab1acb146870dc67d8"),
+    0.0: (71, "00000000", "41e62e9f05c53808587e80aaf6f97e547aaa6c4f7fdde2122356eb241adfc088"),
+}
+
+
+@pytest.mark.parametrize("tol", list(_BATCH_RESULTS))
+def test_batched_ascent_is_bit_stable(monkeypatch, tol):
+    monkeypatch.setattr(gaps, "_STEP_TOL", tol)
+    prob = _oracle_case(5)
+    rng = np.random.default_rng(7)
+    X0 = rng.standard_normal((5, 8)) + 1j * rng.standard_normal((5, 8))
+    X, conv, iters = gaps._newton_ascent(prob.C, prob.S, prob.D, X0, 500)
+    flags = "".join(str(int(c)) for c in conv)
+    assert (iters, flags, hashlib.sha256(X.tobytes()).hexdigest()) == _BATCH_RESULTS[tol]
 
 
 @pytest.mark.parametrize("i", range(6))

@@ -13,12 +13,14 @@ from loewner_cert import (
     NotHermitian,
     ParseError,
     Pinch,
+    build_gap_problem,
     check_unital_family,
     family_from_obj,
     family_to_obj,
     identity_family,
     map_from_obj,
     map_to_obj,
+    power,
     random_hermitian,
     random_unital_family,
 )
@@ -275,6 +277,45 @@ def test_overflowing_family_defect_is_not_finite_and_warns_nothing():
         warnings.simplefilter("error", RuntimeWarning)
         chk = check_unital_family(fam)
     assert not chk.holds and not np.isfinite(chk.defect)
+
+
+def test_a_later_edit_of_the_callers_v_changes_nothing():
+    # the map keeps its own V: with the caller's V = I edited to
+    # [[1, 1], [0, 1]], V* X V of diag(1, 2) would have off-diagonal 1
+    V = np.eye(2, dtype=complex)
+    phi = Conjugation(V)
+    fam = MapFamily((phi,))
+    V[0, 1] = 1.0
+    X = np.diag([1.0, 2.0]).astype(complex)
+    assert np.array_equal(phi.apply(X), X)
+    assert np.array_equal(fam.apply_sum([X]), X) and fam.unital_defect() == 0.0
+    assert np.array_equal(phi.V, np.eye(2))
+    pinch = Pinch(2, ((0,), (1,)))
+    for frozen in (phi.V, phi._VH, pinch._kept):
+        with pytest.raises(ValueError):
+            frozen[0, 1] = 1
+
+
+def test_two_assemblies_with_one_family_map_the_identity_once(monkeypatch):
+    fam = random_unital_family(3, 3, 3, seed=8)
+    defect = fam.unital_defect()
+    fam = MapFamily(fam.maps)  # a new family, whose defect is not computed yet
+    identities = []
+    real_map = Conjugation._map
+
+    def recorded(self, X):
+        identities.append(np.array_equal(X, np.eye(3)))
+        return real_map(self, X)
+
+    monkeypatch.setattr(Conjugation, "_map", recorded)
+    rng = np.random.default_rng(9)
+    a_ops, b_ops = ([random_hermitian(3, 0.3, 2.0, rng) for _ in range(3)] for _ in range(2))
+    first, second = (build_gap_problem("delta", power(2), a_ops, b_ops, family=fam)
+                     for _ in range(2))
+    # each map once on I, on the first assembly; then on the operands only
+    assert identities.count(True) == 3 and len(identities) == 3 + 2 * 6
+    assert all(np.array_equal(getattr(first, M), getattr(second, M)) for M in "CSD")
+    assert fam.unital_defect() == defect == check_unital_family(fam).defect
 
 
 @pytest.mark.parametrize("count,n,k", [(1, 3, 3), (3, 2, 2), (2, 2, 4)])
