@@ -1,0 +1,65 @@
+"""Print one sha256 for each report a same-bits change must leave unchanged.
+
+  fuzz           stdout of ``fuzz --suite all --seed 42 --json``
+  certify-small  every certificate of the certify-small pool, as canonical JSON
+  certify-large  stdout of every ``--json`` command of the certify-large pool
+  crosscheck     stdout of every ``--json`` command of the crosscheck pool
+
+Each pool (from bench/workloads.py, read and not changed) runs at solver
+seeds 0 and 1, in process.  The CLI reports embed the paths of their input
+files, so the inputs are written under one fixed directory, INPUT_DIR: two
+trees give the same digests only when both write there.  To compare two
+trees, run this in each, one after the other, and diff the output:
+
+    PYTHONPATH=src python3 scripts/output_digests.py
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+import types
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "bench"))
+
+import workloads  # noqa: E402
+
+from loewner_cert import certify, cli, gaps, maps, scalarfn  # noqa: E402
+from loewner_cert.jsonio import dumps_canonical  # noqa: E402
+
+INPUT_DIR = os.path.join(tempfile.gettempdir(), "loewner-cert-output-digests")
+SOLVER_SEEDS = (0, 1)
+MODS = types.SimpleNamespace(certify=certify, cli=cli, gaps=gaps, maps=maps,
+                             scalarfn=scalarfn)
+
+
+def _pool_outputs(name: str):
+    workload = workloads.WORKLOADS[name](MODS, 0, None, INPUT_DIR)
+    pool = workloads.GAP_POOLS[name]()
+    workload.prepared = {inst.id: workload.prepare(inst) for inst in pool}
+    for seed in SOLVER_SEEDS:
+        for inst in pool:
+            out = workload.call(inst.id, seed)
+            # a certificate, or the CLI's (exit code, stdout, stderr)
+            yield dumps_canonical(out.to_dict()) + "\n" if name == "certify-small" else out[1]
+
+
+def digests() -> dict:
+    fuzz = io.StringIO()
+    with contextlib.redirect_stdout(fuzz):
+        cli.main(["fuzz", "--suite", "all", "--seed", "42", "--json"])
+    out = {"fuzz": hashlib.sha256(fuzz.getvalue().encode()).hexdigest()}
+    for name in workloads.GAP_POOLS:
+        h = hashlib.sha256()
+        for text in _pool_outputs(name):
+            h.update(text.encode())
+        out[name] = h.hexdigest()
+    return out
+
+
+if __name__ == "__main__":
+    for name, digest in digests().items():
+        print(f"{name:14} {digest}")

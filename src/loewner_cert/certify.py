@@ -18,7 +18,7 @@ import numpy as np
 from .constants import beta as beta_const
 from .constants import _check_ends, kantorovich
 from .errors import BadDimensions, BadParameter, HypothesisViolated, NotUnitVector
-from .gaps import _as_ops, _assemble, _problem, solve
+from .gaps import _as_ops, _assemble, _check_count, _problem, solve
 from .hermitian import _by_size, _calc, _power, random_dominated_pair
 from .maps import MapFamily
 from .scalarfn import ScalarFunction
@@ -305,10 +305,8 @@ def find_order_violation(f: ScalarFunction, n: int, trials: int, seed,
     order at dimension n) or None when no violation shows up.  The
     spectra window defaults to a band just inside f's domain.
     """
-    if n < 1:
-        raise BadDimensions(f"need dimension n >= 1, got {n}")
-    if trials < 1:
-        raise BadDimensions(f"need at least one trial, got {trials}")
+    _check_count("n", n, f"need dimension n >= 1, got {n}")
+    _check_count("trials", trials, f"need at least one trial, got {trials}")
     _check_ends(lo=lo, hi=hi)
     if lo is None or hi is None:
         w_lo, w_hi = _violation_window(f)

@@ -16,8 +16,14 @@ from .certify import (
     verify_classical,
     verify_sandwich_pointwise,
 )
-from .errors import BadDimensions
-from .gaps import KINDS, _upper_bound, build_gap_problem, solve_bruteforce, solve_multistart
+from .gaps import (
+    KINDS,
+    _check_count,
+    _upper_bound,
+    build_gap_problem,
+    solve_bruteforce,
+    solve_multistart,
+)
 from .hermitian import random_dominated_pair, random_hermitian
 from .maps import Diag, MapFamily, Pinch, identity_family, random_unital_family
 from .scalarfn import (
@@ -361,8 +367,8 @@ def run_fuzz(suite: str = "all", trials: int | None = None, seed=42) -> dict:
         names = (suite,)
     else:
         raise ValueError(f"unknown suite {suite!r}")
-    if trials is not None and trials < 1:
-        raise BadDimensions(f"need at least one trial, got {trials}")
+    if trials is not None:
+        _check_count("trials", trials, f"need at least one trial, got {trials}")
     suites = {}
     for name in names:
         func, default_trials = _SUITES[name]

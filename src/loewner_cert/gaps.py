@@ -47,9 +47,10 @@ real rank-two term, so each restart's step comes from one complex
 Cholesky, one solve and a 2 x 2 Woodbury system: the Newton step of
 (sigma - Hess F) eta = grad F with sigma = max(|grad F|, a small floor),
 and where that is not positive definite a Levenberg-Marquardt shift
-(``_newton_step``).  Armijo backtracking along
+(``_newton_step``, ``_newton_ascent``).  Armijo backtracking along
 x -> (x + t eta)/|x + t eta| makes every accepted step increase F.  A
-restart stops once its tangent gradient norm is at most _STEP_TOL (1e-10),
+restart stops once its tangent gradient norm is at most _STEP_TOL (1e-10)
+or once the line search finds no increase (it stalls where it stands),
 and _MAX_ITER (500) caps the outer iterations of every ascent that
 ``solve`` runs.  The result's ``iterations`` is the number of outer
 iterations the batch ran, and ``converged`` is the stop-test flag of the
@@ -99,13 +100,11 @@ _ARMIJO = 1e-4
 # longest tangent step tried first: x + eta turns x by at most atan(_MAX_STEP)
 _MAX_STEP = 1.0
 _MIN_STEP = 1e-18
-# the Newton step's shift floor relative to |C| + |S| |D|, the factors
-# of its Levenberg-Marquardt restart and growth, and the angle test that
-# sends a step to the Cauchy step (_newton_ascent, _newton_step)
+# the Newton step's shift floor relative to |C| + |S| |D|, and the factors
+# of its Levenberg-Marquardt restart and growth (_newton_ascent)
 _SHIFT_FLOOR = 1e-8
 _LM_FIRST = 3.0
 _LM_GROWTH = 4.0
-_ANGLE = 1e-3
 # Sigma^-1 of the Newton step's rank-two term T = U Sigma U^T
 _SIGMA_INV = np.array([[0.0, 0.25], [0.25, 0.0]])
 # the ascent's stop test on the tangent gradient norm, and the cap on the
@@ -348,16 +347,13 @@ def _newton_step(A, R):
     K'^-1 [g, u, w].  In real form T = U Sigma U^T with U = [u, w] and
     Sigma = 4 [[0, 1], [1, 0]], so Woodbury gives eta from the 2 x 2 matrix
     N = Sigma^-1 + U^T K^-1 U, and by Haynsworth inertia additivity K + T is
-    positive definite exactly when det N < 0.  Where the step lies within
-    acos(_ANGLE) of a right angle to g, it is the Cauchy step along g.
-    ``every`` says whether pd holds in every row.
+    positive definite exactly when det N < 0.  ``every`` says whether pd
+    holds in every row.
     """
     x, g = R[:, :, 0], R[:, :, 1]
     xc = x.conj()
     K = A + x[:, :, None] * (x + g).conj()[:, None, :] + g[:, :, None] * xc[:, None, :]
     B = R[:, :, 1:]
-    GS = np.empty(g.shape + (2,), dtype=complex)  # g and the step
-    GS[:, :, 0] = g
     # numpy.linalg raises for a whole stack once one matrix fails; its
     # gufuncs give that matrix NaN instead, and rows that are not pd are
     # dropped
@@ -368,18 +364,10 @@ def _newton_step(A, R):
         N = P[:, 1:, 1:] + _SIGMA_INV
         pd &= _umath_linalg.det(N, signature="d->d") < 0.0
         y = _umath_linalg.solve(N, P[:, 1:, :1], signature="dd->d")
-        step = np.subtract(Z[:, :, 0], (Z[:, :, 1:] @ y)[:, :, 0], out=GS[:, :, 1])
+        step = Z[:, :, 0] - (Z[:, :, 1:] @ y)[:, :, 0]
         # K'^-1 u and K'^-1 w keep x-components at the rounding level of
         # |u| and |w|; the line search needs that of |step|
         step -= x * (xc * step).sum(axis=1, keepdims=True)
-        GG = (GS.conj().transpose(0, 2, 1) @ GS).real
-    gg, rise, ss = GG[:, 0, 0], GG[:, 0, 1], GG[:, 1, 1]
-    flat = pd & ~(rise > _ANGLE * np.sqrt(gg * ss))
-    if flat.any():  # the Cauchy step g |g|^2 / <g, (K + T) g>
-        gf, uf, wf = g[flat], R[flat, :, 2], R[flat, :, 3]
-        curv = ((gf.conj() * (K[flat] @ gf[:, :, None])[:, :, 0]).real.sum(axis=1)
-                + 8.0 * (uf.conj() * gf).real.sum(axis=1) * (wf.conj() * gf).real.sum(axis=1))
-        step[flat] = gf * (gg[flat] / curv)[:, None]
     every = pd.all()
     if not every:
         step[~pd] = g[~pd]
@@ -416,21 +404,12 @@ def _newton_ascent(C, S, D, X0, max_iter: int):
     X = X0 / np.linalg.norm(X0, axis=0)
     b = X.shape[1]
     converged = np.zeros(b, dtype=bool)
-    stalled = np.zeros(b, dtype=bool)
     iters = 0
-    # the live columns and a block for their x, g and the horizontal parts
-    # of Sx and Dx, both kept until a column leaves; while every column is
-    # live (``full``), x is read from X and written back in place
-    work, full, buf = np.arange(b), True, None
+    work = np.arange(b)  # the live columns
     while True:
-        if buf is None:
-            buf = np.empty((4, k, work.size), dtype=complex)
-        R = buf
-        x = R[0]
-        if full:
-            np.copyto(x, X)
-        else:
-            np.take(X, work, axis=1, out=x)
+        # the live columns' x, g and the horizontal parts of Sx and Dx
+        R = np.empty((4, k, work.size), dtype=complex)
+        x = np.take(X, work, axis=1, out=R[0])
         xc = x.conj()
         MX = (M @ x).reshape(3, k, -1)
         Q = (xc * MX).real.sum(axis=1)  # qC, qS, qD
@@ -455,7 +434,6 @@ def _newton_ascent(C, S, D, X0, max_iter: int):
                                        rho[live], gn[live])
             qS, qD = Q[1], Q[2]
             x = R[0]
-            full, buf = False, None
         np.subtract(MX[1:], x * Q[1:, None], out=R[2:])
 
         sigma = np.maximum(gn, floor)
@@ -498,23 +476,16 @@ def _newton_ascent(C, S, D, X0, max_iter: int):
             lost |= pending & ~(t >= _MIN_STEP)
             pending &= ~lost
         if lost.any():  # stalled columns keep x and leave
-            stalled[work[lost]] = True
             moved = ~lost
-            Xn = x[:, moved] + eta[:, moved] * t[moved]
-            X[:, work[moved]] = Xn / _colnorm(Xn)
-            work, full, buf = work[moved], False, None
+            work, x, eta, t = work[moved], x[:, moved], eta[:, moved], t[moved]
             if not work.size:
                 break
-        else:
-            # Xn takes eta's layout, as x[:, moved] + ... does above, so
-            # that _colnorm sums each column in the same order
-            Xn = eta * t
-            Xn += x
-            Xn /= _colnorm(Xn)
-            if full:
-                np.copyto(X, Xn)
-            else:
-                X[:, work] = Xn
+        # Xn takes eta's column-major layout, in which _colnorm sums each
+        # column in one fixed order (pairwise from k = 8 on)
+        Xn = eta * t
+        Xn += x
+        Xn /= _colnorm(Xn)
+        X[:, work] = Xn
     return X, converged, iters
 
 
@@ -936,9 +907,13 @@ def _repair_point(problem: GapProblem, s: float, mu: float):
     return v / np.linalg.norm(v)
 
 
-def _check_count(name: str, value) -> None:
-    if not isinstance(value, numbers.Integral) or value < 1:
-        raise BadDimensions(f"{name} must be an integer >= 1, got {value}")
+def _check_count(name: str, value, below: str | None = None) -> None:
+    """Refuse a count that is not an integer >= 1; ``below`` words the error for one < 1."""
+    message = f"{name} must be an integer >= 1, got {value}"
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise BadDimensions(message)
+    if value < 1:
+        raise BadDimensions(below or message)
 
 
 def solve(problem: GapProblem, restarts: int = 64, seed=0) -> GapResult:

@@ -590,6 +590,14 @@ def test_order_violation_needs_positive_dimension(n):
         find_order_violation(power(3), n, 10, seed=0)
 
 
+@pytest.mark.parametrize("bad", [2.5, float("nan"), True])
+@pytest.mark.parametrize("name", ["n", "trials"])
+def test_order_violation_refuses_a_count_that_is_not_an_integer(name, bad):
+    counts = {"n": 2, "trials": 3, name: bad}
+    with pytest.raises(BadDimensions, match=f"{name} must be an integer >= 1, got {bad}"):
+        find_order_violation(power(3), counts["n"], counts["trials"], seed=0)
+
+
 def _psd(w, rng) -> np.ndarray:
     Q = random_unitary(len(w), rng)
     return (Q * np.asarray(w)) @ Q.conj().T

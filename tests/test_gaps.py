@@ -385,27 +385,10 @@ def test_the_step_is_the_newton_step():
     assert min(counts.values()) >= 50, counts
 
 
-def test_a_step_turned_from_the_gradient_gives_way_to_the_cauchy_step(monkeypatch):
-    # with the angle test at 2 every positive definite step counts as turned
-    # away from g, so each is the Cauchy step g |g|^2 / <g, -Hess g>
-    monkeypatch.setattr(gaps, "_ANGLE", 2.0)
-    for i in range(20):
-        k = 3 + i % 4
-        prob = _random_triple(k, 2000 + i)
-        z = np.random.default_rng([83, i]).standard_normal((k, 1)) + 0j
-        x = gaps._newton_ascent(prob.C, prob.S, prob.D, z, 500)[0][:, 0]
-        x = x + 0.03 * np.random.default_rng([89, i]).standard_normal(k)
-        x /= np.linalg.norm(x)
-        Q = np.linalg.qr(np.column_stack([x, np.eye(k)]))[0][:, 1:k]
-        basis = list(Q.T) + list(1j * Q.T)
-        H = _minus_hessian(prob, x, basis)
-        A, R = _step_inputs(prob, x, 0.0)
-        eta, pd, every = gaps._newton_step(A, R)
-        assert pd[0] and every  # near a local maximum
-        g = np.array([np.vdot(b, R[0, :, 1]).real for b in basis])
-        got = np.array([np.vdot(b, eta[0]).real for b in basis])
-        want = g * (g @ g) / (g @ H @ g)
-        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+@pytest.mark.parametrize("bad", [2.5, float("nan"), True])
+def test_fuzz_refuses_a_trial_count_that_is_not_an_integer(bad):
+    with pytest.raises(BadDimensions, match=f"trials must be an integer >= 1, got {bad}"):
+        fuzz.run_fuzz("gradient", bad)
 
 
 def test_agreement_fails_a_trial_whose_bound_lies_below(monkeypatch):
@@ -617,6 +600,8 @@ _SOLVE_RESULTS = {
     ("triple", 8, 1): ("0x1.af39caa18a2a0p+3", 13, "0x1.af39cab9d201bp+3", 37, 1),
     ("oracle_case", 4, 4): ("0x1.dfc9df08ead34p+2", 6, "0x1.dfc9df4b25bc3p+2", 12, 0),
     ("oracle_case", 5, 5): ("0x1.ba567c32fad9cp-2", 9, "0x1.ba567c76a9164p-2", 17, 0),
+    ("triple", 16, 0): ("0x1.b0a32cbe93dc5p+4", 7, "0x1.b0a32cccbe0c2p+4", 27, 0),
+    ("triple", 32, 1): ("0x1.c6748f13df2ddp+5", 13, "0x1.c6748f610767cp+5", 59, 1),
 }
 
 
@@ -718,6 +703,20 @@ def test_batched_ascent_is_bit_stable(monkeypatch, tol):
     X, conv, iters = gaps._newton_ascent(prob.C, prob.S, prob.D, X0, 500)
     flags = "".join(str(int(c)) for c in conv)
     assert (iters, flags, hashlib.sha256(X.tobytes()).hexdigest()) == _BATCH_RESULTS[tol]
+
+
+def test_wide_batched_ascent_is_bit_stable(monkeypatch):
+    # k = 12: _colnorm sums each column pairwise from k = 8 on, so the
+    # layout of the write-back's block reaches the bits; at this stop test
+    # every column stalls, each after its own number of iterations (32 to 120)
+    monkeypatch.setattr(gaps, "_STEP_TOL", 3e-16)
+    prob = _bound_check_triple(12, 0)
+    rng = np.random.default_rng(3)
+    X0 = rng.standard_normal((12, 8)) + 1j * rng.standard_normal((12, 8))
+    X, conv, iters = gaps._newton_ascent(prob.C, prob.S, prob.D, X0, 500)
+    flags = "".join(str(int(c)) for c in conv)
+    assert (iters, flags, hashlib.sha256(X.tobytes()).hexdigest()) == (
+        120, "00000000", "fbb776f0a4750c35adbb247c8f22425fbb10a561256bcfeccea3395d782e5697")
 
 
 @pytest.mark.parametrize("i", range(6))
@@ -971,8 +970,9 @@ def test_solve_checks_restarts_on_the_exact_path():
     dim3 = GapProblem("gamma", *(hermitize(rng.standard_normal((3, 3))) for _ in range(3)))
     for p in (prob, dim3):
         for solver in (solve, solve_multistart):
-            with pytest.raises(BadDimensions, match="restarts must be an integer >= 1"):
-                solver(p, restarts=2.5)
+            for bad in (2.5, True):
+                with pytest.raises(BadDimensions, match="restarts must be an integer >= 1"):
+                    solver(p, restarts=bad)
         with pytest.raises(BadDimensions, match="samples must be an integer >= 1, got 2.5"):
             solve_bruteforce(p, samples=2.5)
 
