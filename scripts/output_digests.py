@@ -7,11 +7,16 @@
 
 Each pool (from bench/workloads.py, read and not changed) runs at solver
 seeds 0 and 1, in process.  The CLI reports embed the paths of their input
-files, so the inputs are written under one fixed directory, INPUT_DIR: two
-trees give the same digests only when both write there.  To compare two
-trees, run this in each, one after the other, and diff the output:
+files, so the inputs are written under one fixed directory, INPUT_DIR, not
+under TMPDIR: two trees give the same digests only when both write there.
+BLAS runs on one thread (bench/run.py's ``pin_threads``), since the
+certify-large digest moves with the thread count.  The digests of the
+current tree are kept in scripts/output_digests.txt, and CI diffs this
+script's output against it:
 
-    PYTHONPATH=src python3 scripts/output_digests.py
+    PYTHONPATH=src python3 scripts/output_digests.py | diff scripts/output_digests.txt -
+
+A change that means to move bits updates that file and says why.
 """
 
 import contextlib
@@ -19,18 +24,21 @@ import hashlib
 import io
 import os
 import sys
-import tempfile
 import types
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "bench"))
+
+from run import pin_threads  # noqa: E402
+
+pin_threads()  # before numpy is first imported
 
 import workloads  # noqa: E402
 
 from loewner_cert import certify, cli, gaps, maps, scalarfn  # noqa: E402
 from loewner_cert.jsonio import dumps_canonical  # noqa: E402
 
-INPUT_DIR = os.path.join(tempfile.gettempdir(), "loewner-cert-output-digests")
+INPUT_DIR = "/tmp/loewner-cert-output-digests"
 SOLVER_SEEDS = (0, 1)
 MODS = types.SimpleNamespace(certify=certify, cli=cli, gaps=gaps, maps=maps,
                              scalarfn=scalarfn)

@@ -78,7 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--A", nargs="+", required=True, metavar="FILE")
     p.add_argument("--B", nargs="*", default=None, metavar="FILE")
     p.add_argument("--maps", default=None, metavar="FILE")
-    p.add_argument("--samples", type=int, default=20000)
+    p.add_argument("--samples", type=int, default=20000,
+                   help="cap on the oracle's samples, drawn 2,000 at a time")
     p.add_argument("--oracle", action="store_true",
                    help="also run the sampling oracle and report agreement")
     p.add_argument("--json", action="store_true")
@@ -212,8 +213,8 @@ def _cmd_gap(args) -> int:
         agree = abs(res.value - oracle.value) <= AGREE_RTOL * (1.0 + abs(oracle.value))
         report["oracle_value"] = oracle.value
         report["agreement"] = bool(agree)
-        report["oracle"] = {"samples": args.samples, "sweeps": oracle.iterations,
-                            "stop": oracle.stop}
+        report["oracle"] = {"samples": oracle.restarts, "blocks": oracle.blocks,
+                            "sweeps": oracle.iterations, "stop": oracle.stop}
         lines.append(f"oracle    {format_float(oracle.value)}")
         lines.append(f"sweeps    {oracle.iterations} ({oracle.stop})")
         lines.append(f"agreement {str(bool(agree)).lower()}")

@@ -130,8 +130,9 @@ def test_gap_oracle_records_its_stop_at_the_bound(pair, diag01, diag12, n123, di
     rep = json.loads(out)
     assert rep["solver"]["name"] == ("exact-commuting" if pair == "commuting" else "multistart")
     oracle = rep["oracle"]
-    assert set(oracle) == {"samples", "sweeps", "stop"}
-    assert oracle["samples"] == 3000 and oracle["stop"] == "bound"
+    assert set(oracle) == {"samples", "blocks", "sweeps", "stop"}
+    # --samples is a cap: the first block of 2,000 reaches the bound
+    assert (oracle["samples"], oracle["blocks"], oracle["stop"]) == (2000, 1, "bound")
     assert 0 <= oracle["sweeps"] <= 60
     # the closed form's record gains no bound: gap computes it for the oracle only
     assert (rep["solver"]["upper"] is None) == (pair == "commuting")

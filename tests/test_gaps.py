@@ -846,6 +846,74 @@ def test_oracle_stops_at_the_bound_on_crosscheck_instance_54():
         assert stopped.stop == "bound" and stopped.iterations < free.iterations
 
 
+# (value.hex(), sweeps, sha256 of the maximizer's bytes, first 16) of
+# solve_bruteforce(_oracle_case(i), samples=2000, seed=i, upper=its certified
+# bound), as recorded when the oracle drew all its samples at once
+_BOUNDED_ORACLE_RESULTS = (
+    ("0x1.299b13e44eb7ep+1", 1, "31c557fc68b5b435"),
+    ("0x1.230c6527692d8p-3", 3, "f69d265b9d30d74f"),
+    ("0x1.2096b80b2b51ep-1", 2, "2f7f49dc6cb2ba95"),
+    ("0x1.aba593863d144p-2", 4, "ee762503e372f76f"),
+    ("0x1.dfc9df0717a1cp+2", 4, "7784e327d1f3dea4"),
+    ("0x1.ba567c080ee20p-2", 7, "701684e5cfacd6c0"),
+)
+
+
+@pytest.mark.parametrize("i", range(6))
+def test_oracle_with_a_bound_and_one_block_of_samples_is_one_draw(i):
+    prob = _oracle_case(i)
+    res = solve_bruteforce(prob, samples=2000, seed=i, upper=_certified_upper(prob))
+    digest = hashlib.sha256(res.maximizer.tobytes()).hexdigest()[:16]
+    assert (res.value.hex(), res.iterations, digest) == _BOUNDED_ORACLE_RESULTS[i]
+    assert (res.restarts, res.blocks, res.stop) == (2000, 1, "bound")
+
+
+def test_oracle_draws_blocks_until_it_reaches_the_bound_of_triple_8_61():
+    # one draw of 20,000 samples stalled 0.0136 below the bound at 31 of 40
+    # seeds, these three among them; blocks of 2,000 reach it at all 40
+    prob = _bound_check_triple(8, 61)
+    upper = solve(prob, seed=61).upper
+    tau = 1e-8 * (1.0 + abs(upper))
+    for seed, blocks in ((0, 2), (1, 3), (2, 1)):
+        free = solve_bruteforce(prob, samples=20000, seed=seed)
+        assert free.stop == "stalled" and free.value < upper - 1e-3
+        res = solve_bruteforce(prob, samples=20000, seed=seed, upper=upper)
+        assert (res.stop, res.blocks, res.restarts) == ("bound", blocks, 2000 * blocks)
+        assert upper - tau <= res.value <= upper
+    # under a bound that no unit vector reaches, seed 2's first block finds the
+    # maximum and its second stalls below it: the result is the best block's
+    res = solve_bruteforce(prob, samples=4000, seed=2, upper=upper + 1.0)
+    assert (res.stop, res.blocks) == ("stalled", 2) and res.value >= upper - tau
+
+
+@pytest.mark.parametrize("samples", [10, 2000, 2001, 4500])
+@pytest.mark.parametrize("k", range(2, 6))
+def test_oracle_never_draws_past_its_cap(k, samples):
+    rng = np.random.default_rng(500 + k)
+    prob = GapProblem("gamma", *(random_hermitian(k, -2.0, 2.0, rng) for _ in range(3)))
+    upper = _certified_upper(prob)
+    # a valid bound that no unit vector reaches: the oracle draws the whole cap
+    loose = solve_bruteforce(prob, samples=samples, seed=k, upper=upper + 1.0)
+    assert loose.stop in ("stalled", "cap") and loose.restarts == samples
+    assert loose.blocks == -(-samples // gaps._BLOCK_SAMPLES)
+    # its first block is the draw of a one-block call, from the same generator;
+    # blocks are compared by the ascent's F, equal to the value up to rounding
+    first = solve_bruteforce(prob, samples=min(samples, gaps._BLOCK_SAMPLES), seed=k,
+                             upper=upper + 1.0)
+    assert loose.value >= first.value - 1e-12 * (1.0 + abs(first.value))
+    assert loose.iterations >= first.iterations
+    res = solve_bruteforce(prob, samples=samples, seed=k, upper=upper)
+    assert res.restarts == min(samples, gaps._BLOCK_SAMPLES * res.blocks)
+    assert res.stop == "bound" or res.restarts == samples
+
+
+def test_oracle_draws_nothing_at_dimension_1():
+    prob = GapProblem("gamma", *(np.array([[v]], dtype=complex) for v in (3.0, 1.0, 2.0)))
+    for upper in (None, 1.0):
+        res = solve_bruteforce(prob, samples=500, upper=upper)
+        assert (res.value, res.restarts, res.blocks, res.iterations) == (1.0, 0, 0, 0)
+
+
 def test_line_max_beats_a_dense_grid():
     P = np.random.default_rng(3).standard_normal((5, 400))
     P[:, :100] *= np.logspace(-8, 8, 100)  # scales across 16 orders
@@ -979,7 +1047,7 @@ def test_solve_checks_restarts_on_the_exact_path():
 
 @pytest.mark.parametrize("args", [
     {"max_iter": float("nan")}, {"max_iter": float("inf")}, {"max_iter": "3"},
-    {"max_iter": -1}, {"max_iter": 2.5},
+    {"max_iter": -1}, {"max_iter": 2.5}, {"max_iter": True}, {"max_iter": False},
 ])
 @pytest.mark.parametrize("ops", ["commuting", "dim2", "dim3"])
 def test_solve_checks_solver_arguments_before_any_path(args, ops):
