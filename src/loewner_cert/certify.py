@@ -113,12 +113,11 @@ def _finish(statement, constants, bound_minus_bounded, ref_norm, tol,
     )
 
 
-def _certify_gap(statement, kind, f, a_ops, b_ops, family, tol, restarts,
-                 seed) -> Certificate:
+def _certify_gap(statement, kind, f, a_ops, b_ops, family, tol, seed) -> Certificate:
     """Solve the gap problem of ``kind`` and check the bound it gives."""
     _check_tol(tol)
     problem, asm = _problem(kind, f, a_ops, b_ops, family)
-    res = solve(problem, restarts=restarts, seed=seed)
+    res = solve(problem, seed=seed)
     # theta and vartheta bound sum Phi_i(f(A_i)) by f(T), the others the reverse
     upper, lower = (asm.fT, asm.Sf) if kind in ("theta", "vartheta") else (asm.Sf, asm.fT)
     k = problem.dim
@@ -135,18 +134,18 @@ def _certify_gap(statement, kind, f, a_ops, b_ops, family, tol, restarts,
 
 
 def certify_order(A, B, f: ScalarFunction, *, tol: float = DEFAULT_TOL,
-                  restarts: int = 64, seed=0) -> Certificate:
+                  seed=0) -> Certificate:
     """Certify f(B) <= f(A) + gamma * I with the computed gamma.
 
     Valid for any Hermitian A, B with spectra in f's domain; no order
     relation between A and B is assumed.
     """
-    return _certify_gap("gamma-order", "gamma", f, A, B, None, tol, restarts, seed)
+    return _certify_gap("gamma-order", "gamma", f, A, B, None, tol, seed)
 
 
 def certify_jensen(kind: str, f: ScalarFunction, a_ops, b_ops=None,
                    family: MapFamily | None = None, *, tol: float = DEFAULT_TOL,
-                   restarts: int = 64, seed=0) -> Certificate:
+                   seed=0) -> Certificate:
     """Certify one of the mapped Jensen-type bounds.
 
     delta_forward:    f(sum Phi_i(B_i)) <= sum Phi_i(f(A_i)) + delta * I
@@ -156,8 +155,7 @@ def certify_jensen(kind: str, f: ScalarFunction, a_ops, b_ops=None,
     """
     if kind not in JENSEN_KINDS:
         raise ValueError(f"unknown jensen kind {kind!r}")
-    return _certify_gap(kind, JENSEN_KINDS[kind], f, a_ops, b_ops, family, tol,
-                        restarts, seed)
+    return _certify_gap(kind, JENSEN_KINDS[kind], f, a_ops, b_ops, family, tol, seed)
 
 
 def verify_sandwich_pointwise(f: ScalarFunction, a_ops, b_ops=None,

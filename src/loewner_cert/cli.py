@@ -55,10 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def solver_flags(p, seed_default):
-        p.add_argument("--restarts", type=int, default=64)
-        p.add_argument("--seed", type=int, default=seed_default)
-
     p = sub.add_parser("kantorovich", help="generalized ratio constant K(m, M, p)")
     p.add_argument("--m", type=float, required=True)
     p.add_argument("--M", type=float, required=True)
@@ -78,12 +74,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--A", nargs="+", required=True, metavar="FILE")
     p.add_argument("--B", nargs="*", default=None, metavar="FILE")
     p.add_argument("--maps", default=None, metavar="FILE")
-    p.add_argument("--samples", type=int, default=20000,
-                   help="cap on the oracle's samples, drawn 2,000 at a time")
     p.add_argument("--oracle", action="store_true",
                    help="also run the sampling oracle and report agreement")
+    p.add_argument("--seed", type=int, default=42)
     p.add_argument("--json", action="store_true")
-    solver_flags(p, 42)
 
     p = sub.add_parser("certify", help="produce a pass/fail certificate")
     p.add_argument("--statement", required=True, choices=_STATEMENTS)
@@ -96,8 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=float, default=None)
     p.add_argument("--M", type=float, default=None)
     p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
-    solver_flags(p, 0)
 
     p = sub.add_parser("violation", help="search for an order-preservation failure")
     p.add_argument("--f", required=True)
@@ -187,7 +181,7 @@ def _cmd_gap(args) -> int:
     f = parse_function(args.f)
     a_ops, b_ops, family, digests = _load_inputs(args)
     problem = build_gap_problem(args.kind, f, a_ops, b_ops, family)
-    res = solve(problem, restarts=args.restarts, seed=args.seed)
+    res = solve(problem, seed=args.seed)
     report = {
         "kind": args.kind,
         "f": f.spec_string(),
@@ -209,7 +203,7 @@ def _cmd_gap(args) -> int:
         # the oracle stops at a certified bound, which the closed forms lack
         upper = res.upper if res.upper is not None else \
             _upper_bound(problem, res.value, res.maximizer)[0]
-        oracle = solve_bruteforce(problem, samples=args.samples, seed=args.seed, upper=upper)
+        oracle = solve_bruteforce(problem, seed=args.seed, upper=upper)
         agree = abs(res.value - oracle.value) <= AGREE_RTOL * (1.0 + abs(oracle.value))
         report["oracle_value"] = oracle.value
         report["agreement"] = bool(agree)
@@ -236,7 +230,7 @@ def _cmd_certify(args) -> int:
     elif f is None:  # None would reach the spectral assembly as an AttributeError
         raise LoewnerCertError(f"{args.statement} needs --f")
     else:
-        solver = {"tol": args.tol, "restarts": args.restarts, "seed": args.seed}
+        solver = {"tol": args.tol, "seed": args.seed}
         cert = certify_order(a_ops, b_ops, f, **solver) if statement == "gamma_order" \
             else certify_jensen(statement, f, a_ops, b_ops, family, **solver)
     report = cert.to_dict()

@@ -21,6 +21,7 @@ from .gaps import (
     _check_count,
     _upper_bound,
     build_gap_problem,
+    solve,
     solve_bruteforce,
     solve_multistart,
 )
@@ -80,7 +81,7 @@ SANDWICH_FUNCTIONS = CONVEX_POS + tuple(
     e for e in GRADIENT_FUNCTIONS if e[0] in ("square", "affine_up", "affine_down"))
 
 # Fixed tolerances and effort of the suites; certificates use
-# certify.DEFAULT_TOL (1e-8) and solver efforts sit at their calls.
+# certify.DEFAULT_TOL (1e-8), and solve its own fixed effort.
 GRADIENT_TOL = 1e-12  # relative to 1 + |f(s)| + |f(t)| + |f'(s) (t - s)|
 SANDWICH_VECTORS = 8  # unit vectors per sandwich instance
 POSITIVITY_FLOOR = -1e-10  # least chebyshev, eta and ordered gamma value admitted
@@ -196,7 +197,7 @@ def _positivity_suite(kind: str, trials: int, seed) -> dict:
         tag, f, lo, hi = CONVEX_POS[i % len(CONVEX_POS)]
         n = int(rng.integers(2, 6))
         problem = build_gap_problem(kind, f, *_draw(rng, kind, i, n, lo, hi))
-        res = solve_multistart(problem, restarts=8, seed=_subseed(rng))
+        res = solve(problem, seed=_subseed(rng))
         worst = min(worst, float(res.value))
         if res.value < POSITIVITY_FLOOR:
             failures += 1
@@ -233,7 +234,7 @@ def suite_gamma(trials: int, seed=42) -> dict:
         tag, f, lo, hi = CONVEX_POS[i % len(CONVEX_POS)]
         n = int(rng.integers(2, 5))
         A, B, _ = _draw(rng, "gamma", i, n, lo, hi)
-        cert = certify_order(A, B, f, restarts=32, seed=_subseed(rng))
+        cert = certify_order(A, B, f, seed=_subseed(rng))
         worst_slack = min(worst_slack, cert.slack)
         if not cert.passed:
             failures += 1
@@ -250,7 +251,7 @@ def suite_gamma(trials: int, seed=42) -> dict:
             A, B = small, big  # A <= B, f increasing: constant stays >= 0
         else:
             A, B = big, small  # B <= A, f decreasing: same sign structure
-        cert = certify_order(A, B, f, restarts=32, seed=_subseed(rng))
+        cert = certify_order(A, B, f, seed=_subseed(rng))
         gamma = cert.constants["gamma"]
         worst_ordered = min(worst_ordered, float(gamma))
         if gamma < POSITIVITY_FLOOR or not cert.passed:

@@ -38,7 +38,7 @@ and a trust-region subproblem in R^3 gives its maximum.  Otherwise it runs
 the ascent from one seeded start and bounds max F from above by S-lemma
 duality (``_upper_bound``).  While that bound stays more than 1e-8
 (1 + |value|) above the value found, the ascent reruns from the bound's
-worst node, and then the rest of the ``restarts`` cap runs.
+worst node, and then a second batch of random starts (_RESTARTS - 1) runs.
 ``solve_multistart`` is the fixed-count ascent alone.
 
 The primary path runs all restarts as one lockstep batch.  F is invariant
@@ -714,10 +714,10 @@ def _bloch_to_vector(r):
 # closed-form maximum.  Its excess over the chord is second order in w even
 # where the top eigenvalue at the maximum is double.
 
-# random starts before solve's first bound, its repair rounds at most, and
-# the relative gap that closes a bound
-_FIRST_BATCH = 1
+# solve's repair rounds at most, its random starts in all when the bound
+# stays open after them, and the relative gap that closes a bound
 _REPAIRS = 2
+_RESTARTS = 64
 _GAP_RTOL = 1e-8
 # eigenvalue problems per bound, and evaluations of h per node's multiplier
 _BOUND_EIGENSOLVES = 64
@@ -921,30 +921,27 @@ def _check_count(name: str, value, below: str | None = None) -> None:
         raise BadDimensions(below or message)
 
 
-def solve(problem: GapProblem, restarts: int = 64, seed=0) -> GapResult:
+def solve(problem: GapProblem, seed=0) -> GapResult:
     """Maximum of F: in closed form for a commuting triple or at k = 2, else bounded multistart.
 
     A commuting (C, S, D) gives solver "exact-commuting" and any other
     2 x 2 problem "exact-dim2", each with no restarts or iterations,
     converged, no bound, and the value of F at the closed-form maximizer.
-    ``restarts`` does not change either closed form, but is checked first
-    and must be valid.
 
     Any other problem gets solver "multistart": one seeded Newton start
-    (``solve_multistart`` with _FIRST_BATCH restarts, bit for bit), returned
-    as soon as ``_upper_bound`` closes on it, i.e. upper - value <= _GAP_RTOL
+    (``solve_multistart`` with one restart, bit for bit), returned as soon
+    as ``_upper_bound`` closes on it, i.e. upper - value <= _GAP_RTOL
     (1 + |value|).  While it stays open, up to _REPAIRS rounds run the ascent
     from ``_repair_point`` at the bound's worst node and bound a better point
-    again; a round with no gain ends them.  Then the rest of the ``restarts``
-    cap runs as a second batch from the same generator, and the best point
-    is reported with the lowest bound, as it stands.  Every ascent runs at
-    most _MAX_ITER outer iterations; on the 151 hard instances of the
-    benchmark pools, at solver seeds 0 and 1, the one start took at most
-    11 and always closed.  ``restarts`` counts the random starts
-    run, ``repairs`` the rounds and ``iterations`` the outer iterations of
-    every ascent.
+    again; a round with no gain ends them.  If the bound is still open, a
+    second batch of _RESTARTS - 1 random starts runs from the same
+    generator, and the best point is reported with the lowest bound, as it
+    stands.  Every ascent runs at most _MAX_ITER outer iterations; on the
+    151 hard instances of the benchmark pools, at solver seeds 0 and 1, the
+    one start took at most 11 and always closed.  ``restarts`` counts the
+    random starts run (1, or _RESTARTS once the batch ran), ``repairs`` the
+    rounds and ``iterations`` the outer iterations of every ascent.
     """
-    _check_count("restarts", restarts)
     for name, closed_form in (("exact-commuting", _exact), ("exact-dim2", _exact_dim2)):
         x = closed_form(problem)
         if x is not None:
@@ -952,7 +949,7 @@ def solve(problem: GapProblem, restarts: int = 64, seed=0) -> GapResult:
                              iterations=0, restarts=0, converged=True)
     # the first start and the second batch draw from one generator
     rng = np.random.default_rng(seed)
-    res = solve_multistart(problem, _FIRST_BATCH, _MAX_ITER, seed=rng)
+    res = solve_multistart(problem, 1, _MAX_ITER, seed=rng)
     upper, evals, worst = _upper_bound(problem, res.value, res.maximizer)
     iterations, repairs, bounds = res.iterations, 0, [upper]
     while worst is not None and repairs < _REPAIRS:
@@ -972,16 +969,15 @@ def solve(problem: GapProblem, restarts: int = 64, seed=0) -> GapResult:
         bounds.append(again)
     # each bound holds whatever point it was built around
     upper = min((u for u in bounds if u is not None), default=None)
-    if restarts > _FIRST_BATCH and not (upper is not None
-                                        and upper - res.value <= _gap_tol(res.value)):
-        more = solve_multistart(problem, restarts - _FIRST_BATCH, _MAX_ITER, seed=rng)
+    if not (upper is not None and upper - res.value <= _gap_tol(res.value)):
+        more = solve_multistart(problem, _RESTARTS - 1, _MAX_ITER, seed=rng)
         iterations += more.iterations
         if more.value > res.value:
             res = more
             again, extra, _ = _upper_bound(problem, res.value, res.maximizer)
             evals += extra
             upper = min((u for u in (upper, again) if u is not None), default=None)
-        res = replace(res, restarts=restarts)
+        res = replace(res, restarts=_RESTARTS)
     gap = None if upper is None else upper - res.value
     return replace(res, iterations=iterations, upper=upper, gap=gap, eigensolves=evals,
                    repairs=repairs)

@@ -144,8 +144,7 @@ def test_jensen_certificates_pass(kind):
     b_ops = None
     if kind in ("delta_forward", "theta_reverse"):
         b_ops = [random_hermitian(3, 0.3, 1.8, rng) for _ in range(2)]
-    cert = certify_jensen(kind, power(2), a_ops, b_ops, family=fam,
-                          restarts=24, seed=4)
+    cert = certify_jensen(kind, power(2), a_ops, b_ops, family=fam, seed=4)
     assert cert.passed, (kind, cert.slack, cert.tol)
     assert cert.statement == kind
 
@@ -183,8 +182,8 @@ def test_nested_list_is_one_operand():
     assert (verify_sandwich_pointwise(power(2), A, B, x=x)
             == verify_sandwich_pointwise(power(2), np.array(A), np.array(B), x=x))
     for kind in ("delta_forward", "theta_reverse"):
-        listed = certify_jensen(kind, power(2), A, B, restarts=8, seed=1)
-        arrays = certify_jensen(kind, power(2), np.array(A), np.array(B), restarts=8, seed=1)
+        listed = certify_jensen(kind, power(2), A, B, seed=1)
+        arrays = certify_jensen(kind, power(2), np.array(A), np.array(B), seed=1)
         assert listed.constants == arrays.constants and listed.slack == arrays.slack
 
 
@@ -460,7 +459,7 @@ def _split_eigh(seen):
 def test_certify_order_decomposes_each_operand_once(eigh_inputs):
     rng = np.random.default_rng(61)
     A, B = (random_hermitian(4, 0.3, 2.0, rng) for _ in range(2))
-    cert = certify_order(A, B, power(2), restarts=4)
+    cert = certify_order(A, B, power(2))
     evaluations = cert.solver["eigensolves"] - 2  # after the spectra of S and D
     operands, bound = _split_eigh(eigh_inputs)
     # the triple does not commute, so its maximum is bounded; eigh runs only
@@ -481,7 +480,7 @@ def test_certify_jensen_decomposes_each_operand_once(kind, eigh_inputs):
     fam = random_unital_family(m, 3, 3, seed=63)
     a_ops = [random_hermitian(3, 0.3, 2.0, rng) for _ in range(m)]
     b_ops = [random_hermitian(3, 0.3, 2.0, rng) for _ in range(m)]
-    cert = certify_jensen(kind, power(2), a_ops, b_ops, fam, restarts=4)
+    cert = certify_jensen(kind, power(2), a_ops, b_ops, fam)
     eigensolves = cert.solver["eigensolves"]
     operands, bound = _split_eigh(eigh_inputs)
     assert len(operands) == len(set(operands))
@@ -551,7 +550,7 @@ def hermitian_checks(monkeypatch):
 def test_certify_order_checks_each_operand_once(hermitian_checks):
     rng = np.random.default_rng(64)
     A, B = (random_hermitian(4, 0.3, 2.0, rng) for _ in range(2))
-    certify_order(A, B, power(2), restarts=4)
+    certify_order(A, B, power(2))
     assert hermitian_checks == ["A", "B"]
 
 
@@ -578,7 +577,7 @@ def test_eta_certificate_maps_the_a_side_once(monkeypatch):
     rng = np.random.default_rng(65)
     fam = random_unital_family(2, 3, 3, seed=66)
     a_ops = [random_hermitian(3, 0.3, 2.0, rng) for _ in range(2)]
-    assert certify_jensen("eta_choi", power(2), a_ops, family=fam, restarts=4).passed
+    assert certify_jensen("eta_choi", power(2), a_ops, family=fam).passed
     # each map once on I for the unitality check, then once on its operand's
     # stack A_i, f(A_i), f'(A_i), t f'(A_i); sum Phi_i(A_i) is also T
     assert shapes == [(3, 3), (3, 3), (4, 3, 3), (4, 3, 3)]
@@ -614,12 +613,12 @@ def test_delta_forward_on_the_closed_endpoint_of_the_domain(seed, zeros, bad):
     a_ops = [_psd(rng.uniform(0.2, 2.0, 3), rng) for _ in range(2)]
     spectra = [np.r_[np.zeros(zeros), rng.uniform(0.2, 2.0, 3 - zeros)] for _ in range(2)]
     b_ops = [_psd(w, rng) for w in spectra]
-    cert = certify_jensen("delta_forward", f, a_ops, b_ops, fam, restarts=4)
+    cert = certify_jensen("delta_forward", f, a_ops, b_ops, fam)
     assert cert.passed
     spectra[bad][0] = -1e-6
     b_ops[bad] = _psd(spectra[bad], rng)
     with pytest.raises(SpectrumOutsideDomain, match=rf"^B\[{bad}\] has eigenvalues") as exc:
-        certify_jensen("delta_forward", f, a_ops, b_ops, fam, restarts=4)
+        certify_jensen("delta_forward", f, a_ops, b_ops, fam)
     assert exc.value.offending == pytest.approx([-1e-6], rel=1e-6)
 
 
@@ -647,7 +646,7 @@ def test_spectra_on_the_closed_end_of_the_domain(seed, spec, offset, pinch):
     ops = {"A": [operand(offset)], "B": [operand(offset)]}
     for kind in ("delta_forward", "eta_choi", "theta_reverse", "vartheta_reverse"):
         b = ops["B"] if kind in ("delta_forward", "theta_reverse") else None
-        cert = certify_jensen(kind, f, ops["A"], b, fam, restarts=4, seed=seed)
+        cert = certify_jensen(kind, f, ops["A"], b, fam, seed=seed)
         assert cert.passed, (kind, cert.slack, cert.tol)
     x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     x /= np.linalg.norm(x)
@@ -656,7 +655,7 @@ def test_spectra_on_the_closed_end_of_the_domain(seed, spec, offset, pinch):
     for side in ops:
         bad = dict(ops, **{side: [operand(-1e-9)]})
         with pytest.raises(SpectrumOutsideDomain, match=rf"^{side}\[0\] has eigenvalues"):
-            certify_jensen("delta_forward", f, bad["A"], bad["B"], fam, restarts=4)
+            certify_jensen("delta_forward", f, bad["A"], bad["B"], fam)
         with pytest.raises(SpectrumOutsideDomain, match=rf"^{side}\[0\] has eigenvalues"):
             verify_sandwich_pointwise(f, bad["A"], bad["B"], fam, x)
 
@@ -674,8 +673,7 @@ def test_near_singular_operand_certifies_or_names_the_failure(seed, spec, e, swa
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         try:
-            cert = certify_order(*((B, A) if swap else (A, B)), parse_function(spec),
-                                 restarts=4)
+            cert = certify_order(*((B, A) if swap else (A, B)), parse_function(spec))
         except LoewnerCertError:
             return
     assert all(math.isfinite(v) for v in cert.constants.values())
@@ -785,7 +783,7 @@ def test_rank_deficient_conjugations_certify_and_sandwich(seed, count, spec):
     b_ops = [random_hermitian(2, 0.3, 1.8, rng) for _ in range(count)]
     for kind in ("delta_forward", "eta_choi", "theta_reverse", "vartheta_reverse"):
         b = b_ops if kind in ("delta_forward", "theta_reverse") else None
-        cert = certify_jensen(kind, f, a_ops, b, fam, restarts=8, seed=seed)
+        cert = certify_jensen(kind, f, a_ops, b, fam, seed=seed)
         assert cert.passed, (kind, cert.slack, cert.tol)
     for _ in range(4):
         x = rng.standard_normal(4) + 1j * rng.standard_normal(4)

@@ -88,7 +88,7 @@ def test_beta_text():
 def test_gap_json_with_oracle(diag01, diag12):
     code, out = run_cli(["gap", "--kind", "gamma", "--f", "power:2",
                          "--A", diag01, "--B", diag12,
-                         "--samples", "3000", "--oracle", "--json"])
+                         "--oracle", "--json"])
     assert code == 0
     rep = json.loads(out)
     assert abs(rep["value"] - 4.0) < 1e-6
@@ -102,7 +102,7 @@ def test_gap_json_with_oracle(diag01, diag12):
 def test_gap_json_with_oracle_non_commuting(diag12, n12, n123, diag123):
     code, out = run_cli(["gap", "--kind", "gamma", "--f", "power:2",
                          "--A", n123, "--B", diag123,
-                         "--samples", "3000", "--oracle", "--json"])
+                         "--oracle", "--json"])
     assert code == 0
     rep = json.loads(out)
     assert rep["agreement"] is True
@@ -112,7 +112,7 @@ def test_gap_json_with_oracle_non_commuting(diag12, n12, n123, diag123):
     assert rep["solver"]["upper"] >= rep["value"]
     code, out = run_cli(["gap", "--kind", "gamma", "--f", "power:2",
                          "--A", n12, "--B", diag12,
-                         "--samples", "3000", "--oracle", "--json"])
+                         "--oracle", "--json"])
     assert code == 0
     rep = json.loads(out)
     assert rep["agreement"] is True
@@ -124,14 +124,14 @@ def test_gap_json_with_oracle_non_commuting(diag12, n12, n123, diag123):
 def test_gap_oracle_records_its_stop_at_the_bound(pair, diag01, diag12, n123, diag123):
     a, b = (diag01, diag12) if pair == "commuting" else (n123, diag123)
     argv = ["gap", "--kind", "gamma", "--f", "power:2", "--A", a, "--B", b,
-            "--samples", "3000", "--oracle"]
+            "--oracle"]
     code, out = run_cli(argv + ["--json"])
     assert code == 0
     rep = json.loads(out)
     assert rep["solver"]["name"] == ("exact-commuting" if pair == "commuting" else "multistart")
     oracle = rep["oracle"]
     assert set(oracle) == {"samples", "blocks", "sweeps", "stop"}
-    # --samples is a cap: the first block of 2,000 reaches the bound
+    # the cap is 20,000 samples: the first block of 2,000 reaches the bound
     assert (oracle["samples"], oracle["blocks"], oracle["stop"]) == (2000, 1, "bound")
     assert 0 <= oracle["sweeps"] <= 60
     # the closed form's record gains no bound: gap computes it for the oracle only
@@ -207,7 +207,7 @@ def gap_argv(n123, diag123):
 
 
 def test_gap_after_gap_oracle_has_no_oracle_keys(gap_argv):
-    code, first = run_cli(gap_argv + ["--oracle", "--samples", "300"])
+    code, first = run_cli(gap_argv + ["--oracle"])
     assert code == 0 and "oracle_value" in json.loads(first)
     code, second = run_cli(gap_argv)
     assert code == 0
@@ -222,7 +222,7 @@ def test_gap_after_certify_keeps_its_own_defaults(gap_argv, diag123):
     _, before = run_cli(gap_argv)
     code, _ = run_cli(["certify", "--statement", "gamma-order", "--f", "power:2",
                        "--A", diag123, "--B", gap_argv[gap_argv.index("--A") + 1],
-                       "--restarts", "4", "--seed", "7", "--tol", "0.5"])
+                       "--seed", "7", "--tol", "0.5"])
     assert code == 0
     code, after = run_cli(gap_argv)
     assert code == 0 and after == before
@@ -274,6 +274,18 @@ def test_a_changed_build_parser_result_leaves_main_unchanged(capsys):
     assert run_cli(argv) == (0, "1.125\n")
 
 
+def test_solver_effort_is_not_a_flag(gap_argv, n123, diag123, capsys):
+    # the second batch's size and the oracle's cap are constants of gaps
+    certify_argv = ["certify", "--statement", "gamma-order", "--f", "power:2",
+                    "--A", n123, "--B", diag123]
+    for argv, flag in ((gap_argv, "--restarts 4"), (certify_argv, "--restarts 4"),
+                       (gap_argv + ["--oracle"], "--samples 300")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + flag.split())
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
 def test_reused_parser_matches_a_fresh_process(gap_argv, n123, diag123, capsys):
     with pytest.raises(SystemExit) as exc:
         main(gap_argv[:2] + ["nope"] + gap_argv[3:])
@@ -307,11 +319,11 @@ def test_certify_exit_one_on_failed_bound(n123, diag123, monkeypatch):
     # for the identity f, gamma = lambda_max(B - A) leaves slack 0.  F is
     # linear there, and the repair point of the open bound is its maximizer,
     # so even a solve capped at 0 iterations passes; without repair rounds
-    # it reports F at one random start, below that maximum, so the
+    # it reports the best of its random starts, below that maximum, so the
     # certificate fails cleanly
     monkeypatch.setattr(gaps, "_MAX_ITER", 0)
     argv = ["certify", "--statement", "gamma-order", "--f", "affine:1,0",
-            "--A", n123, "--B", diag123, "--restarts", "1"]
+            "--A", n123, "--B", diag123]
     code, out = run_cli(argv)
     assert code == 0 and "PASS" in out
     monkeypatch.setattr(gaps, "_REPAIRS", 0)

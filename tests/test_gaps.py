@@ -825,7 +825,10 @@ def _stopped_and_free(prob, samples, seed):
     assert free.stop in ("stalled", "cap")  # without a bound the oracle never claims one
     assert stopped.value >= upper - tau or stopped.stop == "cap"
     assert stopped.value <= upper
-    assert stopped.iterations <= free.iterations
+    if samples <= gaps._BLOCK_SAMPLES:
+        # only then is the bounded call the free call's draw, stopped early;
+        # past one block it draws other samples and sums every block's sweeps
+        assert stopped.iterations <= free.iterations
     return stopped, free
 
 
@@ -1017,7 +1020,7 @@ def test_non_commuting_solve_is_multistart(kind):
                                  family=random_unital_family(2, 3, 3, seed=12))
     assert gaps._exact(prob) is None
     # the bound closes on the first start, which is solve_multistart's one start
-    res, ref = solve(prob, restarts=16, seed=4), solve_multistart(prob, restarts=1, seed=4)
+    res, ref = solve(prob, seed=4), solve_multistart(prob, restarts=1, seed=4)
     assert res.solver == "multistart" and res.value == ref.value and res.repairs == 0
     assert res.maximizer.tobytes() == ref.maximizer.tobytes()
     assert (res.iterations, res.restarts, res.converged) == (
@@ -1028,19 +1031,16 @@ def test_non_commuting_solve_is_multistart(kind):
     assert res.gap <= gaps._gap_tol(res.value) and res.eigensolves > 0
 
 
-def test_solve_checks_restarts_on_the_exact_path():
+def test_fixed_count_solvers_check_their_counts():
+    # a count that is not an integer >= 1 is refused by name, not by numpy,
+    # on a commuting and on a non-commuting problem
     prob = build_gap_problem("chebyshev", power(2), B2)
-    assert gaps._exact(prob) is not None
-    with pytest.raises(BadDimensions):
-        solve(prob, restarts=0)
-    # a non-integral count is refused by name on every path, not by numpy
     rng = np.random.default_rng(61)
     dim3 = GapProblem("gamma", *(hermitize(rng.standard_normal((3, 3))) for _ in range(3)))
     for p in (prob, dim3):
-        for solver in (solve, solve_multistart):
-            for bad in (2.5, True):
-                with pytest.raises(BadDimensions, match="restarts must be an integer >= 1"):
-                    solver(p, restarts=bad)
+        for bad in (2.5, True, 0):
+            with pytest.raises(BadDimensions, match="restarts must be an integer >= 1"):
+                solve_multistart(p, restarts=bad)
         with pytest.raises(BadDimensions, match="samples must be an integer >= 1, got 2.5"):
             solve_bruteforce(p, samples=2.5)
 
@@ -1167,7 +1167,7 @@ def test_solve_labels_by_dimension_and_commutation():
     assert solve(commuting).solver == "exact-commuting"
     rng = np.random.default_rng(59)
     dim3 = GapProblem("gamma", *(hermitize(rng.standard_normal((3, 3))) for _ in range(3)))
-    res = solve(dim3, restarts=8, seed=1)
+    res = solve(dim3, seed=1)
     assert res.solver == "multistart" and res.restarts == 1  # the bound closes on one start
     # a non-finite problem is refused when it is built
     with pytest.raises(NonFinite, match=r"^C of the gamma problem has a non-finite entry"):
@@ -1226,8 +1226,9 @@ def test_an_open_bound_runs_the_rest_of_the_cap(monkeypatch):
     prob = _random_triple(5, 0)
     v = solve_multistart(prob, restarts=64).value
     monkeypatch.setattr(gaps, "_MAX_ITER", 0)
+    monkeypatch.setattr(gaps, "_RESTARTS", 12)
     for seed in (3, 5):
-        res = solve(prob, restarts=12, seed=seed)
+        res = solve(prob, seed=seed)
         rng = np.random.default_rng(seed)  # the start and the batch draw from one generator
         first = solve_multistart(prob, restarts=1, max_iter=0, seed=rng)
         second = solve_multistart(prob, restarts=11, max_iter=0, seed=rng)
@@ -1238,8 +1239,6 @@ def test_an_open_bound_runs_the_rest_of_the_cap(monkeypatch):
         assert res.upper == min(b[0] for b in bounds) >= v
         assert res.gap > gaps._gap_tol(res.value)
         assert res.eigensolves == sum(b[1] for b in bounds) <= 2 * gaps._BOUND_EIGENSOLVES
-    # a cap of 1 is the one start
-    assert solve(prob, restarts=1, seed=3).restarts == 1
 
 
 def test_repair_rounds_lift_a_start_without_newton_steps(monkeypatch):
@@ -1250,8 +1249,9 @@ def test_repair_rounds_lift_a_start_without_newton_steps(monkeypatch):
     prob = _random_triple(5, 0)
     v = solve_multistart(prob, restarts=64).value
     monkeypatch.setattr(gaps, "_MAX_ITER", 0)
+    monkeypatch.setattr(gaps, "_RESTARTS", 12)
     for seed in (3, 5):
-        res = solve(prob, restarts=12, seed=seed)
+        res = solve(prob, seed=seed)
         rng = np.random.default_rng(seed)
         first = solve_multistart(prob, restarts=1, max_iter=0, seed=rng)
         second = solve_multistart(prob, restarts=11, max_iter=0, seed=rng)
@@ -1291,6 +1291,25 @@ def test_one_repair_closes_where_the_start_falls_short(k, seed):
     assert (res.solver, res.restarts, res.repairs) == ("multistart", 1, 1)
     assert res.value > start.value and res.value >= v - 1e-12 * (1.0 + abs(v))
     assert res.upper >= v and res.gap <= gaps._gap_tol(res.value)
+
+
+def test_the_second_batch_closes_what_the_repairs_leave_open():
+    # a near-commuting triple: the first start stops at 1.4999475 with the
+    # bound 0.804 above it, one repair round gains nothing, and only the
+    # second batch reaches the maximum 1.9324060 (as do 64 starts and the
+    # oracle), where the bound closes
+    rng = np.random.default_rng([27, 3, 258])
+    U = random_unitary(3, rng)
+    mats = [hermitize((U * rng.uniform(-2, 2, 3)) @ U.conj().T) for _ in range(3)]
+    prob = GapProblem("gamma", *(M + 1e-2 * hermitize(rng.standard_normal((3, 3)))
+                                 for M in mats))
+    assert gaps._exact(prob) is None
+    first = solve_multistart(prob, 1, seed=0)
+    assert gaps._upper_bound(prob, first.value, first.maximizer)[2] is not None
+    res = solve(prob, seed=0)
+    assert (res.solver, res.restarts, res.repairs) == ("multistart", 64, 1)
+    assert res.gap <= gaps._gap_tol(res.value)
+    assert res.value > first.value + 0.4
 
 
 def test_repair_point_lies_on_its_slice_at_a_double_top():
