@@ -4,6 +4,9 @@
   certify-small  every certificate of the certify-small pool, as canonical JSON
   certify-large  stdout of every ``--json`` command of the certify-large pool
   crosscheck     stdout of every ``--json`` command of the crosscheck pool
+  bound-check    solve's value, upper, gap, maximizer, iterations, restarts
+                 and repairs on bound_check.py's triple(k, seed) for each k
+                 in its DIMS and seeds 0-29 (120 solves, 36 of which repair)
 
 Each pool (from bench/workloads.py, read and not changed) runs at solver
 seeds 0 and 1, in process.  The CLI reports embed the paths of their input
@@ -34,12 +37,14 @@ from run import pin_threads  # noqa: E402
 pin_threads()  # before numpy is first imported
 
 import workloads  # noqa: E402
+from bound_check import DIMS, triple  # noqa: E402
 
 from loewner_cert import certify, cli, gaps, maps, scalarfn  # noqa: E402
 from loewner_cert.jsonio import dumps_canonical  # noqa: E402
 
 INPUT_DIR = "/tmp/loewner-cert-output-digests"
 SOLVER_SEEDS = (0, 1)
+BOUND_CHECK_SEEDS = range(30)
 MODS = types.SimpleNamespace(certify=certify, cli=cli, gaps=gaps, maps=maps,
                              scalarfn=scalarfn)
 
@@ -55,6 +60,16 @@ def _pool_outputs(name: str):
             yield dumps_canonical(out.to_dict()) + "\n" if name == "certify-small" else out[1]
 
 
+def _bound_check_outputs():
+    """solve's results on the bound_check triples, the path that runs repairs."""
+    for k in DIMS:
+        for seed in BOUND_CHECK_SEEDS:
+            res = gaps.solve(triple(k, seed), seed=seed)
+            hexes = [None if v is None else float(v).hex() for v in (res.value, res.upper, res.gap)]
+            yield repr((*hexes, res.iterations, res.restarts, res.repairs)).encode()
+            yield res.maximizer.tobytes()
+
+
 def digests() -> dict:
     fuzz = io.StringIO()
     with contextlib.redirect_stdout(fuzz):
@@ -65,6 +80,10 @@ def digests() -> dict:
         for text in _pool_outputs(name):
             h.update(text.encode())
         out[name] = h.hexdigest()
+    h = hashlib.sha256()
+    for chunk in _bound_check_outputs():
+        h.update(chunk)
+    out["bound-check"] = h.hexdigest()
     return out
 
 

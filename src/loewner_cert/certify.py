@@ -17,8 +17,14 @@ import numpy as np
 
 from .constants import beta as beta_const
 from .constants import _check_ends, kantorovich
-from .errors import BadDimensions, BadParameter, HypothesisViolated, NotUnitVector
-from .gaps import _as_ops, _assemble, _check_count, _problem, solve
+from .errors import (
+    BadDimensions,
+    BadParameter,
+    DimensionMismatch,
+    HypothesisViolated,
+    NotUnitVector,
+)
+from .gaps import REVERSE_KINDS, _as_ops, _assemble, _check_count, _problem, solve
 from .hermitian import _by_size, _calc, _power, random_dominated_pair
 from .maps import MapFamily
 from .scalarfn import ScalarFunction
@@ -119,7 +125,7 @@ def _certify_gap(statement, kind, f, a_ops, b_ops, family, tol, seed) -> Certifi
     problem, asm = _problem(kind, f, a_ops, b_ops, family)
     res = solve(problem, seed=seed)
     # theta and vartheta bound sum Phi_i(f(A_i)) by f(T), the others the reverse
-    upper, lower = (asm.fT, asm.Sf) if kind in ("theta", "vartheta") else (asm.Sf, asm.fT)
+    upper, lower = (asm.fT, asm.Sf) if kind in REVERSE_KINDS else (asm.Sf, asm.fT)
     k = problem.dim
     sizes = {"dim": k} if kind == "gamma" else {"output_dim": k, "maps": asm.maps}
     return _finish(
@@ -168,15 +174,19 @@ def verify_sandwich_pointwise(f: ScalarFunction, a_ops, b_ops=None,
 
     with T = sum Phi_i(B_i); ok means lower <= middle <= upper within DEFAULT_TOL.
     The bound holds for unital families only, so the family (identity
-    when omitted) must be unital; ``b_ops`` None reuses the A side.
+    when omitted) must be unital; ``b_ops`` None reuses the A side.  x must
+    be a unit vector with one entry per row of T.
     """
     if x is None:
         raise NotUnitVector("a unit vector x is required")
     x = np.asarray(x, dtype=complex).reshape(-1)
     nrm = float(np.linalg.norm(x))
-    if abs(nrm - 1.0) > 1e-10:
+    if not abs(nrm - 1.0) <= 1e-10:  # NaN fails too
         raise NotUnitVector(f"norm {nrm} is not 1 within 1e-10")
     asm = _assemble(f, a_ops, b_ops, family)
+    k = asm.T.shape[0]
+    if x.size != k:
+        raise DimensionMismatch(f"x has {x.size} entries, the operands need {k}")
 
     def q(M) -> float:
         return float(np.real(x.conj() @ (M @ x)))

@@ -18,6 +18,8 @@ from .certify import (
 )
 from .gaps import (
     KINDS,
+    NO_FAMILY_KINDS,
+    ONE_OPERAND_KINDS,
     _check_count,
     _upper_bound,
     build_gap_problem,
@@ -129,14 +131,14 @@ def _draw_family(rng: np.random.Generator, variant: int, n: int) -> MapFamily:
 
 def _draw(rng: np.random.Generator, kind: str, i: int, n: int, lo: float, hi: float):
     """(a_ops, b_ops, family) of one ``kind`` instance; keep the order of the draws."""
-    if kind in ("gamma", "chebyshev"):
+    two = kind not in ONE_OPERAND_KINDS
+    if kind in NO_FAMILY_KINDS:
         A = random_hermitian(n, lo, hi, rng)
-        B = random_hermitian(n, lo, hi, rng) if kind == "gamma" else None
+        B = random_hermitian(n, lo, hi, rng) if two else None
         return A, B, None
     fam = _draw_family(rng, i, n)
     a_ops = [random_hermitian(d, lo, hi, rng) for d in fam.input_dims]
-    b_ops = [random_hermitian(d, lo, hi, rng) for d in fam.input_dims] \
-        if kind in ("delta", "theta") else None
+    b_ops = [random_hermitian(d, lo, hi, rng) for d in fam.input_dims] if two else None
     return a_ops, b_ops, fam
 
 

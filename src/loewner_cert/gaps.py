@@ -62,7 +62,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cached_property, partial
 from itertools import combinations
 
 import numpy as np
@@ -95,6 +95,8 @@ KINDS = ("gamma", "delta", "eta", "theta", "vartheta", "chebyshev")
 ONE_OPERAND_KINDS = ("eta", "vartheta", "chebyshev")
 # the kinds that take no map family: delta and eta under the identity map
 NO_FAMILY_KINDS = ("gamma", "chebyshev")
+# the reverse kinds, which bound sum Phi_i(f(A_i)) by f(T)
+REVERSE_KINDS = ("theta", "vartheta")
 
 # sufficient-increase fraction of the Newton line search
 _ARMIJO = 1e-4
@@ -137,21 +139,53 @@ _LINE_NEWTON = 2
 
 @dataclass(frozen=True)
 class GapProblem:
-    """The data (C, S, D) of one sphere maximization, tagged by kind."""
+    """The data (C, S, D) of one sphere maximization, tagged by kind.
+
+    The problem holds read-only copies of C, S and D, and computes what the
+    solvers derive from them alone once, on first use: their stack, their
+    Frobenius norms and the spectra of S and D.
+    """
 
     kind: str
     C: np.ndarray
     S: np.ndarray
     D: np.ndarray
 
-    def __post_init__(self):  # so that every solver works on finite forms
-        for label in ("C", "S", "D"):
-            if not np.isfinite(getattr(self, label)).all():
+    def __post_init__(self):  # so that every solver works on finite square forms of one size
+        for label in "CSD":  # read-only copies, so that no later write outdates the derived data
+            X = np.array(getattr(self, label), order="K")
+            if not np.isfinite(X).all():
                 raise NonFinite(f"{label} of the {self.kind} problem has a non-finite entry")
+            X.flags.writeable = False
+            object.__setattr__(self, label, X)
+        shapes = [getattr(self, label).shape for label in "CSD"]
+        if len(shapes[0]) != 2 or shapes[0][0] != shapes[0][1] or len(set(shapes)) != 1:
+            raise DimensionMismatch(f"C, S and D of the {self.kind} problem must be square "
+                                    f"matrices of one size, got shapes {shapes}")
 
     @property
     def dim(self) -> int:
         return self.C.shape[0]
+
+    @cached_property
+    def _stack(self) -> np.ndarray:
+        """C, S and D as one (3, k, k) array, read-only since every solver shares it."""
+        stack = np.stack([self.C, self.S, self.D])
+        stack.flags.writeable = False
+        return stack
+
+    @cached_property
+    def _norms(self) -> tuple:
+        """The Frobenius norms of C, S and D."""
+        return tuple(float(np.linalg.norm(X)) for X in (self.C, self.S, self.D))
+
+    @cached_property
+    def _spectra(self) -> tuple:
+        """The ascending eigenvalues of S and of D, NaN where LAPACK fails (as in _upper_bound)."""
+        dt = "D" if self._stack.dtype.kind == "c" else "d"
+        with np.errstate(all="ignore"):
+            return tuple(_umath_linalg.eigvalsh_lo(X, signature=f"{dt}->d")
+                         for X in (self.S, self.D))
 
 
 @dataclass
@@ -161,9 +195,10 @@ class GapResult:
     ``gap`` is ``upper - value``; both are None where no bound was computed
     (the closed forms and the bare solvers).  ``eigensolves`` counts the
     eigenvalue problems of the bounds and of ``solve``'s repair rounds, and
-    ``repairs`` those rounds.  ``stop`` is why the oracle's ascent ended and
-    ``blocks`` counts its draws of samples (``solve_bruteforce``); the other
-    solvers leave them None and 0.
+    ``repairs`` those rounds; every bound counts the spectra of S and D,
+    which are solved once per problem.  ``stop`` is why the oracle's ascent
+    ended and ``blocks`` counts its draws of samples (``solve_bruteforce``);
+    the other solvers leave them None and 0.
     """
 
     value: float
@@ -205,10 +240,6 @@ def _rdot(U, V):
 def _colnorm(X):
     """np.linalg.norm(X, axis=0) by the same reduction, without its wrapper."""
     return np.sqrt(_rdot(X, X))
-
-
-def _forms(C, S, D, X):
-    return _rdot(X, C @ X), _rdot(X, S @ X), _rdot(X, D @ X)
 
 
 def _as_ops(ops, side: str) -> dict:
@@ -317,7 +348,7 @@ def _problem(kind: str, f: ScalarFunction, a_ops, b_ops=None,
     elif b_ops is None:
         raise BadDimensions(f"kind {kind} needs B operands")
     asm = _assemble(f, a_ops, b_ops, family)
-    if kind in ("theta", "vartheta"):
+    if kind in REVERSE_KINDS:
         C, S, D = asm.Stfp, asm.Sfp, asm.T
     else:  # gamma and chebyshev are delta and eta under the identity map
         C, S, D = asm.tfpT, asm.SA, asm.fpT
@@ -379,7 +410,7 @@ def _newton_step(A, R):
     return step, pd, every
 
 
-def _newton_ascent(C, S, D, X0, max_iter: int):
+def _newton_ascent(problem: GapProblem, X0, max_iter: int):
     """Lockstep regularized Newton ascent over the columns of X0; returns (X, converged, iters).
 
     A column leaves the batch when its tangent gradient norm is at most
@@ -399,12 +430,13 @@ def _newton_ascent(C, S, D, X0, max_iter: int):
     finite (non-finite forms) leaves eta = g.  Armijo backtracking along
     x -> (x + t eta)/|x + t eta| then makes every accepted step increase F.
     """
-    k = C.shape[0]
-    M = np.concatenate([C, S, D])  # one matmul yields C V, S V and D V
+    k = problem.dim
+    M = problem._stack.reshape(3 * k, k)  # one matmul yields C V, S V and D V
     # S, D and I as rows: a product with coefficient rows, less 2C, gives each A
-    basis = np.stack([S, D, np.eye(k, dtype=complex)]).reshape(3, k * k)
-    C2 = -2.0 * C
-    floor = _SHIFT_FLOOR * (np.linalg.norm(C) + np.linalg.norm(S) * np.linalg.norm(D))
+    basis = np.stack([problem.S, problem.D, np.eye(k, dtype=complex)]).reshape(3, k * k)
+    C2 = -2.0 * problem.C
+    nC, nS, nD = problem._norms
+    floor = _SHIFT_FLOOR * (nC + nS * nD)
     eye = np.eye(k)
     X = X0 / np.linalg.norm(X0, axis=0)
     b = X.shape[1]
@@ -500,19 +532,18 @@ def solve_multistart(problem: GapProblem, restarts: int = 64, max_iter: int = _M
 
     The restarts run as one lockstep regularized Newton batch (module
     docstring) of at most ``max_iter`` outer iterations (none took more
-    than 23 in ``fuzz --suite all --seed 42``); ``iterations`` counts them
+    than 16 in ``fuzz --suite all --seed 42``); ``iterations`` counts them
     and ``converged`` is the stop-test flag of the restart that attains the
     returned value.
     """
     _check_count("restarts", restarts)
     if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 0:
         raise BadParameter(f"max_iter must be an integer >= 0, got {max_iter}")
-    C, S, D = problem.C, problem.S, problem.D
     k = problem.dim
     rng = np.random.default_rng(seed)
     X0 = rng.standard_normal((k, restarts)) + 1j * rng.standard_normal((k, restarts))
-    X, conv, iters = _newton_ascent(C, S, D, X0, max_iter)
-    qC, qS, qD = _forms(C, S, D, X)
+    X, conv, iters = _newton_ascent(problem, X0, max_iter)
+    qC, qS, qD = (X.conj() * (problem._stack @ X)).real.sum(axis=1)
     best = int(np.argmax(qC - qS * qD))
     x = X[:, best]
     x = x / np.linalg.norm(x)
@@ -763,15 +794,15 @@ def _upper_bound(problem: GapProblem, value: float, x):
     tau = _gap_tol(value)
     target, low = value + tau, value - 10.0 * tau
     eye, rk = np.eye(k), np.sqrt(k)
-    nC, nS, nD = (float(np.linalg.norm(X)) for X in (C, S, D))
-    evals = 2
+    nC, nS, nD = problem._norms
+    evals = 2  # the spectra of S and D, solved once per problem
     # np.linalg.eigvalsh and eigh run these gufuncs; called directly, a
     # matrix LAPACK fails on gives NaN eigenvalues instead of an exception
-    dt = "D" if np.result_type(C, S, D).kind == "c" else "d"
+    dt = "D" if problem._stack.dtype.kind == "c" else "d"
     eigvalsh = partial(_umath_linalg.eigvalsh_lo, signature=f"{dt}->d")
     eigh = partial(_umath_linalg.eigh_lo, signature=f"{dt}->d{dt}")
+    ws, wd = problem._spectra
     with np.errstate(all="ignore"):  # a bound beyond the float range is None
-        ws, wd = eigvalsh(S), eigvalsh(D)
         failed = np.isnan(ws[-1]) or np.isnan(wd[-1])
         r = wd[-1] - wd[0]
         mu_lo, mu_hi = wd[0] - r, wd[-1] + r
@@ -955,8 +986,7 @@ def solve(problem: GapProblem, seed=0) -> GapResult:
     while worst is not None and repairs < _REPAIRS:
         repairs += 1
         v = _repair_point(problem, *worst)
-        X, conv, iters = _newton_ascent(problem.C, problem.S, problem.D, v[:, None],
-                                        _MAX_ITER)
+        X, conv, iters = _newton_ascent(problem, v[:, None], _MAX_ITER)
         evals += 2
         iterations += iters
         x = X[:, 0] / np.linalg.norm(X[:, 0])
@@ -1056,7 +1086,7 @@ def _line_max(P):
     return np.where(up, z, z0), np.where(up, Fz, F0)
 
 
-def _coordinate_ascent(M, X0, max_sweeps: int = _MAX_SWEEPS, upper=None):
+def _coordinate_ascent(M, X0, upper=None):
     """Exact line maximization along spherical coordinate geodesics.
 
     Each sweep first follows one pattern geodesic, along the displacement
@@ -1069,7 +1099,7 @@ def _coordinate_ascent(M, X0, max_sweeps: int = _MAX_SWEEPS, upper=None):
     F, the number of sweeps and why the ascent stopped: "bound" once the
     best F reaches ``upper`` - 1e-8 (1 + |upper|) (never without an
     ``upper``), "stalled" after a sweep in which no column gained more than
-    1e-13 (1 + max |F|), or "cap" after ``max_sweeps`` sweeps.
+    1e-13 (1 + max |F|), or "cap" after _MAX_SWEEPS sweeps.
     """
     k, b = X0.shape
     XM = np.empty((4, k, b), dtype=complex)  # X and its C, S, D images
@@ -1114,7 +1144,7 @@ def _coordinate_ascent(M, X0, max_sweeps: int = _MAX_SWEEPS, upper=None):
         stop = ("bound" if float(F.max()) >= goal
                 else "stalled" if sweeps and (float(np.max(F - F_before))
                                               < 1e-13 * (1.0 + float(np.abs(F).max())))
-                else "cap" if sweeps == max_sweeps else None)
+                else "cap" if sweeps == _MAX_SWEEPS else None)
         if stop:
             break
         sweeps += 1
@@ -1182,7 +1212,7 @@ def solve_bruteforce(problem: GapProblem, samples: int = 20000, seed=0,
     if k == 1:  # every unit vector is a phase of the maximizer: nothing to draw
         x = np.array([1.0 + 0.0j])
         return GapResult(gap_objective(problem, x), x, "bruteforce", 0, 0, stop="stalled")
-    M = np.stack([problem.C, problem.S, problem.D])
+    M = problem._stack
     # the real form of each matrix, so that Re<Az, z> = y^T A_r y for the
     # column y = (Re z, Im z)
     real = [np.block([[A.real, -A.imag], [A.imag, A.real]]) for A in M]

@@ -13,6 +13,7 @@ from loewner_cert import (
     BadInterval,
     BadParameter,
     Conjugation,
+    DimensionMismatch,
     HypothesisViolated,
     LoewnerCertError,
     MapFamily,
@@ -192,6 +193,17 @@ def test_sandwich_requires_unit_vector():
         verify_sandwich_pointwise(power(2), D01, x=np.array([1.0, 1.0]))
     with pytest.raises(NotUnitVector):
         verify_sandwich_pointwise(power(2), D01)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_sandwich_refuses_a_non_finite_vector(bad):
+    with pytest.raises(NotUnitVector, match="is not 1"):
+        verify_sandwich_pointwise(power(2), D01, x=np.array([bad, 0.0]))
+
+
+def test_sandwich_names_the_length_the_operands_need():
+    with pytest.raises(DimensionMismatch, match="x has 3 entries, the operands need 2"):
+        verify_sandwich_pointwise(power(2), D01, x=np.array([1.0, 0.0, 0.0]))
 
 
 def test_sandwich_checks_operand_count():

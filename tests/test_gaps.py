@@ -12,6 +12,7 @@ from loewner_cert import (
     BadDimensions,
     BadParameter,
     Conjugation,
+    DimensionMismatch,
     GapProblem,
     LoewnerCertError,
     MapFamily,
@@ -266,17 +267,26 @@ def test_multistart_converges_in_few_iterations(kind, n, f_idx):
     assert res.iterations <= 60, res.iterations
 
 
+def _unchecked_problem(kind, C, S, D):
+    """A GapProblem built without __post_init__'s checks, for driving a solver on bad forms."""
+    prob = object.__new__(GapProblem)
+    for name, value in zip(("kind", "C", "S", "D"), (kind, C, S, D)):
+        object.__setattr__(prob, name, value)
+    return prob
+
+
 def test_multistart_returns_on_non_finite_problem():
-    # GapProblem refuses NaN, so the ascent is driven directly: a NaN entry
-    # makes every trial step NaN, and the line search must still stop
+    # GapProblem refuses NaN, so the ascent is driven on an unchecked
+    # problem: a NaN entry makes every trial step NaN, and the line search
+    # must still stop
     C = np.diag([1.0, 2.0, 3.0]).astype(complex)
     C[0, 0] = np.nan
     eye = np.eye(3, dtype=complex)
+    prob = _unchecked_problem("gamma", C, eye, eye)
     X0 = np.random.default_rng(0).standard_normal((3, 4)).astype(complex)
     out = []
     worker = threading.Thread(
-        target=lambda: out.append(gaps._newton_ascent(C, eye, eye, X0, 20)),
-        daemon=True)
+        target=lambda: out.append(gaps._newton_ascent(prob, X0, 20)), daemon=True)
     worker.start()
     worker.join(timeout=60)
     assert not worker.is_alive()
@@ -297,7 +307,7 @@ def test_degenerate_maxima_converge(a_seed):
     for seed in range(10):
         rng = np.random.default_rng([73, seed])
         X0 = rng.standard_normal((4, 1)) + 1j * rng.standard_normal((4, 1))
-        X, conv, iters = gaps._newton_ascent(prob.C, prob.S, prob.D, X0, 500)
+        X, conv, iters = gaps._newton_ascent(prob, X0, 500)
         assert conv[0] and iters <= 15, (seed, iters)
         assert tangent_gradient_norm(prob, X[:, 0]) <= 1e-10
 
@@ -351,7 +361,7 @@ def test_the_step_is_the_newton_step():
         prob = _random_triple(k, 1000 + i)
         z = rng.standard_normal(k) + 1j * rng.standard_normal(k)
         if i % 2:  # a perturbed local maximum, where -Hess is often definite
-            X = gaps._newton_ascent(prob.C, prob.S, prob.D, z[:, None], 500)[0]
+            X = gaps._newton_ascent(prob, z[:, None], 500)[0]
             z = X[:, 0] + 0.03 * (rng.standard_normal(k) + 1j * rng.standard_normal(k))
         x = z / np.linalg.norm(z)
         Q = np.linalg.qr(np.column_stack([x, np.eye(k)]))[0][:, 1:k]
@@ -405,6 +415,27 @@ def test_gap_problem_refuses_non_finite_forms(label, bad):
     forms[label][1, 1] = bad
     with pytest.raises(NonFinite, match=rf"^{label} of the delta problem has a non-finite"):
         GapProblem("delta", **forms)
+
+
+@pytest.mark.parametrize("forms", [(A2, np.eye(3), B2), (A2, B2, np.eye(3)),
+                                   (np.ones((2, 3)),) * 3, (np.ones(2),) * 3])
+def test_gap_problem_refuses_forms_that_are_not_square_of_one_size(forms):
+    with pytest.raises(DimensionMismatch, match=r"^C, S and D of the gamma problem must"):
+        GapProblem("gamma", *forms)
+
+
+def test_gap_problem_keeps_read_only_copies_of_its_forms():
+    # the stack, norms and spectra are computed once per problem, so a
+    # later write to the caller's arrays must not reach the problem
+    ref = _bound_check_triple(5, 0)
+    forms = [ref.C.copy(), ref.S.copy(), ref.D.copy()]
+    prob = GapProblem("gamma", *forms)
+    first = solve(prob, seed=0)
+    forms[0] *= 2.0
+    again = solve(prob, seed=0)
+    assert (again.value, again.upper) == (first.value, first.upper)
+    with pytest.raises(ValueError, match="read-only"):
+        prob.C[0, 0] = 0.0
 
 
 def test_overflowing_image_names_operand_and_function():
@@ -555,16 +586,12 @@ def _oracle_case(i):
     return build_gap_problem(kind, f, ops[:2], ops[2:], family=fam)
 
 
-def _stack(prob):
-    return np.stack([prob.C, prob.S, prob.D])
-
-
 def _sampled_values(prob, samples, seed):
     rng = np.random.default_rng(seed)
     k = prob.dim
     Z = rng.standard_normal((k, samples)) + 1j * rng.standard_normal((k, samples))
     Z = Z / np.linalg.norm(Z, axis=0)
-    q = np.einsum("ij,fik,kj->fj", Z.conj(), _stack(prob), Z).real
+    q = np.einsum("ij,fik,kj->fj", Z.conj(), prob._stack, Z).real
     return Z, q[0] - q[1] * q[2]
 
 
@@ -671,10 +698,12 @@ def test_an_eigenvalue_problem_lapack_fails_leaves_the_bound_none(monkeypatch, f
     # the spectra of S and D, the first node's eigenvalues, a node's first
     # and a later eigenvectors, and a node after the last eigh: NaN
     # eigenvalues end as no bound, with no exception and no RuntimeWarning
-    # (np.linalg would raise LinAlgError)
+    # (np.linalg would raise LinAlgError).  A problem keeps its spectra of S
+    # and D, so the failing bound runs on a fresh copy of the problem
     prob = _bound_check_triple(4, 3)
     start = solve_multistart(prob, restarts=1, seed=3)
     assert gaps._upper_bound(prob, start.value, start.maximizer)[0] is not None
+    prob = _bound_check_triple(4, 3)
     calls = _failing_eigensolver(monkeypatch, fail)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -700,7 +729,7 @@ def test_batched_ascent_is_bit_stable(monkeypatch, tol):
     prob = _oracle_case(5)
     rng = np.random.default_rng(7)
     X0 = rng.standard_normal((5, 8)) + 1j * rng.standard_normal((5, 8))
-    X, conv, iters = gaps._newton_ascent(prob.C, prob.S, prob.D, X0, 500)
+    X, conv, iters = gaps._newton_ascent(prob, X0, 500)
     flags = "".join(str(int(c)) for c in conv)
     assert (iters, flags, hashlib.sha256(X.tobytes()).hexdigest()) == _BATCH_RESULTS[tol]
 
@@ -713,7 +742,7 @@ def test_wide_batched_ascent_is_bit_stable(monkeypatch):
     prob = _bound_check_triple(12, 0)
     rng = np.random.default_rng(3)
     X0 = rng.standard_normal((12, 8)) + 1j * rng.standard_normal((12, 8))
-    X, conv, iters = gaps._newton_ascent(prob.C, prob.S, prob.D, X0, 500)
+    X, conv, iters = gaps._newton_ascent(prob, X0, 500)
     flags = "".join(str(int(c)) for c in conv)
     assert (iters, flags, hashlib.sha256(X.tobytes()).hexdigest()) == (
         120, "00000000", "fbb776f0a4750c35adbb247c8f22425fbb10a561256bcfeccea3395d782e5697")
@@ -730,18 +759,19 @@ def test_oracle_values_are_stable(i):
 def test_coordinate_ascent_never_lowers_a_column(i):
     prob = _oracle_case(i)
     Z, F0 = _sampled_values(prob, 12, seed=i)
-    X, F, sweeps, _ = gaps._coordinate_ascent(_stack(prob), Z)
+    X, F, sweeps, _ = gaps._coordinate_ascent(prob._stack, Z)
     assert 1 <= sweeps <= gaps._MAX_SWEEPS
     assert np.all(F >= F0 - 1e-12 * (1.0 + np.abs(F0)))
     assert np.allclose(np.linalg.norm(X, axis=0), 1.0, atol=1e-14)
     assert np.allclose([gap_objective(prob, x) for x in X.T], F, rtol=0, atol=1e-12)
 
 
-def test_coordinate_ascent_stops_at_sweep_cap():
+def test_coordinate_ascent_stops_at_sweep_cap(monkeypatch):
     prob = _oracle_case(5)
     Z, _ = _sampled_values(prob, 4, seed=1)
     for cap in (1, 2):
-        assert gaps._coordinate_ascent(_stack(prob), Z, max_sweeps=cap)[2] == cap
+        monkeypatch.setattr(gaps, "_MAX_SWEEPS", cap)
+        assert gaps._coordinate_ascent(prob._stack, Z)[2:] == (cap, "cap")
 
 
 @pytest.mark.parametrize("i", range(6))
@@ -776,7 +806,7 @@ def test_oracle_starts_from_the_samples_complex_arithmetic_picks(k, samples, mon
         Z = Z[:, np.argsort(Fs)[::-1][:10]]
         assert starts[-1].shape == Z.shape
         assert np.allclose(starts[-1], Z, rtol=0, atol=1e-14)
-        X, F, sweeps, _ = ascent(_stack(prob), Z)
+        X, F, sweeps, _ = ascent(prob._stack, Z)
         x = X[:, int(np.argmax(F))]
         ref = gap_objective(prob, x / np.linalg.norm(x))
         assert abs(res.value - ref) <= 1e-14 * (1.0 + abs(ref))
@@ -1084,8 +1114,9 @@ def _restart_maxima(prob, seed):
     """Distinct values, to 1e-8, of the converged restarts of solve_multistart."""
     rng = np.random.default_rng(seed)
     X0 = rng.standard_normal((2, 64)) + 1j * rng.standard_normal((2, 64))
-    X, conv, _ = gaps._newton_ascent(prob.C, prob.S, prob.D, X0, 500)
-    qC, qS, qD = gaps._forms(prob.C, prob.S, prob.D, X[:, conv])
+    X, conv, _ = gaps._newton_ascent(prob, X0, 500)
+    X = X[:, conv]
+    qC, qS, qD = (X.conj() * (prob._stack @ X)).real.sum(axis=1)
     F = np.sort(qC - qS * qD)
     return 1 + np.count_nonzero(np.diff(F) > 1e-8 * (1.0 + np.abs(F[1:])))
 
@@ -1279,6 +1310,34 @@ def _bound_check_triple(k, seed):
     return GapProblem("gamma", *(hermitize(rng.standard_normal((k, k))
                                            + 1j * rng.standard_normal((k, k)))
                                  for _ in range(3)))
+
+
+def test_a_repaired_solve_derives_each_problem_datum_once(monkeypatch):
+    # the start and the repair each run an ascent and a bound, and all of
+    # them read one stack of C, S and D, one norm of each and one spectrum
+    # of S and of D from the problem (the ascent's own stack of S, D and I
+    # starts with S)
+    prob = _bound_check_triple(3, 0)
+    forms = {"C": prob.C, "S": prob.S, "D": prob.D}
+    seen = []
+
+    def counted(label, fn, first=lambda a: a, names="CSD"):
+        def call(arg, *args, **kwargs):
+            seen.extend((label, name) for name in names if first(arg) is forms[name])
+            return fn(arg, *args, **kwargs)
+        return call
+
+    real = gaps._umath_linalg
+    monkeypatch.setattr(gaps, "_umath_linalg", SimpleNamespace(
+        cholesky_lo=real.cholesky_lo, solve=real.solve, det=real.det, eigh_lo=real.eigh_lo,
+        eigvalsh_lo=counted("eigvalsh", real.eigvalsh_lo)))
+    monkeypatch.setattr(np.linalg, "norm", counted("norm", np.linalg.norm))
+    for name in ("stack", "concatenate"):
+        monkeypatch.setattr(np, name, counted("stack", getattr(np, name), lambda a: a[0], "C"))
+    res = solve(prob, seed=0)
+    assert (res.solver, res.repairs) == ("multistart", 1)
+    assert sorted(seen) == [("eigvalsh", "D"), ("eigvalsh", "S"), ("norm", "C"),
+                            ("norm", "D"), ("norm", "S"), ("stack", "C")]
 
 
 @pytest.mark.parametrize("k, seed", [(3, 5), (5, 6)])
