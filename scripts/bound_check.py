@@ -31,7 +31,7 @@ import numpy as np
 from loewner_cert import GapProblem, solve, solve_bruteforce, solve_multistart
 from loewner_cert.hermitian import hermitize
 
-DIMS = (3, 5, 8, 16)
+DIMS = (3, 5, 8, 16, 32)
 
 
 def triple(k: int, seed: int) -> GapProblem:

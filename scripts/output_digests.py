@@ -6,7 +6,7 @@
   crosscheck     stdout of every ``--json`` command of the crosscheck pool
   bound-check    solve's value, upper, gap, maximizer, iterations, restarts
                  and repairs on bound_check.py's triple(k, seed) for each k
-                 in its DIMS and seeds 0-29 (120 solves, 36 of which repair)
+                 in its DIMS and seeds 0-29 (150 solves, 48 of which repair)
 
 Each pool (from bench/workloads.py, read and not changed) runs at solver
 seeds 0 and 1, in process.  The CLI reports embed the paths of their input

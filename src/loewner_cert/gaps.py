@@ -60,6 +60,7 @@ restart with the best value.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
@@ -757,10 +758,45 @@ _NODE_EVALS = 7
 # curvature of h in mu; closer ones are treated as part of a double top,
 # and span the top eigenspace of a repair
 _CURV_GAP = 1e-9
+# the size from which a split node first tries a Cholesky certificate in
+# place of its eigenvalue problem (_upper_bound); at k = 8 and 12 the test
+# and its model cost more than the eigvalsh they save
+_CERT_DIM = 16
 
 
 def _gap_tol(value: float) -> float:
     return _GAP_RTOL * (1.0 + abs(value))
+
+
+def _cholesky_below(H, bound: float) -> bool:
+    """Whether one Cholesky factorization proves lambda_max(H) <= ``bound``.
+
+    It factors M = (bound - c) I - H, as Rump's test does (BIT 46 (2006)
+    433-452), and holds where the factor runs to completion.  A
+    floating-point Cholesky of a Hermitian M that runs to completion gives
+    R^H R = M + E with |E| <= g |R^H| |R| and g = gamma_{k+1} (Demmel 1989;
+    Higham 2002, Thm 10.3).  Each column has |r_j|^2 <= m_jj / (1 - g), so
+    |E|_2 <= g / (1 - g) tr M and lambda_min(M) >= -g / (1 - g) tr M.  In
+    complex arithmetic each operation carries a relative error of at most
+    sqrt(2) gamma_4 < 6u in place of u (Higham 2002, sec. 3.6), so g = (k +
+    1) 6u / (1 - (k + 1) 6u).  c is twice g / (1 - g) tr(bound I - H), which
+    also covers the rounding of M's diagonal (u tr M), plus 4u |bound| for
+    the rounding of the shift and of the diagonal against it, plus Rump's
+    underflow term, taken four times for complex products: 16 k (2k + 2 +
+    max m_jj) eta, with eta the least subnormal and tr M for max m_jj.  A
+    failed factor is NaN throughout, as numpy's gufunc returns it.
+    """
+    k = H.shape[0]
+    eps = np.finfo(float).eps
+    gk = (k + 1) * 3.0 * eps  # (k + 1) 6u
+    # tr(bound I - H), 0 where it is negative: then some h_jj > bound, and
+    # a cut below 0 must not lift that diagonal entry of M
+    trace = max(k * bound - float(H.diagonal().real.sum()), 0.0)
+    cut = (2.0 * gk / (1.0 - 2.0 * gk) * trace + 2.0 * eps * abs(bound)
+           + 16.0 * k * (2 * k + 2 + trace) * np.finfo(float).smallest_subnormal)
+    dt = "D" if H.dtype.kind == "c" else "d"
+    L = _umath_linalg.cholesky_lo((bound - cut) * np.eye(k) - H, signature=f"{dt}->{dt}")
+    return bool(np.isfinite(L[-1, -1]))
 
 
 def _upper_bound(problem: GapProblem, value: float, x):
@@ -768,15 +804,16 @@ def _upper_bound(problem: GapProblem, value: float, x):
 
     ``value`` is F at the unit vector x.  The first nodes are the ends of
     S's spectrum, each widened by its rounding, and s* = <Sx,x> with
-    mu = <Dx,x>, where h(s*, mu) = F(x) when x is a maximizer.  Each node's
+    mu = <Dx,x>, where h(s*, mu) >= F(x) = value, so that node always goes
+    on and its first evaluation computes eigenvectors at once.  Each node's
     mu then takes bracketed Newton steps on h (convex in mu), at most
     _NODE_EVALS evaluations, clamped to [lambda_min D - r, lambda_max D + r]
     with r the spread of D's spectrum: the best mu runs off to +-inf at the
     ends of S's spectrum.  An interval whose bound exceeds value + tau gets
-    a node at its maximizing t, clipped to the middle half, with mu
+    a node at its maximizing t, clipped to [0.05 w, 0.95 w], with mu
     interpolated from its neighbours.  Refining stops once every interval
     is within tau, once a node's own h exceeds value + tau (splitting
-    cannot lower it), or after _BOUND_EIGENSOLVES eigenvalue problems.
+    cannot lower it), or after _BOUND_EIGENSOLVES evaluations of h.
     Every computed lambda_max carries k eps times a bound on the norm of
     its matrix (Weyl, for a backward-stable ``eigvalsh`` or ``eigh``), and
     every interval bound the rounding of its closed form.  An evaluation of
@@ -787,12 +824,25 @@ def _upper_bound(problem: GapProblem, value: float, x):
     ``worst`` is None where it closes (or is None); otherwise it is the
     (s, mu) of the highest node if its h exceeds value + tau, else the
     split point of the interval with the highest bound.
+
+    From k = _CERT_DIM on, a split node may skip its eigenvalue problem.
+    With mu interpolated, both new intervals keep the old kappa, and as the
+    interval bound is concave and quadratic in t, the new interval of width
+    t_i next to the end node with h_i is within aim = value + tau / 2 exactly
+    when the new node's h is at most aim - max(sqrt(kappa) t_i - sqrt(aim -
+    h_i), 0)^2; theta is the smaller of the two.  Where a concave model
+    through (s*, value) and the end node farther from s* predicts h <= theta,
+    ``_cholesky_below`` tries to prove lambda_max(H) <= theta - margin, with
+    ``margin`` the rounding term of the eigenvalue path, which covers the
+    forming of H.  Where it does, the node's h is theta, from one
+    evaluation; where it does not (a failed or NaN factor), the same
+    evaluation takes the eigenvalue path.
     """
     C, S, D = problem.C, problem.S, problem.D
     k = problem.dim
     eps = np.finfo(float).eps
     tau = _gap_tol(value)
-    target, low = value + tau, value - 10.0 * tau
+    target, low, aim = value + tau, value - 10.0 * tau, value + 0.5 * tau
     eye, rk = np.eye(k), np.sqrt(k)
     nC, nS, nD = problem._norms
     evals = 2  # the spectra of S and D, solved once per problem
@@ -801,6 +851,7 @@ def _upper_bound(problem: GapProblem, value: float, x):
     dt = "D" if problem._stack.dtype.kind == "c" else "d"
     eigvalsh = partial(_umath_linalg.eigvalsh_lo, signature=f"{dt}->d")
     eigh = partial(_umath_linalg.eigh_lo, signature=f"{dt}->d{dt}")
+    certify = k >= _CERT_DIM
     ws, wd = problem._spectra
     with np.errstate(all="ignore"):  # a bound beyond the float range is None
         failed = np.isnan(ws[-1]) or np.isnan(wd[-1])
@@ -809,22 +860,28 @@ def _upper_bound(problem: GapProblem, value: float, x):
         pad = k * eps * nS
         s_lo, s_hi = ws[0] - pad, ws[-1] + pad
 
-        def h(s, mu):
+        def h(s, mu, theta=None, vectors=False):
             """h(s, mu) with its rounding margin, and h's slope and curvature in mu.
 
-            Where the node stops on this value (at or below ``low``, or at
-            the eigensolve cap) only eigenvalues are computed, and the slope
-            and curvature, which need eigenvectors, are None.
+            Given ``theta``, a Cholesky test that h <= theta comes first, and
+            where it holds the value is theta.  Where the node stops on this
+            value (certified, at or below ``low``, or at the eigensolve cap)
+            only eigenvalues are computed, if any, and the slope and
+            curvature, which need eigenvectors, are None; ``vectors`` skips
+            straight to them.
             """
             nonlocal evals, failed
             evals += 1
             P = S - s * eye
             H = C - s * D - mu * P
             margin = k * eps * (nC + abs(s) * nD + abs(mu) * (nS + abs(s) * rk))
-            top = eigvalsh(H)[-1]
-            failed |= np.isnan(top)
-            if top + margin <= low or evals >= _BOUND_EIGENSOLVES:
-                return top + margin, None, None
+            if theta is not None and _cholesky_below(H, theta - margin):
+                return theta, None, None
+            if not vectors:
+                top = eigvalsh(H)[-1]
+                failed |= np.isnan(top)
+                if top + margin <= low or evals >= _BOUND_EIGENSOLVES:
+                    return top + margin, None, None
             w, V = eigh(H)
             top = w[-1]
             failed |= np.isnan(top)
@@ -833,14 +890,19 @@ def _upper_bound(problem: GapProblem, value: float, x):
             curv = 2.0 * float((np.abs(c[:-1][rest]) ** 2 / (top - w[:-1][rest])).sum())
             return top + margin, -c[-1].real, curv
 
-        def node(s, mu):
-            """(s, h, mu) for the least h found from ``mu`` by bracketed Newton."""
+        def node(s, mu, theta=None, vectors=False):
+            """(s, h, mu) for the least h found from ``mu`` by bracketed Newton.
+
+            ``theta`` and ``vectors`` go to the first evaluation of h.
+            """
             mu = min(max(mu, mu_lo), mu_hi)
             best = (np.inf, mu)
             left = right = None  # (mu, h, slope) with slope < 0, and > 0
             last = np.inf  # length of the previous step
+            opts = (theta, vectors)
             for _ in range(_NODE_EVALS):
-                hv, g, curv = h(s, mu)
+                hv, g, curv = h(s, mu, *opts)
+                opts = ()
                 best = min(best, (hv, mu))
                 if g is None or hv <= low:
                     break
@@ -875,10 +937,23 @@ def _upper_bound(problem: GapProblem, value: float, x):
             return s, *best
 
         def split(a, b, t):
-            """(s, mu) at t into the interval from node a to b, clipped to its middle half."""
+            """(s, mu) at t into the interval from node a to b, clipped to [0.05 w, 0.95 w]."""
             w = b[0] - a[0]
-            t = min(max(t, 0.25 * w), 0.75 * w)
+            t = min(max(t, 0.05 * w), 0.95 * w)
             return a[0] + t, a[2] + (b[2] - a[2]) * (t / w)
+
+        def ceiling(a, b, s):
+            """theta for a split at s from node a to b, or None where no certificate is tried:
+            an end node above aim, or a model h above theta."""
+            (sa, ha, ma), (sb, hb, mb) = a, b
+            if not (ha <= aim and hb <= aim):
+                return None
+            root = math.sqrt(max((ma - mb) / (sb - sa), 0.0))
+            theta = aim - max(root * (s - sa) - math.sqrt(aim - ha),
+                              root * (sb - s) - math.sqrt(aim - hb), 0.0) ** 2
+            sf, hf = (sa, ha) if abs(sa - s_star) > abs(sb - s_star) else (sb, hb)
+            model = value - (value - hf) * ((s - s_star) / (sf - s_star)) ** 2
+            return theta if model <= theta else None
 
         def interval(a, b):
             """(bound on F over nodes a to b, the t where it peaks)."""
@@ -892,8 +967,9 @@ def _upper_bound(problem: GapProblem, value: float, x):
             return bound + 4.0 * eps * (abs(ha) + abs(hb) + kappa * w * w), t
 
         qS, qD = (float(np.vdot(x, X @ x).real) for X in (S, D))
-        first = {s_lo: mu_hi, min(max(qS, s_lo), s_hi): qD, s_hi: mu_lo}
-        nodes = [node(s, mu) for s, mu in sorted(first.items())]
+        s_star = min(max(qS, s_lo), s_hi)
+        first = {s_lo: mu_hi, s_star: qD, s_hi: mu_lo}
+        nodes = [node(s, mu, vectors=s == qS) for s, mu in sorted(first.items())]
         # bounds[i] = interval(nodes[i], nodes[i + 1])
         bounds = [interval(a, b) for a, b in zip(nodes, nodes[1:])]
         while True:
@@ -905,7 +981,8 @@ def _upper_bound(problem: GapProblem, value: float, x):
             for a, b, (ub, t) in zip(nodes, nodes[1:], bounds):
                 refined.append(a)
                 if ub > target and evals < _BOUND_EIGENSOLVES:
-                    m = node(*split(a, b, t))
+                    s, mu = split(a, b, t)
+                    m = node(s, mu, ceiling(a, b, s) if certify else None)
                     refined.append(m)
                     kept += [interval(a, m), interval(m, b)]
                 else:

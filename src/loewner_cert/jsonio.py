@@ -58,14 +58,17 @@ def _read_json(path: str):
     """(parsed JSON, sha256 hex digest) of the file at ``path``, from one read.
 
     The digest is of the very bytes parsed.  They are decoded as UTF-8 with
-    universal newlines, as a text-mode read decodes them.
+    universal newlines, as a text-mode read decodes them; bytes with no
+    carriage return need no newline pass.
     """
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    text = data.decode("utf-8")
+    if b"\r" in data:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -427,26 +427,29 @@ def _matrices(A) -> list:
 
 @pytest.fixture
 def eigh_inputs(monkeypatch):
-    """Record the matrices decomposed by numpy's eigh, the count of those by
-    eigvalsh, and both in order; a stacked call counts each of its matrices,
-    and ``eigh_stacks`` holds the number of matrices of each eigh call.
+    """Record the matrices decomposed by numpy's eigh and the count of those
+    by eigvalsh; a stacked call counts each of its matrices, and
+    ``eigh_stacks`` holds the number of matrices of each eigh call.
 
     The gufuncs behind np.linalg.eigh and eigvalsh are recorded, so that
-    the bound's direct calls of them count as well."""
-    seen = {"eigh": [], "eigvalsh": 0, "calls": [], "eigh_stacks": []}
+    the bound's direct calls of them count as well; ``bound_eigh`` holds the
+    eigh inputs of the bound's evaluations of h, its only direct caller."""
+    seen = {"eigh": [], "eigvalsh": 0, "eigh_stacks": [], "bound_eigh": []}
     eigh, eigvalsh = _umath_linalg.eigh_lo, _umath_linalg.eigvalsh_lo
 
     def counted_eigh(A, *args, **kwargs):
+        caller = sys._getframe(1)
+        in_bound = (caller.f_code.co_name == "h"
+                    and caller.f_globals["__name__"] == "loewner_cert.gaps")
         seen["eigh_stacks"].append(len(_matrices(A)))
         for data in _matrices(A):
             seen["eigh"].append(data)
-            seen["calls"].append(("eigh", data))
+            if in_bound:
+                seen["bound_eigh"].append(data)
         return eigh(A, *args, **kwargs)
 
     def counted_eigvalsh(A, *args, **kwargs):
-        for data in _matrices(A):
-            seen["eigvalsh"] += 1
-            seen["calls"].append(("eigvalsh", data))
+        seen["eigvalsh"] += len(_matrices(A))
         return eigvalsh(A, *args, **kwargs)
 
     monkeypatch.setattr(_umath_linalg, "eigh_lo", counted_eigh)
@@ -455,17 +458,11 @@ def eigh_inputs(monkeypatch):
 
 
 def _split_eigh(seen):
-    """(operand eigh inputs, bound eigh inputs), told apart by their bytes.
-
-    Each evaluation of the bound hands its matrix to eigvalsh and, where its
-    node goes on, the same matrix to eigh right after; no operand is
-    decomposed right after eigvalsh ran on the same matrix.
-    """
-    operands, bound = [], []
-    for before, (name, data) in zip([None, *seen["calls"]], seen["calls"]):
-        if name == "eigh":
-            (bound if before == ("eigvalsh", data) else operands).append(data)
-    return operands, bound
+    """(operand eigh inputs, bound eigh inputs), told apart by their caller."""
+    operands = list(seen["eigh"])
+    for data in seen["bound_eigh"]:
+        operands.remove(data)
+    return operands, seen["bound_eigh"]
 
 
 def test_certify_order_decomposes_each_operand_once(eigh_inputs):
@@ -480,8 +477,10 @@ def test_certify_order_decomposes_each_operand_once(eigh_inputs):
     # A and B once each, in one stacked call
     assert operands == [A.tobytes(), B.tobytes()]
     assert eigh_inputs["eigh_stacks"][0] == 2
-    # the slack once, then S, D and each evaluation of the bound
-    assert eigh_inputs["eigvalsh"] == 1 + 2 + evaluations
+    # the slack once, then S, D and each evaluation of the bound but the
+    # s* node's first, which goes to eigh at once
+    assert cert.solver["repairs"] == 0
+    assert eigh_inputs["eigvalsh"] == 1 + 2 + evaluations - 1
 
 
 @pytest.mark.parametrize("kind", ["delta_forward", "eta_choi",
@@ -500,13 +499,15 @@ def test_certify_jensen_decomposes_each_operand_once(kind, eigh_inputs):
     # each A_i and T once; eta's forms are functions of T, so its exact
     # path adds one decomposition and needs no bound.  The B_i of delta and
     # theta (eta and vartheta have none) get eigenvalues only, and the
-    # slack one more; the bound's S, D and each of its evaluations one each
+    # slack one more; the bound's S, D and each of its evaluations one
+    # each, but the s* node's first, which goes to eigh at once
     two_sided = kind in ("delta_forward", "theta_reverse")
     exact = kind == "eta_choi"
     assert (eigensolves > 0) == (not exact)
     assert 0 < len(bound) <= eigensolves - 2 or (exact and not bound)
     assert len(operands) == m + 1 + exact
-    assert eigh_inputs["eigvalsh"] == (m + 1 if two_sided else 1) + eigensolves
+    assert cert.solver["repairs"] == 0
+    assert eigh_inputs["eigvalsh"] == (m + 1 if two_sided else 1) + eigensolves - (not exact)
 
 
 _CLASSICAL_ARGS = {"furuta": {"p": 1.5}, "lowner_heinz": {"p": 0.5},

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -182,13 +183,25 @@ def test_gap_and_certify_read_each_input_file_once(n123, diag123, tmp_path, monk
 
 
 def test_a_file_is_parsed_as_text_mode_reads_it(tmp_path):
-    path = tmp_path / "crlf.json"
-    path.write_bytes(b'{"dim": 1,\r\n "re": [[2]]}\r')
-    assert jsonio.load_json_file(str(path)) == {"dim": 1, "re": [[2]]}
-    assert jsonio._read_json(str(path))[1] == jsonio.sha256_file(str(path))
-    path.write_bytes(b'{"dim": 1,\r\n "re": [[2]],\r}')
-    with pytest.raises(ParseError, match=r"line 3 column 1 \(char 25\)"):
-        jsonio.load_json_file(str(path))
+    # with or without carriage returns (none, CRLF, lone CR, mixed, and a
+    # parse error after them), the parse and its error position are those
+    # of a text-mode read, and the digest is that of the bytes on disk
+    path = tmp_path / "in.json"
+    for data in (b'{"dim": 1, "re": [[2]]}\n', b'{"dim": 1,\r\n "re": [[2]]}\r',
+                 b'{"dim": 1,\r "re": [[2]]}\r', b'{"dim":\r\n1,\r"re":\n[[2]]}',
+                 b'{"dim": 1,\r\n "re": [[2]],\r}', b'{"dim": 1,\r "re": [[2]],\r}'):
+        path.write_bytes(data)
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        try:
+            expected = json.loads(text)
+        except json.JSONDecodeError as exc:
+            with pytest.raises(ParseError, match=re.escape(f"line {exc.lineno} column {exc.colno} "
+                                                           f"(char {exc.pos})")):
+                jsonio.load_json_file(str(path))
+            continue
+        assert jsonio._read_json(str(path)) == (expected, hashlib.sha256(data).hexdigest())
+        assert jsonio._read_json(str(path))[1] == jsonio.sha256_file(str(path))
 
 
 def test_gap_runs_are_byte_identical(diag01, diag12):

@@ -1,4 +1,5 @@
 import hashlib
+import sys
 import threading
 import warnings
 from types import SimpleNamespace
@@ -618,17 +619,17 @@ def test_newton_results_are_bit_stable(i):
 # solver seed ``seed`` on bound_check's triple(k, seed) and on two family
 # problems: the one start, the bound and the repair rounds, pinned to the bit
 _SOLVE_RESULTS = {
-    ("triple", 3, 0): ("0x1.3fb11e93e23f7p+1", 15, "0x1.3fb11e9a18946p+1", 33, 1),
-    ("triple", 3, 1): ("0x1.082a6a594db5cp+3", 5, "0x1.082a6a7a72d46p+3", 17, 0),
-    ("triple", 4, 2): ("0x1.a12f90e554c7dp+1", 13, "0x1.a12f910ed88d6p+1", 43, 1),
-    ("triple", 4, 3): ("0x1.ce2aee0a84d5fp+1", 6, "0x1.ce2aee33a0e77p+1", 23, 0),
-    ("triple", 5, 6): ("0x1.6c1bf7657730bp+2", 11, "0x1.6c1bf799c7433p+2", 29, 1),
-    ("triple", 6, 0): ("0x1.fcc88a0820954p+2", 10, "0x1.fcc88a61b4e44p+2", 58, 1),
-    ("triple", 8, 1): ("0x1.af39caa18a2a0p+3", 13, "0x1.af39cab9d201bp+3", 37, 1),
-    ("oracle_case", 4, 4): ("0x1.dfc9df08ead34p+2", 6, "0x1.dfc9df4b25bc3p+2", 12, 0),
-    ("oracle_case", 5, 5): ("0x1.ba567c32fad9cp-2", 9, "0x1.ba567c76a9164p-2", 17, 0),
-    ("triple", 16, 0): ("0x1.b0a32cbe93dc5p+4", 7, "0x1.b0a32cccbe0c2p+4", 27, 0),
-    ("triple", 32, 1): ("0x1.c6748f13df2ddp+5", 13, "0x1.c6748f610767cp+5", 59, 1),
+    ("triple", 3, 0): ("0x1.3fb11e93e23f7p+1", 15, "0x1.3fb11edaeb756p+1", 26, 1),
+    ("triple", 3, 1): ("0x1.082a6a594db5cp+3", 5, "0x1.082a6a6cbadbap+3", 16, 0),
+    ("triple", 4, 2): ("0x1.a12f90e554c7dp+1", 13, "0x1.a12f9109f9c26p+1", 42, 1),
+    ("triple", 4, 3): ("0x1.ce2aee0a84d5fp+1", 6, "0x1.ce2aee3da119ap+1", 21, 0),
+    ("triple", 5, 6): ("0x1.6c1bf7657730bp+2", 11, "0x1.6c1bf77d03b94p+2", 28, 1),
+    ("triple", 6, 0): ("0x1.fcc88a0820954p+2", 10, "0x1.fcc88a1c08e82p+2", 56, 1),
+    ("triple", 8, 1): ("0x1.af39caa18a2a0p+3", 13, "0x1.af39cae14d91cp+3", 35, 1),
+    ("oracle_case", 4, 4): ("0x1.dfc9df08ead34p+2", 6, "0x1.dfc9df39a28d4p+2", 10, 0),
+    ("oracle_case", 5, 5): ("0x1.ba567c32fad9cp-2", 9, "0x1.ba567c42af935p-2", 15, 0),
+    ("triple", 16, 0): ("0x1.b0a32cbe93dc5p+4", 7, "0x1.b0a32d010541ep+4", 24, 0),
+    ("triple", 32, 1): ("0x1.c6748f13df2ddp+5", 13, "0x1.c6748f3aaa55ap+5", 58, 1),
 }
 
 
@@ -640,6 +641,7 @@ def test_solve_results_are_bit_stable(case):
     assert res.solver == "multistart" and res.restarts == 1
     got = (res.value.hex(), res.iterations, res.upper.hex(), res.eigensolves, res.repairs)
     assert got == _SOLVE_RESULTS[case]
+    assert res.upper >= res.value and res.gap <= gaps._gap_tol(res.value)
 
 
 # (upper.hex(), eigensolves, worst) of _upper_bound around the one start
@@ -649,7 +651,7 @@ def test_solve_results_are_bit_stable(case):
 _BOUND_RESULTS = {
     (3, 5, 500): ("0x1.3c563379f7aacp+1", 15, ("0x1.e7aaaba7b0ee1p-2", "-0x1.f9bc44b5dfd49p-1")),
     (5, 6, 500): ("0x1.05dc72e1baf2ep+4", 5, ("0x1.2bc711e422acbp+1", "-0x1.552cf023c4e90p+3")),
-    (4, 3, 500): ("0x1.ce2aee33a0e77p+1", 23, None),
+    (4, 3, 500): ("0x1.ce2aee3da119ap+1", 21, None),
     (6, 0, 500): ("0x1.0e5c582e241fap+3", 25, ("0x1.3ac31e17949c4p+1", "-0x1.b9add42bf5fa4p+1")),
     (5, 0, 0): ("0x1.3569a10ed6f89p+3", 8, ("0x1.678eae957274dp+1", "-0x1.092e8bc686628p+3")),
     (8, 2, 0): ("0x1.7417968502206p+4", 8, ("-0x1.b3238b9482b15p+0", "0x1.78e512ceea8c4p-1")),
@@ -687,19 +689,22 @@ def _failing_eigensolver(monkeypatch, fail):
         return call
 
     monkeypatch.setattr(gaps, "_umath_linalg", SimpleNamespace(
-        eigh_lo=counted("eigh_lo"), eigvalsh_lo=counted("eigvalsh_lo")))
+        eigh_lo=counted("eigh_lo"), eigvalsh_lo=counted("eigvalsh_lo"),
+        cholesky_lo=real.cholesky_lo))
     return calls
 
 
 @pytest.mark.parametrize("fail, name", [(1, "eigvalsh_lo"), (2, "eigvalsh_lo"),
-                                        (3, "eigvalsh_lo"), (5, "eigh_lo"),
-                                        (18, "eigh_lo"), (20, "eigvalsh_lo")])
+                                        (3, "eigvalsh_lo"), (4, "eigh_lo"), (7, "eigh_lo"),
+                                        (17, "eigh_lo"), (20, "eigvalsh_lo")])
 def test_an_eigenvalue_problem_lapack_fails_leaves_the_bound_none(monkeypatch, fail, name):
-    # the spectra of S and D, the first node's eigenvalues, a node's first
-    # and a later eigenvectors, and a node after the last eigh: NaN
-    # eigenvalues end as no bound, with no exception and no RuntimeWarning
-    # (np.linalg would raise LinAlgError).  A problem keeps its spectra of S
-    # and D, so the failing bound runs on a fresh copy of the problem
+    # the spectra of S and D, the first node's eigenvalues, the s* node's
+    # eigenvectors (its first evaluation computes them at once), a node's
+    # eigenvectors after its eigenvalues, a later node's eigenvectors, and
+    # a split node that stops at its eigenvalues: NaN eigenvalues end as no
+    # bound, with no exception and no RuntimeWarning (np.linalg would raise
+    # LinAlgError).  A problem keeps its spectra of S and D, so the failing
+    # bound runs on a fresh copy of the problem
     prob = _bound_check_triple(4, 3)
     start = solve_multistart(prob, restarts=1, seed=3)
     assert gaps._upper_bound(prob, start.value, start.maximizer)[0] is not None
@@ -709,7 +714,89 @@ def test_an_eigenvalue_problem_lapack_fails_leaves_the_bound_none(monkeypatch, f
         warnings.simplefilter("error")
         upper, evals, worst = gaps._upper_bound(prob, start.value, start.maximizer)
     assert calls[fail - 1] == name and (upper, worst) == (None, None)
-    assert evals == calls.count("eigvalsh_lo")
+    # every evaluation of h calls eigvalsh but the s* node's first, which
+    # calls eigh alone
+    assert evals == calls.count("eigvalsh_lo") + 1
+
+
+def _sylvester(k):
+    """The k x k Sylvester-Hadamard matrix (k a power of two): entries +-1, rows orthogonal."""
+    W = np.ones((1, 1))
+    while W.shape[0] < k:
+        W = np.block([[W, W], [W, -W]])
+    return W
+
+
+@pytest.mark.parametrize("dtype", [complex, float])
+def test_the_cholesky_certificate_refuses_a_top_just_above_its_bound(dtype):
+    # H = W diag(w) W^T / 16 is exact in floats (every entry a sum of
+    # +-w_j / 16 with w_j on a grid of 2^-52 and the sums below 2), so its
+    # top eigenvalue is exactly 1 + eps.  That lies above the bound 1 by
+    # eps, less than the rounding term (at least 2 eps |bound|): refused.
+    # A bound above the top by more than the rounding term is proved
+    eps = np.finfo(float).eps
+    W = _sylvester(16)
+    w = np.random.default_rng(5).integers(-32, 33, 16) / 1024.0
+    w[3] = 1.0 + eps
+    H = ((W * w) @ W / 16).astype(dtype)
+    Wi = W.astype(np.int64)
+    assert np.array_equal((H.real * 2.0**56).astype(np.int64),
+                          (Wi * (w * 2.0**52).astype(np.int64)) @ Wi)
+    with np.errstate(invalid="ignore"):  # a failed factor, as _upper_bound calls it
+        assert not gaps._cholesky_below(H, 1.0)
+        assert not gaps._cholesky_below(H, 1.0 + eps)
+    assert gaps._cholesky_below(H, 1.0 + 1e-10)
+
+
+def _counted_cholesky(monkeypatch, nan=False):
+    """Count the certificate's factorizations (made in _cholesky_below), and
+    their successes; with ``nan`` each one returns NaN, as a failed one does."""
+    real = gaps._umath_linalg
+    seen = {"tries": 0, "proved": 0}
+
+    def cholesky_lo(M, **kwargs):
+        L = real.cholesky_lo(M, **kwargs)
+        if sys._getframe(1).f_code.co_name == "_cholesky_below":
+            if nan:
+                L = np.full_like(L, np.nan)
+            seen["tries"] += 1
+            seen["proved"] += bool(np.isfinite(L[-1, -1]))
+        return L
+
+    monkeypatch.setattr(gaps, "_umath_linalg", SimpleNamespace(
+        cholesky_lo=cholesky_lo, solve=real.solve, det=real.det, eigh_lo=real.eigh_lo,
+        eigvalsh_lo=real.eigvalsh_lo))
+    return seen
+
+
+def test_a_nan_cholesky_factor_falls_back_to_the_eigenvalue_path(monkeypatch):
+    # every certificate fails: each split node takes the eigenvalue path,
+    # which gives the bound of the code without the certificate, bit for bit
+    prob = _bound_check_triple(32, 0)
+    start = solve_multistart(prob, restarts=1, seed=0)
+    monkeypatch.setattr(gaps, "_CERT_DIM", 33)
+    plain = gaps._upper_bound(prob, start.value, start.maximizer)
+    monkeypatch.undo()
+    seen = _counted_cholesky(monkeypatch, nan=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = gaps._upper_bound(prob, start.value, start.maximizer)
+    assert seen["tries"] > 0 and seen["proved"] == 0
+    assert got == plain
+    upper, _, worst = got
+    assert worst is None and start.value <= upper <= start.value + gaps._gap_tol(start.value)
+
+
+@pytest.mark.parametrize("seed", [0, 2, 4])
+def test_the_cholesky_certificate_runs_and_the_bound_holds_at_k32(monkeypatch, seed):
+    prob = _bound_check_triple(32, seed)
+    seen = _counted_cholesky(monkeypatch)
+    res = solve(prob, seed=seed)
+    monkeypatch.undo()
+    assert seen["proved"] >= 1
+    assert res.upper >= res.value and res.gap <= gaps._gap_tol(res.value)
+    assert res.upper >= solve_multistart(prob, restarts=64, seed=seed).value
+    assert res.upper >= solve_bruteforce(prob, seed=seed, upper=res.upper).value
 
 
 # (iterations, converged flags, sha256 of X's bytes) of one eight-column
