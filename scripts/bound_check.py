@@ -1,9 +1,9 @@
 """Check solve's certified bound on seeded random triples against 64 restarts.
 
 For each dimension k, draws random complex Hermitian triples (C, S, D),
-runs ``solve`` (one start, then up to two repair rounds from the bound's
-worst node, and a second batch of 63 starts only while the bound stays
-open), ``solve_multistart`` with 64 restarts at the same seed, and the
+runs ``solve`` (one start, then one repair round from the bound's worst
+node, and a second batch of 63 starts only while the bound stays open),
+``solve_multistart`` with 64 restarts at the same seed, and the
 sampling oracle (``solve_bruteforce`` at its cap of 20,000 samples, drawn
 2,000 at a time) stopped at solve's bound, and counts:
 

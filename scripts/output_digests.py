@@ -7,6 +7,8 @@
   bound-check    solve's value, upper, gap, maximizer, iterations, restarts
                  and repairs on bound_check.py's triple(k, seed) for each k
                  in its DIMS and seeds 0-29 (150 solves, 48 of which repair)
+  near-commuting the same, on near_commuting(k, s) for k = 3-6 at solver
+                 seed s = 0-29 (120 solves, 12 of which run the second batch)
 
 Each pool (from bench/workloads.py, read and not changed) runs at solver
 seeds 0 and 1, in process.  The CLI reports embed the paths of their input
@@ -36,15 +38,18 @@ from run import pin_threads  # noqa: E402
 
 pin_threads()  # before numpy is first imported
 
+import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 from bound_check import DIMS, triple  # noqa: E402
 
 from loewner_cert import certify, cli, gaps, maps, scalarfn  # noqa: E402
+from loewner_cert.hermitian import hermitize, random_unitary  # noqa: E402
 from loewner_cert.jsonio import dumps_canonical  # noqa: E402
 
 INPUT_DIR = "/tmp/loewner-cert-output-digests"
 SOLVER_SEEDS = (0, 1)
 BOUND_CHECK_SEEDS = range(30)
+NEAR_COMMUTING_DIMS = range(3, 7)
 MODS = types.SimpleNamespace(certify=certify, cli=cli, gaps=gaps, maps=maps,
                              scalarfn=scalarfn)
 
@@ -60,14 +65,27 @@ def _pool_outputs(name: str):
             yield dumps_canonical(out.to_dict()) + "\n" if name == "certify-small" else out[1]
 
 
-def _bound_check_outputs():
-    """solve's results on the bound_check triples, the path that runs repairs."""
-    for k in DIMS:
-        for seed in BOUND_CHECK_SEEDS:
-            res = gaps.solve(triple(k, seed), seed=seed)
-            hexes = [None if v is None else float(v).hex() for v in (res.value, res.upper, res.gap)]
-            yield repr((*hexes, res.iterations, res.restarts, res.repairs)).encode()
-            yield res.maximizer.tobytes()
+def near_commuting(k: int, seed: int) -> gaps.GapProblem:
+    """Three matrices with one random eigenbasis, each moved off it by 1e-2 noise.
+
+    On these the first start often stops short and the bound stays open, so
+    solve runs its repair and, where that leaves the bound open, its second
+    batch.
+    """
+    rng = np.random.default_rng([27, k, seed])
+    U = random_unitary(k, rng)
+    mats = [hermitize((U * rng.uniform(-2, 2, k)) @ U.conj().T) for _ in range(3)]
+    return gaps.GapProblem("gamma", *(M + 1e-2 * hermitize(rng.standard_normal((k, k)))
+                                      for M in mats))
+
+
+def _solve_outputs(problems):
+    """solve's results on (problem, seed) pairs: the value, upper, gap and the counts, then x."""
+    for prob, seed in problems:
+        res = gaps.solve(prob, seed=seed)
+        hexes = [None if v is None else float(v).hex() for v in (res.value, res.upper, res.gap)]
+        yield repr((*hexes, res.iterations, res.restarts, res.repairs)).encode()
+        yield res.maximizer.tobytes()
 
 
 def digests() -> dict:
@@ -80,10 +98,16 @@ def digests() -> dict:
         for text in _pool_outputs(name):
             h.update(text.encode())
         out[name] = h.hexdigest()
-    h = hashlib.sha256()
-    for chunk in _bound_check_outputs():
-        h.update(chunk)
-    out["bound-check"] = h.hexdigest()
+    families = {
+        "bound-check": ((triple(k, s), s) for k in DIMS for s in BOUND_CHECK_SEEDS),
+        "near-commuting": ((near_commuting(k, s), s) for k in NEAR_COMMUTING_DIMS
+                           for s in BOUND_CHECK_SEEDS),
+    }
+    for name, problems in families.items():
+        h = hashlib.sha256()
+        for chunk in _solve_outputs(problems):
+            h.update(chunk)
+        out[name] = h.hexdigest()
     return out
 
 

@@ -48,6 +48,17 @@ _STATEMENTS = tuple(s.replace("_", "-")
                     for s in ("gamma_order", *JENSEN_KINDS, *CLASSICAL_STATEMENTS))
 
 
+def _seed(text: str) -> int:
+    """A ``--seed``: an integer >= 0, as numpy's generators take it."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="loewner-cert",
@@ -76,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--maps", default=None, metavar="FILE")
     p.add_argument("--oracle", action="store_true",
                    help="also run the sampling oracle and report agreement")
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_seed, default=42)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("certify", help="produce a pass/fail certificate")
@@ -90,14 +101,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=float, default=None)
     p.add_argument("--M", type=float, default=None)
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("violation", help="search for an order-preservation failure")
     p.add_argument("--f", required=True)
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--trials", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_seed, default=42)
     p.add_argument("--lo", type=float, default=None)
     p.add_argument("--hi", type=float, default=None)
     p.add_argument("--json", action="store_true")
@@ -105,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fuzz", help="run randomized verification suites")
     p.add_argument("--suite", default="all", choices=("all",) + SUITE_NAMES)
     p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_seed, default=42)
     p.add_argument("--json", action="store_true")
     return top
 

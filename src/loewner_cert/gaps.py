@@ -36,9 +36,10 @@ simplex of weights on their common eigenbasis, and one pass over the pairs
 of eigenvectors finds it.  At k = 2, F is a quadratic on the Bloch sphere,
 and a trust-region subproblem in R^3 gives its maximum.  Otherwise it runs
 the ascent from one seeded start and bounds max F from above by S-lemma
-duality (``_upper_bound``).  While that bound stays more than 1e-8
-(1 + |value|) above the value found, the ascent reruns from the bound's
-worst node, and then a second batch of random starts (_RESTARTS - 1) runs.
+duality (``_upper_bound``).  Where that bound is more than 1e-8
+(1 + |value|) above the value found, one repair round reruns the ascent
+from the bound's worst node, and where the bound is still open after it, a
+second batch of random starts (_RESTARTS - 1) runs.
 ``solve_multistart`` is the fixed-count ascent alone.
 
 The primary path runs all restarts as one lockstep batch.  F is invariant
@@ -142,9 +143,9 @@ _LINE_NEWTON = 2
 class GapProblem:
     """The data (C, S, D) of one sphere maximization, tagged by kind.
 
-    The problem holds read-only copies of C, S and D, and computes what the
-    solvers derive from them alone once, on first use: their stack, their
-    Frobenius norms and the spectra of S and D.
+    C, S and D are views of one read-only (3, k, k) copy, ``_stack``; the
+    problem computes once, on first use, what the solvers derive from them
+    alone: their Frobenius norms and the spectra of S and D.
     """
 
     kind: str
@@ -153,27 +154,22 @@ class GapProblem:
     D: np.ndarray
 
     def __post_init__(self):  # so that every solver works on finite square forms of one size
-        for label in "CSD":  # read-only copies, so that no later write outdates the derived data
-            X = np.array(getattr(self, label), order="K")
-            if not np.isfinite(X).all():
-                raise NonFinite(f"{label} of the {self.kind} problem has a non-finite entry")
-            X.flags.writeable = False
-            object.__setattr__(self, label, X)
-        shapes = [getattr(self, label).shape for label in "CSD"]
+        shapes = [np.shape(getattr(self, label)) for label in "CSD"]
         if len(shapes[0]) != 2 or shapes[0][0] != shapes[0][1] or len(set(shapes)) != 1:
             raise DimensionMismatch(f"C, S and D of the {self.kind} problem must be square "
                                     f"matrices of one size, got shapes {shapes}")
+        # read-only, so that no later write outdates the derived data
+        stack = np.stack([getattr(self, label) for label in "CSD"])
+        stack.flags.writeable = False
+        object.__setattr__(self, "_stack", stack)
+        for label, X in zip("CSD", stack):
+            if not np.isfinite(X).all():
+                raise NonFinite(f"{label} of the {self.kind} problem has a non-finite entry")
+            object.__setattr__(self, label, X)
 
     @property
     def dim(self) -> int:
         return self.C.shape[0]
-
-    @cached_property
-    def _stack(self) -> np.ndarray:
-        """C, S and D as one (3, k, k) array, read-only since every solver shares it."""
-        stack = np.stack([self.C, self.S, self.D])
-        stack.flags.writeable = False
-        return stack
 
     @cached_property
     def _norms(self) -> tuple:
@@ -195,11 +191,11 @@ class GapResult:
 
     ``gap`` is ``upper - value``; both are None where no bound was computed
     (the closed forms and the bare solvers).  ``eigensolves`` counts the
-    eigenvalue problems of the bounds and of ``solve``'s repair rounds, and
-    ``repairs`` those rounds; every bound counts the spectra of S and D,
-    which are solved once per problem.  ``stop`` is why the oracle's ascent
-    ended and ``blocks`` counts its draws of samples (``solve_bruteforce``);
-    the other solvers leave them None and 0.
+    eigenvalue problems of the bounds and of ``solve``'s repair round, and
+    ``repairs`` is 1 where that round ran, else 0; every bound counts the
+    spectra of S and D, which are solved once per problem.  ``stop`` is why
+    the oracle's ascent ended and ``blocks`` counts its draws of samples
+    (``solve_bruteforce``); the other solvers leave them None and 0.
     """
 
     value: float
@@ -543,19 +539,17 @@ def solve_multistart(problem: GapProblem, restarts: int = 64, max_iter: int = _M
     k = problem.dim
     rng = np.random.default_rng(seed)
     X0 = rng.standard_normal((k, restarts)) + 1j * rng.standard_normal((k, restarts))
+    return _ascend(problem, X0, max_iter)
+
+
+def _ascend(problem: GapProblem, X0, max_iter: int) -> GapResult:
+    """The ascent from the columns of X0, reported at its best column, normalized."""
     X, conv, iters = _newton_ascent(problem, X0, max_iter)
     qC, qS, qD = (X.conj() * (problem._stack @ X)).real.sum(axis=1)
     best = int(np.argmax(qC - qS * qD))
-    x = X[:, best]
-    x = x / np.linalg.norm(x)
-    return GapResult(
-        value=gap_objective(problem, x),
-        maximizer=x,
-        solver="multistart",
-        iterations=iters,
-        restarts=restarts,
-        converged=bool(conv[best]),
-    )
+    x = X[:, best] / np.linalg.norm(X[:, best])
+    return GapResult(gap_objective(problem, x), x, "multistart", iterations=iters,
+                     restarts=X0.shape[1], converged=bool(conv[best]))
 
 
 # -- exact maxima of commuting triples ----------------------------------
@@ -746,9 +740,8 @@ def _bloch_to_vector(r):
 # closed-form maximum.  Its excess over the chord is second order in w even
 # where the top eigenvalue at the maximum is double.
 
-# solve's repair rounds at most, its random starts in all when the bound
-# stays open after them, and the relative gap that closes a bound
-_REPAIRS = 2
+# solve's random starts in all when the bound stays open after its repair,
+# and the relative gap that closes a bound
 _RESTARTS = 64
 _GAP_RTOL = 1e-8
 # eigenvalue problems per bound, and evaluations of h per node's multiplier
@@ -1039,16 +1032,16 @@ def solve(problem: GapProblem, seed=0) -> GapResult:
     Any other problem gets solver "multistart": one seeded Newton start
     (``solve_multistart`` with one restart, bit for bit), returned as soon
     as ``_upper_bound`` closes on it, i.e. upper - value <= _GAP_RTOL
-    (1 + |value|).  While it stays open, up to _REPAIRS rounds run the ascent
-    from ``_repair_point`` at the bound's worst node and bound a better point
-    again; a round with no gain ends them.  If the bound is still open, a
-    second batch of _RESTARTS - 1 random starts runs from the same
-    generator, and the best point is reported with the lowest bound, as it
+    (1 + |value|).  Where it is open, one repair round runs the ascent from
+    ``_repair_point`` at the bound's worst node, and where it is still open,
+    a second batch of _RESTARTS - 1 random starts runs from the same
+    generator.  Each passes through one adopt step: a higher value's point
+    is taken and bounded again, and the lowest bound is reported as it
     stands.  Every ascent runs at most _MAX_ITER outer iterations; on the
     151 hard instances of the benchmark pools, at solver seeds 0 and 1, the
     one start took at most 11 and always closed.  ``restarts`` counts the
     random starts run (1, or _RESTARTS once the batch ran), ``repairs`` the
-    rounds and ``iterations`` the outer iterations of every ascent.
+    round (0 or 1) and ``iterations`` the outer iterations of every ascent.
     """
     for name, closed_form in (("exact-commuting", _exact), ("exact-dim2", _exact_dim2)):
         x = closed_form(problem)
@@ -1059,35 +1052,28 @@ def solve(problem: GapProblem, seed=0) -> GapResult:
     rng = np.random.default_rng(seed)
     res = solve_multistart(problem, 1, _MAX_ITER, seed=rng)
     upper, evals, worst = _upper_bound(problem, res.value, res.maximizer)
-    iterations, repairs, bounds = res.iterations, 0, [upper]
-    while worst is not None and repairs < _REPAIRS:
-        repairs += 1
-        v = _repair_point(problem, *worst)
-        X, conv, iters = _newton_ascent(problem, v[:, None], _MAX_ITER)
-        evals += 2
-        iterations += iters
-        x = X[:, 0] / np.linalg.norm(X[:, 0])
-        value = gap_objective(problem, x)
-        if not value > res.value:
-            break
-        res = replace(res, value=value, maximizer=x, converged=bool(conv[0]))
-        again, extra, worst = _upper_bound(problem, value, x)
-        evals += extra
-        bounds.append(again)
-    # each bound holds whatever point it was built around
-    upper = min((u for u in bounds if u is not None), default=None)
-    if not (upper is not None and upper - res.value <= _gap_tol(res.value)):
-        more = solve_multistart(problem, _RESTARTS - 1, _MAX_ITER, seed=rng)
+    iterations, restarts = res.iterations, 1
+
+    def adopt(more: GapResult) -> None:
+        """Count more's iterations; where its value is higher, take its point and bound
+        again, keeping the lower bound, since each holds the point it was built around."""
+        nonlocal res, upper, evals, iterations
         iterations += more.iterations
         if more.value > res.value:
             res = more
             again, extra, _ = _upper_bound(problem, res.value, res.maximizer)
             evals += extra
             upper = min((u for u in (upper, again) if u is not None), default=None)
-        res = replace(res, restarts=_RESTARTS)
+
+    if worst is not None:
+        evals += 2
+        adopt(_ascend(problem, _repair_point(problem, *worst)[:, None], _MAX_ITER))
+    if not (upper is not None and upper - res.value <= _gap_tol(res.value)):
+        restarts = _RESTARTS
+        adopt(solve_multistart(problem, _RESTARTS - 1, _MAX_ITER, seed=rng))
     gap = None if upper is None else upper - res.value
-    return replace(res, iterations=iterations, upper=upper, gap=gap, eigensolves=evals,
-                   repairs=repairs)
+    return replace(res, iterations=iterations, restarts=restarts, upper=upper, gap=gap,
+                   eigensolves=evals, repairs=int(worst is not None))
 
 
 # -- brute-force oracle -------------------------------------------------

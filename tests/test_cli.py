@@ -328,18 +328,35 @@ def test_certify_gamma_order_identity(diag12):
     assert "gamma     0" in out
 
 
+@pytest.mark.parametrize("command", ["gap", "certify", "violation", "fuzz"])
+def test_a_negative_seed_is_refused_by_name(command, diag01, diag12, capsys):
+    # the closed forms of gap and certify never draw, so only the parser can
+    # refuse their seed; every subcommand refuses it by name before any work
+    argv = {"gap": ["gap", "--kind", "chebyshev", "--f", "power:2", "--A", diag12],
+            "certify": ["certify", "--statement", "gamma-order", "--f", "power:2",
+                        "--A", diag01, "--B", diag12],
+            "violation": ["violation", "--f", "power:3", "--trials", "1"],
+            "fuzz": ["fuzz", "--trials", "1"]}[command]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "argument --seed: must be an integer >= 0, got '-1'" in capsys.readouterr().err
+    assert run_cli([*argv, "--seed", "0"])[0] in (0, 1)
+
+
 def test_certify_exit_one_on_failed_bound(n123, diag123, monkeypatch):
     # for the identity f, gamma = lambda_max(B - A) leaves slack 0.  F is
     # linear there, and the repair point of the open bound is its maximizer,
-    # so even a solve capped at 0 iterations passes; without repair rounds
-    # it reports the best of its random starts, below that maximum, so the
-    # certificate fails cleanly
+    # so even a solve capped at 0 iterations passes; where the bound names
+    # no worst node no repair runs, and solve reports the best of its random
+    # starts, below that maximum, so the certificate fails cleanly
     monkeypatch.setattr(gaps, "_MAX_ITER", 0)
     argv = ["certify", "--statement", "gamma-order", "--f", "affine:1,0",
             "--A", n123, "--B", diag123]
     code, out = run_cli(argv)
     assert code == 0 and "PASS" in out
-    monkeypatch.setattr(gaps, "_REPAIRS", 0)
+    bound = gaps._upper_bound
+    monkeypatch.setattr(gaps, "_upper_bound", lambda *args: (*bound(*args)[:2], None))
     code, out = run_cli(argv)
     assert code == 1
     assert "FAIL" in out
