@@ -43,7 +43,7 @@ class BadInterval(LoewnerCertError):
 
 
 class BadParameter(LoewnerCertError):
-    """A solver or certificate tolerance or iteration cap is out of range."""
+    """A solver or certificate tolerance, iteration cap or seed is out of range."""
 
 
 class NonPositiveAlpha(LoewnerCertError):

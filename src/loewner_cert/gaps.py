@@ -42,7 +42,7 @@ from the bound's worst node, and where the bound is still open after it, a
 second batch of random starts (_RESTARTS - 1) runs.
 ``solve_multistart`` is the fixed-count ascent alone.
 
-The primary path runs all restarts as one lockstep batch.  F is invariant
+The primary path is a regularized Newton ascent.  F is invariant
 under x -> e^{i phi} x, so each iteration works in the horizontal space
 {v : x^H v = 0}.  On it -Hess F is a Hermitian k x k compression plus a
 real rank-two term, so each restart's step comes from one complex
@@ -56,7 +56,11 @@ or once the line search finds no increase (it stalls where it stands),
 and _MAX_ITER (500) caps the outer iterations of every ascent that
 ``solve`` runs.  The result's ``iterations`` is the number of outer
 iterations the batch ran, and ``converged`` is the stop-test flag of the
-restart with the best value.
+restart with the best value.  Several restarts run as one lockstep batch
+(``_newton_ascent``).  One start, as in ``solve``'s first start and its
+repair, runs the batch's operations in the same order on k-vectors and
+Python floats (``_newton_ascent_one``): the same bits, without numpy's
+overhead on one-column arrays.
 """
 
 from __future__ import annotations
@@ -145,7 +149,8 @@ class GapProblem:
 
     C, S and D are views of one read-only (3, k, k) copy, ``_stack``; the
     problem computes once, on first use, what the solvers derive from them
-    alone: their Frobenius norms and the spectra of S and D.
+    alone: their Frobenius norms, the spectra of S and D, and the ascent's
+    basis of S, D and I.
     """
 
     kind: str
@@ -175,6 +180,21 @@ class GapProblem:
     def _norms(self) -> tuple:
         """The Frobenius norms of C, S and D."""
         return tuple(float(np.linalg.norm(X)) for X in (self.C, self.S, self.D))
+
+    @cached_property
+    def _basis(self) -> np.ndarray:
+        """S, D and I as the rows of one read-only complex (3, k k) array.
+
+        A product with the ascent's coefficient rows, less 2C, gives its
+        Newton system; complex even for real forms, as that product's bits
+        are those of a complex matmul.
+        """
+        k = self.dim
+        basis = np.empty((3, k, k), dtype=complex)
+        basis[:2] = self._stack[1:]
+        basis[2] = np.eye(k)
+        basis.flags.writeable = False
+        return basis.reshape(3, k * k)
 
     @cached_property
     def _spectra(self) -> tuple:
@@ -429,8 +449,7 @@ def _newton_ascent(problem: GapProblem, X0, max_iter: int):
     """
     k = problem.dim
     M = problem._stack.reshape(3 * k, k)  # one matmul yields C V, S V and D V
-    # S, D and I as rows: a product with coefficient rows, less 2C, gives each A
-    basis = np.stack([problem.S, problem.D, np.eye(k, dtype=complex)]).reshape(3, k * k)
+    basis = problem._basis  # a product with coefficient rows, less 2C, gives each A
     C2 = -2.0 * problem.C
     nC, nS, nD = problem._norms
     floor = _SHIFT_FLOOR * (nC + nS * nD)
@@ -523,19 +542,95 @@ def _newton_ascent(problem: GapProblem, X0, max_iter: int):
     return X, converged, iters
 
 
+def _newton_ascent_one(problem: GapProblem, x0, max_iter: int):
+    """``_newton_ascent`` from the one start x0, bit for bit; returns (x, converged, iters).
+
+    Each iteration runs the IEEE operations that the batch runs on one
+    column, in the same order, and ``_newton_step`` on a one-row stack laid
+    out as the batch's.  x, g, u and w are k-vectors, and the scalars of an
+    iteration (qC, qS, qD, rho, sigma, |g|, the slope and the step t) and
+    the whole line search are Python floats: what costs the batch its time
+    on one column is numpy's overhead on one-element arrays.
+    """
+    k = problem.dim
+    M = problem._stack.reshape(3 * k, k)
+    basis = problem._basis
+    C2 = -2.0 * problem.C
+    nC, nS, nD = problem._norms
+    floor = _SHIFT_FLOOR * (nC + nS * nD)
+    eye = np.eye(k)
+    R = np.empty((4, k), dtype=complex)  # x, g, u and w
+    Rt = R.T[None]
+    x = np.divide(x0, _colnorm(x0), out=R[0])
+    iters = 0
+    while True:
+        xc = x.conj()
+        MX = (M @ x).reshape(3, k)
+        qC, qS, qD = (xc * MX).real.sum(axis=1).tolist()
+        G = 2.0 * (MX[0] - qD * MX[1] - qS * MX[2])
+        rho = float((xc * G).real.sum())
+        g = np.subtract(G, x * rho, out=R[1])
+        g -= x * (xc * g).sum()
+        gn = math.sqrt(_rdot(g, g))
+        if gn <= _STEP_TOL:
+            return x, True, iters
+        if iters == max_iter:
+            return x, False, iters
+        iters += 1
+        np.subtract(MX[1], x * qS, out=R[2])
+        np.subtract(MX[2], x * qD, out=R[3])
+
+        sigma = max(gn, floor)
+        A = (np.array([2.0 * qD, 2.0 * qS, rho + sigma]) @ basis).reshape(1, k, k) + C2
+        eta, pd, _ = _newton_step(A, Rt)
+        if not pd[0]:
+            shift = _LM_FIRST * sigma
+            while True:
+                eta, pd, _ = _newton_step(A + (shift - sigma) * eye, Rt)
+                if pd[0] or not math.isfinite(shift):
+                    break
+                shift *= _LM_GROWTH
+        eta = eta[0]
+
+        # the batch's Armijo backtracking, on Python floats
+        E = np.concatenate([eta[None], MX, (M @ eta).reshape(3, k)])
+        nn, lC, lS, lD, wC, wS, wD = (eta.conj() * E).real.sum(axis=1).tolist()
+        aC, aS, aD = wC - qC * nn, wS - qS * nn, wD - qD * nn
+        slope = 2.0 * (lC - qD * lS - qS * lD)
+        root = math.sqrt(nn)
+        # as the batch's np.minimum: a NaN stays NaN, and |eta| = 0 takes t = 1
+        t = min(_MAX_STEP / root, 1.0) if root else 1.0
+        while True:
+            tt = t * t
+            den = 1.0 + tt * nn
+            dC = (2.0 * t * lC + tt * aC) / den
+            dS = (2.0 * t * lS + tt * aS) / den
+            dD = (2.0 * t * lD + tt * aD) / den
+            gain = dC - qS * dD - dS * qD - dS * dD
+            if gain > 0.0 and gain >= _ARMIJO * t * slope:
+                break
+            t = 0.5 * t
+            if not t >= _MIN_STEP:  # stalled: x stays
+                return x, False, iters
+        xn = eta * t
+        xn += x
+        np.divide(xn, _colnorm(xn), out=x)
+
+
 def solve_multistart(problem: GapProblem, restarts: int = 64, max_iter: int = _MAX_ITER,
                      seed=0) -> GapResult:
     """Best stationary value of F over ``restarts`` seeded sphere starts.
 
-    The restarts run as one lockstep regularized Newton batch (module
-    docstring) of at most ``max_iter`` outer iterations (none took more
-    than 16 in ``fuzz --suite all --seed 42``); ``iterations`` counts them
-    and ``converged`` is the stop-test flag of the restart that attains the
-    returned value.
+    The restarts run as one lockstep regularized Newton batch, and a single
+    restart on its own with the same bits (module docstring), for at most
+    ``max_iter`` outer iterations (none took more than 16 in ``fuzz --suite
+    all --seed 42``); ``iterations`` counts them and ``converged`` is the
+    stop-test flag of the restart that attains the returned value.
     """
     _check_count("restarts", restarts)
     if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 0:
         raise BadParameter(f"max_iter must be an integer >= 0, got {max_iter}")
+    _check_seed(seed)
     k = problem.dim
     rng = np.random.default_rng(seed)
     X0 = rng.standard_normal((k, restarts)) + 1j * rng.standard_normal((k, restarts))
@@ -543,13 +638,22 @@ def solve_multistart(problem: GapProblem, restarts: int = 64, max_iter: int = _M
 
 
 def _ascend(problem: GapProblem, X0, max_iter: int) -> GapResult:
-    """The ascent from the columns of X0, reported at its best column, normalized."""
-    X, conv, iters = _newton_ascent(problem, X0, max_iter)
-    qC, qS, qD = (X.conj() * (problem._stack @ X)).real.sum(axis=1)
-    best = int(np.argmax(qC - qS * qD))
-    x = X[:, best] / np.linalg.norm(X[:, best])
+    """The ascent from the columns of X0, reported at its best column, normalized.
+
+    One column runs ``_newton_ascent_one`` and more run as one batch, with
+    the same bits; a loop of single ascents took 1.6 to 9 times as long as
+    the batch at 8 and 64 columns (k = 3-6 and 32).
+    """
+    if X0.shape[1] == 1:
+        x, converged, iters = _newton_ascent_one(problem, X0[:, 0], max_iter)
+    else:
+        X, conv, iters = _newton_ascent(problem, X0, max_iter)
+        qC, qS, qD = (X.conj() * (problem._stack @ X)).real.sum(axis=1)
+        best = int(np.argmax(qC - qS * qD))
+        x, converged = X[:, best], conv[best]
+    x = x / np.linalg.norm(x)
     return GapResult(gap_objective(problem, x), x, "multistart", iterations=iters,
-                     restarts=X0.shape[1], converged=bool(conv[best]))
+                     restarts=X0.shape[1], converged=bool(converged))
 
 
 # -- exact maxima of commuting triples ----------------------------------
@@ -1022,6 +1126,12 @@ def _check_count(name: str, value, below: str | None = None) -> None:
         raise BadDimensions(below or message)
 
 
+def _check_seed(seed) -> None:
+    """Refuse a negative integer seed by name; a generator or seed sequence passes."""
+    if isinstance(seed, numbers.Integral) and seed < 0:
+        raise BadParameter(f"seed must be an integer >= 0, got {seed}")
+
+
 def solve(problem: GapProblem, seed=0) -> GapResult:
     """Maximum of F: in closed form for a commuting triple or at k = 2, else bounded multistart.
 
@@ -1043,6 +1153,7 @@ def solve(problem: GapProblem, seed=0) -> GapResult:
     random starts run (1, or _RESTARTS once the batch ran), ``repairs`` the
     round (0 or 1) and ``iterations`` the outer iterations of every ascent.
     """
+    _check_seed(seed)
     for name, closed_form in (("exact-commuting", _exact), ("exact-dim2", _exact_dim2)):
         x = closed_form(problem)
         if x is not None:
@@ -1271,6 +1382,7 @@ def solve_bruteforce(problem: GapProblem, samples: int = 20000, seed=0,
     ascent, and ``stop`` is why the last ascent ended.
     """
     _check_count("samples", samples)
+    _check_seed(seed)
     k = problem.dim
     if k == 1:  # every unit vector is a phase of the maximizer: nothing to draw
         x = np.array([1.0 + 0.0j])

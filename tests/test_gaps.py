@@ -277,22 +277,58 @@ def _unchecked_problem(kind, C, S, D):
     return prob
 
 
+def _both_paths(prob, x0, max_iter):
+    """(bytes of x, converged, iterations) of the batch on the one column x0, and of
+    _newton_ascent_one from x0."""
+    X, conv, iters = gaps._newton_ascent(prob, x0[:, None], max_iter)
+    x, converged, one_iters = gaps._newton_ascent_one(prob, x0, max_iter)
+    return (X[:, 0].tobytes(), bool(conv[0]), iters), (x.tobytes(), converged, one_iters)
+
+
 def test_multistart_returns_on_non_finite_problem():
     # GapProblem refuses NaN, so the ascent is driven on an unchecked
     # problem: a NaN entry makes every trial step NaN, and the line search
-    # must still stop
+    # must still stop, in the batch and on one column, where both paths
+    # stall after one iteration with the same bits
     C = np.diag([1.0, 2.0, 3.0]).astype(complex)
     C[0, 0] = np.nan
     eye = np.eye(3, dtype=complex)
     prob = _unchecked_problem("gamma", C, eye, eye)
     X0 = np.random.default_rng(0).standard_normal((3, 4)).astype(complex)
     out = []
-    worker = threading.Thread(
-        target=lambda: out.append(gaps._newton_ascent(prob, X0, 20)), daemon=True)
+    worker = threading.Thread(target=lambda: out.append(
+        (gaps._newton_ascent(prob, X0, 20), _both_paths(prob, X0[:, 0], 20))), daemon=True)
     worker.start()
     worker.join(timeout=60)
     assert not worker.is_alive()
-    assert out and not out[0][1].any()
+    [(many, (batch, one))] = out
+    assert not many[1].any()
+    assert batch == one and batch[1:] == (False, 1)
+
+
+def test_the_one_column_ascent_gives_the_bits_of_the_batch(monkeypatch):
+    # bound_check.py's triples at k = 3-32, each run to convergence, capped
+    # after two iterations and with none; the batch on one column is the
+    # reference.  Some starts take Levenberg-Marquardt restarts: more
+    # Newton steps than iterations
+    calls = []
+    step = gaps._newton_step
+    monkeypatch.setattr(gaps, "_newton_step", lambda A, R: calls.append(1) or step(A, R))
+    seen = {"restarts": 0, "capped": 0, "converged": 0}
+    for k in (3, 4, 5, 8, 16, 32):
+        for seed in range(4):
+            prob = _bound_check_triple(k, seed)
+            rng = np.random.default_rng([83, k, seed])
+            x0 = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+            for max_iter in (0, 2, 500):
+                batch, one = _both_paths(prob, x0, max_iter)
+                assert batch == one, (k, seed, max_iter)
+                calls.clear()
+                gaps._newton_ascent_one(prob, x0, max_iter)
+                seen["restarts"] += len(calls) > one[2]
+                seen["capped"] += max_iter == 2 and not one[1] and one[2] == 2
+                seen["converged"] += one[1]
+    assert min(seen.values()) >= 3, seen
 
 
 @pytest.mark.parametrize("a_seed", [2, 3])
@@ -1180,6 +1216,19 @@ def test_solve_checks_solver_arguments_before_any_path(args, ops):
         solve_multistart(prob, **args)
 
 
+@pytest.mark.parametrize("solver", [solve, solve_multistart, solve_bruteforce])
+def test_a_negative_seed_is_refused_by_name(solver):
+    # before any work: solve's closed form draws nothing, and would return;
+    # the other two would fail inside numpy with an unnamed message.  A
+    # generator or a seed sequence, as solve passes on, is taken
+    prob = (build_gap_problem("chebyshev", power(2), B2) if solver is solve
+            else _random_triple(3, 0))
+    with pytest.raises(BadParameter, match=r"^seed must be an integer >= 0, got -1$"):
+        solver(prob, seed=-1)
+    for seed in (np.random.default_rng(1), np.random.SeedSequence(1)):
+        solver(prob, seed=seed)
+
+
 # -- exact maxima at dimension 2 ------------------------------------------
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -1273,6 +1322,7 @@ def test_exact_dim2_never_runs_newton_cg(monkeypatch):
         raise AssertionError("Newton-CG ran at k = 2")
 
     monkeypatch.setattr(gaps, "_newton_ascent", fail)
+    monkeypatch.setattr(gaps, "_newton_ascent_one", fail)
     for seed in range(50):
         assert solve(_random_dim2(seed)).solver == "exact-dim2"
     for eps in (0.0, 0.5, 1.0):
@@ -1402,8 +1452,8 @@ def _bound_check_triple(k, seed):
 def test_a_repaired_solve_derives_each_problem_datum_once(monkeypatch):
     # the problem stacks C, S and D once, when it is built; the start and
     # the repair each run an ascent and a bound, and all of them read that
-    # stack, one norm of each and one spectrum of S and of D from the
-    # problem (the ascent's own stack of S, D and I starts with S)
+    # stack, one norm of each, one spectrum of S and of D and the ascent's
+    # basis of S, D and I from the problem, which stacks no S to build it
     ref = _bound_check_triple(3, 0)
     forms = {"C": ref.C.copy(), "S": ref.S.copy(), "D": ref.D.copy()}
     seen = []
@@ -1420,7 +1470,7 @@ def test_a_repaired_solve_derives_each_problem_datum_once(monkeypatch):
         eigvalsh_lo=counted("eigvalsh", real.eigvalsh_lo)))
     monkeypatch.setattr(np.linalg, "norm", counted("norm", np.linalg.norm))
     for name in ("stack", "concatenate"):
-        monkeypatch.setattr(np, name, counted("stack", getattr(np, name), lambda a: a[0], "C"))
+        monkeypatch.setattr(np, name, counted("stack", getattr(np, name), lambda a: a[0], "CS"))
     prob = GapProblem("gamma", forms["C"], forms["S"], forms["D"])
     assert seen == [("stack", "C")]
     seen.clear()
@@ -1429,6 +1479,7 @@ def test_a_repaired_solve_derives_each_problem_datum_once(monkeypatch):
     assert (res.solver, res.repairs) == ("multistart", 1)
     assert sorted(seen) == [("eigvalsh", "D"), ("eigvalsh", "S"), ("norm", "C"),
                             ("norm", "D"), ("norm", "S")]
+    assert not prob._basis.flags.writeable
 
 
 @pytest.mark.parametrize("k, seed", [(3, 5), (5, 6)])
@@ -1441,6 +1492,19 @@ def test_one_repair_closes_where_the_start_falls_short(k, seed):
     assert (res.solver, res.restarts, res.repairs) == ("multistart", 1, 1)
     assert res.value > start.value and res.value >= v - 1e-12 * (1.0 + abs(v))
     assert res.upper >= v and res.gap <= gaps._gap_tol(res.value)
+
+
+def test_a_real_problem_repairs():
+    # real symmetric forms make the repair's S-lemma point real; the ascent
+    # from it runs in complex arithmetic as every other one does
+    rng = np.random.default_rng([5, 1])
+    prob = GapProblem("gamma", *(A + A.T for A in rng.standard_normal((3, 4, 4))))
+    assert prob._stack.dtype == float
+    res = solve(prob, seed=1)
+    v = solve_multistart(prob, restarts=64, seed=1).value
+    assert (res.solver, res.restarts, res.repairs) == ("multistart", 1, 1)
+    assert res.maximizer.dtype == complex and res.gap <= gaps._gap_tol(res.value)
+    assert res.value >= v - 1e-12 * (1.0 + abs(v)) and res.upper >= v
 
 
 def test_the_second_batch_closes_what_the_repairs_leave_open():
