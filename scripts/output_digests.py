@@ -8,7 +8,7 @@
                  and repairs on bound_check.py's triple(k, seed) for each k
                  in its DIMS and seeds 0-29 (150 solves, 48 of which repair)
   near-commuting the same, on near_commuting(k, s) for k = 3-6 at solver
-                 seed s = 0-29 (120 solves, 12 of which run the second batch)
+                 seed s = 0-29 (120 solves, 27 of which repair)
 
 Each pool (from bench/workloads.py, read and not changed) runs at solver
 seeds 0 and 1, in process.  The CLI reports embed the paths of their input
@@ -65,17 +65,16 @@ def _pool_outputs(name: str):
             yield dumps_canonical(out.to_dict()) + "\n" if name == "certify-small" else out[1]
 
 
-def near_commuting(k: int, seed: int) -> gaps.GapProblem:
-    """Three matrices with one random eigenbasis, each moved off it by 1e-2 noise.
+def near_commuting(k: int, seed: int, noise: float = 1e-2) -> gaps.GapProblem:
+    """Three matrices with one random eigenbasis, each moved off it by ``noise``.
 
     On these the first start often stops short and the bound stays open, so
-    solve runs its repair and, where that leaves the bound open, its second
-    batch.
+    solve runs its repair rounds.
     """
     rng = np.random.default_rng([27, k, seed])
     U = random_unitary(k, rng)
     mats = [hermitize((U * rng.uniform(-2, 2, k)) @ U.conj().T) for _ in range(3)]
-    return gaps.GapProblem("gamma", *(M + 1e-2 * hermitize(rng.standard_normal((k, k)))
+    return gaps.GapProblem("gamma", *(M + noise * hermitize(rng.standard_normal((k, k)))
                                       for M in mats))
 
 

@@ -36,11 +36,10 @@ simplex of weights on their common eigenbasis, and one pass over the pairs
 of eigenvectors finds it.  At k = 2, F is a quadratic on the Bloch sphere,
 and a trust-region subproblem in R^3 gives its maximum.  Otherwise it runs
 the ascent from one seeded start and bounds max F from above by S-lemma
-duality (``_upper_bound``).  Where that bound is more than 1e-8
-(1 + |value|) above the value found, one repair round reruns the ascent
-from the bound's worst node, and where the bound is still open after it, a
-second batch of random starts (_RESTARTS - 1) runs.
-``solve_multistart`` is the fixed-count ascent alone.
+duality (``_upper_bound``).  While that bound is more than 1e-8
+(1 + |value|) above the value found, repair rounds rerun the ascent from
+the bound's worst node, at most _REPAIRS of them, as long as each raises
+the value.  ``solve_multistart`` is the fixed-count ascent alone.
 
 The primary path is a regularized Newton ascent.  F is invariant
 under x -> e^{i phi} x, so each iteration works in the horizontal space
@@ -58,7 +57,7 @@ and _MAX_ITER (500) caps the outer iterations of every ascent that
 iterations the batch ran, and ``converged`` is the stop-test flag of the
 restart with the best value.  Several restarts run as one lockstep batch
 (``_newton_ascent``).  One start, as in ``solve``'s first start and its
-repair, runs the batch's operations in the same order on k-vectors and
+repairs, runs the batch's operations in the same order on k-vectors and
 Python floats (``_newton_ascent_one``): the same bits, without numpy's
 overhead on one-column arrays.
 """
@@ -80,6 +79,7 @@ from .errors import (
     DimensionMismatch,
     NonFinite,
     NotUnitalFamily,
+    NotUnitVector,
 )
 from .hermitian import _by_size, _check_spectra, _spectral_images, require_hermitian
 from .maps import MapFamily, check_unital_family
@@ -211,9 +211,9 @@ class GapResult:
 
     ``gap`` is ``upper - value``; both are None where no bound was computed
     (the closed forms and the bare solvers).  ``eigensolves`` counts the
-    eigenvalue problems of the bounds and of ``solve``'s repair round, and
-    ``repairs`` is 1 where that round ran, else 0; every bound counts the
-    spectra of S and D, which are solved once per problem.  ``stop`` is why
+    eigenvalue problems of the bounds and of ``solve``'s repair rounds, and
+    ``repairs`` counts those rounds; every bound counts the spectra of S
+    and D, which are solved once per problem.  ``stop`` is why
     the oracle's ascent ended and ``blocks`` counts its draws of samples
     (``solve_bruteforce``); the other solvers leave them None and 0.
     """
@@ -241,8 +241,14 @@ class GapResult:
 
 
 def gap_objective(problem: GapProblem, x) -> float:
-    """F(x) = <Cx,x> - <Sx,x><Dx,x> for a unit vector x."""
+    """F(x) = <Cx,x> - <Sx,x><Dx,x> for a unit vector x with one entry per row of C."""
     x = np.asarray(x, dtype=complex).reshape(-1)
+    if x.size != problem.dim:
+        raise DimensionMismatch(f"x has {x.size} entries, the {problem.kind} problem "
+                                f"needs k = {problem.dim}")
+    nrm = float(np.linalg.norm(x))
+    if not abs(nrm - 1.0) <= 1e-10:  # NaN fails too
+        raise NotUnitVector(f"norm {nrm} is not 1 within 1e-10")
     qc = float(np.real(x.conj() @ (problem.C @ x)))
     qs = float(np.real(x.conj() @ (problem.S @ x)))
     qd = float(np.real(x.conj() @ (problem.D @ x)))
@@ -844,13 +850,11 @@ def _bloch_to_vector(r):
 # closed-form maximum.  Its excess over the chord is second order in w even
 # where the top eigenvalue at the maximum is double.
 
-# solve's random starts in all when the bound stays open after its repair,
-# and the relative gap that closes a bound
-_RESTARTS = 64
+# solve's repair rounds at most, and the relative gap that closes a bound
+_REPAIRS = 3
 _GAP_RTOL = 1e-8
-# eigenvalue problems per bound, and evaluations of h per node's multiplier
+# eigenvalue problems per bound
 _BOUND_EIGENSOLVES = 64
-_NODE_EVALS = 7
 # eigenvalues this far below the top, relative to 1 + |top|, enter the
 # curvature of h in mu; closer ones are treated as part of a double top,
 # and span the top eigenspace of a repair
@@ -903,14 +907,15 @@ def _upper_bound(problem: GapProblem, value: float, x):
     S's spectrum, each widened by its rounding, and s* = <Sx,x> with
     mu = <Dx,x>, where h(s*, mu) >= F(x) = value, so that node always goes
     on and its first evaluation computes eigenvectors at once.  Each node's
-    mu then takes bracketed Newton steps on h (convex in mu), at most
-    _NODE_EVALS evaluations, clamped to [lambda_min D - r, lambda_max D + r]
-    with r the spread of D's spectrum: the best mu runs off to +-inf at the
-    ends of S's spectrum.  An interval whose bound exceeds value + tau gets
-    a node at its maximizing t, clipped to [0.05 w, 0.95 w], with mu
-    interpolated from its neighbours.  Refining stops once every interval
-    is within tau, once a node's own h exceeds value + tau (splitting
-    cannot lower it), or after _BOUND_EIGENSOLVES evaluations of h.
+    mu then takes bracketed Newton steps on h (convex in mu) until its own
+    tests or the bound's cap stop it, clamped to [lambda_min D - r,
+    lambda_max D + r] with r the spread of D's spectrum: the best mu runs
+    off to +-inf at the ends of S's spectrum.  An interval whose bound
+    exceeds value + tau gets a node at its maximizing t, clipped to
+    [0.05 w, 0.95 w], with mu interpolated from its neighbours.  Refining
+    stops once every interval is within tau, once a node's own h exceeds
+    value + tau (splitting cannot lower it), or after _BOUND_EIGENSOLVES
+    evaluations of h.
     Every computed lambda_max carries k eps times a bound on the norm of
     its matrix (Weyl, for a backward-stable ``eigvalsh`` or ``eigh``), and
     every interval bound the rounding of its closed form.  An evaluation of
@@ -997,7 +1002,7 @@ def _upper_bound(problem: GapProblem, value: float, x):
             left = right = None  # (mu, h, slope) with slope < 0, and > 0
             last = np.inf  # length of the previous step
             opts = (theta, vectors)
-            for _ in range(_NODE_EVALS):
+            while True:  # h stops handing out slopes at the bound's eigensolve cap
                 hv, g, curv = h(s, mu, *opts)
                 opts = ()
                 best = min(best, (hv, mu))
@@ -1142,16 +1147,15 @@ def solve(problem: GapProblem, seed=0) -> GapResult:
     Any other problem gets solver "multistart": one seeded Newton start
     (``solve_multistart`` with one restart, bit for bit), returned as soon
     as ``_upper_bound`` closes on it, i.e. upper - value <= _GAP_RTOL
-    (1 + |value|).  Where it is open, one repair round runs the ascent from
-    ``_repair_point`` at the bound's worst node, and where it is still open,
-    a second batch of _RESTARTS - 1 random starts runs from the same
-    generator.  Each passes through one adopt step: a higher value's point
-    is taken and bounded again, and the lowest bound is reported as it
-    stands.  Every ascent runs at most _MAX_ITER outer iterations; on the
-    151 hard instances of the benchmark pools, at solver seeds 0 and 1, the
-    one start took at most 11 and always closed.  ``restarts`` counts the
-    random starts run (1, or _RESTARTS once the batch ran), ``repairs`` the
-    round (0 or 1) and ``iterations`` the outer iterations of every ascent.
+    (1 + |value|).  While it is open, at most _REPAIRS repair rounds run the
+    ascent from ``_repair_point`` at the bound's worst node; a round whose
+    value is higher takes its point and bounds it again, and one that gains
+    nothing ends them.  The lowest bound is reported as it stands.  Every
+    ascent runs at most _MAX_ITER outer iterations; on the 151 hard
+    instances of the benchmark pools, at solver seeds 0 and 1, the one
+    start took at most 11 and always closed.  ``restarts`` is 1,
+    ``repairs`` counts the rounds and ``iterations`` the outer iterations
+    of every ascent.
     """
     _check_seed(seed)
     for name, closed_form in (("exact-commuting", _exact), ("exact-dim2", _exact_dim2)):
@@ -1159,32 +1163,26 @@ def solve(problem: GapProblem, seed=0) -> GapResult:
         if x is not None:
             return GapResult(gap_objective(problem, x), x, name,
                              iterations=0, restarts=0, converged=True)
-    # the first start and the second batch draw from one generator
-    rng = np.random.default_rng(seed)
-    res = solve_multistart(problem, 1, _MAX_ITER, seed=rng)
+    res = solve_multistart(problem, 1, _MAX_ITER, seed=seed)
     upper, evals, worst = _upper_bound(problem, res.value, res.maximizer)
-    iterations, restarts = res.iterations, 1
-
-    def adopt(more: GapResult) -> None:
-        """Count more's iterations; where its value is higher, take its point and bound
-        again, keeping the lower bound, since each holds the point it was built around."""
-        nonlocal res, upper, evals, iterations
-        iterations += more.iterations
-        if more.value > res.value:
-            res = more
-            again, extra, _ = _upper_bound(problem, res.value, res.maximizer)
-            evals += extra
-            upper = min((u for u in (upper, again) if u is not None), default=None)
-
-    if worst is not None:
+    iterations, repairs = res.iterations, 0
+    while worst is not None and repairs < _REPAIRS:
+        repairs += 1
+        more = _ascend(problem, _repair_point(problem, *worst)[:, None], _MAX_ITER)
         evals += 2
-        adopt(_ascend(problem, _repair_point(problem, *worst)[:, None], _MAX_ITER))
-    if not (upper is not None and upper - res.value <= _gap_tol(res.value)):
-        restarts = _RESTARTS
-        adopt(solve_multistart(problem, _RESTARTS - 1, _MAX_ITER, seed=rng))
+        iterations += more.iterations
+        if not more.value > res.value:
+            break
+        res = more
+        again, extra, worst = _upper_bound(problem, res.value, res.maximizer)
+        evals += extra
+        # each bound holds whatever point it was built around, so the lower one stands
+        upper = min(u for u in (upper, again) if u is not None)
+        if upper - res.value <= _gap_tol(res.value):
+            break
     gap = None if upper is None else upper - res.value
-    return replace(res, iterations=iterations, restarts=restarts, upper=upper, gap=gap,
-                   eigensolves=evals, repairs=int(worst is not None))
+    return replace(res, iterations=iterations, upper=upper, gap=gap, eigensolves=evals,
+                   repairs=repairs)
 
 
 # -- brute-force oracle -------------------------------------------------

@@ -288,7 +288,7 @@ def test_a_changed_build_parser_result_leaves_main_unchanged(capsys):
 
 
 def test_solver_effort_is_not_a_flag(gap_argv, n123, diag123, capsys):
-    # the second batch's size and the oracle's cap are constants of gaps
+    # the repair rounds and the oracle's cap are constants of gaps
     certify_argv = ["certify", "--statement", "gamma-order", "--f", "power:2",
                     "--A", n123, "--B", diag123]
     for argv, flag in ((gap_argv, "--restarts 4"), (certify_argv, "--restarts 4"),

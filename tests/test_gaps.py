@@ -19,6 +19,7 @@ from loewner_cert import (
     MapFamily,
     NonFinite,
     NotUnitalFamily,
+    NotUnitVector,
     Pinch,
     SpectrumOutsideDomain,
     apply_spectral,
@@ -65,6 +66,26 @@ def test_gap_objective_hand_values():
     # basis vectors: F(e1) = 2 - 0*2 = 2, F(e2) = 8 - 1*4 = 4
     assert gap_objective(prob, [1.0, 0.0]) == 2.0
     assert gap_objective(prob, [0.0, 1.0]) == 4.0
+
+
+def test_gap_objective_refuses_a_vector_of_another_length():
+    prob = _random_triple(4, 0)
+    with pytest.raises(DimensionMismatch, match=r"^x has 3 entries, the gamma .* k = 4$"):
+        gap_objective(prob, np.ones(3) / np.sqrt(3.0))
+
+
+def test_gap_objective_refuses_a_vector_that_is_not_unit():
+    prob = _random_triple(4, 0)
+    x = np.ones(4) / 2.0
+    assert abs(gap_objective(prob, x) - gap_objective(prob, x * (1.0 + 1e-11))) <= 1e-9
+    with pytest.raises(NotUnitVector, match=r"^norm 10\.0 is not 1 within 1e-10"):
+        gap_objective(prob, 10.0 * x)
+
+
+def test_gap_objective_refuses_a_nan_vector():
+    prob = _random_triple(4, 0)
+    with pytest.raises(NotUnitVector, match=r"^norm nan is not 1 within 1e-10"):
+        gap_objective(prob, [np.nan, 0.5, 0.5, 0.5])
 
 
 def test_eta_equals_delta_with_equal_operands():
@@ -1363,8 +1384,8 @@ def test_bound_closes_above_the_64_restart_maximum(k):
         assert res.upper >= v and res.upper >= res.value
         assert res.value >= v - 1e-12 * (1.0 + abs(v))
         assert res.gap == res.upper - res.value <= gaps._gap_tol(res.value)
-        # the repair round adds at most two eigensolves and one bound
-        assert res.restarts == 1 and res.repairs <= 1
+        # each repair round adds at most two eigensolves and one bound
+        assert res.restarts == 1 and res.repairs <= gaps._REPAIRS
         assert 5 <= res.eigensolves <= (1 + res.repairs) * (gaps._BOUND_EIGENSOLVES + 2)
 
 
@@ -1385,59 +1406,54 @@ def test_bound_closes_where_the_top_eigenvalue_is_double(seed):
     assert res.upper >= solve_multistart(prob, restarts=64).value
 
 
-def test_an_open_bound_runs_the_rest_of_the_cap(monkeypatch):
-    # with no Newton steps and no repair round the first start and the
-    # batch keep their random points, so the bound stays open: the second
-    # batch runs, its better point is kept and the lower of the two bounds,
-    # each valid, is reported as it stands (at seed 3 the second bound is
-    # the lower, at seed 5 the first); a bound that names no worst node
-    # runs no repair
+def test_an_open_bound_with_no_worst_node_ends_after_the_start(monkeypatch):
+    # with no Newton steps the first start keeps its random point, so the
+    # bound stays open; a bound that names no worst node runs no repair,
+    # and the start is reported as it stands, with its bound
     bound = gaps._upper_bound
     monkeypatch.setattr(gaps, "_upper_bound", lambda *args: (*bound(*args)[:2], None))
     prob = _random_triple(5, 0)
     v = solve_multistart(prob, restarts=64).value
     monkeypatch.setattr(gaps, "_MAX_ITER", 0)
-    monkeypatch.setattr(gaps, "_RESTARTS", 12)
     for seed in (3, 5):
         res = solve(prob, seed=seed)
-        rng = np.random.default_rng(seed)  # the start and the batch draw from one generator
-        first = solve_multistart(prob, restarts=1, max_iter=0, seed=rng)
-        second = solve_multistart(prob, restarts=11, max_iter=0, seed=rng)
-        assert second.value > first.value and res.value == second.value
-        assert res.maximizer.tobytes() == second.maximizer.tobytes()
-        assert (res.restarts, res.iterations, res.repairs) == (12, 0, 0)
-        bounds = [gaps._upper_bound(prob, r.value, r.maximizer) for r in (first, second)]
-        assert res.upper == min(b[0] for b in bounds) >= v
-        assert res.gap > gaps._gap_tol(res.value)
-        assert res.eigensolves == sum(b[1] for b in bounds) <= 2 * gaps._BOUND_EIGENSOLVES
+        first = solve_multistart(prob, restarts=1, max_iter=0, seed=seed)
+        assert res.value == first.value
+        assert res.maximizer.tobytes() == first.maximizer.tobytes()
+        assert (res.restarts, res.iterations, res.repairs) == (1, 0, 0)
+        upper, evals, _ = bound(prob, first.value, first.maximizer)
+        assert res.upper == upper >= v and res.gap > gaps._gap_tol(res.value)
+        assert res.eigensolves == evals
 
 
 def test_repair_rounds_lift_a_start_without_newton_steps(monkeypatch):
-    # with no Newton steps the one repair round keeps its S-lemma point as
-    # it is: it lifts the value far above the random start and the eleven
-    # random starts after it, and the bound stays open; the round starts
-    # from the worst node of the bound around the start
+    # with no Newton steps each repair round keeps its S-lemma point as it
+    # is; every round lifts the value and leaves the bound open, so all
+    # _REPAIRS rounds run, each from the worst node of the bound around
+    # the point of the round before, and the lowest bound is reported
     prob = _random_triple(5, 0)
     v = solve_multistart(prob, restarts=64).value
     monkeypatch.setattr(gaps, "_MAX_ITER", 0)
-    monkeypatch.setattr(gaps, "_RESTARTS", 12)
     for seed in (3, 5):
         res = solve(prob, seed=seed)
-        rng = np.random.default_rng(seed)
-        first = solve_multistart(prob, restarts=1, max_iter=0, seed=rng)
-        second = solve_multistart(prob, restarts=11, max_iter=0, seed=rng)
-        upper, evals, worst = gaps._upper_bound(prob, first.value, first.maximizer)
-        x = gaps._repair_point(prob, *worst)
-        x = x / np.linalg.norm(x)  # as the ascent normalizes its start
-        x = x / np.linalg.norm(x)
-        value = gap_objective(prob, x)
-        assert value > first.value and value > second.value
-        again, more, worst = gaps._upper_bound(prob, value, x)
-        evals += 2 + more
-        assert worst is not None
+        first = solve_multistart(prob, restarts=1, max_iter=0, seed=seed)
+        value, x = first.value, first.maximizer
+        upper, evals, worst = gaps._upper_bound(prob, value, x)
+        uppers = [upper]
+        for _ in range(gaps._REPAIRS):
+            assert worst is not None
+            x = gaps._repair_point(prob, *worst)
+            x = x / np.linalg.norm(x)  # as the ascent normalizes its start
+            x = x / np.linalg.norm(x)
+            assert gap_objective(prob, x) > value
+            value = gap_objective(prob, x)
+            upper, more, worst = gaps._upper_bound(prob, value, x)
+            assert upper - value > gaps._gap_tol(value)
+            uppers.append(upper)
+            evals += 2 + more
         assert res.value == value and res.maximizer.tobytes() == x.tobytes()
-        assert (res.restarts, res.iterations, res.repairs) == (12, 0, 1)
-        assert res.upper == min(upper, again) >= v and res.gap > gaps._gap_tol(res.value)
+        assert (res.restarts, res.iterations, res.repairs) == (1, 0, gaps._REPAIRS)
+        assert res.upper == min(uppers) >= v and res.gap > gaps._gap_tol(res.value)
         assert res.eigensolves == evals
 
 
@@ -1507,28 +1523,45 @@ def test_a_real_problem_repairs():
     assert res.value >= v - 1e-12 * (1.0 + abs(v)) and res.upper >= v
 
 
-def test_the_second_batch_closes_what_the_repairs_leave_open():
-    # near-commuting triples.  At k = 3 the first start stops at 1.4999475
-    # with the bound 0.804 above it, the repair round gains nothing, and
-    # only the second batch reaches the maximum 1.9324060 (as do 64 starts
-    # and the oracle), where the bound closes.  At k = 6 the repair gains
-    # but leaves the bound open, and the batch closes it at 1.3596564, 0.199
-    # above the start and the 512-start maximum
-    for k, seed, gain in ((3, 258, 0.4), (6, 267, 0.19)):
-        rng = np.random.default_rng([27, k, seed])
-        U = random_unitary(k, rng)
-        mats = [hermitize((U * rng.uniform(-2, 2, k)) @ U.conj().T) for _ in range(3)]
-        prob = GapProblem("gamma", *(M + 1e-2 * hermitize(rng.standard_normal((k, k)))
-                                     for M in mats))
+def _near_commuting(k, seed):
+    """scripts/output_digests.py's near-commuting triple."""
+    rng = np.random.default_rng([27, k, seed])
+    U = random_unitary(k, rng)
+    mats = [hermitize((U * rng.uniform(-2, 2, k)) @ U.conj().T) for _ in range(3)]
+    return GapProblem("gamma", *(M + 1e-2 * hermitize(rng.standard_normal((k, k)))
+                                 for M in mats))
+
+
+def test_repair_rounds_close_where_the_start_stops_short():
+    # near-commuting triples on which the first start stops well below the
+    # maximum with the bound open: the repair rounds reach the 512-start
+    # maximum, where the bound closes, with no random start after the first
+    for k, seed, repairs, top in ((3, 258, 1, 1.9324059718), (5, 59, 2, 2.4608261532),
+                                  (6, 267, 2, 1.3596563880)):
+        prob = _near_commuting(k, seed)
         assert gaps._exact(prob) is None
         first = solve_multistart(prob, 1, seed=0)
         assert gaps._upper_bound(prob, first.value, first.maximizer)[2] is not None
+        assert first.value < top - 0.19
         res = solve(prob, seed=0)
-        assert (res.solver, res.restarts, res.repairs) == ("multistart", 64, 1)
+        assert (res.solver, res.restarts, res.repairs) == ("multistart", 1, repairs)
         assert res.gap <= gaps._gap_tol(res.value)
-        assert res.value > first.value + gain
         v = solve_multistart(prob, 512, seed=0).value
         assert abs(res.value - v) <= 1e-12 * (1.0 + abs(v))
+        assert abs(res.value - top) <= 1e-10, (k, seed)
+
+
+def test_a_near_commuting_start_at_the_maximum_closes_without_repairs():
+    # near_commuting(3, 23): the first start holds the maximum 0.6158703005,
+    # where 512 starts agree, and the bound closes on it, whose nodes once
+    # stopped their multiplier search at 7 evaluations and left it open
+    prob = _near_commuting(3, 23)
+    res = solve(prob, seed=0)
+    assert (res.solver, res.restarts, res.repairs) == ("multistart", 1, 0)
+    assert res.gap <= gaps._gap_tol(res.value)
+    v = solve_multistart(prob, 512, seed=0).value
+    assert abs(res.value - v) <= 1e-12 * (1.0 + abs(v))
+    assert abs(res.value - 0.6158703005) <= 1e-10
 
 
 def test_repair_point_lies_on_its_slice_at_a_double_top():
