@@ -20,11 +20,11 @@ from .constants import _check_ends, kantorovich
 from .errors import (
     BadDimensions,
     BadParameter,
-    DimensionMismatch,
     HypothesisViolated,
     NotUnitVector,
 )
-from .gaps import REVERSE_KINDS, _as_ops, _assemble, _check_count, _problem, solve
+from .gaps import (REVERSE_KINDS, _as_ops, _as_unit_vector, _assemble, _check_count,
+                   _check_seed, _problem, solve)
 from .hermitian import _by_size, _calc, _power, random_dominated_pair
 from .maps import MapFamily
 from .scalarfn import ScalarFunction
@@ -95,18 +95,13 @@ class OrderViolation:
     trial: int
 
 
-def _fro(A) -> float:
-    return float(np.linalg.norm(A))
-
-
 def _check_tol(tol) -> None:
     if not 0.0 <= tol < np.inf:
         raise BadParameter(f"tol must be finite and >= 0, got {tol}")
 
 
-def _finish(statement, constants, bound_minus_bounded, ref_norm, tol,
-            solver, inputs) -> Certificate:
-    tol_eff = tol * (1.0 + ref_norm)
+def _finish(statement, constants, bound_minus_bounded, ref, tol, solver, inputs) -> Certificate:
+    tol_eff = tol * (1.0 + float(np.linalg.norm(ref)))  # ref: the bounding side
     slack = float(np.linalg.eigvalsh(bound_minus_bounded)[0])
     return Certificate(
         statement=statement,
@@ -122,21 +117,15 @@ def _finish(statement, constants, bound_minus_bounded, ref_norm, tol,
 def _certify_gap(statement, kind, f, a_ops, b_ops, family, tol, seed) -> Certificate:
     """Solve the gap problem of ``kind`` and check the bound it gives."""
     _check_tol(tol)
+    _check_seed(seed, generators=False)  # the certificate records it
     problem, asm = _problem(kind, f, a_ops, b_ops, family)
     res = solve(problem, seed=seed)
     # theta and vartheta bound sum Phi_i(f(A_i)) by f(T), the others the reverse
     upper, lower = (asm.fT, asm.Sf) if kind in REVERSE_KINDS else (asm.Sf, asm.fT)
     k = problem.dim
     sizes = {"dim": k} if kind == "gamma" else {"output_dim": k, "maps": asm.maps}
-    return _finish(
-        statement,
-        {kind: res.value},
-        upper + res.value * np.eye(k) - lower,
-        _fro(upper),
-        tol,
-        res.record(seed),
-        {**sizes, "function": f.spec_string()},
-    )
+    return _finish(statement, {kind: res.value}, upper + res.value * np.eye(k) - lower, upper,
+                   tol, res.record(seed), {**sizes, "function": f.spec_string()})
 
 
 def certify_order(A, B, f: ScalarFunction, *, tol: float = DEFAULT_TOL,
@@ -179,14 +168,9 @@ def verify_sandwich_pointwise(f: ScalarFunction, a_ops, b_ops=None,
     """
     if x is None:
         raise NotUnitVector("a unit vector x is required")
-    x = np.asarray(x, dtype=complex).reshape(-1)
-    nrm = float(np.linalg.norm(x))
-    if not abs(nrm - 1.0) <= 1e-10:  # NaN fails too
-        raise NotUnitVector(f"norm {nrm} is not 1 within 1e-10")
     asm = _assemble(f, a_ops, b_ops, family)
     k = asm.T.shape[0]
-    if x.size != k:
-        raise DimensionMismatch(f"x has {x.size} entries, the operands need {k}")
+    x = _as_unit_vector(x, k, f"the operands need {k}")
 
     def q(M) -> float:
         return float(np.real(x.conj() @ (M @ x)))
@@ -267,14 +251,14 @@ def verify_classical(statement: str, A, B, *, p: float | None = None,
         Ap, Bp = _power(groups, p, names)
         K = kantorovich(m_eff, M_eff, p)
         constants = {"K": K, "p": float(p), "m": m_eff, "M": M_eff}
-        bound, ref = K * Ap - Bp, _fro(K * Ap)
+        bound, ref = K * Ap - Bp, K * Ap
     elif statement == "lowner_heinz":
         _require(p is not None and 0.0 <= p <= 1.0, "lowner_heinz needs p in [0, 1]")
         _require(wA[0] >= -_HYP_TOL, "lowner_heinz needs A >= 0")
         _require(np.linalg.eigvalsh(B - A)[0] >= -_HYP_TOL, "lowner_heinz needs A <= B")
         constants = {"p": float(p)}
         Ap, Bp = _power(groups, p, names)
-        bound, ref = Bp - Ap, _fro(Bp)
+        bound, ref = Bp - Ap, Bp
     else:  # alpha-beta statements
         _require(f is not None, f"{statement} needs a scalar function")
         _require(alpha > 0, f"{statement} needs alpha > 0")
@@ -292,7 +276,7 @@ def verify_classical(statement: str, A, B, *, p: float | None = None,
         b_val = beta_const(f, m_eff, M_eff, alpha)
         constants = {"alpha": float(alpha), "beta": b_val, "m": m_eff, "M": M_eff}
         upper, lower = (alpha * fA, fB) if increasing else (alpha * fB, fA)
-        bound, ref = upper + b_val * np.eye(len(fA)) - lower, _fro(upper)
+        bound, ref = upper + b_val * np.eye(len(fA)) - lower, upper
         inputs["function"] = f.spec_string()
     return _finish(statement, constants, bound, ref, tol, {"name": "eigh"}, inputs)
 
@@ -315,6 +299,7 @@ def find_order_violation(f: ScalarFunction, n: int, trials: int, seed,
     """
     _check_count("n", n, f"need dimension n >= 1, got {n}")
     _check_count("trials", trials, f"need at least one trial, got {trials}")
+    _check_seed(seed, generators=False)
     _check_ends(lo=lo, hi=hi)
     if lo is None or hi is None:
         w_lo, w_hi = _violation_window(f)

@@ -21,6 +21,7 @@ from .gaps import (
     NO_FAMILY_KINDS,
     ONE_OPERAND_KINDS,
     _check_count,
+    _check_seed,
     _upper_bound,
     build_gap_problem,
     solve,
@@ -372,6 +373,7 @@ def run_fuzz(suite: str = "all", trials: int | None = None, seed=42) -> dict:
         raise ValueError(f"unknown suite {suite!r}")
     if trials is not None:
         _check_count("trials", trials, f"need at least one trial, got {trials}")
+    _check_seed(seed, generators=False)  # the report records it
     suites = {}
     for name in names:
         func, default_trials = _SUITES[name]

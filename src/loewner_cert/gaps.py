@@ -59,7 +59,7 @@ restart with the best value.  Several restarts run as one lockstep batch
 (``_newton_ascent``).  One start, as in ``solve``'s first start and its
 repairs, runs the batch's operations in the same order on k-vectors and
 Python floats (``_newton_ascent_one``): the same bits, without numpy's
-overhead on one-column arrays.
+overhead on one-column arrays.  Every solver reads complex forms.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -82,7 +82,7 @@ from .errors import (
     NotUnitVector,
 )
 from .hermitian import _by_size, _check_spectra, _spectral_images, require_hermitian
-from .maps import MapFamily, check_unital_family
+from .maps import MapFamily, _frozen, check_unital_family
 from .scalarfn import ScalarFunction
 
 __all__ = [
@@ -147,10 +147,10 @@ _LINE_NEWTON = 2
 class GapProblem:
     """The data (C, S, D) of one sphere maximization, tagged by kind.
 
-    C, S and D are views of one read-only (3, k, k) copy, ``_stack``; the
+    The one place a sphere problem is normalized: C, S and D are views of
+    one read-only, finite, complex (3, k, k) copy, ``_stack``, k >= 1.  The
     problem computes once, on first use, what the solvers derive from them
-    alone: their Frobenius norms, the spectra of S and D, and the ascent's
-    basis of S, D and I.
+    alone: their norms, the spectra of S and D, and the ascent's data.
     """
 
     kind: str
@@ -158,14 +158,15 @@ class GapProblem:
     S: np.ndarray
     D: np.ndarray
 
-    def __post_init__(self):  # so that every solver works on finite square forms of one size
-        shapes = [np.shape(getattr(self, label)) for label in "CSD"]
-        if len(shapes[0]) != 2 or shapes[0][0] != shapes[0][1] or len(set(shapes)) != 1:
+    def __post_init__(self):
+        # complex forms are taken as they are, without a copy
+        forms = [np.asarray(getattr(self, label), dtype=complex) for label in "CSD"]
+        shapes = [X.shape for X in forms]
+        if len(set(shapes)) != 1 or len(shapes[0]) != 2 or not shapes[0][0] == shapes[0][1] > 0:
             raise DimensionMismatch(f"C, S and D of the {self.kind} problem must be square "
-                                    f"matrices of one size, got shapes {shapes}")
+                                    f"matrices of one size >= 1, got shapes {shapes}")
         # read-only, so that no later write outdates the derived data
-        stack = np.stack([getattr(self, label) for label in "CSD"])
-        stack.flags.writeable = False
+        stack = _frozen(np.stack(forms))
         object.__setattr__(self, "_stack", stack)
         for label, X in zip("CSD", stack):
             if not np.isfinite(X).all():
@@ -182,27 +183,25 @@ class GapProblem:
         return tuple(float(np.linalg.norm(X)) for X in (self.C, self.S, self.D))
 
     @cached_property
-    def _basis(self) -> np.ndarray:
-        """S, D and I as the rows of one read-only complex (3, k k) array.
+    def _ascent(self) -> tuple:
+        """What every Newton ascent on the problem reads, read-only: (M, basis, C2, floor).
 
-        A product with the ascent's coefficient rows, less 2C, gives its
-        Newton system; complex even for real forms, as that product's bits
-        are those of a complex matmul.
-        """
+        M is the stack as (3k, k), so that one matmul yields C V, S V and D V;
+        coefficient rows times ``basis`` (S, D and I as (3, k k)) plus C2 = -2C
+        give a Newton system; floor is the shift floor _SHIFT_FLOOR (|C| + |S| |D|)."""
         k = self.dim
         basis = np.empty((3, k, k), dtype=complex)
         basis[:2] = self._stack[1:]
         basis[2] = np.eye(k)
-        basis.flags.writeable = False
-        return basis.reshape(3, k * k)
+        nC, nS, nD = self._norms
+        return (self._stack.reshape(3 * k, k), _frozen(basis).reshape(3, k * k),
+                _frozen(-2.0 * self.C), _SHIFT_FLOOR * (nC + nS * nD))
 
     @cached_property
     def _spectra(self) -> tuple:
         """The ascending eigenvalues of S and of D, NaN where LAPACK fails (as in _upper_bound)."""
-        dt = "D" if self._stack.dtype.kind == "c" else "d"
         with np.errstate(all="ignore"):
-            return tuple(_umath_linalg.eigvalsh_lo(X, signature=f"{dt}->d")
-                         for X in (self.S, self.D))
+            return tuple(_eigvalsh(X) for X in (self.S, self.D))
 
 
 @dataclass
@@ -242,17 +241,22 @@ class GapResult:
 
 def gap_objective(problem: GapProblem, x) -> float:
     """F(x) = <Cx,x> - <Sx,x><Dx,x> for a unit vector x with one entry per row of C."""
-    x = np.asarray(x, dtype=complex).reshape(-1)
-    if x.size != problem.dim:
-        raise DimensionMismatch(f"x has {x.size} entries, the {problem.kind} problem "
-                                f"needs k = {problem.dim}")
-    nrm = float(np.linalg.norm(x))
-    if not abs(nrm - 1.0) <= 1e-10:  # NaN fails too
-        raise NotUnitVector(f"norm {nrm} is not 1 within 1e-10")
+    x = _as_unit_vector(x, problem.dim, f"the {problem.kind} problem needs k = {problem.dim}")
     qc = float(np.real(x.conj() @ (problem.C @ x)))
     qs = float(np.real(x.conj() @ (problem.S @ x)))
     qd = float(np.real(x.conj() @ (problem.D @ x)))
     return qc - qs * qd
+
+
+def _as_unit_vector(x, k: int, needs: str) -> np.ndarray:
+    """x as a complex k-vector of norm 1 within 1e-10, else an error that ``needs`` words."""
+    x = np.asarray(x, dtype=complex).reshape(-1)
+    if x.size != k:
+        raise DimensionMismatch(f"x has {x.size} entries, {needs}")
+    nrm = float(np.linalg.norm(x))
+    if not abs(nrm - 1.0) <= 1e-10:  # NaN fails too
+        raise NotUnitVector(f"norm {nrm} is not 1 within 1e-10")
+    return x
 
 
 def _rdot(U, V):
@@ -390,11 +394,28 @@ def build_gap_problem(kind: str, f: ScalarFunction, a_ops, b_ops=None,
     return _problem(kind, f, a_ops, b_ops, family)[0]
 
 
+# -- LAPACK ---------------------------------------------------------------
+# numpy.linalg's gufuncs at fixed signatures (complex but for the Newton step's 2 x 2
+# real systems), looked up at each call: where LAPACK fails they give NaN, not an error.
+
+
+def _lapack(name: str, signature: str):
+    return lambda *args: getattr(_umath_linalg, name)(*args, signature=signature)
+
+
+_eigvalsh = _lapack("eigvalsh_lo", "D->d")
+_eigh = _lapack("eigh_lo", "D->dD")
+_cholesky = _lapack("cholesky_lo", "D->D")
+_solve = _lapack("solve", "DD->D")
+_solve_real = _lapack("solve", "dd->d")
+_det_real = _lapack("det", "d->d")
+
+
 # -- multistart Riemannian Newton ascent --------------------------------
 
 
 def _newton_step(A, R):
-    """(eta, pd, every): eta solves (K + T) eta = g in each row where pd holds, else eta = g.
+    """(eta, pd): eta solves (K + T) eta = g in each row where pd holds, else eta = g.
 
     Each row is one restart.  ``A`` stacks its rho I - 2(C - qD S - qS D)
     plus any shift, and ``R`` its columns x, g, u and w: the iterate, the
@@ -406,31 +427,27 @@ def _newton_step(A, R):
     K'^-1 [g, u, w].  In real form T = U Sigma U^T with U = [u, w] and
     Sigma = 4 [[0, 1], [1, 0]], so Woodbury gives eta from the 2 x 2 matrix
     N = Sigma^-1 + U^T K^-1 U, and by Haynsworth inertia additivity K + T is
-    positive definite exactly when det N < 0.  ``every`` says whether pd
-    holds in every row.
+    positive definite exactly when det N < 0.
     """
     x, g = R[:, :, 0], R[:, :, 1]
     xc = x.conj()
     K = A + x[:, :, None] * (x + g).conj()[:, None, :] + g[:, :, None] * xc[:, None, :]
     B = R[:, :, 1:]
-    # numpy.linalg raises for a whole stack once one matrix fails; its
-    # gufuncs give that matrix NaN instead, and rows that are not pd are
-    # dropped
+    # a matrix LAPACK fails on gives NaN, and rows that are not pd are dropped
     with np.errstate(all="ignore"):
-        pd = _umath_linalg.cholesky_lo(K, signature="D->D")[:, -1, -1].real > 0.0
-        Z = _umath_linalg.solve(K, B, signature="DD->D")
+        pd = _cholesky(K)[:, -1, -1].real > 0.0
+        Z = _solve(K, B)
         P = (B.conj().transpose(0, 2, 1) @ Z).real  # Re<b_i, K'^-1 b_j>
         N = P[:, 1:, 1:] + _SIGMA_INV
-        pd &= _umath_linalg.det(N, signature="d->d") < 0.0
-        y = _umath_linalg.solve(N, P[:, 1:, :1], signature="dd->d")
+        pd &= _det_real(N) < 0.0
+        y = _solve_real(N, P[:, 1:, :1])
         step = Z[:, :, 0] - (Z[:, :, 1:] @ y)[:, :, 0]
         # K'^-1 u and K'^-1 w keep x-components at the rounding level of
         # |u| and |w|; the line search needs that of |step|
         step -= x * (xc * step).sum(axis=1, keepdims=True)
-    every = pd.all()
-    if not every:
+    if not pd.all():
         step[~pd] = g[~pd]
-    return step, pd, every
+    return step, pd
 
 
 def _newton_ascent(problem: GapProblem, X0, max_iter: int):
@@ -454,11 +471,7 @@ def _newton_ascent(problem: GapProblem, X0, max_iter: int):
     x -> (x + t eta)/|x + t eta| then makes every accepted step increase F.
     """
     k = problem.dim
-    M = problem._stack.reshape(3 * k, k)  # one matmul yields C V, S V and D V
-    basis = problem._basis  # a product with coefficient rows, less 2C, gives each A
-    C2 = -2.0 * problem.C
-    nC, nS, nD = problem._norms
-    floor = _SHIFT_FLOOR * (nC + nS * nD)
+    M, basis, C2, floor = problem._ascent
     eye = np.eye(k)
     X = X0 / np.linalg.norm(X0, axis=0)
     b = X.shape[1]
@@ -500,11 +513,11 @@ def _newton_ascent(problem: GapProblem, X0, max_iter: int):
         coef[2] = rho + sigma
         A = (coef.T @ basis).reshape(-1, k, k) + C2
         Rt = R.T
-        eta, pd, every = _newton_step(A, Rt)
-        if not every:
+        eta, pd = _newton_step(A, Rt)
+        if not pd.all():
             todo, shift = np.flatnonzero(~pd), _LM_FIRST * sigma[~pd]
             while todo.size:
-                eta[todo], pd, _ = _newton_step(
+                eta[todo], pd = _newton_step(
                     A[todo] + (shift - sigma[todo])[:, None, None] * eye, Rt[todo])
                 keep = ~pd & np.isfinite(shift)
                 todo, shift = todo[keep], _LM_GROWTH * shift[keep]
@@ -559,11 +572,7 @@ def _newton_ascent_one(problem: GapProblem, x0, max_iter: int):
     on one column is numpy's overhead on one-element arrays.
     """
     k = problem.dim
-    M = problem._stack.reshape(3 * k, k)
-    basis = problem._basis
-    C2 = -2.0 * problem.C
-    nC, nS, nD = problem._norms
-    floor = _SHIFT_FLOOR * (nC + nS * nD)
+    M, basis, C2, floor = problem._ascent
     eye = np.eye(k)
     R = np.empty((4, k), dtype=complex)  # x, g, u and w
     Rt = R.T[None]
@@ -588,11 +597,11 @@ def _newton_ascent_one(problem: GapProblem, x0, max_iter: int):
 
         sigma = max(gn, floor)
         A = (np.array([2.0 * qD, 2.0 * qS, rho + sigma]) @ basis).reshape(1, k, k) + C2
-        eta, pd, _ = _newton_step(A, Rt)
+        eta, pd = _newton_step(A, Rt)
         if not pd[0]:
             shift = _LM_FIRST * sigma
             while True:
-                eta, pd, _ = _newton_step(A + (shift - sigma) * eye, Rt)
+                eta, pd = _newton_step(A + (shift - sigma) * eye, Rt)
                 if pd[0] or not math.isfinite(shift):
                     break
                 shift *= _LM_GROWTH
@@ -647,8 +656,9 @@ def _ascend(problem: GapProblem, X0, max_iter: int) -> GapResult:
     """The ascent from the columns of X0, reported at its best column, normalized.
 
     One column runs ``_newton_ascent_one`` and more run as one batch, with
-    the same bits; a loop of single ascents took 1.6 to 9 times as long as
-    the batch at 8 and 64 columns (k = 3-6 and 32).
+    the same bits.  The batch serves the agreement fuzz suite, bound_check
+    and the tests: a loop of single ascents in its place took Tier-1 from
+    25 to 55 s and ``fuzz --suite all --seed 42`` from 0.7 to 1.3 s.
     """
     if X0.shape[1] == 1:
         x, converged, iters = _newton_ascent_one(problem, X0[:, 0], max_iter)
@@ -895,9 +905,7 @@ def _cholesky_below(H, bound: float) -> bool:
     trace = max(k * bound - float(H.diagonal().real.sum()), 0.0)
     cut = (2.0 * gk / (1.0 - 2.0 * gk) * trace + 2.0 * eps * abs(bound)
            + 16.0 * k * (2 * k + 2 + trace) * np.finfo(float).smallest_subnormal)
-    dt = "D" if H.dtype.kind == "c" else "d"
-    L = _umath_linalg.cholesky_lo((bound - cut) * np.eye(k) - H, signature=f"{dt}->{dt}")
-    return bool(np.isfinite(L[-1, -1]))
+    return bool(np.isfinite(_cholesky((bound - cut) * np.eye(k) - H)[-1, -1]))
 
 
 def _upper_bound(problem: GapProblem, value: float, x):
@@ -948,11 +956,6 @@ def _upper_bound(problem: GapProblem, value: float, x):
     eye, rk = np.eye(k), np.sqrt(k)
     nC, nS, nD = problem._norms
     evals = 2  # the spectra of S and D, solved once per problem
-    # np.linalg.eigvalsh and eigh run these gufuncs; called directly, a
-    # matrix LAPACK fails on gives NaN eigenvalues instead of an exception
-    dt = "D" if problem._stack.dtype.kind == "c" else "d"
-    eigvalsh = partial(_umath_linalg.eigvalsh_lo, signature=f"{dt}->d")
-    eigh = partial(_umath_linalg.eigh_lo, signature=f"{dt}->d{dt}")
     certify = k >= _CERT_DIM
     ws, wd = problem._spectra
     with np.errstate(all="ignore"):  # a bound beyond the float range is None
@@ -980,11 +983,11 @@ def _upper_bound(problem: GapProblem, value: float, x):
             if theta is not None and _cholesky_below(H, theta - margin):
                 return theta, None, None
             if not vectors:
-                top = eigvalsh(H)[-1]
+                top = _eigvalsh(H)[-1]
                 failed |= np.isnan(top)
                 if top + margin <= low or evals >= _BOUND_EIGENSOLVES:
                     return top + margin, None, None
-            w, V = eigh(H)
+            w, V = _eigh(H)
             top = w[-1]
             failed |= np.isnan(top)
             c = V.conj().T @ (P @ V[:, -1])  # <v_i, P v> for the eigenvectors v_i
@@ -1131,10 +1134,13 @@ def _check_count(name: str, value, below: str | None = None) -> None:
         raise BadDimensions(below or message)
 
 
-def _check_seed(seed) -> None:
-    """Refuse a negative integer seed by name; a generator or seed sequence passes."""
-    if isinstance(seed, numbers.Integral) and seed < 0:
-        raise BadParameter(f"seed must be an integer >= 0, got {seed}")
+def _check_seed(seed, generators: bool = True) -> None:
+    """Refuse by name a seed that is not an integer >= 0 (nor a bool); with ``generators``
+    a numpy Generator or SeedSequence, which no report can record, passes too."""
+    if generators and isinstance(seed, (np.random.Generator, np.random.SeedSequence)):
+        return
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise BadParameter(f"seed must be an integer >= 0, got {seed!r}")
 
 
 def solve(problem: GapProblem, seed=0) -> GapResult:

@@ -58,8 +58,8 @@ HERMITIAN_RTOL = 1e-12
 
 def as_matrix(A) -> np.ndarray:
     A = np.asarray(A, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {A.shape}")
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or not A.size:
+        raise DimensionMismatch(f"expected a square matrix of size >= 1, got shape {A.shape}")
     return A
 
 
@@ -70,10 +70,10 @@ def require_hermitian(A, *, name: str = "matrix") -> np.ndarray:
     A NaN or infinite entry raises NonFinite, naming the operand ``name``.
     """
     A = as_matrix(A)
-    scale = 1.0 + (float(np.abs(A).max()) if A.size else 0.0)
+    scale = 1.0 + float(np.abs(A).max())
     if not np.isfinite(scale):
         raise NonFinite(f"{name} has a non-finite entry")
-    defect = float(np.abs(A - A.conj().T).max()) if A.size else 0.0
+    defect = float(np.abs(A - A.conj().T).max())
     if defect > HERMITIAN_RTOL * scale:
         raise NotHermitian(f"asymmetry {defect:.3e} exceeds {HERMITIAN_RTOL:.1e} * {scale:.3e}")
     return hermitize(A)
@@ -240,7 +240,7 @@ class LoewnerCheck(NamedTuple):
 
 
 def min_eigenvalue(A) -> float:
-    return float(np.linalg.eigvalsh(hermitize(A))[0])
+    return float(np.linalg.eigvalsh(hermitize(as_matrix(A)))[0])
 
 
 def loewner_leq(A, B, tol: float = 0.0) -> LoewnerCheck:
@@ -347,7 +347,9 @@ def matrix_from_obj(obj, name: str = "matrix") -> np.ndarray:
     try:
         n = _json_int(obj["dim"])
     except (TypeError, ValueError):
-        raise ParseError(f"{name}: 'dim' must be an integer") from None
+        n = 0
+    if n < 1:
+        raise ParseError(f"{name}: 'dim' must be an integer >= 1")
     re = _square_field(obj, "re", n, name)
     if obj.get("im") is not None:
         im = _square_field(obj, "im", n, name)

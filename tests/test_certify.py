@@ -438,7 +438,7 @@ def eigh_inputs(monkeypatch):
     eigh, eigvalsh = _umath_linalg.eigh_lo, _umath_linalg.eigvalsh_lo
 
     def counted_eigh(A, *args, **kwargs):
-        caller = sys._getframe(1)
+        caller = sys._getframe(2)  # past np.linalg.eigh or gaps._eigh
         in_bound = (caller.f_code.co_name == "h"
                     and caller.f_globals["__name__"] == "loewner_cert.gaps")
         seen["eigh_stacks"].append(len(_matrices(A)))
@@ -608,6 +608,26 @@ def test_order_violation_refuses_a_count_that_is_not_an_integer(name, bad):
     counts = {"n": 2, "trials": 3, name: bad}
     with pytest.raises(BadDimensions, match=f"{name} must be an integer >= 1, got {bad}"):
         find_order_violation(power(3), counts["n"], counts["trials"], seed=0)
+
+
+@pytest.mark.parametrize("bad", [1.5, True, -1, np.random.default_rng(1)])
+def test_order_violation_refuses_a_seed_that_is_not_an_integer(bad):
+    with pytest.raises(BadParameter, match=r"^seed must be an integer >= 0, got "):
+        find_order_violation(power(3), 2, 3, seed=bad)
+
+
+@pytest.mark.parametrize("bad", [1.5, True, -1, None, np.random.default_rng(1),
+                                 np.random.SeedSequence(1)])
+@pytest.mark.parametrize("statement", ["gamma-order", "delta_forward"])
+def test_a_certificate_refuses_a_seed_it_cannot_record(statement, bad):
+    # the certificate records its seed, so it takes an integer >= 0 only,
+    # checked before the assembly: A is not Hermitian, and is not reached
+    A = np.array([[1.0, 2.0], [0.0, 1.0]])
+    with pytest.raises(BadParameter, match=r"^seed must be an integer >= 0, got "):
+        if statement == "gamma-order":
+            certify_order(A, N12, power(2), seed=bad)
+        else:
+            certify_jensen(statement, power(2), A, N12, seed=bad)
 
 
 def _psd(w, rng) -> np.ndarray:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import sys
 import threading
@@ -433,8 +434,7 @@ def test_the_step_is_the_newton_step():
         # to (1 + sigma) x, so sigma >= 0
         for sigma in {0.0, max(0.0, -low - 0.2 * scale), max(0.0, -low + 0.2 * scale)}:
             A, R = _step_inputs(prob, x, sigma)
-            eta, pd, every = gaps._newton_step(A, R)
-            assert every == pd[0]
+            eta, pd = gaps._newton_step(A, R)
             definite = low + sigma > 0.0
             # pd is never wrong, and exact wherever K + sigma is definite
             assert definite or not pd[0]
@@ -460,6 +460,13 @@ def test_fuzz_refuses_a_trial_count_that_is_not_an_integer(bad):
         fuzz.run_fuzz("gradient", bad)
 
 
+@pytest.mark.parametrize("bad", [1.5, True, -1, None, np.random.default_rng(1)])
+def test_fuzz_refuses_a_seed_it_cannot_record(bad):
+    # the report records its seed: 1.5 and True would run seed 1
+    with pytest.raises(BadParameter, match=r"^seed must be an integer >= 0, got "):
+        fuzz.run_fuzz("gradient", 1, seed=bad)
+
+
 def test_agreement_fails_a_trial_whose_bound_lies_below(monkeypatch):
     # the bound built around the better of the two points must hold both
     assert suite_agreement(1)["failures"] == 0
@@ -476,11 +483,28 @@ def test_gap_problem_refuses_non_finite_forms(label, bad):
         GapProblem("delta", **forms)
 
 
+# size 0 last: solve would raise numpy's unnamed ValueError on it, and
+# solve_bruteforce NotUnitVector after a RuntimeWarning
 @pytest.mark.parametrize("forms", [(A2, np.eye(3), B2), (A2, B2, np.eye(3)),
-                                   (np.ones((2, 3)),) * 3, (np.ones(2),) * 3])
+                                   (np.ones((2, 3)),) * 3, (np.ones(2),) * 3,
+                                   (np.zeros((0, 0)),) * 3])
 def test_gap_problem_refuses_forms_that_are_not_square_of_one_size(forms):
-    with pytest.raises(DimensionMismatch, match=r"^C, S and D of the gamma problem must"):
+    with pytest.raises(DimensionMismatch, match=r"^C, S and D of the gamma problem must be "
+                                                r"square matrices of one size >= 1, got"):
         GapProblem("gamma", *forms)
+
+
+def test_a_real_problem_solves_to_the_bits_of_its_complex_copy():
+    # a problem holds its forms in complex form, so a real one runs the
+    # ascent, the bound and the repair on the very arrays of its copy
+    rng = np.random.default_rng([5, 1])
+    forms = [A + A.T for A in rng.standard_normal((3, 4, 4))]
+    real = GapProblem("gamma", *forms)
+    copy = GapProblem("gamma", *(X.astype(complex) for X in forms))
+    assert real._stack.tobytes() == copy._stack.tobytes()
+    got, want = solve(real, seed=1), solve(copy, seed=1)
+    assert got.repairs == 1 and got.maximizer.tobytes() == want.maximizer.tobytes()
+    assert dataclasses.replace(got, maximizer=None) == dataclasses.replace(want, maximizer=None)
 
 
 def test_gap_problem_keeps_read_only_copies_of_its_forms():
@@ -814,7 +838,7 @@ def _counted_cholesky(monkeypatch, nan=False):
 
     def cholesky_lo(M, **kwargs):
         L = real.cholesky_lo(M, **kwargs)
-        if sys._getframe(1).f_code.co_name == "_cholesky_below":
+        if sys._getframe(2).f_code.co_name == "_cholesky_below":  # past gaps._cholesky
             if nan:
                 L = np.full_like(L, np.nan)
             seen["tries"] += 1
@@ -1250,6 +1274,17 @@ def test_a_negative_seed_is_refused_by_name(solver):
         solver(prob, seed=seed)
 
 
+@pytest.mark.parametrize("seed", [1.5, True, None, "1", np.float64(2.0), [1, 2]])
+@pytest.mark.parametrize("solver", [solve, solve_multistart, solve_bruteforce])
+def test_a_seed_that_is_not_an_integer_is_refused_by_name(solver, seed):
+    # before any work, as a negative one is; solve's closed form would
+    # take any seed, and the others would fail inside numpy or draw from it
+    prob = (build_gap_problem("chebyshev", power(2), B2) if solver is solve
+            else _random_triple(3, 0))
+    with pytest.raises(BadParameter, match=r"^seed must be an integer >= 0, got "):
+        solver(prob, seed=seed)
+
+
 # -- exact maxima at dimension 2 ------------------------------------------
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -1469,7 +1504,8 @@ def test_a_repaired_solve_derives_each_problem_datum_once(monkeypatch):
     # the problem stacks C, S and D once, when it is built; the start and
     # the repair each run an ascent and a bound, and all of them read that
     # stack, one norm of each, one spectrum of S and of D and the ascent's
-    # basis of S, D and I from the problem, which stacks no S to build it
+    # data (its basis of S, D and I, -2C and the shift floor) from the
+    # problem, which stacks no S to build that basis
     ref = _bound_check_triple(3, 0)
     forms = {"C": ref.C.copy(), "S": ref.S.copy(), "D": ref.D.copy()}
     seen = []
@@ -1495,7 +1531,8 @@ def test_a_repaired_solve_derives_each_problem_datum_once(monkeypatch):
     assert (res.solver, res.repairs) == ("multistart", 1)
     assert sorted(seen) == [("eigvalsh", "D"), ("eigvalsh", "S"), ("norm", "C"),
                             ("norm", "D"), ("norm", "S")]
-    assert not prob._basis.flags.writeable
+    M, basis, C2, _ = prob._ascent
+    assert not (M.flags.writeable or basis.flags.writeable or C2.flags.writeable)
 
 
 @pytest.mark.parametrize("k, seed", [(3, 5), (5, 6)])
@@ -1511,11 +1548,12 @@ def test_one_repair_closes_where_the_start_falls_short(k, seed):
 
 
 def test_a_real_problem_repairs():
-    # real symmetric forms make the repair's S-lemma point real; the ascent
-    # from it runs in complex arithmetic as every other one does
+    # real symmetric forms, held in complex form as every problem is, make
+    # the repair's S-lemma point real; the ascent from it runs in complex
+    # arithmetic as every other one does
     rng = np.random.default_rng([5, 1])
     prob = GapProblem("gamma", *(A + A.T for A in rng.standard_normal((3, 4, 4))))
-    assert prob._stack.dtype == float
+    assert prob._stack.dtype == complex
     res = solve(prob, seed=1)
     v = solve_multistart(prob, restarts=64, seed=1).value
     assert (res.solver, res.restarts, res.repairs) == ("multistart", 1, 1)

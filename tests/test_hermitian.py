@@ -266,11 +266,21 @@ def test_matrix_from_obj_rejects(obj):
      "'im' must be 2x2 numbers, got ragged"),
     ({"dim": 2.9, "re": [[1.0, 0.0], [0.0, 1.0]]}, "'dim' must be an integer"),
     ({"dim": True, "re": [[1.0]]}, "'dim' must be an integer"),
+    ({"dim": 0, "re": []}, "'dim' must be an integer >= 1$"),
+    ({"dim": -2, "re": [[1.0]]}, "'dim' must be an integer >= 1$"),
 ])
 def test_matrix_from_obj_names_source_and_precondition(obj, message):
     # the message names the file and the precondition, not numpy's words
     with pytest.raises(ParseError, match="^f.json: " + message):
         matrix_from_obj(obj, name="f.json")
+
+
+@pytest.mark.parametrize("call", [require_hermitian, min_eigenvalue, matrix_to_obj,
+                                  lambda Z: loewner_leq(Z, Z)])
+def test_an_empty_matrix_is_refused_by_name(call):
+    with pytest.raises(DimensionMismatch, match=r"^expected a square matrix of size >= 1, "
+                                                r"got shape \(0, 0\)$"):
+        call(np.zeros((0, 0)))
 
 
 def test_matrix_from_obj_requires_hermitian():
