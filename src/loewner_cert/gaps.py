@@ -78,6 +78,7 @@ from .errors import (
     BadParameter,
     DimensionMismatch,
     NonFinite,
+    NotHermitian,
     NotUnitalFamily,
     NotUnitVector,
 )
@@ -110,7 +111,7 @@ _ARMIJO = 1e-4
 _MAX_STEP = 1.0
 _MIN_STEP = 1e-18
 # the Newton step's shift floor relative to |C| + |S| |D|, and the factors
-# of its Levenberg-Marquardt restart and growth (_newton_ascent)
+# of its Levenberg-Marquardt restart and growth (_newton_step)
 _SHIFT_FLOOR = 1e-8
 _LM_FIRST = 3.0
 _LM_GROWTH = 4.0
@@ -148,9 +149,9 @@ class GapProblem:
     """The data (C, S, D) of one sphere maximization, tagged by kind.
 
     The one place a sphere problem is normalized: C, S and D are views of
-    one read-only, finite, complex (3, k, k) copy, ``_stack``, k >= 1.  The
-    problem computes once, on first use, what the solvers derive from them
-    alone: their norms, the spectra of S and D, and the ascent's data.
+    one read-only, finite, exactly Hermitian, complex (3, k, k) copy, ``_stack``,
+    k >= 1.  The problem computes once, on first use, what the solvers derive
+    from them alone: their norms, the spectra of S and D, and the ascent's data.
     """
 
     kind: str
@@ -168,9 +169,14 @@ class GapProblem:
         # read-only, so that no later write outdates the derived data
         stack = _frozen(np.stack(forms))
         object.__setattr__(self, "_stack", stack)
+        # X - X* is exactly 0 where X is finite and Hermitian; the loop names a form at fault
+        with np.errstate(all="ignore"):  # inf - inf is NaN, and X - X* may overflow
+            valid = not (stack - stack.conj().swapaxes(1, 2)).any()
         for label, X in zip("CSD", stack):
-            if not np.isfinite(X).all():
+            if not (valid or np.isfinite(X).all()):
                 raise NonFinite(f"{label} of the {self.kind} problem has a non-finite entry")
+            if not (valid or (X == X.conj().T).all()):
+                raise NotHermitian(f"{label} of the {self.kind} problem is not Hermitian")
             object.__setattr__(self, label, X)
 
     @property
@@ -414,7 +420,7 @@ _det_real = _lapack("det", "d->d")
 # -- multistart Riemannian Newton ascent --------------------------------
 
 
-def _newton_step(A, R):
+def _newton_solve(A, R):
     """(eta, pd): eta solves (K + T) eta = g in each row where pd holds, else eta = g.
 
     Each row is one restart.  ``A`` stacks its rho I - 2(C - qD S - qS D)
@@ -450,6 +456,24 @@ def _newton_step(A, R):
     return step, pd
 
 
+def _newton_step(A, R, sigma):
+    """eta of each row, for both ascents: ``_newton_solve`` at the shift ``sigma`` in A.
+
+    A row that is not pd is solved again, alone, at _LM_FIRST times its shift
+    and then growing by _LM_GROWTH until it is (Levenberg-Marquardt); a shift
+    that is not finite leaves eta = g.
+    """
+    eta, pd = _newton_solve(A, R)
+    for i in [i for i, done in enumerate(pd.tolist()) if not done]:
+        Ai, Ri, eye, shift = A[i:i + 1], R[i:i + 1], np.eye(A.shape[-1]), _LM_FIRST * sigma[i]
+        while True:
+            eta[i:i + 1], ok = _newton_solve(Ai + (shift - sigma[i]) * eye, Ri)
+            if ok[0] or not math.isfinite(shift):
+                break
+            shift *= _LM_GROWTH
+    return eta
+
+
 def _newton_ascent(problem: GapProblem, X0, max_iter: int):
     """Lockstep regularized Newton ascent over the columns of X0; returns (X, converged, iters).
 
@@ -464,15 +488,13 @@ def _newton_ascent(problem: GapProblem, X0, max_iter: int):
     Each iteration solves (sigma - Hess) eta = g once (``_newton_step``),
     with sigma = max(|g|, _SHIFT_FLOOR (|C| + |S| |D|)) in Frobenius norms:
     the floor keeps the system well conditioned where g is tiny, as at a
-    degenerate maximum with a flat direction.  Where sigma - Hess is not
-    positive definite, sigma starts again at _LM_FIRST times that and grows
-    by _LM_GROWTH until it is (Levenberg-Marquardt); a shift that is not
-    finite (non-finite forms) leaves eta = g.  Armijo backtracking along
-    x -> (x + t eta)/|x + t eta| then makes every accepted step increase F.
+    degenerate maximum with a flat direction, and larger shifts follow where
+    sigma - Hess is not positive definite (Levenberg-Marquardt).  Armijo
+    backtracking along x -> (x + t eta)/|x + t eta| then makes every accepted
+    step increase F.
     """
     k = problem.dim
     M, basis, C2, floor = problem._ascent
-    eye = np.eye(k)
     X = X0 / np.linalg.norm(X0, axis=0)
     b = X.shape[1]
     converged = np.zeros(b, dtype=bool)
@@ -512,16 +534,7 @@ def _newton_ascent(problem: GapProblem, X0, max_iter: int):
         coef = 2.0 * Q[::-1]  # rows 2 qD, 2 qS, then rho + sigma
         coef[2] = rho + sigma
         A = (coef.T @ basis).reshape(-1, k, k) + C2
-        Rt = R.T
-        eta, pd = _newton_step(A, Rt)
-        if not pd.all():
-            todo, shift = np.flatnonzero(~pd), _LM_FIRST * sigma[~pd]
-            while todo.size:
-                eta[todo], pd = _newton_step(
-                    A[todo] + (shift - sigma[todo])[:, None, None] * eye, Rt[todo])
-                keep = ~pd & np.isfinite(shift)
-                todo, shift = todo[keep], _LM_GROWTH * shift[keep]
-        eta = eta.T
+        eta = _newton_step(A, R.T, sigma).T
 
         # Armijo backtracking on the increase of F, evaluated without
         # cancellation so that tiny steps near a maximum stay measurable:
@@ -573,7 +586,6 @@ def _newton_ascent_one(problem: GapProblem, x0, max_iter: int):
     """
     k = problem.dim
     M, basis, C2, floor = problem._ascent
-    eye = np.eye(k)
     R = np.empty((4, k), dtype=complex)  # x, g, u and w
     Rt = R.T[None]
     x = np.divide(x0, _colnorm(x0), out=R[0])
@@ -597,15 +609,7 @@ def _newton_ascent_one(problem: GapProblem, x0, max_iter: int):
 
         sigma = max(gn, floor)
         A = (np.array([2.0 * qD, 2.0 * qS, rho + sigma]) @ basis).reshape(1, k, k) + C2
-        eta, pd = _newton_step(A, Rt)
-        if not pd[0]:
-            shift = _LM_FIRST * sigma
-            while True:
-                eta, pd = _newton_step(A + (shift - sigma) * eye, Rt)
-                if pd[0] or not math.isfinite(shift):
-                    break
-                shift *= _LM_GROWTH
-        eta = eta[0]
+        eta = _newton_step(A, Rt, [sigma])[0]
 
         # the batch's Armijo backtracking, on Python floats
         E = np.concatenate([eta[None], MX, (M @ eta).reshape(3, k)])

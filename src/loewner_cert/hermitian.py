@@ -14,8 +14,8 @@ own arguments.  Operands of one size are decomposed by one stacked
 ``eigh`` call (``_by_size``), and ``_spectral_images`` forms every image
 f(A), f'(A), ... of a stack from one product (U * f(w)) @ U*: one domain
 check, one hermitize and one finiteness check per stack.  Each result has
-the bits of the same computation on one matrix, and an error names the
-first operand at fault and, for an image that overflows, the image and f.
+the bits of the same computation on one matrix, and ``_raise_first`` names
+the first operand at fault and, for an image that overflows, the image and f.
 """
 
 from __future__ import annotations
@@ -118,16 +118,22 @@ def _clamped(w, domain: Interval | None):
     return w, ok & inside.all(axis=-1)
 
 
-def _checked_spectrum(w, domain: Interval | None, name: str) -> np.ndarray:
-    """``name``'s eigenvalues ``w`` clamped onto ``domain``; errors name ``name``."""
+def _raise_first(faults, domain: Interval | None, names, f: str = "") -> None:
+    """Raise for the first of ``faults`` (operand, spectrum, image label) in operand order.
+
+    The label is None where the spectrum is at fault: it overflows or leaves ``domain``.
+    """
+    if not faults:
+        return
+    i, w, label = min(faults, key=lambda fault: fault[0])
+    if label is not None:
+        raise NonFinite(f"{label}({names[i]}) has a non-finite entry, f = {f}")
     if not np.isfinite(w).all():
-        raise NonFinite(f"{name} has an eigenvalue that overflows")
-    if domain is None:
-        return w
+        raise NonFinite(f"{names[i]} has an eigenvalue that overflows")
     try:
-        return domain.clamp_spectrum(w)
+        domain.clamp_spectrum(w)
     except SpectrumOutsideDomain as exc:
-        exc.args = (f"{name} has {exc}",)
+        exc.args = (f"{names[i]} has {exc}",)
         raise
 
 
@@ -136,15 +142,8 @@ def _check_spectra(groups, domain: Interval | None, names) -> None:
 
     The first operand at fault, in the order of ``names``, raises.
     """
-    faults = []
-    for idx, w in groups:
-        ok = _clamped(w, domain)[1]
-        if not ok.all():
-            j = int(np.argmin(ok))
-            faults.append((idx[j], w[j]))
-    if faults:
-        i, w = min(faults, key=lambda fault: fault[0])
-        _checked_spectrum(w, domain, names[i])
+    _raise_first([(i, wi, None) for idx, w in groups for i, wi, ok
+                  in zip(idx, w, _clamped(w, domain)[1].tolist()) if not ok], domain, names)
 
 
 def _spectral_images(groups, fns: dict, domain: Interval | None, names, f: str) -> list:
@@ -155,10 +154,8 @@ def _spectral_images(groups, fns: dict, domain: Interval | None, names, f: str) 
     Each group's spectra are checked and clamped onto ``domain`` at once,
     and every image of the group comes from one product (U * g(w)) @ U*,
     hermitized once and checked for finiteness once; it has the bits of
-    that image formed alone.  The first operand at fault, in order, raises:
-    a spectrum outside ``domain`` names it, and an image with a non-finite
-    entry raises NonFinite naming the image, the operand and the function
-    as ``f``: "f'(A) has a non-finite entry, f = exp;dom=(-inf,inf)".
+    that image formed alone.  ``_raise_first`` reports the first operand at
+    fault, an image as "f'(A) has a non-finite entry, f = exp;dom=(-inf,inf)".
     """
     labels = list(fns)
     images = [None] * len(names)
@@ -174,14 +171,10 @@ def _spectral_images(groups, fns: dict, domain: Interval | None, names, f: str) 
             stack = hermitize((U * F) @ U.conj().swapaxes(-1, -2))
         bad = ~(ok[:, None] & np.isfinite(stack).all(axis=(-2, -1)))
         if bad.any():
-            j, label = np.argwhere(bad)[0]
-            faults.append((idx[j], label, w[j]))
+            faults += [(idx[j], w[j], labels[c] if ok[j] else None) for j, c in np.argwhere(bad)]
         for j, i in enumerate(idx):
             images[i] = stack[j]
-    if faults:
-        i, label, w = min(faults, key=lambda fault: fault[0])
-        _checked_spectrum(w, domain, names[i])  # raises where the spectrum is at fault
-        raise NonFinite(f"{labels[label]}({names[i]}) has a non-finite entry, f = {f}")
+    _raise_first(faults, domain, names, f)
     return images
 
 
@@ -190,9 +183,9 @@ def _decomposed(A) -> list:
     return _by_size([require_hermitian(A)], np.linalg.eigh)
 
 
-def _one(image_stacks) -> list:
-    """The one image of each operand."""
-    return [stack[0] for stack in image_stacks]
+def _image(groups, fn, domain: Interval | None, names, f: str) -> list:
+    """The one image fn(X) of each operand: ``_spectral_images`` with the one label "f"."""
+    return [stack[0] for stack in _spectral_images(groups, {"f": fn}, domain, names, f)]
 
 
 def apply_spectral(A, fn, domain: Interval | None = None, name: str = "matrix") -> np.ndarray:
@@ -203,14 +196,12 @@ def apply_spectral(A, fn, domain: Interval | None = None, name: str = "matrix") 
     onto it so that rounding does not cause spurious rejections.  Errors
     about A name it ``name``, and an image that overflows raises NonFinite.
     """
-    f = getattr(fn, "__name__", "fn")
-    return _one(_spectral_images(_decomposed(A), {"f": fn}, domain, [name], f))[0]
+    return _image(_decomposed(A), fn, domain, [name], getattr(fn, "__name__", "fn"))[0]
 
 
 def _calc(groups, f: ScalarFunction, names) -> list:
     """f(X) of each operand, from the stacked ``eigh`` pairs ``groups``."""
-    return _one(_spectral_images(groups, {"f": f.value_array}, f.domain, names,
-                                 f.spec_string()))
+    return _image(groups, f.value_array, f.domain, names, f.spec_string())
 
 
 def calc(f: ScalarFunction, A, name: str = "matrix") -> np.ndarray:
@@ -225,8 +216,7 @@ def _power(groups, p: float, names) -> list:
     """
     p = float(p)
     domain = None if p.is_integer() and p >= 0 else Interval(0.0, float("inf"), lo_closed=True)
-    return _one(_spectral_images(groups, {"f": lambda w: np.power(w, p)}, domain, names,
-                                 f"power:{_fmt_endpoint(p)}"))
+    return _image(groups, lambda w: np.power(w, p), domain, names, f"power:{_fmt_endpoint(p)}")
 
 
 def matrix_power(A, p: float, name: str = "matrix") -> np.ndarray:
@@ -240,7 +230,11 @@ class LoewnerCheck(NamedTuple):
 
 
 def min_eigenvalue(A) -> float:
-    return float(np.linalg.eigvalsh(hermitize(as_matrix(A)))[0])
+    """The least eigenvalue of A's Hermitian part; a NaN or infinite entry raises NonFinite."""
+    A = as_matrix(A)
+    if not np.isfinite(A).all():
+        raise NonFinite("matrix has a non-finite entry")
+    return float(np.linalg.eigvalsh(hermitize(A))[0])
 
 
 def loewner_leq(A, B, tol: float = 0.0) -> LoewnerCheck:
@@ -297,7 +291,8 @@ def random_dominated_pair(n: int, m: float, M: float, seed) -> tuple[np.ndarray,
     s = 1.0 / np.sqrt(w)
     # X in P's eigenbasis: D^{-1/2} U* (A - m'I) U D^{-1/2}
     X = s[:, None] * (U.conj().T @ (A - m_safe * np.eye(n)) @ U) * s
-    c = min(1.0, min_eigenvalue(X))
+    # eigvalsh itself: min_eigenvalue refuses the X that overflows for M near the float maximum
+    c = min(1.0, float(np.linalg.eigvalsh(hermitize(X))[0]))
     if c < 1e-8:
         # no room below A; an exactly equal pair satisfies every postcondition
         return A, A.copy()

@@ -54,6 +54,15 @@ def dumps_canonical(obj) -> str:
     return _emit(obj)
 
 
+def _read_bytes(path: str) -> bytes:
+    """The bytes of the file at ``path``; the one place a file is opened."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+
+
 def _read_json(path: str):
     """(parsed JSON, sha256 hex digest) of the file at ``path``, from one read.
 
@@ -61,11 +70,7 @@ def _read_json(path: str):
     universal newlines, as a text-mode read decodes them; bytes with no
     carriage return need no newline pass.
     """
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+    data = _read_bytes(path)
     text = data.decode("utf-8")
     if b"\r" in data:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
@@ -81,11 +86,4 @@ def load_json_file(path: str):
 
 
 def sha256_file(path: str) -> str:
-    h = hashlib.sha256()
-    try:
-        with open(path, "rb") as fh:
-            for chunk in iter(lambda: fh.read(65536), b""):
-                h.update(chunk)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    return h.hexdigest()
+    return hashlib.sha256(_read_bytes(path)).hexdigest()

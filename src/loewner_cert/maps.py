@@ -70,8 +70,8 @@ class Conjugation:
 
     def __post_init__(self):
         V = np.array(self.V, dtype=complex)
-        if V.ndim != 2:
-            raise BadDimensions(f"V must be a matrix, got shape {V.shape}")
+        if V.ndim != 2 or not V.size:
+            raise BadDimensions(f"V must be a matrix with a row and a column, got shape {V.shape}")
         if not np.isfinite(V).all():
             raise NonFinite("conjugation map V has a non-finite entry")
         object.__setattr__(self, "V", _frozen(V))
@@ -109,6 +109,8 @@ class Pinch:
             except ValueError:
                 raise BadDimensions(f"pinch block entry {i!r} is not an integer") from None
 
+        if self.dim == 0:
+            raise BadDimensions(f"a {self.variant} map needs dim >= 1, got {self.dim}")
         blocks = tuple(tuple(index(i) for i in blk) for blk in self.blocks)
         seen = [i for blk in blocks for i in blk]
         if self.dim < 0 or sorted(seen) != list(range(self.dim)):

@@ -510,6 +510,9 @@ def test_maps_file_with_nan_is_exit_two(tmp_path, diag01, capsys):
     ([{"variant": "conjugation", "V_re": [[1.0, 0.0], [0.0]]}], "'V_re'"),
     ([{"variant": "diag", "dim": True}], "'dim'"),
     ([{"variant": "pinch", "dim": 2.5, "blocks": [[0], [1.7]]}], "'blocks'"),
+    # size 0: refused where the map is built, so that the error names the file
+    ([{"variant": "conjugation", "V_re": [[], []]}], "V must be a matrix with a row and a column"),
+    ([{"variant": "pinch", "dim": 0, "blocks": []}], "a pinch map needs dim >= 1"),
 ])
 def test_malformed_maps_file_is_exit_two(tmp_path, diag01, obj, field, capsys):
     maps = tmp_path / "maps.json"

@@ -19,6 +19,7 @@ from loewner_cert import (
     LoewnerCertError,
     MapFamily,
     NonFinite,
+    NotHermitian,
     NotUnitalFamily,
     NotUnitVector,
     Pinch,
@@ -334,8 +335,8 @@ def test_the_one_column_ascent_gives_the_bits_of_the_batch(monkeypatch):
     # reference.  Some starts take Levenberg-Marquardt restarts: more
     # Newton steps than iterations
     calls = []
-    step = gaps._newton_step
-    monkeypatch.setattr(gaps, "_newton_step", lambda A, R: calls.append(1) or step(A, R))
+    solve = gaps._newton_solve
+    monkeypatch.setattr(gaps, "_newton_solve", lambda A, R: calls.append(1) or solve(A, R))
     seen = {"restarts": 0, "capped": 0, "converged": 0}
     for k in (3, 4, 5, 8, 16, 32):
         for seed in range(4):
@@ -373,7 +374,7 @@ def test_degenerate_maxima_converge(a_seed):
 
 
 def _step_inputs(prob, x, sigma):
-    """A (with the shift sigma) and the rows x, g, u, w that _newton_step reads."""
+    """A (with the shift sigma) and the rows x, g, u, w that _newton_solve reads."""
     Cx, Sx, Dx = prob.C @ x, prob.S @ x, prob.D @ x
     qS, qD = np.vdot(x, Sx).real, np.vdot(x, Dx).real
     G = 2.0 * (Cx - qD * Sx - qS * Dx)
@@ -411,7 +412,7 @@ def _minus_hessian(prob, x, basis):
 
 def test_the_step_is_the_newton_step():
     # at random points and near local maxima: the det < 0 rule of
-    # _newton_step against eigvalsh of the real Hessian (2k - 2 square) on
+    # _newton_solve against eigvalsh of the real Hessian (2k - 2 square) on
     # the horizontal space, and at sigma = 0 the step against the solution
     # of the real Newton system
     counts = {"pd": 0, "not pd": 0, "newton": 0}
@@ -434,7 +435,7 @@ def test_the_step_is_the_newton_step():
         # to (1 + sigma) x, so sigma >= 0
         for sigma in {0.0, max(0.0, -low - 0.2 * scale), max(0.0, -low + 0.2 * scale)}:
             A, R = _step_inputs(prob, x, sigma)
-            eta, pd = gaps._newton_step(A, R)
+            eta, pd = gaps._newton_solve(A, R)
             definite = low + sigma > 0.0
             # pd is never wrong, and exact wherever K + sigma is definite
             assert definite or not pd[0]
@@ -480,6 +481,28 @@ def test_gap_problem_refuses_non_finite_forms(label, bad):
     forms = {"C": B2.copy(), "S": A2.copy(), "D": B2.copy()}
     forms[label][1, 1] = bad
     with pytest.raises(NonFinite, match=rf"^{label} of the delta problem has a non-finite"):
+        GapProblem("delta", **forms)
+
+
+def test_gap_problem_refuses_a_form_that_is_not_hermitian():
+    # the ascents read Re<Cx, x>, the Hermitian part of C, and the bound
+    # only C's lower triangle: taken as it is, this complex Gaussian C gets
+    # the value 6.1735 from solve and a "certified" upper bound of 5.7528
+    rng = np.random.default_rng(187)
+    C = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    A, B = rng.standard_normal((2, 3, 3))
+    with pytest.raises(NotHermitian, match=r"^C of the gamma problem is not Hermitian$"):
+        GapProblem("gamma", C, A + A.T, B + B.T)
+
+
+@pytest.mark.parametrize("label", "CSD")
+@pytest.mark.parametrize("entry,nudge", [((0, 1), 2.3e-16), ((1, 1), 1e-300j)])
+def test_gap_problem_refuses_the_least_asymmetry(label, entry, nudge):
+    # the test is exact, with no tolerance: an entry 2.3e-16 off its mirror,
+    # or an imaginary part of 1e-300 on the diagonal
+    forms = {"C": B2 + 0.5, "S": A2.copy(), "D": B2.copy()}
+    forms[label][entry] += nudge
+    with pytest.raises(NotHermitian, match=rf"^{label} of the delta problem is not Hermitian$"):
         GapProblem("delta", **forms)
 
 

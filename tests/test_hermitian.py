@@ -161,6 +161,14 @@ def test_min_eigenvalue():
     assert min_eigenvalue(np.diag([3.0, -1.0, 2.0])) == -1.0
 
 
+@pytest.mark.parametrize("A", [[[math.nan, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, math.inf]]])
+def test_min_eigenvalue_refuses_a_non_finite_entry(A):
+    # LAPACK reads the NaN matrix as having least eigenvalue 0.0, so that it
+    # would pass as positive semidefinite, and the other as nan with a warning
+    with pytest.raises(NonFinite, match=r"^matrix has a non-finite entry$"):
+        min_eigenvalue(A)
+
+
 @given(n=dims, seed=seeds)
 def test_random_unitary_is_unitary(n, seed):
     U = random_unitary(n, np.random.default_rng(seed))

@@ -52,6 +52,19 @@ def test_pinch_partition_validation():
         Diag(-1)
 
 
+@pytest.mark.parametrize("make,message", [
+    (lambda: Pinch(0, ()), r"^a pinch map needs dim >= 1, got 0$"),
+    (lambda: Diag(0), r"^a diag map needs dim >= 1, got 0$"),
+    (lambda: Conjugation(np.zeros((2, 0))),
+     r"^V must be a matrix with a row and a column, got shape \(2, 0\)$"),
+    (lambda: Conjugation(np.zeros((0, 2))),
+     r"^V must be a matrix with a row and a column, got shape \(0, 2\)$"),
+])
+def test_a_map_of_size_0_is_refused_at_construction(make, message):
+    with pytest.raises(BadDimensions, match=message):
+        make()
+
+
 @pytest.mark.parametrize("entry", [1.7, True, np.bool_(True), "1", None])
 def test_pinch_refuses_non_integral_entries(entry):
     with pytest.raises(BadDimensions, match=f"pinch block entry {entry!r}"):
