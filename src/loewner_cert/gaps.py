@@ -139,6 +139,7 @@ _DIM2_NEWTON = 100
 _REFINE_CANDIDATES = 10
 # samples per draw of the oracle while it has a bound (``solve_bruteforce``)
 _BLOCK_SAMPLES = 2000
+# cap on the iterations of one oracle ascent: gradient steps and sweeps
 _MAX_SWEEPS = 60
 _LINE_GRID = 1024
 _LINE_NEWTON = 2
@@ -1204,9 +1205,10 @@ def solve(problem: GapProblem, seed=0) -> GapResult:
 # a trig polynomial of degree two in z = 2 psi.  One constant 5 x 12 matrix
 # maps C's three numbers and the nine products of S's with D's to F's five
 # Fourier coefficients, and ``_line_max`` maximizes F on all columns at
-# once.  For a coordinate axis the three numbers come in closed form from
-# x_j, (Mx)_j and M_jj, so an axis step forms no direction vector, and a
-# move is one scaling of the block plus a multiple of column j of I, C, S, D.
+# once.  For a conjugate-gradient direction W they take one product M W;
+# for a coordinate axis they come in closed form from x_j, (Mx)_j and M_jj,
+# so an axis step forms no direction vector, and a move is one scaling of
+# the block plus a multiple of column j of I, C, S, D.
 
 
 def _fourier_map() -> np.ndarray:
@@ -1268,24 +1270,33 @@ def _line_max(P):
     return np.where(up, z, z0), np.where(up, Fz, F0)
 
 
-def _coordinate_ascent(M, X0, upper=None):
-    """Exact line maximization along spherical coordinate geodesics.
+def _geodesic_ascent(M, X0, upper=None):
+    """Exact line maximization along great circles, picked by conjugate gradients.
 
-    Each sweep first follows one pattern geodesic, along the displacement
-    since the start of the previous sweep (from the second sweep on), and
-    then the geodesic through x and each phase 1, i of each coordinate
-    axis, each maximized by ``_line_max``; a column moves only where F
-    rises.  Monotone by construction; independent of the gradient solver
-    it cross-checks.
+    Each iteration follows, for every column at once, the great circle
+    through x and the Polak-Ribiere+ direction d = g + beta P(d_prev): g is
+    the horizontal gradient, P the projection onto x^perp (transport by
+    projection), d_prev the previous direction's velocity at the new point
+    and beta = max(0, Re<g, g - P(g_prev)> / |g_prev|^2); d = g at the
+    start, after a coordinate sweep, at every 2k-th iteration and wherever
+    Re<g, d> <= 0.  An iteration that raises no column by more than
+    1e-13 (1 + max |F|) is followed by one sweep of the great circles
+    through x and each phase 1, i of each coordinate axis.  Every step is
+    maximized by ``_line_max``, and a column moves only where F rises, so
+    the ascent is monotone: the gradient only picks directions, and every
+    value returned is F at a unit vector.
     ``M`` stacks (C, S, D); returns the normalized columns, their values of
-    F, the number of sweeps and why the ascent stopped: "bound" once the
-    best F reaches ``upper`` - 1e-8 (1 + |upper|) (never without an
-    ``upper``), "stalled" after a sweep in which no column gained more than
-    1e-13 (1 + max |F|), or "cap" after _MAX_SWEEPS sweeps.
+    F, the number of iterations (each conjugate-gradient step and each
+    sweep counts one) and why the ascent stopped: "bound" once the best F
+    reaches ``upper`` - 1e-8 (1 + |upper|) (never without an ``upper``),
+    "stalled" after a sweep that gains no more than the test above, so
+    that no coordinate geodesic raises any column, or "cap" after
+    _MAX_SWEEPS iterations.
     """
     k, b = X0.shape
     XM = np.empty((4, k, b), dtype=complex)  # X and its C, S, D images
     XM[0] = X0
+    x, MX = XM[0], XM[1:]
     E = np.concatenate([np.eye(k, dtype=complex)[None], M])
     Mjj = np.diagonal(M, axis1=1, axis2=2).real
     axes = [(j, unit == 1j, unit * E[:, :, j, None], Mjj[:, j, None])
@@ -1313,66 +1324,94 @@ def _coordinate_ascent(M, X0, upper=None):
         np.subtract(q[0], q[1] * q[2], out=F)
         return cs, sn
 
+    def project(v):
+        """v minus its component along x, in place."""
+        v -= x * (x.conj() * v).sum(axis=0)
+        return v
+
     goal = np.inf if upper is None else upper - _gap_tol(upper)
-    sweeps = 0
+    iters = 0
+    swept = False
+    d = None  # the last direction's velocity, None when the next step restarts
     while True:
-        # (re)normalize X, which also kills the drift of the previous sweep;
+        # (re)normalize X, which also kills the drift of the previous step;
         # the norms sum each column as one contiguous run, as the column-major
         # candidate block does (numpy sums those pairwise once k >= 8)
-        XM[0] /= np.linalg.norm(np.asfortranarray(XM[0]), axis=0)
-        np.matmul(M, XM[0], out=XM[1:])
-        q[...] = (XM[0].conj() * XM[1:]).real.sum(axis=1)
+        x /= np.linalg.norm(np.asfortranarray(x), axis=0)
+        np.matmul(M, x, out=MX)
+        q[...] = (x.conj() * MX).real.sum(axis=1)
         F = q[0] - q[1] * q[2]
+        gained = not iters or (float(np.max(F - F_before))
+                               >= 1e-13 * (1.0 + float(np.abs(F).max())))
         stop = ("bound" if float(F.max()) >= goal
-                else "stalled" if sweeps and (float(np.max(F - F_before))
-                                              < 1e-13 * (1.0 + float(np.abs(F).max())))
-                else "cap" if sweeps == _MAX_SWEEPS else None)
+                else "stalled" if swept and not gained
+                else "cap" if iters == _MAX_SWEEPS else None)
         if stop:
             break
-        sweeps += 1
+        iters += 1
         F_before = F.copy()
-        if sweeps > 1:
-            # pattern step: the horizontal part of x - base, normalized
-            W = XM[0] - base
-            W -= XM[0] * (XM[0].conj() * W).sum(axis=0)
-            norm = np.linalg.norm(W, axis=0)
-            live = norm > 0.0
-            W /= np.where(live, norm, 1.0)
-            MW = M @ W
-            Wc = W.conj()
-            cr[...] = (Wc * XM[1:]).real.sum(axis=1)
-            w[...] = (Wc * MW).real.sum(axis=1)
-            cs, sn = advance(live)
-            XM[0] *= cs
-            XM[0] += W * sn
-            XM[1:] *= cs
-            XM[1:] += MW * sn
-        base = XM[0].copy()
-        for j, imag, Ej, mjj in axes:
-            # W = (e - cmix x) / nu for the axis e = unit e_j, cmix = Re<e, x>
-            row = XM[:, j].imag if imag else XM[:, j].real
-            cmix, r = row[0], row[1:]  # r = Re<e, Mx>
-            nu2 = 1.0 - cmix * cmix
-            inv2 = 1.0 / np.maximum(nu2, 1e-20)
-            inv = np.sqrt(inv2)
-            rq = r - cmix * q
-            np.multiply(rq, inv, out=cr)
-            np.multiply(mjj - cmix * (r + rq), inv2, out=w)
-            cs, sn = advance(nu2 > 1e-20)
-            # x cos psi + W sin psi, for x and its images at once
-            sn *= inv
-            XM *= cs - cmix * sn
-            XM += Ej * sn
-    return XM[0], F, sweeps, stop
+        swept = not gained
+        if swept:
+            for j, imag, Ej, mjj in axes:
+                # W = (e - cmix x) / nu for the axis e = unit e_j, cmix = Re<e, x>
+                row = XM[:, j].imag if imag else XM[:, j].real
+                cmix, r = row[0], row[1:]  # r = Re<e, Mx>
+                nu2 = 1.0 - cmix * cmix
+                inv2 = 1.0 / np.maximum(nu2, 1e-20)
+                inv = np.sqrt(inv2)
+                rq = r - cmix * q
+                np.multiply(rq, inv, out=cr)
+                np.multiply(mjj - cmix * (r + rq), inv2, out=w)
+                cs, sn = advance(nu2 > 1e-20)
+                # x cos psi + W sin psi, for x and its images at once
+                sn *= inv
+                XM *= cs - cmix * sn
+                XM += Ej * sn
+            d = None
+            continue
+        # the horizontal part of G = 2(Cx - qD Sx - qS Dx); projecting the
+        # small remainder again leaves an x-component at the rounding level
+        # of |g| rather than |G|, as in _newton_ascent
+        g = project(project(2.0 * (MX[0] - q[2] * MX[1] - q[1] * MX[2])))
+        gg = _rdot(g, g)
+        # the periodic restart: without it the steps crawl toward degenerate
+        # maxima, and 15 of 1,120 diagonal triples ended at the cap short
+        if d is None or iters % (2 * k) == 0:
+            d = g
+        else:
+            # g is horizontal, so Re<g, P(v)> = Re<g, v>; a zero beta restarts
+            beta = np.divide(gg - _rdot(g, g_prev), gg_prev, out=np.zeros(b),
+                             where=gg_prev > 0.0)
+            beta[(beta <= 0.0) | (gg + beta * _rdot(g, d) <= 0.0)] = 0.0
+            # P(g + beta d_prev) = g + beta P(d_prev), projected a second
+            # time: near a stationary point |d| sits at the rounding level of
+            # the first projection's remainder, and W = d / |d| would carry an
+            # x-component of order one and leave the sphere
+            d = project(project(g + beta * d))
+        g_prev, gg_prev = g, gg
+        nd = _colnorm(d)
+        live = nd > 0.0
+        W = d / np.where(live, nd, 1.0)
+        MW = M @ W
+        Wc = W.conj()
+        cr[...] = (Wc * MX).real.sum(axis=1)
+        w[...] = (Wc * MW).real.sum(axis=1)
+        cs, sn = advance(live)
+        # the velocity at x cos psi + W sin psi, of length |d|
+        d = (W * cs - x * sn) * nd
+        x *= cs
+        x += W * sn
+    return x, F, iters, stop
 
 
 def solve_bruteforce(problem: GapProblem, samples: int = 20000, seed=0,
                      upper=None) -> GapResult:
-    """Sampling oracle: random directions, then coordinate ascent.
+    """Sampling oracle: random directions, then an ascent along great circles.
 
     Dimension 1 is closed form.  The best ten samples are polished by
-    geodesic coordinate ascent with one pattern step per sweep
-    (``_coordinate_ascent``).  Given a certified bound ``upper`` on max F,
+    exact line maxima along conjugate-gradient geodesics, with a sweep of
+    the coordinate geodesics to confirm a stall (``_geodesic_ascent``).
+    Given a certified bound ``upper`` on max F,
     the ascent also stops once its best value is within 1e-8 (1 + |upper|)
     of it; the stop reads only ``upper``, never a primal value.  The ascent
     can settle on a local maximum, so the oracle wants ``samples`` >= 10:
@@ -1386,8 +1425,8 @@ def solve_bruteforce(problem: GapProblem, samples: int = 20000, seed=0,
     vector reaches it.  On ``triple(8, 61)`` one 20,000-sample draw stalled
     below the bound at 31 of 40 seeds, and blocks of 2,000 at none.  The
     result is the best column of all blocks; ``restarts`` counts the
-    samples drawn, ``blocks`` the draws, ``iterations`` the sweeps of every
-    ascent, and ``stop`` is why the last ascent ended.
+    samples drawn, ``blocks`` the draws, ``iterations`` the iterations of
+    every ascent, and ``stop`` is why the last ascent ended.
     """
     _check_count("samples", samples)
     _check_seed(seed)
@@ -1396,12 +1435,15 @@ def solve_bruteforce(problem: GapProblem, samples: int = 20000, seed=0,
         x = np.array([1.0 + 0.0j])
         return GapResult(gap_objective(problem, x), x, "bruteforce", 0, 0, stop="stalled")
     M = problem._stack
-    # the real form of each matrix, so that Re<Az, z> = y^T A_r y for the
-    # column y = (Re z, Im z)
-    real = [np.block([[A.real, -A.imag], [A.imag, A.real]]) for A in M]
+    # the real form [[Re A, -Im A], [Im A, Re A]] of each matrix, so that
+    # Re<Az, z> = y^T A_r y for the column y = (Re z, Im z)
+    real = np.empty((3, 2 * k, 2 * k))
+    real[:, :k, :k] = real[:, k:, k:] = M.real
+    real[:, k:, :k] = M.imag
+    np.negative(M.imag, out=real[:, :k, k:])
     rng = np.random.default_rng(seed)
     size = samples if upper is None else min(_BLOCK_SAMPLES, samples)
-    drawn = sweeps = blocks = 0
+    drawn = iters = blocks = 0
     stop, best_F, x = None, -np.inf, None
     while stop != "bound" and drawn < samples:
         n = min(size, samples - drawn)
@@ -1415,12 +1457,12 @@ def solve_bruteforce(problem: GapProblem, samples: int = 20000, seed=0,
         top = np.argpartition(Fs, cut)[cut:]
         top = top[np.argsort(Fs[top])[::-1]]
         Z = R[:k, top] + 1j * R[k:, top]
-        X, F, s, stop = _coordinate_ascent(M, Z / np.linalg.norm(Z, axis=0), upper=upper)
+        X, F, s, stop = _geodesic_ascent(M, Z / np.linalg.norm(Z, axis=0), upper=upper)
         drawn += n
-        sweeps += s
+        iters += s
         blocks += 1
         i = int(np.argmax(F))
         if x is None or F[i] > best_F:
             best_F, x = F[i], X[:, i] / np.linalg.norm(X[:, i])
-    return GapResult(gap_objective(problem, x), x, "bruteforce", sweeps, drawn, stop=stop,
+    return GapResult(gap_objective(problem, x), x, "bruteforce", iters, drawn, stop=stop,
                      blocks=blocks)

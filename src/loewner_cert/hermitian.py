@@ -243,7 +243,11 @@ def loewner_leq(A, B, tol: float = 0.0) -> LoewnerCheck:
     B = require_hermitian(B)
     if A.shape != B.shape:
         raise DimensionMismatch(f"shapes {A.shape} and {B.shape} differ")
-    slack = min_eigenvalue(B - A)
+    with np.errstate(over="ignore"):  # reported below
+        diff = B - A
+    if not np.isfinite(diff).all():
+        raise NonFinite("B - A overflows")
+    slack = min_eigenvalue(diff)
     return LoewnerCheck(slack >= -tol, slack)
 
 
@@ -289,9 +293,12 @@ def random_dominated_pair(n: int, m: float, M: float, seed) -> tuple[np.ndarray,
     m_safe = m + 4 * n * np.finfo(float).eps * M
     w, U = np.linalg.eigh(P)
     s = 1.0 / np.sqrt(w)
-    # X in P's eigenbasis: D^{-1/2} U* (A - m'I) U D^{-1/2}
-    X = s[:, None] * (U.conj().T @ (A - m_safe * np.eye(n)) @ U) * s
-    # eigvalsh itself: min_eigenvalue refuses the X that overflows for M near the float maximum
+    # X in P's eigenbasis: D^{-1/2} U* (A - m'I) U D^{-1/2}; it overflows
+    # for M near the float maximum
+    with np.errstate(all="ignore"):  # reported below
+        X = s[:, None] * (U.conj().T @ (A - m_safe * np.eye(n)) @ U) * s
+    if not np.isfinite(X).all():
+        raise NonFinite(f"P^-1/2 (A - m'I) P^-1/2 overflows for the window [{m}, {M}]")
     c = min(1.0, float(np.linalg.eigvalsh(hermitize(X))[0]))
     if c < 1e-8:
         # no room below A; an exactly equal pair satisfies every postcondition

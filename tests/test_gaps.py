@@ -948,22 +948,105 @@ def test_oracle_values_are_stable(i):
 
 
 @pytest.mark.parametrize("i", range(6))
-def test_coordinate_ascent_never_lowers_a_column(i):
+def test_geodesic_ascent_never_lowers_a_column(i):
     prob = _oracle_case(i)
     Z, F0 = _sampled_values(prob, 12, seed=i)
-    X, F, sweeps, _ = gaps._coordinate_ascent(prob._stack, Z)
-    assert 1 <= sweeps <= gaps._MAX_SWEEPS
+    X, F, iters, _ = gaps._geodesic_ascent(prob._stack, Z)
+    assert 1 <= iters <= gaps._MAX_SWEEPS
     assert np.all(F >= F0 - 1e-12 * (1.0 + np.abs(F0)))
     assert np.allclose(np.linalg.norm(X, axis=0), 1.0, atol=1e-14)
     assert np.allclose([gap_objective(prob, x) for x in X.T], F, rtol=0, atol=1e-12)
 
 
-def test_coordinate_ascent_stops_at_sweep_cap(monkeypatch):
+def test_geodesic_ascent_stops_at_the_iteration_cap(monkeypatch):
     prob = _oracle_case(5)
     Z, _ = _sampled_values(prob, 4, seed=1)
     for cap in (1, 2):
         monkeypatch.setattr(gaps, "_MAX_SWEEPS", cap)
-        assert gaps._coordinate_ascent(prob._stack, Z)[2:] == (cap, "cap")
+        assert gaps._geodesic_ascent(prob._stack, Z)[2:] == (cap, "cap")
+
+
+def _best_axis_gains(M, X):
+    """Per column of X, the largest rise of F along the great circle through
+    x and any phase 1, i of any coordinate axis, by _line_max from scratch."""
+    k, b = X.shape
+    MX = M @ X
+    q = (X.conj() * MX).real.sum(axis=1)
+    F = q[0] - q[1] * q[2]
+    best = np.zeros(b)
+    for j in range(k):
+        for unit in (1.0, 1j):
+            # the unit tangent at x toward e = unit e_j in the real inner product
+            e = np.zeros((k, b), dtype=complex)
+            e[j] = unit
+            W = e - X * (X.conj() * e).real.sum(axis=0)
+            nu = np.linalg.norm(W, axis=0)
+            live = nu > 1e-10
+            W = W / np.where(live, nu, 1.0)
+            rows = np.stack([q, (W.conj() * MX).real.sum(axis=1),
+                             (W.conj() * (M @ W)).real.sum(axis=1)], axis=1)
+            Y = np.concatenate([rows[0], (rows[1][:, None] * rows[2]).reshape(9, b)])
+            _, Fz = gaps._line_max(gaps._FOURIER @ Y)
+            best = np.maximum(best, np.where(live, Fz - F, 0.0))
+    return best, F
+
+
+def _diagonal_triple():
+    """A diagonal triple whose maximum 5/2 sits at a vertex of the weights
+    |x_i|^2; the gradient steps alone stopped at 2 from some starts."""
+    return GapProblem("gamma", np.diag([0.5, 0.5, 2, 2, 0, 0.5]),
+                      np.diag([0, -1, 0, 0.5, 0.5, 0.5]), np.diag([-1, 2, 0.5, 0.5, -1, 0]))
+
+
+@pytest.mark.parametrize("case", [("oracle_case", i) for i in range(6)]
+                         + [("diagonal", seed) for seed in range(4)])
+def test_a_stalled_ascent_leaves_no_coordinate_geodesic_that_rises(case):
+    # "stalled" comes only after a coordinate sweep that gains nothing, so
+    # from the columns it returns no axis geodesic rises past the stop test
+    source, i = case
+    prob = _oracle_case(i) if source == "oracle_case" else _diagonal_triple()
+    Z, _ = _sampled_values(prob, 12, seed=i)
+    X, F, _, stop = gaps._geodesic_ascent(prob._stack, Z)
+    assert stop == "stalled"
+    gains, F_out = _best_axis_gains(prob._stack, X)
+    assert np.allclose(F_out, F, rtol=0, atol=1e-13 * (1.0 + np.abs(F).max()))
+    assert gains.max() <= 1e-13 * (1.0 + np.abs(F).max())
+
+
+@pytest.mark.parametrize("case", [("oracle_case", i) for i in range(6)]
+                         + [("triple", k) for k in (3, 8, 16)])
+def test_an_ascent_from_the_maximizer_stays_on_the_sphere(case):
+    # at solve's maximizer |g| sits at the rounding level: the direction is
+    # projected a second time, or its unit vector carries an x-component of
+    # order one, the step leaves the sphere and F's polynomial no longer
+    # reads F.  Four phases of the maximizer: one gradient step and one
+    # sweep gain nothing, and no column moves
+    source, i = case
+    prob = _oracle_case(i) if source == "oracle_case" else _bound_check_triple(i, 0)
+    res = solve(prob)
+    upper = _certified_upper(prob)
+    X0 = res.maximizer[:, None] * np.exp(1j * np.linspace(0.0, 3.0, 4))
+    X, F, sweeps, stop = gaps._geodesic_ascent(prob._stack, X0)
+    assert (sweeps, stop) == (2, "stalled")
+    assert np.abs(np.linalg.norm(X, axis=0) - 1.0).max() <= 1e-14
+    assert (1.0 - np.abs(X.conj().T @ res.maximizer)).max() <= 1e-12
+    assert F.max() <= upper
+    assert F.min() >= res.value - 1e-12 * (1.0 + abs(res.value))
+    assert np.allclose([gap_objective(prob, x) for x in X.T], F, rtol=0,
+                       atol=1e-13 * (1.0 + abs(res.value)))
+
+
+def test_the_oracle_leaves_the_local_maximum_of_a_diagonal_triple():
+    # every coordinate geodesic moves the weights |x_i|^2 along a ray
+    # through a vertex of the simplex, and the coordinate ascent alone sent
+    # all ten candidates to the local maximum 7/6; the maximum is 73/48
+    C = np.diag([0.5, 2, 0.5, 0.5, 0, -1, 0.5, -1, 0])
+    S = np.diag([0.5, 0.5, 2, 0.5, -1, 0.5, -1, 0.5, 0])
+    D = np.diag([-1, 2, 0, 2, 0.5, 2, 0, 0.5, -1])
+    prob = GapProblem("gamma", C, S, D)
+    assert abs(solve(prob).value - 73 / 48) <= 1e-15
+    res = solve_bruteforce(prob, samples=616, seed=143)
+    assert abs(res.value - 73 / 48) <= 1e-12
 
 
 @pytest.mark.parametrize("i", range(6))
@@ -980,14 +1063,14 @@ def test_oracle_beats_its_best_sample_and_repeats(i):
 @pytest.mark.parametrize("samples", [1, 9, 10, 11, 2000])
 @pytest.mark.parametrize("k", range(2, 7))
 def test_oracle_starts_from_the_samples_complex_arithmetic_picks(k, samples, monkeypatch):
-    ascent = gaps._coordinate_ascent
+    ascent = gaps._geodesic_ascent
     starts = []
 
     def spy(M, X0, upper):
         starts.append(X0.copy())
         return ascent(M, X0, upper=upper)
 
-    monkeypatch.setattr(gaps, "_coordinate_ascent", spy)
+    monkeypatch.setattr(gaps, "_geodesic_ascent", spy)
     rng = np.random.default_rng(k)
     for seed in range(3):
         prob = GapProblem("gamma", *(random_hermitian(k, -2.0, 2.0, rng) for _ in range(3)))
@@ -1071,26 +1154,28 @@ def test_oracle_stops_at_the_bound_on_crosscheck_instance_54():
         assert stopped.stop == "bound" and stopped.iterations < free.iterations
 
 
-# (value.hex(), sweeps, sha256 of the maximizer's bytes, first 16) of
+# (value.hex(), iterations, sha256 of the maximizer's bytes, first 16) of
 # solve_bruteforce(_oracle_case(i), samples=2000, seed=i, upper=its certified
-# bound), as recorded when the oracle drew all its samples at once
+# bound), as recorded with the conjugate-gradient ascent
 _BOUNDED_ORACLE_RESULTS = (
-    ("0x1.299b13e44eb7ep+1", 1, "31c557fc68b5b435"),
-    ("0x1.230c6527692d8p-3", 3, "f69d265b9d30d74f"),
-    ("0x1.2096b80b2b51ep-1", 2, "2f7f49dc6cb2ba95"),
-    ("0x1.aba593863d144p-2", 4, "ee762503e372f76f"),
-    ("0x1.dfc9df0717a1cp+2", 4, "7784e327d1f3dea4"),
-    ("0x1.ba567c080ee20p-2", 7, "701684e5cfacd6c0"),
+    ("0x1.299b13e44eb72p+1", 2, "fec7db345dc9127d"),
+    ("0x1.230c651f30650p-3", 2, "341471728ba80138"),
+    ("0x1.2096b83850646p-1", 4, "8f584f4fdbf30b6b"),
+    ("0x1.aba59397635e0p-2", 4, "4bb4fb49652e50f4"),
+    ("0x1.dfc9df089221cp+2", 5, "9867909e90458669"),
+    ("0x1.ba567c0d1ac98p-2", 7, "6d035e7699502dd2"),
 )
 
 
 @pytest.mark.parametrize("i", range(6))
 def test_oracle_with_a_bound_and_one_block_of_samples_is_one_draw(i):
     prob = _oracle_case(i)
-    res = solve_bruteforce(prob, samples=2000, seed=i, upper=_certified_upper(prob))
+    upper = _certified_upper(prob)
+    res = solve_bruteforce(prob, samples=2000, seed=i, upper=upper)
     digest = hashlib.sha256(res.maximizer.tobytes()).hexdigest()[:16]
     assert (res.value.hex(), res.iterations, digest) == _BOUNDED_ORACLE_RESULTS[i]
     assert (res.restarts, res.blocks, res.stop) == (2000, 1, "bound")
+    assert upper - 1e-8 * (1.0 + abs(upper)) <= res.value <= upper
 
 
 def test_oracle_draws_blocks_until_it_reaches_the_bound_of_triple_8_61():

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -157,6 +159,15 @@ def test_loewner_leq_basics():
         loewner_leq(A, np.eye(3))
 
 
+def test_loewner_leq_names_a_difference_that_overflows():
+    # both operands are finite and B - A is not: numpy used to warn of the
+    # overflow, and min_eigenvalue then raised an error naming neither operand
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite, match=r"^B - A overflows$"):
+            loewner_leq(np.diag([1e308, 1.0]), np.diag([-1e308, 1.0]))
+
+
 def test_min_eigenvalue():
     assert min_eigenvalue(np.diag([3.0, -1.0, 2.0])) == -1.0
 
@@ -225,6 +236,34 @@ def test_random_dominated_pair_without_room_is_an_equal_pair():
     # every eigenvalue of A lies within 1e-10 of m, so c would be below 1e-8
     A, B = random_dominated_pair(3, 1.0, 1.0 + 1e-10, seed=0)
     assert np.array_equal(A, B) and B is not A
+
+
+def test_random_dominated_pair_names_a_congruence_that_overflows():
+    # near the float maximum X = P^-1/2 (A - m'I) P^-1/2 overflows: seed 1
+    # used to end in numpy's unnamed LinAlgError, after RuntimeWarnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite, match=r"^P\^-1/2 \(A - m'I\) P\^-1/2 overflows for "
+                                            r"the window \[1.0, 1.7e\+308\]$"):
+            random_dominated_pair(3, 1.0, 1.7e308, 1)
+
+
+# sha256 of A's and B's bytes (first 16) of random_dominated_pair(*args), as
+# recorded before the overflow check: a window that works keeps its bits
+_DOMINATED_PAIRS = {
+    (3, 0.5, 2.0, 7): "cb7186e11b1b30d0",
+    (5, 1e-3, 1e3, 11): "47246ca342c4d1c5",
+    (3, 1.0, 1.7e308, 0): "aed5d71529275348",
+    (4, 1e300, 1e307, 2): "9da7947c15028ba8",
+}
+
+
+@pytest.mark.parametrize("args", list(_DOMINATED_PAIRS))
+def test_random_dominated_pair_keeps_its_bits(args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        A, B = random_dominated_pair(*args)
+    assert hashlib.sha256(A.tobytes() + B.tobytes()).hexdigest()[:16] == _DOMINATED_PAIRS[args]
 
 
 def test_random_dominated_pair_rejects_bad_window():
