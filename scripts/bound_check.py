@@ -5,7 +5,7 @@ runs ``solve`` (one start, then up to three repair rounds, each from the
 bound's worst node, while they raise the value and the bound stays open),
 ``solve_multistart`` with 64 restarts at the same seed, and the
 sampling oracle (``solve_bruteforce`` at its cap of 20,000 samples, drawn
-2,000 at a time) stopped at solve's bound, and counts:
+256 at a time) stopped at solve's bound, and counts:
 
   closed   gap <= 1e-8 (1 + |value|)
   repaired a repair round ran
@@ -15,7 +15,8 @@ sampling oracle (``solve_bruteforce`` at its cap of 20,000 samples, drawn
   above    the oracle's value above upper
 
 and the median and largest number of eigenvalue problems and of Newton
-iterations (every ascent it ran, summed) per solve.  Exits
+iterations (every ascent it ran, summed) per solve, and of the oracle's
+blocks (its draws) per call.  Exits
 1 if any bound stays open, any value is lost or any bound falls below a
 feasible value: the 64-restart value, solve's own or the oracle's.
 
@@ -42,8 +43,9 @@ def triple(k: int, seed: int) -> GapProblem:
 
 def check(k: int, count: int) -> dict:
     row = {"k": k, "triples": count, "closed": 0, "repaired": 0, "lost": 0,
-           "below": 0, "oracle": {"bound": 0, "stalled": 0, "cap": 0}, "above": 0}
-    solves, iterations = [], []
+           "below": 0, "oracle": {"bound": 0, "stalled": 0, "cap": 0},
+           "oracle_blocks_median": 0.0, "oracle_blocks_max": 0, "above": 0}
+    solves, iterations, blocks = [], [], []
     for seed in range(count):
         prob = triple(k, seed)
         res = solve(prob, seed=seed)
@@ -57,10 +59,13 @@ def check(k: int, count: int) -> dict:
         row["above"] += res.upper is not None and oracle.value > res.upper
         solves.append(res.eigensolves)
         iterations.append(res.iterations)
+        blocks.append(oracle.blocks)
     row["eigensolves_median"] = float(np.median(solves))
     row["eigensolves_max"] = max(solves)
     row["iterations_median"] = float(np.median(iterations))
     row["iterations_max"] = max(iterations)
+    row["oracle_blocks_median"] = float(np.median(blocks))
+    row["oracle_blocks_max"] = max(blocks)
     return row
 
 

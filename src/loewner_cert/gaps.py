@@ -21,14 +21,18 @@ from one spectral assembly that decomposes each A_i, and T, once; the B_i
 need only their eigenvalues.
 
 Two solvers are provided: a multistart Riemannian Newton ascent on the
-complex unit sphere (the primary path) and a sampling plus coordinate
-ascent brute-force oracle that shares no iteration logic with it: it uses
-no gradient and no Hessian, only exact maxima of F along great circles,
-each found from F's five Fourier coefficients on that circle.
+complex unit sphere (the primary path) and a brute-force sampling oracle
+that shares no iteration logic with it.  The oracle ascends its best
+samples by exact maxima of F along great circles, each found from F's
+five Fourier coefficients on that circle.  The gradient only picks the
+circles, as Polak-Ribiere+ conjugate-gradient directions, and a sweep of
+the coordinate circles confirms a stall; it takes no Hessian and no
+linear solve, and every value it reports is F at a unit vector.
 Given a certified upper bound, as ``gap --oracle`` gives it, the oracle
 also stops once its best value is within 1e-8 (1 + |bound|) of the bound,
-and draws its samples in blocks until it gets there or reaches its cap;
-that stop reads the dual bound only, never a primal value.
+and draws its samples in blocks of _BLOCK_SAMPLES (256) until it gets
+there or reaches its cap; that stop reads the dual bound only, never a
+primal value.
 ``solve``, which the certificates and the CLI call, first tries two closed
 forms.  When C, S and D commute (chebyshev, eta, vartheta without a family
 and many diagonal or pinching families) the maximum lies on an edge of the
@@ -66,6 +70,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import combinations
@@ -138,7 +143,7 @@ _DIM2_NEWTON = 100
 
 _REFINE_CANDIDATES = 10
 # samples per draw of the oracle while it has a bound (``solve_bruteforce``)
-_BLOCK_SAMPLES = 2000
+_BLOCK_SAMPLES = 256
 # cap on the iterations of one oracle ascent: gradient steps and sweeps
 _MAX_SWEEPS = 60
 _LINE_GRID = 1024
@@ -1148,6 +1153,19 @@ def _check_seed(seed, generators: bool = True) -> None:
         raise BadParameter(f"seed must be an integer >= 0, got {seed!r}")
 
 
+def _check_upper(upper) -> None:
+    """Refuse by name a bound that is neither None nor a finite real number (nor a bool)."""
+    if upper is None:
+        return
+    try:
+        finite = (not isinstance(upper, bool) and isinstance(upper, numbers.Real)
+                  and math.isfinite(upper))
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        raise BadParameter(f"upper must be a finite real number or None, got {upper!r}")
+
+
 def solve(problem: GapProblem, seed=0) -> GapResult:
     """Maximum of F: in closed form for a commuting triple or at k = 2, else bounded multistart.
 
@@ -1199,16 +1217,18 @@ def solve(problem: GapProblem, seed=0) -> GapResult:
 # -- brute-force oracle -------------------------------------------------
 #
 # The oracle holds (C, S, D) as one stack M of shape (3, k, k), and X with
-# its three images as one (4, k, b) block, so that each numpy call does the
-# work of all three forms.  Along a geodesic x cos psi + W sin psi each form
-# is q cos^2 psi + 2 Re<W, Mx> sin psi cos psi + <W, MW> sin^2 psi, so F is
-# a trig polynomial of degree two in z = 2 psi.  One constant 5 x 12 matrix
-# maps C's three numbers and the nine products of S's with D's to F's five
-# Fourier coefficients, and ``_line_max`` maximizes F on all columns at
-# once.  For a conjugate-gradient direction W they take one product M W;
-# for a coordinate axis they come in closed form from x_j, (Mx)_j and M_jj,
-# so an axis step forms no direction vector, and a move is one scaling of
-# the block plus a multiple of column j of I, C, S, D.
+# its three images, then those of the direction W, as one (7, k, b) block,
+# so that each numpy call does the work of all three forms.  Along a
+# geodesic x cos psi + W sin psi each form is q cos^2 psi + 2 Re<W, Mx>
+# sin psi cos psi + <W, MW> sin^2 psi, so F is a trig polynomial of degree
+# two in z = 2 psi.  One constant 5 x 12 matrix maps C's three numbers and
+# the nine products of S's with D's to F's five Fourier coefficients, and
+# ``_line_max`` maximizes F on all columns at once.  For a
+# conjugate-gradient direction W they take one product M W and one of
+# conj(W) with the six images; for a coordinate axis they come in closed
+# form from x_j, (Mx)_j and M_jj, so an axis step forms no direction
+# vector, and a move is one scaling of the block plus a multiple of
+# column j of I, C, S, D.
 
 
 def _fourier_map() -> np.ndarray:
@@ -1294,20 +1314,23 @@ def _geodesic_ascent(M, X0, upper=None):
     _MAX_SWEEPS iterations.
     """
     k, b = X0.shape
-    XM = np.empty((4, k, b), dtype=complex)  # X and its C, S, D images
-    XM[0] = X0
-    x, MX = XM[0], XM[1:]
-    E = np.concatenate([np.eye(k, dtype=complex)[None], M])
-    Mjj = np.diagonal(M, axis1=1, axis2=2).real
-    axes = [(j, unit == 1j, unit * E[:, :, j, None], Mjj[:, j, None])
-            for j in range(k) for unit in (1.0, 1j)]
+    # X, its C, S, D images and those of the direction W; a step moves XM
+    images = np.empty((7, k, b), dtype=complex)
+    images[0] = X0
+    XM = images[:4]
+    x, MX, MW = images[0], images[1:4], images[4:]
+    axes = None  # the coordinate axes' data, built at the first sweep
     # per form the rows (q, Re<W, Mx>, <W, MW>); q is kept current in V[:, 0]
     V = np.empty((3, 3, b))
-    q, cr, w = V.swapaxes(0, 1)
+    q, cr, w = rows = V.swapaxes(0, 1)
     # C's rows, then the products of S's rows with D's, for _FOURIER
     Y = np.empty((12, b))
     SD = Y[3:].reshape(3, 3, b)
     G = np.empty((3, b))  # cos^2 psi, 2 sin psi cos psi, sin^2 psi
+    # g, the previous g and d, the last direction's velocity, as one stack
+    # for their inner products with g
+    GD = np.empty((3, k, b), dtype=complex)
+    g, g_prev, d = GD
 
     def advance(live):
         """cos psi, sin psi of the best step along each column's W (psi = 0 unless F rises)."""
@@ -1332,7 +1355,7 @@ def _geodesic_ascent(M, X0, upper=None):
     goal = np.inf if upper is None else upper - _gap_tol(upper)
     iters = 0
     swept = False
-    d = None  # the last direction's velocity, None when the next step restarts
+    restart = True  # the next step follows g alone
     while True:
         # (re)normalize X, which also kills the drift of the previous step;
         # the norms sum each column as one contiguous run, as the column-major
@@ -1341,17 +1364,24 @@ def _geodesic_ascent(M, X0, upper=None):
         np.matmul(M, x, out=MX)
         q[...] = (x.conj() * MX).real.sum(axis=1)
         F = q[0] - q[1] * q[2]
-        gained = not iters or (float(np.max(F - F_before))
-                               >= 1e-13 * (1.0 + float(np.abs(F).max())))
-        stop = ("bound" if float(F.max()) >= goal
+        # the tests on b values are cheaper on Python floats than in numpy
+        values = F.tolist()
+        gained = not iters or (max(map(operator.sub, values, values_before))
+                               >= 1e-13 * (1.0 + max(map(abs, values))))
+        stop = ("bound" if max(values) >= goal
                 else "stalled" if swept and not gained
                 else "cap" if iters == _MAX_SWEEPS else None)
         if stop:
             break
         iters += 1
-        F_before = F.copy()
+        values_before = values
         swept = not gained
         if swept:
+            if axes is None:
+                E = np.concatenate([np.eye(k, dtype=complex)[None], M])
+                Mjj = np.diagonal(M, axis1=1, axis2=2).real
+                axes = [(j, unit == 1j, unit * E[:, :, j, None], Mjj[:, j, None])
+                        for j in range(k) for unit in (1.0, 1j)]
             for j, imag, Ej, mjj in axes:
                 # W = (e - cmix x) / nu for the axis e = unit e_j, cmix = Re<e, x>
                 row = XM[:, j].imag if imag else XM[:, j].real
@@ -1367,38 +1397,47 @@ def _geodesic_ascent(M, X0, upper=None):
                 sn *= inv
                 XM *= cs - cmix * sn
                 XM += Ej * sn
-            d = None
+            restart = True
             continue
         # the horizontal part of G = 2(Cx - qD Sx - qS Dx); projecting the
         # small remainder again leaves an x-component at the rounding level
         # of |g| rather than |G|, as in _newton_ascent
-        g = project(project(2.0 * (MX[0] - q[2] * MX[1] - q[1] * MX[2])))
-        gg = _rdot(g, g)
+        np.multiply(q[2], MX[1], out=g)
+        np.subtract(MX[0], g, out=g)
+        g -= q[1] * MX[2]
+        g *= 2.0
+        project(project(g))
         # the periodic restart: without it the steps crawl toward degenerate
         # maxima, and 15 of 1,120 diagonal triples ended at the cap short
-        if d is None or iters % (2 * k) == 0:
-            d = g
+        if restart or iters % (2 * k) == 0:
+            gg = _rdot(g, g)
+            d[...] = g
         else:
             # g is horizontal, so Re<g, P(v)> = Re<g, v>; a zero beta restarts
-            beta = np.divide(gg - _rdot(g, g_prev), gg_prev, out=np.zeros(b),
-                             where=gg_prev > 0.0)
-            beta[(beta <= 0.0) | (gg + beta * _rdot(g, d) <= 0.0)] = 0.0
+            gg, g_gprev, g_d = (g.conj() * GD).real.sum(axis=1)
+            beta = np.divide(gg - g_gprev, gg_prev, out=np.zeros(b), where=gg_prev > 0.0)
+            beta[(beta <= 0.0) | (gg + beta * g_d <= 0.0)] = 0.0
             # P(g + beta d_prev) = g + beta P(d_prev), projected a second
             # time: near a stationary point |d| sits at the rounding level of
             # the first projection's remainder, and W = d / |d| would carry an
             # x-component of order one and leave the sphere
-            d = project(project(g + beta * d))
-        g_prev, gg_prev = g, gg
+            d *= beta
+            d += g
+            project(project(d))
+        g_prev[...] = g
+        gg_prev = gg
+        restart = False
         nd = _colnorm(d)
         live = nd > 0.0
         W = d / np.where(live, nd, 1.0)
-        MW = M @ W
-        Wc = W.conj()
-        cr[...] = (Wc * MX).real.sum(axis=1)
-        w[...] = (Wc * MW).real.sum(axis=1)
+        np.matmul(M, W, out=MW)
+        # Re<W, Mx> and <W, MW> of the three forms, from one product
+        np.sum((W.conj() * images[1:]).real.reshape(2, 3, k, b), axis=2, out=rows[1:])
         cs, sn = advance(live)
         # the velocity at x cos psi + W sin psi, of length |d|
-        d = (W * cs - x * sn) * nd
+        np.multiply(W, cs, out=d)
+        d -= x * sn
+        d *= nd
         x *= cs
         x += W * sn
     return x, F, iters, stop
@@ -1422,14 +1461,19 @@ def solve_bruteforce(problem: GapProblem, samples: int = 20000, seed=0,
     ``samples`` is a cap: the oracle draws _BLOCK_SAMPLES at a time from
     the same generator and draws again only while the ascent of the last
     block stopped below the bound, for once the bound is closed some unit
-    vector reaches it.  On ``triple(8, 61)`` one 20,000-sample draw stalled
-    below the bound at 31 of 40 seeds, and blocks of 2,000 at none.  The
-    result is the best column of all blocks; ``restarts`` counts the
+    vector reaches it.  The best points of a large draw crowd into one
+    basin, and fresh small blocks get past it: on ``bound_check``'s
+    ``triple(8, 61)`` one 20,000-sample draw stalled below the bound at 31
+    of 40 seeds, and blocks of 256 at none, after at most 7 blocks (blocks
+    of 2,000 took up to 10).  A bound that no unit vector reaches draws the
+    whole cap, 79 blocks.  ``upper`` must be None or a finite real number.
+    The result is the best column of all blocks; ``restarts`` counts the
     samples drawn, ``blocks`` the draws, ``iterations`` the iterations of
     every ascent, and ``stop`` is why the last ascent ended.
     """
     _check_count("samples", samples)
     _check_seed(seed)
+    _check_upper(upper)
     k = problem.dim
     if k == 1:  # every unit vector is a phase of the maximizer: nothing to draw
         x = np.array([1.0 + 0.0j])

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 import sys
 import threading
 import warnings
@@ -1142,7 +1143,7 @@ def test_oracle_stops_at_the_certified_bound(k):
     rng = np.random.default_rng(300 + k)
     for seed in range(3):
         prob = GapProblem("gamma", *(random_hermitian(k, -2.0, 2.0, rng) for _ in range(3)))
-        stopped, _ = _stopped_and_free(prob, 2000, seed)
+        stopped, _ = _stopped_and_free(prob, gaps._BLOCK_SAMPLES, seed)
         assert stopped.stop == "bound"
 
 
@@ -1155,15 +1156,15 @@ def test_oracle_stops_at_the_bound_on_crosscheck_instance_54():
 
 
 # (value.hex(), iterations, sha256 of the maximizer's bytes, first 16) of
-# solve_bruteforce(_oracle_case(i), samples=2000, seed=i, upper=its certified
-# bound), as recorded with the conjugate-gradient ascent
+# solve_bruteforce(_oracle_case(i), samples=_BLOCK_SAMPLES, seed=i,
+# upper=its certified bound), as recorded with blocks of 256 samples
 _BOUNDED_ORACLE_RESULTS = (
-    ("0x1.299b13e44eb72p+1", 2, "fec7db345dc9127d"),
-    ("0x1.230c651f30650p-3", 2, "341471728ba80138"),
-    ("0x1.2096b83850646p-1", 4, "8f584f4fdbf30b6b"),
-    ("0x1.aba59397635e0p-2", 4, "4bb4fb49652e50f4"),
-    ("0x1.dfc9df089221cp+2", 5, "9867909e90458669"),
-    ("0x1.ba567c0d1ac98p-2", 7, "6d035e7699502dd2"),
+    ("0x1.299b13e44eab0p+1", 2, "1939ef5e612a4415"),
+    ("0x1.230c652450bf8p-3", 3, "a2f166b745c03a49"),
+    ("0x1.2096b7d67657cp-1", 4, "0402ef4426762c64"),
+    ("0x1.aba5938eb15e4p-2", 3, "a5958cec01dba3ad"),
+    ("0x1.dfc9df08c1a60p+2", 5, "004c9099ad4c2e0d"),
+    ("0x1.ba567bce3474cp-2", 7, "5250131cf6d5cce5"),
 )
 
 
@@ -1171,32 +1172,57 @@ _BOUNDED_ORACLE_RESULTS = (
 def test_oracle_with_a_bound_and_one_block_of_samples_is_one_draw(i):
     prob = _oracle_case(i)
     upper = _certified_upper(prob)
-    res = solve_bruteforce(prob, samples=2000, seed=i, upper=upper)
+    block = gaps._BLOCK_SAMPLES
+    res = solve_bruteforce(prob, samples=block, seed=i, upper=upper)
     digest = hashlib.sha256(res.maximizer.tobytes()).hexdigest()[:16]
     assert (res.value.hex(), res.iterations, digest) == _BOUNDED_ORACLE_RESULTS[i]
-    assert (res.restarts, res.blocks, res.stop) == (2000, 1, "bound")
+    assert (res.restarts, res.blocks, res.stop) == (block, 1, "bound")
     assert upper - 1e-8 * (1.0 + abs(upper)) <= res.value <= upper
 
 
-def test_oracle_draws_blocks_until_it_reaches_the_bound_of_triple_8_61():
+def test_oracle_draws_blocks_until_it_reaches_the_bound_of_triple_8_61(monkeypatch):
     # one draw of 20,000 samples stalled 0.0136 below the bound at 31 of 40
-    # seeds, these three among them; blocks of 2,000 reach it at all 40
+    # seeds, these three among them; blocks of 256 reach it at all 40
     prob = _bound_check_triple(8, 61)
     upper = solve(prob, seed=61).upper
     tau = 1e-8 * (1.0 + abs(upper))
-    for seed, blocks in ((0, 2), (1, 3), (2, 1)):
+    block = gaps._BLOCK_SAMPLES
+    for seed, blocks in ((0, 1), (1, 2), (2, 2)):
         free = solve_bruteforce(prob, samples=20000, seed=seed)
         assert free.stop == "stalled" and free.value < upper - 1e-3
         res = solve_bruteforce(prob, samples=20000, seed=seed, upper=upper)
-        assert (res.stop, res.blocks, res.restarts) == ("bound", blocks, 2000 * blocks)
+        assert (res.stop, res.blocks, res.restarts) == ("bound", blocks, block * blocks)
         assert upper - tau <= res.value <= upper
-    # under a bound that no unit vector reaches, seed 2's first block finds the
-    # maximum and its second stalls below it: the result is the best block's
-    res = solve_bruteforce(prob, samples=4000, seed=2, upper=upper + 1.0)
-    assert (res.stop, res.blocks) == ("stalled", 2) and res.value >= upper - tau
+    # under a bound that no unit vector reaches, seed 0's first block finds the
+    # maximum and its second stalls 0.0136 below it: the result is the best block's
+    ascend, best = gaps._geodesic_ascent, []
+
+    def recorded(M, X0, upper=None):
+        out = ascend(M, X0, upper=upper)
+        best.append(float(out[1].max()))
+        return out
+
+    monkeypatch.setattr(gaps, "_geodesic_ascent", recorded)
+    res = solve_bruteforce(prob, samples=2 * block, seed=0, upper=upper + 1.0)
+    assert (res.stop, res.blocks) == ("stalled", 2)
+    assert best[0] >= upper - tau and best[1] < upper - 1e-3
+    assert res.value >= upper - tau
 
 
-@pytest.mark.parametrize("samples", [10, 2000, 2001, 4500])
+@pytest.mark.parametrize("k, seed, most", [(8, 61, 10), (16, 89, 5), (16, 117, 2)])
+def test_oracle_blocks_reach_the_bound_of_the_hard_triples_at_40_seeds(k, seed, most):
+    # one 20,000-sample draw stalls below the bound at 31, 5 and 8 of these
+    # 40 seeds; no block size may leave one short, nor need more blocks
+    # than the 10, 5 and 2 that blocks of 2,000 took
+    prob = _bound_check_triple(k, seed)
+    upper = solve(prob, seed=seed).upper
+    for oracle_seed in range(40):
+        res = solve_bruteforce(prob, seed=oracle_seed, upper=upper)
+        assert res.stop == "bound" and res.blocks <= most, oracle_seed
+
+
+@pytest.mark.parametrize("samples", [10, gaps._BLOCK_SAMPLES, gaps._BLOCK_SAMPLES + 1,
+                                     2000, 2001, 4500])
 @pytest.mark.parametrize("k", range(2, 6))
 def test_oracle_never_draws_past_its_cap(k, samples):
     rng = np.random.default_rng(500 + k)
@@ -1391,6 +1417,29 @@ def test_a_seed_that_is_not_an_integer_is_refused_by_name(solver, seed):
             else _random_triple(3, 0))
     with pytest.raises(BadParameter, match=r"^seed must be an integer >= 0, got "):
         solver(prob, seed=seed)
+
+
+@pytest.mark.parametrize("upper", [float("nan"), float("inf"), -float("inf"), True, "1.0",
+                                   10 ** 400, 1.0 + 0.0j, np.array([1.0])],
+                         ids=["nan", "inf", "-inf", "True", "str", "1e400", "complex", "array"])
+@pytest.mark.parametrize("k", [1, 3])
+def test_oracle_refuses_a_bound_that_is_not_a_finite_real_by_name(k, upper):
+    # before any work: -inf stopped at "bound" after one block below the
+    # maximum, True acted as a bound of 1.0, nan and inf drew the whole cap,
+    # and "1.0" failed with an unnamed TypeError
+    prob = (GapProblem("gamma", *(np.array([[v]], dtype=complex) for v in (3.0, 1.0, 2.0)))
+            if k == 1 else _random_triple(3, 0))
+    with pytest.raises(BadParameter, match=r"^upper must be a finite real number or None, got "):
+        solve_bruteforce(prob, samples=4000, seed=1, upper=upper)
+
+
+def test_oracle_takes_any_finite_real_bound():
+    # None is no bound; a float, a numpy float and an integer are bounds
+    prob = _random_triple(3, 0)
+    top = solve(prob).upper
+    for upper in (None, top, np.float64(top), math.ceil(top)):
+        res = solve_bruteforce(prob, samples=4000, seed=1, upper=upper)
+        assert res.value <= top and (res.stop == "bound") == (upper == top)
 
 
 # -- exact maxima at dimension 2 ------------------------------------------
